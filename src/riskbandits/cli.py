@@ -234,7 +234,7 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path | None) -> int:
             checklib.residual_check(cfg.criterion, cfg.arms, smooth, max(20, pairs // 4), seed)
         )
     results.append(checklib.galois_check(cfg.arms, n_points=100, seed=seed))
-    dkw_grid = opts.get("dkw_grid", [(25, 0.2), (100, 0.1), (100, 0.2)])
+    dkw_grid = opts.get("dkw_grid", [(25, 0.2), (100, 0.1), (100, 0.14), (400, 0.05), (400, 0.07)])
     results.append(
         checklib.dkw_grid_check(cfg.arms[0], dkw_grid, reps=dkw_reps, seed=seed)
     )

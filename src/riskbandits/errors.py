@@ -23,3 +23,9 @@ class UnsupportedOperationError(RuntimeError):
 
 class ConfigError(ValueError):
     """An experiment configuration file failed validation."""
+
+
+def add_context(exc: BaseException, context: str) -> None:
+    """Prepend context to the message of ``exc``, keeping its type and attributes."""
+    exc.args = (f"{context}: {exc}", *exc.args[1:])
+

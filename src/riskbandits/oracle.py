@@ -16,7 +16,7 @@ import numpy as np
 
 from .criteria import RiskCriterion, StabilityCertificate
 from .dist import MixtureDistribution
-from .errors import DomainError, UnsupportedOperationError
+from .errors import DomainError, UnsupportedOperationError, add_context
 from .norms import NormSpec, norm_distance
 from .policy import phi
 
@@ -54,7 +54,8 @@ def best_single_arm(criterion: RiskCriterion, arms):
         try:
             values.append(criterion.evaluate(arm))
         except Exception as exc:
-            raise type(exc)(f"criterion failed on arm {i}: {exc}") from exc
+            add_context(exc, f"criterion failed on arm {i}")
+            raise
     best = int(np.argmax(values))  # argmax returns the first maximizer
     best_value = values[best]
     gaps = [best_value - v for v in values]

@@ -2,10 +2,13 @@
 confidence radii, and the hand-built oracle schedules for the pathological
 demonstration criteria.
 
-A ``Policy`` is an immutable configuration; ``start`` produces a per-episode
-session holding whatever mutable caches the policy needs.  Sessions select
-purely from the :class:`PolicyState`, which contains only past observations,
-so replaying a recorded trajectory reproduces every decision.
+A ``Policy`` is an immutable configuration.  Open-loop policies (stationary
+play, the Bad2 schedule) ignore rewards, so ``pull_counts`` hands over the
+pull counts at every checkpoint in one call.  Closed-loop policies (optimism,
+the Bad1 schedule) return ``None`` there; their ``start`` produces a
+per-episode session that selects purely from the :class:`PolicyState`, which
+contains only past observations, so replaying a recorded trajectory
+reproduces every decision.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .criteria import RiskCriterion
 from .dist import EmpiricalDistribution
-from .errors import DomainError
+from .errors import DomainError, add_context
 
 __all__ = [
     "UcbParams",
@@ -96,7 +99,7 @@ class _SortedBuffer:
 
 
 class PolicyState:
-    """Per-episode observation record: pull counts and observed rewards.
+    """Per-episode observation record: pull counts and each arm's rewards.
 
     Single-owner mutable within one episode; episodes never share state.
     """
@@ -108,14 +111,12 @@ class PolicyState:
         self.t = 0
         self.pull_counts = np.zeros(k, dtype=np.int64)
         self._arm_buffers = [_SortedBuffer() for _ in range(k)]
-        self._pooled = _SortedBuffer(256)
 
     def update(self, arm: int, reward: float) -> None:
         if not (0 <= arm < self.k):
             raise DomainError(f"arm index {arm} out of range [0, {self.k})")
         self.pull_counts[arm] += 1
         self._arm_buffers[arm].insert(reward)
-        self._pooled.insert(reward)
         self.t += 1
 
     def arm_samples_view(self, arm: int) -> np.ndarray:
@@ -127,27 +128,24 @@ class PolicyState:
             raise DomainError(f"arm {arm} has no observations yet")
         return EmpiricalDistribution.from_sorted(self._arm_buffers[arm].snapshot())
 
-    def pooled_empirical(self) -> EmpiricalDistribution:
-        if self.t == 0:
-            raise DomainError("no observations yet")
-        return EmpiricalDistribution.from_sorted(self._pooled.snapshot())
-
     def count_le(self, y: float) -> int:
         """Number of pooled rewards <= y (exact step-CDF numerator)."""
-        return int(np.searchsorted(self._pooled.view(), y, side="right"))
+        return sum(int(np.searchsorted(b.view(), y, side="right")) for b in self._arm_buffers)
 
 
 class Policy:
-    """Immutable policy configuration; ``start`` yields an episode session."""
+    """Immutable policy configuration: open-loop policies override
+    ``pull_counts``, closed-loop policies override ``start``."""
 
     tag = ""
 
-    def start(self, k: int, criterion: RiskCriterion, rng: np.random.Generator):
-        raise NotImplementedError
-
-    def vertex_arm(self, k: int):
-        """Arm index when the policy always pulls one arm, else None."""
+    def pull_counts(self, k: int, checkpoints, rng: np.random.Generator):
+        """Pull counts (len(checkpoints), k), or None for closed-loop play."""
         return None
+
+    def start(self, k: int, criterion: RiskCriterion, rng: np.random.Generator):
+        """Per-episode session whose ``select(state)`` picks the next arm."""
+        raise NotImplementedError
 
 
 class _UcbSession:
@@ -169,7 +167,8 @@ class _UcbSession:
                 try:
                     self._values[i] = self.criterion.evaluate(emp)
                 except Exception as exc:
-                    raise type(exc)(f"criterion failed on arm {i}: {exc}") from exc
+                    add_context(exc, f"criterion failed on arm {i}")
+                    raise
                 self._eval_counts[i] = counts[i]
         log_t = math.log(t_now)
         best_arm = 0
@@ -194,23 +193,6 @@ class UcbPolicy(Policy):
         return _UcbSession(k, criterion, self.params)
 
 
-class _SimpleSession:
-    def __init__(self, cumulative, rng):
-        self._cum = cumulative
-        self._rng = rng
-
-    def select(self, state: PolicyState) -> int:
-        return int(np.searchsorted(self._cum, self._rng.random(), side="right"))
-
-
-class _FixedArmSession:
-    def __init__(self, arm):
-        self._arm = arm
-
-    def select(self, state: PolicyState) -> int:
-        return self._arm
-
-
 class SimplePolicy(Policy):
     """Stationary randomized policy: i.i.d. categorical arm draws."""
 
@@ -225,17 +207,17 @@ class SimplePolicy(Policy):
         self.p = p / float(np.sum(p))
         self.p.setflags(write=False)
 
-    def vertex_arm(self, k):
-        ones = np.flatnonzero(self.p >= 1.0 - 1e-15)
-        return int(ones[0]) if len(ones) else None
-
-    def start(self, k, criterion, rng):
+    def pull_counts(self, k, checkpoints, rng):
+        """Cumulative counts of one categorical draw per step; a vertex
+        (``p[j] == 1.0``) draws nothing, as every draw would give arm j."""
         if len(self.p) != k:
             raise DomainError(f"policy has {len(self.p)} weights for {k} arms")
-        vertex = self.vertex_arm(k)
-        if vertex is not None:
-            return _FixedArmSession(vertex)
-        return _SimpleSession(np.cumsum(self.p)[:-1], rng)
+        checkpoints = np.asarray(checkpoints, dtype=np.int64)
+        if 1.0 in self.p:
+            return np.outer(checkpoints, self.p == 1.0)
+        arms = np.searchsorted(np.cumsum(self.p)[:-1], rng.random(checkpoints[-1]), side="right")
+        segments = np.split(arms, checkpoints[:-1])
+        return np.cumsum([np.bincount(s, minlength=k) for s in segments], axis=0)
 
 
 class _Bad1OracleSession:
@@ -266,20 +248,15 @@ class Bad1OraclePolicy(Policy):
         return _Bad1OracleSession()
 
 
-class _Bad2OracleSession:
-    def select(self, state: PolicyState) -> int:
-        return 0 if state.t == 0 else 1
-
-
 class Bad2OraclePolicy(Policy):
     """Pull arm 1 once, then arm 2 forever (the trivial optimal schedule)."""
 
     tag = "bad2-oracle"
 
-    def start(self, k, criterion, rng):
+    def pull_counts(self, k, checkpoints, rng):
         if k != 2:
             raise DomainError("this oracle schedule is defined for exactly 2 arms")
-        return _Bad2OracleSession()
+        return np.array([(1, c - 1) for c in checkpoints], dtype=np.int64)
 
 
 # -- functional forms of the selection rules (contract surface) -------------
@@ -301,7 +278,8 @@ def ucb_select(state: PolicyState, criterion: RiskCriterion, params: UcbParams) 
         try:
             value = criterion.evaluate(emp)
         except Exception as exc:
-            raise type(exc)(f"criterion failed on arm {i}: {exc}") from exc
+            add_context(exc, f"criterion failed on arm {i}")
+            raise
         bonus = phi_inv(params, params.ucb_alpha * math.log(t_now) / state.pull_counts[i])
         if value + bonus > best_index:
             best_index = value + bonus

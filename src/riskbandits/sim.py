@@ -1,5 +1,10 @@
 """Episode runner and Monte Carlo estimators.
 
+Open-loop policies hand over the pull counts at every checkpoint
+(``Policy.pull_counts``) and each arm then draws its rewards in one call;
+closed-loop policies play their ``start`` session step by step.  One
+evaluator scores each checkpoint from the pull counts and the arm rewards.
+
 All randomness descends from one base seed: episode ``rep`` of an
 experiment derives stream ``j`` from
 ``numpy.random.SeedSequence(base_seed, spawn_key=(rep, j))`` with stream 0
@@ -19,7 +24,7 @@ import numpy as np
 
 from .criteria import RiskCriterion
 from .dist import EmpiricalDistribution, proxy_distribution
-from .errors import DomainError
+from .errors import DomainError, add_context
 from .policy import Policy, PolicyState
 
 __all__ = [
@@ -47,7 +52,8 @@ class Episode:
     ``pooled_values[c]`` is the criterion on the pooled empirical CDF of all
     rewards up to checkpoint c; ``proxy_values[c]`` is the criterion on the
     pull-fraction mixture of the true arm CDFs.  ``flagged[c]`` marks
-    checkpoints where criterion evaluation failed (values are NaN there).
+    checkpoints where the criterion raised a ``DomainError`` or an
+    ``ArithmeticError`` (values are NaN there); other errors propagate.
     """
 
     seed: int
@@ -118,68 +124,61 @@ def run_episode(
         )
 
     policy_rng, arm_rngs = _episode_streams(seed, rep, k)
-    vertex = policy.vertex_arm(k)
-    if vertex is not None:
-        return _run_vertex_episode(
-            arms, vertex, criterion, horizon, checkpoints, seed, rep, arm_rngs[vertex]
-        )
-
-    state = PolicyState(k)
-    session = policy.start(k, criterion, policy_rng)
+    tau = policy.pull_counts(k, checkpoints, policy_rng)
+    if tau is None:
+        tau, draws = _play_closed_loop(arms, policy, criterion, checkpoints, policy_rng, arm_rngs)
+    else:
+        draws = [a.sample(r, n) if n else np.empty(0) for a, r, n in zip(arms, arm_rngs, tau[-1])]
 
     n_cp = len(checkpoints)
-    tau = np.zeros((n_cp, k), dtype=np.int64)
-    pooled_values = np.full(n_cp, np.nan)
-    proxy_values = np.full(n_cp, np.nan)
-    flagged = np.zeros(n_cp, dtype=bool)
-    next_cp = 0
-
-    for _ in range(horizon):
-        arm = session.select(state)
-        reward = float(arms[arm].sample(arm_rngs[arm], 1)[0])
-        state.update(arm, reward)
-        if next_cp < n_cp and state.t == checkpoints[next_cp]:
-            tau[next_cp] = state.pull_counts
-            try:
-                pooled_values[next_cp] = criterion.evaluate(state.pooled_empirical())
-                proxy_values[next_cp] = criterion.evaluate(
-                    proxy_distribution(arms, state.pull_counts, state.t)
-                )
-            except Exception:
-                flagged[next_cp] = True
-            next_cp += 1
-
-    return Episode(seed, rep, horizon, checkpoints, tau, pooled_values, proxy_values, flagged)
-
-
-def _run_vertex_episode(arms, vertex, criterion, horizon, checkpoints, seed, rep, rng):
-    """Vectorized fast path for policies that always pull one arm.
-
-    Bit-identical to the step loop: numpy generators produce the same stream
-    for n scalar draws and one size-n draw, and only the pulled arm's stream
-    is consumed either way.
-    """
-    k = len(arms)
-    draws = arms[vertex].sample(rng, horizon)
-    n_cp = len(checkpoints)
-    tau = np.zeros((n_cp, k), dtype=np.int64)
-    tau[:, vertex] = checkpoints
     pooled_values = np.full(n_cp, np.nan)
     proxy_values = np.full(n_cp, np.nan)
     flagged = np.zeros(n_cp, dtype=bool)
     for idx, c in enumerate(checkpoints):
+        pooled = EmpiricalDistribution.from_sorted(
+            np.sort(np.concatenate([d[:n] for d, n in zip(draws, tau[idx])]))
+        )
+        proxy = proxy_distribution(arms, tau[idx], c)
         try:
-            emp = EmpiricalDistribution.from_sorted(np.sort(draws[:c]))
-            pooled_values[idx] = criterion.evaluate(emp)
-            proxy_values[idx] = criterion.evaluate(proxy_distribution(arms, tau[idx], c))
-        except Exception:
+            pooled_values[idx] = criterion.evaluate(pooled)
+            proxy_values[idx] = criterion.evaluate(proxy)
+        except (DomainError, ArithmeticError):
             flagged[idx] = True
+
     return Episode(seed, rep, horizon, checkpoints, tau, pooled_values, proxy_values, flagged)
+
+
+def _play_closed_loop(arms, policy, criterion, checkpoints, policy_rng, arm_rngs):
+    """Pull counts at the checkpoints and each arm's rewards in draw order.
+
+    Each arm's rewards come from doubling blocks of its own stream, the same
+    values one scalar draw per pull would give; unpulled draws go unseen.
+    """
+    k = len(arms)
+    state = PolicyState(k)
+    session = policy.start(k, criterion, policy_rng)
+    tau = np.zeros((len(checkpoints), k), dtype=np.int64)
+    draws = [np.empty(0) for _ in range(k)]
+    counts = state.pull_counts
+    for idx, c in enumerate(checkpoints):
+        while state.t < c:
+            arm = session.select(state)
+            n = counts[arm]
+            if n == len(draws[arm]):
+                block = arms[arm].sample(arm_rngs[arm], max(n, 64))
+                draws[arm] = np.concatenate([draws[arm], block])
+            state.update(arm, float(draws[arm][n]))
+        tau[idx] = counts
+    return tau, draws
 
 
 def _run_one(args):
     arms, policy, criterion, horizon, checkpoints, seed, rep = args
-    return run_episode(arms, policy, criterion, horizon, checkpoints, seed, rep)
+    try:
+        return run_episode(arms, policy, criterion, horizon, checkpoints, seed, rep)
+    except Exception as exc:
+        add_context(exc, f"replication {rep}")
+        raise
 
 
 def run_replications(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riskbandits.criteria import RiskCriterion
 from riskbandits.dist import (
     Gaussian,
     PiecewiseLinearCDF,
@@ -9,6 +10,8 @@ from riskbandits.dist import (
     Uniform,
     empirical_from_samples,
 )
+from riskbandits.errors import CriterionDomainError
+from riskbandits.norms import NormSpec
 
 
 def bad1_arm_wide():
@@ -60,3 +63,16 @@ def catalog():
 
 def rng(seed=0):
     return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+class RefusingCriterion(RiskCriterion):
+    """Refuses every distribution, naming the violated constraint."""
+
+    tag = "refusing"
+
+    @property
+    def norm_spec(self):
+        return NormSpec()
+
+    def evaluate(self, f):
+        raise CriterionDomainError("lower tail diverges", constraint="lower-tail finite")

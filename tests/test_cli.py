@@ -286,3 +286,19 @@ def test_check_command_fails_on_flat_level_set(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "[FAIL] C3" in out and "[FAIL] C4" in out
+
+
+def test_check_default_dkw_grid_passes_on_correct_code(tmp_path, capsys):
+    doc = {
+        "version": 1,
+        "seed": 14,
+        "arms": [
+            {"kind": "gaussian", "mean": 0.0, "stddev": 1.0},
+            {"kind": "gaussian", "mean": 0.1, "stddev": 1.0},
+        ],
+        "criterion": {"kind": "cvar", "alpha": 0.1},
+        "check": {"pairs": 20},
+    }
+    main(["check", "--config", _write(tmp_path, doc)])
+    out = capsys.readouterr().out
+    assert "[PASS] dkw-concentration" in out

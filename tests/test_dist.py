@@ -166,6 +166,23 @@ def test_sampling_deterministic(d):
 
 @pytest.mark.parametrize(
     "d",
+    [Gaussian(0.3, 1.2), PointMass(5.0), Uniform(-1, 2), TwoPoint(0.3, -2, 1), bad1_arm_wide()],
+    ids=repr,
+)
+def test_sampling_is_block_invariant(d):
+    # the episode runner draws each arm's rewards in blocks, not one per pull
+    n = 200
+    whole = d.sample(rng(17), n)
+    r = rng(17)
+    one_by_one = np.concatenate([d.sample(r, 1) for _ in range(n)])
+    r = rng(17)
+    two_blocks = np.concatenate([d.sample(r, 73), d.sample(r, n - 73)])
+    assert np.array_equal(whole, one_by_one)
+    assert np.array_equal(whole, two_blocks)
+
+
+@pytest.mark.parametrize(
+    "d",
     [Gaussian(0, 1), Uniform(-1, 2), TwoPoint(0.3, -2, 1), bad1_arm_wide()],
     ids=repr,
 )

@@ -10,7 +10,7 @@ from riskbandits.criteria import (
     StabilityCertificate,
 )
 from riskbandits.dist import Gaussian, PointMass, Uniform
-from riskbandits.errors import DomainError, UnsupportedOperationError
+from riskbandits.errors import CriterionDomainError, DomainError, UnsupportedOperationError
 from riskbandits.norms import parse_norm_spec
 from riskbandits.oracle import (
     best_single_arm,
@@ -20,6 +20,8 @@ from riskbandits.oracle import (
     simplex_grid_argmax,
     simplex_lattice,
 )
+
+from conftest import RefusingCriterion
 
 
 def test_best_single_arm_examples():
@@ -36,6 +38,12 @@ def test_best_single_arm_examples():
 
     idx, value, gaps = best_single_arm(MeanCriterion(), [PointMass(4.0)])
     assert (idx, value, gaps) == (0, 4.0, [0.0])
+
+
+def test_best_single_arm_failure_keeps_the_exception():
+    with pytest.raises(CriterionDomainError, match="criterion failed on arm 0") as info:
+        best_single_arm(RefusingCriterion(), [PointMass(1.0), PointMass(2.0)])
+    assert info.value.constraint == "lower-tail finite"
 
 
 def test_best_single_arm_tie_break_lowest_index():

@@ -5,7 +5,7 @@ import pytest
 
 from riskbandits.criteria import CVaRCriterion, MeanCriterion
 from riskbandits.dist import Gaussian, PointMass
-from riskbandits.errors import DomainError
+from riskbandits.errors import CriterionDomainError, DomainError
 from riskbandits.policy import (
     Bad1OraclePolicy,
     Bad2OraclePolicy,
@@ -19,7 +19,7 @@ from riskbandits.policy import (
     ucb_select,
 )
 
-from conftest import rng
+from conftest import RefusingCriterion, rng
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,8 @@ def test_replay_reproduces_state():
     for arm, x in trajectory:
         b.update(arm, x)
     assert np.array_equal(a.pull_counts, b.pull_counts)
-    assert np.array_equal(a.pooled_empirical().samples, b.pooled_empirical().samples)
+    for i in range(2):
+        assert np.array_equal(a.empirical(i).samples, b.empirical(i).samples)
 
 
 # ---------------------------------------------------------------------------
@@ -137,15 +138,36 @@ def test_ucb_session_matches_functional_rule():
         cursors[got] += 1
 
 
+def test_ucb_failure_context_keeps_the_exception():
+    st = PolicyState(2)
+    st.update(0, 0.5)
+    st.update(1, 0.2)
+    params = UcbParams(1.0, 1.0, 2.0, 3.0)
+    session = UcbPolicy(params).start(2, RefusingCriterion(), rng(0))
+    for select in (lambda: ucb_select(st, RefusingCriterion(), params), lambda: session.select(st)):
+        with pytest.raises(CriterionDomainError, match="criterion failed on arm 0") as info:
+            select()
+        assert info.value.constraint == "lower-tail finite"
+
+
 # ---------------------------------------------------------------------------
 # Simple policies
 # ---------------------------------------------------------------------------
 
 
 def test_simple_vertex_always_same_arm():
-    session = SimplePolicy([1.0, 0.0]).start(2, MeanCriterion(), rng(0))
-    st = PolicyState(2)
-    assert all(session.select(st) == 0 for _ in range(20))
+    tau = SimplePolicy([1.0, 0.0]).pull_counts(2, range(1, 21), rng(0))
+    assert np.array_equal(tau[:, 0], np.arange(1, 21)) and not tau[:, 1].any()
+
+
+@pytest.mark.parametrize("p", [[0.3, 0.2, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
+def test_simple_pull_counts_match_step_draws(p):
+    checkpoints = (3, 7, 50, 51, 400)
+    tau = SimplePolicy(p).pull_counts(3, checkpoints, rng(4))
+    r = rng(4)
+    arms = [simple_policy_select(p, r) for _ in range(checkpoints[-1])]
+    want = [np.bincount(arms[:c], minlength=3) for c in checkpoints]
+    assert np.array_equal(tau, want)
 
 
 def test_simple_policy_frequencies_binomial():
@@ -168,7 +190,7 @@ def test_simple_policy_validation():
     with pytest.raises(DomainError):
         SimplePolicy([-0.1, 1.1])
     with pytest.raises(DomainError):
-        SimplePolicy([0.5, 0.5]).start(3, MeanCriterion(), rng(0))
+        SimplePolicy([0.5, 0.5]).pull_counts(3, (3,), rng(0))
 
 
 def test_simple_policy_pull_frequency_convergence():
@@ -179,11 +201,7 @@ def test_simple_policy_pull_frequency_convergence():
         errs = []
         for rep in range(100):
             r = rng(1000 + rep)
-            session = SimplePolicy(p).start(3, MeanCriterion(), r)
-            st = PolicyState(3)
-            counts = np.zeros(3)
-            for _ in range(horizon):
-                counts[session.select(st)] += 1
+            counts = SimplePolicy(p).pull_counts(3, (horizon,), r)[-1]
             errs.append(np.max(np.abs(counts / horizon - p)))
         medians.append(float(np.median(errs)))
     assert medians[0] > medians[1] > medians[2]
@@ -219,17 +237,13 @@ def test_bad1_oracle_keeps_low_mass_under_level():
 
 
 def test_bad2_oracle_schedule():
-    session = Bad2OraclePolicy().start(2, None, rng(0))
-    st = PolicyState(2)
-    assert session.select(st) == 0
-    st.update(0, 1.0)
-    for _ in range(5):
-        assert session.select(st) == 1
-        st.update(1, 2.0)
+    tau = Bad2OraclePolicy().pull_counts(2, range(1, 7), rng(0))
+    assert tau[0].tolist() == [1, 0]  # first pull: arm 1
+    assert all(step.tolist() == [0, 1] for step in np.diff(tau, axis=0))
 
 
 def test_oracle_schedules_need_two_arms():
     with pytest.raises(DomainError):
         Bad1OraclePolicy().start(3, None, rng(0))
     with pytest.raises(DomainError):
-        Bad2OraclePolicy().start(1, None, rng(0))
+        Bad2OraclePolicy().pull_counts(1, (1,), rng(0))

@@ -1,18 +1,35 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
 
 from riskbandits.criteria import (
+    Bad1Criterion,
+    Bad2Criterion,
     CVaRCriterion,
     MeanCriterion,
     NegVarianceCriterion,
     RiskCriterion,
 )
-from riskbandits.dist import Gaussian, PointMass, Uniform
+from riskbandits.dist import (
+    EmpiricalDistribution,
+    Gaussian,
+    PointMass,
+    TwoPoint,
+    Uniform,
+    proxy_distribution,
+)
 from riskbandits.errors import DomainError
 from riskbandits.norms import NormSpec
-from riskbandits.policy import Bad1OraclePolicy, SimplePolicy, UcbParams, UcbPolicy
+from riskbandits.policy import (
+    Bad1OraclePolicy,
+    Bad2OraclePolicy,
+    PolicyState,
+    SimplePolicy,
+    UcbParams,
+    UcbPolicy,
+)
 from riskbandits.sim import (
     RegretReport,
     dkw_exceedance,
@@ -28,13 +45,94 @@ from riskbandits.sim import (
     write_report_csv,
 )
 
+from conftest import bad1_arm_wide, bad2_arm_steep, bad2_arm_step
 
 
-class NonVertexSimple(SimplePolicy):
-    """Force the generic step loop for fast-path equivalence tests."""
+def step_loop_episode(arms, policy, criterion, horizon, checkpoints=None, seed=0, rep=0):
+    """Reference engine: the step loop the episode runner replaced.
 
-    def vertex_arm(self, k):
-        return None
+    Every step makes one selection (a scalar categorical draw for stationary
+    play), one scalar reward draw from the pulled arm's stream and one state
+    update, and inserts the reward into a sorted pooled sample.
+    """
+    k = len(arms)
+    if checkpoints is None:
+        checkpoints = geometric_checkpoints(k, horizon)
+    policy_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep, 0)))
+    arm_rngs = [
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep, i + 1)))
+        for i in range(k)
+    ]
+    if isinstance(policy, SimplePolicy):
+        cumulative = np.cumsum(policy.p)[:-1]
+
+        def select(state):
+            return int(np.searchsorted(cumulative, policy_rng.random(), side="right"))
+    elif isinstance(policy, Bad2OraclePolicy):
+
+        def select(state):
+            return 0 if state.t == 0 else 1
+    else:
+        select = policy.start(k, criterion, policy_rng).select
+
+    state = PolicyState(k)
+    pooled = []
+    n_cp = len(checkpoints)
+    tau = np.zeros((n_cp, k), dtype=np.int64)
+    pooled_values = np.full(n_cp, np.nan)
+    proxy_values = np.full(n_cp, np.nan)
+    flagged = np.zeros(n_cp, dtype=bool)
+    next_cp = 0
+    for _ in range(horizon):
+        arm = select(state)
+        reward = float(arms[arm].sample(arm_rngs[arm], 1)[0])
+        state.update(arm, reward)
+        bisect.insort(pooled, reward)
+        if next_cp < n_cp and state.t == checkpoints[next_cp]:
+            tau[next_cp] = state.pull_counts
+            try:
+                pooled_values[next_cp] = criterion.evaluate(
+                    EmpiricalDistribution.from_sorted(np.array(pooled))
+                )
+                proxy_values[next_cp] = criterion.evaluate(
+                    proxy_distribution(arms, state.pull_counts, state.t)
+                )
+            except (DomainError, ArithmeticError):
+                flagged[next_cp] = True
+            next_cp += 1
+    return tau, pooled_values, proxy_values, flagged
+
+
+_MIXED_ARMS = [Gaussian(0.3, 1.2), Uniform(-1.0, 2.0), TwoPoint(0.3, -2.0, 1.0), PointMass(0.5)]
+
+ENGINE_CASES = {
+    "ucb": (
+        [Gaussian(0.0, 1.0), Uniform(-1.0, 1.0), TwoPoint(0.4, -1.0, 1.5)],
+        UcbPolicy(UcbParams(0.77, 0.5, 2.0, 3.0)),
+        CVaRCriterion(0.2),
+        300,
+    ),
+    "bad1-oracle": (
+        [bad1_arm_wide(), PointMass(5.0)], Bad1OraclePolicy(), Bad1Criterion(), 400,
+    ),
+    "simple": (_MIXED_ARMS, SimplePolicy([0.1, 0.2, 0.3, 0.4]), CVaRCriterion(0.2), 300),
+    "simple-vertex": (_MIXED_ARMS, SimplePolicy([0.0, 1.0, 0.0, 0.0]), CVaRCriterion(0.2), 300),
+    "bad2-oracle": (
+        [bad2_arm_steep(), bad2_arm_step()], Bad2OraclePolicy(), Bad2Criterion(), 300,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ENGINE_CASES))
+def test_engine_matches_step_loop(case):
+    arms, policy, crit, horizon = ENGINE_CASES[case]
+    for seed, checkpoints in [(3, None), (4, None), (5, [len(arms), 37, 150])]:
+        for rep in (0, 1):
+            ep = run_episode(arms, policy, crit, horizon, checkpoints, seed=seed, rep=rep)
+            want = step_loop_episode(arms, policy, crit, horizon, checkpoints, seed, rep)
+            got = (ep.tau, ep.pooled_values, ep.proxy_values, ep.flagged)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
 
 
 def test_geometric_checkpoints():
@@ -71,16 +169,6 @@ def test_episode_determinism():
     assert not np.array_equal(a.pooled_values, c.pooled_values)
 
 
-def test_vertex_fast_path_matches_step_loop():
-    arms = [Gaussian(0.3, 1.2), PointMass(0.0)]
-    crit = CVaRCriterion(0.2)
-    fast = run_episode(arms, SimplePolicy([1.0, 0.0]), crit, 128, seed=3, rep=1)
-    slow = run_episode(arms, NonVertexSimple([1.0, 0.0]), crit, 128, seed=3, rep=1)
-    assert np.array_equal(fast.pooled_values, slow.pooled_values)
-    assert np.array_equal(fast.proxy_values, slow.proxy_values)
-    assert np.array_equal(fast.tau, slow.tau)
-
-
 def test_vertex_proxy_constant_and_exact():
     arms = [Gaussian(0.3, 1.2), PointMass(0.0)]
     crit = CVaRCriterion(0.2)
@@ -111,6 +199,34 @@ def test_flagged_checkpoints_do_not_abort():
     rows = estimate_performance([ep, ep])
     assert rows[0].reps == 0 and rows[0].flagged == 2
     assert rows[1].reps == 2
+
+
+class BuggyCriterion(RiskCriterion):
+    """A criterion with a coding bug: evaluation raises TypeError."""
+
+    tag = "buggy"
+
+    @property
+    def norm_spec(self):
+        return NormSpec()
+
+    def evaluate(self, f):
+        return f.mean() + None
+
+
+def test_criterion_bugs_propagate_instead_of_flagging():
+    with pytest.raises(TypeError):
+        run_episode([PointMass(1.0)], SimplePolicy([1.0]), BuggyCriterion(), 8, seed=0)
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_replication_failures_name_the_replication(parallel):
+    arms = [PointMass(1.0), Gaussian(0, 1)]
+    with pytest.raises(TypeError, match="replication 0"):
+        run_replications(
+            arms, SimplePolicy([0.5, 0.5]), BuggyCriterion(), 16, reps=2, seed=0,
+            parallel=parallel,
+        )
 
 
 def test_replications_parallel_bit_identical():
