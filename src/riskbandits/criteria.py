@@ -10,16 +10,22 @@ the linear approximation map that makes residuals computable.
 Certificate constants are computed from the configured arm set (extreme
 means, norm bounds, quantile bounds); every shipped constant is validated
 by the invariant suite in ``checks``.
+
+``accumulator()`` gives a per-arm running summary of a growing sample:
+``push(x)`` adds one reward, ``t`` counts them, and the summary answers
+exactly the distribution calls the criterion's ``evaluate`` makes, so the
+learner scores an arm after each pull without re-reading its sample.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import MixtureDistribution, RewardDistribution
+from .dist import EmpiricalDistribution, MixtureDistribution, RewardDistribution, _quantile_rank
 from .errors import CriterionDomainError, DomainError, UnsupportedOperationError
 from .norms import NormSpec, SemiNormFunctional, norm_distance, norm_value, seminorm_value
 
@@ -56,6 +62,10 @@ class StabilityCertificate:
     q: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.q))):
+            raise DomainError(
+                f"certificate constants must be finite; got a={self.a}, b={self.b}, q={self.q}"
+            )
         if self.a <= 0 or self.b <= 0 or self.q < 1:
             raise DomainError(
                 f"certificate needs a>0, b>0, q>=1; got a={self.a}, b={self.b}, q={self.q}"
@@ -116,6 +126,10 @@ class RiskCriterion:
     def evaluate(self, f: RewardDistribution) -> float:
         raise NotImplementedError
 
+    def accumulator(self):
+        """Running summary of one arm's rewards that ``evaluate`` accepts."""
+        return _SortedSample()
+
     def domain_flags(self, f: RewardDistribution) -> list[str]:
         """Names of soft admissibility guards the distribution violates."""
         return []
@@ -155,6 +169,157 @@ class RiskCriterion:
 
 
 # ---------------------------------------------------------------------------
+# Running summaries (accumulators)
+# ---------------------------------------------------------------------------
+
+
+def _neumaier_add(total: float, err: float, x: float) -> tuple[float, float]:
+    """One step of Neumaier-compensated summation; the sum is ``total + err``."""
+    s = total + x
+    if abs(total) >= abs(x):
+        err += (total - s) + x
+    else:
+        err += (x - s) + total
+    return s, err
+
+
+class _SortedSample(EmpiricalDistribution):
+    """Empirical distribution grown one reward at a time by sorted insert.
+
+    O(t) per push; the summary of criteria without a cheaper one.
+    """
+
+    def __init__(self):
+        self._data = np.empty(64, dtype=float)
+        self.samples = self._data[:0]
+        self.t = 0
+
+    def push(self, x: float) -> None:
+        n = self.t
+        if n == len(self._data):
+            grown = np.empty(2 * n, dtype=float)
+            grown[:n] = self._data
+            self._data = grown
+        i = int(np.searchsorted(self._data[:n], x))
+        self._data[i + 1 : n + 1] = self._data[i:n]
+        self._data[i] = x
+        self.t = n + 1
+        self.samples = self._data[: n + 1]
+
+
+class _LowerOrderStatistics:
+    """The lowest ``k = ceil(alpha t)`` rewards of a growing sample.
+
+    A max-heap holds them, with their compensated sum; a min-heap holds the
+    rest.  O(log t) per push.  Answers the empirical alpha-quantile and the
+    CDF integral below it, the two calls the VaR and CVaR criteria make.
+    """
+
+    __slots__ = ("alpha", "t", "_low", "_high", "_sum", "_err")
+
+    def __init__(self, alpha: float):
+        self.alpha = alpha
+        self.t = 0
+        self._low = []   # negated lowest k rewards
+        self._high = []
+        self._sum = 0.0
+        self._err = 0.0
+
+    def push(self, x: float) -> None:
+        self.t += 1
+        k = _quantile_rank(self.alpha, self.t)  # grows by at most one per push
+        low = self._low
+        if low and x < -low[0]:
+            if len(low) == k:  # x displaces the largest of the low part
+                y = -heapq.heapreplace(low, -x)
+                heapq.heappush(self._high, y)
+                self._sum, self._err = _neumaier_add(self._sum, self._err, -y)
+            else:
+                heapq.heappush(low, -x)
+            self._sum, self._err = _neumaier_add(self._sum, self._err, x)
+        elif len(low) < k:
+            y = heapq.heappushpop(self._high, x)
+            heapq.heappush(low, -y)
+            self._sum, self._err = _neumaier_add(self._sum, self._err, y)
+        else:
+            heapq.heappush(self._high, x)
+
+    def quantile(self, alpha: float) -> float:
+        if alpha != self.alpha:
+            raise UnsupportedOperationError(
+                f"running order statistics track level {self.alpha}, not {alpha}"
+            )
+        return -self._low[0]
+
+    def cdf_integral_below(self, v: float) -> float:
+        # rewards tied at the quantile above rank k add v - v = 0
+        if v != -self._low[0]:
+            raise UnsupportedOperationError(
+                "running order statistics integrate up to their quantile only"
+            )
+        return (v * len(self._low) - (self._sum + self._err)) / self.t
+
+
+def _exp(y: float) -> float:
+    """``math.exp`` that overflows to inf, as ``np.exp`` does."""
+    try:
+        return math.exp(y)
+    except OverflowError:
+        return math.inf
+
+
+_INTEGRANDS = {
+    "mean": lambda x, p: x,
+    "second-moment": lambda x, p: x * x,
+    "tsv": lambda x, r: (x - r) * (x - r) if x <= r else 0.0,
+    "exp-moment": lambda x, theta: _exp(-theta * x),
+    "lower-tail": lambda x, p: x if x <= 0 else 0.0,
+    "upper-tail": lambda x, p: x if x > 0 else 0.0,
+}
+
+
+class _RunningSums:
+    """Compensated running sums of the linear functionals of a composite
+    criterion; each functional's value is its sum over ``t``.  O(1) per push."""
+
+    __slots__ = ("t", "_terms", "_sums")
+
+    def __init__(self, functionals):
+        self.t = 0
+        self._sums = {(fn.kind, fn.param): [0.0, 0.0] for fn in functionals}
+        self._terms = [(_INTEGRANDS[kind], param, acc) for (kind, param), acc in self._sums.items()]
+
+    def push(self, x: float) -> None:
+        self.t += 1
+        for integrand, param, acc in self._terms:
+            acc[0], acc[1] = _neumaier_add(acc[0], acc[1], integrand(x, param))
+
+    def _value(self, kind: str, param: float = 0.0) -> float:
+        acc = self._sums.get((kind, param))
+        if acc is None:
+            raise UnsupportedOperationError(f"running sums do not track {kind}")
+        return (acc[0] + acc[1]) / self.t
+
+    def mean(self):
+        return self._value("mean")
+
+    def second_moment(self):
+        return self._value("second-moment")
+
+    def below_target_semivariance(self, r):
+        return self._value("tsv", r)
+
+    def exp_moment(self, theta):
+        return self._value("exp-moment", theta)
+
+    def lower_tail(self):
+        return self._value("lower-tail")
+
+    def upper_tail(self):
+        return self._value("upper-tail")
+
+
+# ---------------------------------------------------------------------------
 # Composites of linear functionals
 # ---------------------------------------------------------------------------
 
@@ -179,6 +344,9 @@ class _CompositeCriterion(RiskCriterion):
 
     def evaluate(self, f):
         return self.h(self.coordinates(f))
+
+    def accumulator(self):
+        return _RunningSums(self.functionals)
 
     def linear_map(self, f_ref, g):
         x = self.coordinates(f_ref)
@@ -496,6 +664,9 @@ class VaRCriterion(RiskCriterion):
     def evaluate(self, f):
         return f.quantile(self.alpha)
 
+    def accumulator(self):
+        return _LowerOrderStatistics(self.alpha)
+
     def stability_certificate(self, arms, a=None, b=None, q=None,
                               b_alpha=None, m_alpha=None):
         if b is None:
@@ -547,6 +718,9 @@ class CVaRCriterion(RiskCriterion):
                 "lower-tail integral diverges", constraint="integrable lower tail"
             )
         return v - integral / self.alpha
+
+    def accumulator(self):
+        return _LowerOrderStatistics(self.alpha)
 
     def _default_stability(self, arms):
         c_star = _c_star(arms, self.norm_spec)

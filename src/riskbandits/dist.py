@@ -728,7 +728,7 @@ class EmpiricalDistribution(RewardDistribution):
         """Wrap an already-sorted array without copying or re-sorting.
 
         The caller promises not to mutate ``samples`` while the wrapper is
-        in use (hot-loop construction from policy-state buffers).
+        in use (checkpoint scoring of an already-sorted pooled sample).
         """
         out = cls.__new__(cls)
         out.samples = samples
@@ -751,8 +751,7 @@ class EmpiricalDistribution(RewardDistribution):
         return out if out.ndim else float(out)
 
     def _quantile(self, alpha):
-        k = max(1, math.ceil(alpha * self.t - 1e-9))
-        return float(self.samples[min(k, self.t) - 1])
+        return float(self.samples[_quantile_rank(alpha, self.t) - 1])
 
     def upper_quantile(self, c):
         if c >= 1.0:
@@ -809,6 +808,11 @@ class EmpiricalDistribution(RewardDistribution):
 
     def __repr__(self):
         return f"EmpiricalDistribution(t={self.t})"
+
+
+def _quantile_rank(alpha: float, t: int) -> int:
+    """1-based rank of the order statistic that is the alpha-quantile of t samples."""
+    return min(max(1, math.ceil(alpha * t - 1e-9)), t)
 
 
 def empirical_from_samples(values) -> EmpiricalDistribution:

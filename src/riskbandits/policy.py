@@ -9,11 +9,20 @@ the Bad1 schedule) return ``None`` there; their ``start`` produces a
 per-episode session that selects purely from the :class:`PolicyState`, which
 contains only past observations, so replaying a recorded trajectory
 reproduces every decision.
+
+``PolicyState`` keeps each arm's rewards in arrival order (O(1) per update)
+and sorts only on demand.  Sessions keep their own running summaries, fed
+from the rewards that arrived since their last decision: the optimism
+session holds one criterion accumulator per arm and re-scores only the arm
+that changed; the Bad1 session counts low rewards.  The stateless
+``ucb_select`` re-scores every arm from its full sample and is the
+reference the session is tested against.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +56,11 @@ class UcbParams:
     ucb_alpha: float = 3.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.q, self.ucb_alpha))):
+            raise DomainError(
+                f"radii constants must be finite; got a={self.a}, b={self.b}, "
+                f"q={self.q}, ucb_alpha={self.ucb_alpha}"
+            )
         if self.a <= 0 or self.b <= 0 or self.q < 1:
             raise DomainError(
                 f"radii need a>0, b>0, q>=1; got a={self.a}, b={self.b}, q={self.q}"
@@ -71,37 +85,11 @@ def phi_inv(params, x: float) -> float:
     return 2.0 * params.b * max(z**0.5, z ** (params.q / 2.0))
 
 
-class _SortedBuffer:
-    """Append-only sorted float buffer with amortized growth."""
-
-    __slots__ = ("_data", "n")
-
-    def __init__(self, capacity: int = 64):
-        self._data = np.empty(capacity, dtype=float)
-        self.n = 0
-
-    def insert(self, x: float) -> None:
-        if self.n == len(self._data):
-            grown = np.empty(2 * len(self._data), dtype=float)
-            grown[: self.n] = self._data
-            self._data = grown
-        i = int(np.searchsorted(self._data[: self.n], x))
-        self._data[i + 1 : self.n + 1] = self._data[i : self.n]
-        self._data[i] = x
-        self.n += 1
-
-    def view(self) -> np.ndarray:
-        """Zero-copy sorted view; stale after the next insert."""
-        return self._data[: self.n]
-
-    def snapshot(self) -> np.ndarray:
-        return self._data[: self.n].copy()
-
-
 class PolicyState:
     """Per-episode observation record: pull counts and each arm's rewards.
 
-    Single-owner mutable within one episode; episodes never share state.
+    ``rewards[i]`` holds arm i's rewards in arrival order.  Single-owner
+    mutable within one episode; episodes never share state.
     """
 
     def __init__(self, k: int):
@@ -110,27 +98,24 @@ class PolicyState:
         self.k = k
         self.t = 0
         self.pull_counts = np.zeros(k, dtype=np.int64)
-        self._arm_buffers = [_SortedBuffer() for _ in range(k)]
+        self.rewards = [array("d") for _ in range(k)]
 
     def update(self, arm: int, reward: float) -> None:
         if not (0 <= arm < self.k):
             raise DomainError(f"arm index {arm} out of range [0, {self.k})")
         self.pull_counts[arm] += 1
-        self._arm_buffers[arm].insert(reward)
+        self.rewards[arm].append(reward)
         self.t += 1
-
-    def arm_samples_view(self, arm: int) -> np.ndarray:
-        return self._arm_buffers[arm].view()
 
     def empirical(self, arm: int) -> EmpiricalDistribution:
         """Stable snapshot of one arm's empirical distribution."""
         if self.pull_counts[arm] == 0:
             raise DomainError(f"arm {arm} has no observations yet")
-        return EmpiricalDistribution.from_sorted(self._arm_buffers[arm].snapshot())
+        return EmpiricalDistribution(self.rewards[arm])
 
     def count_le(self, y: float) -> int:
         """Number of pooled rewards <= y (exact step-CDF numerator)."""
-        return sum(int(np.searchsorted(b.view(), y, side="right")) for b in self._arm_buffers)
+        return sum(int(np.count_nonzero(np.asarray(r) <= y)) for r in self.rewards)
 
 
 class Policy:
@@ -149,33 +134,37 @@ class Policy:
 
 
 class _UcbSession:
+    """Optimism session: one criterion accumulator per arm, fed the arm's
+    new rewards and re-scored only when it has some."""
+
     def __init__(self, k, criterion, params):
         self.k = k
         self.criterion = criterion
         self.params = params
-        self._values = np.zeros(k, dtype=float)
-        self._eval_counts = np.zeros(k, dtype=np.int64)
+        self._summaries = [criterion.accumulator() for _ in range(k)]
+        self._values = [0.0] * k
+        self._scored_at = [0] * k  # sample count behind each value
 
     def select(self, state: PolicyState) -> int:
         if state.t < self.k:
             return state.t  # one initialization pull per arm
-        t_now = state.t + 1
-        counts = state.pull_counts
-        for i in range(self.k):
-            if self._eval_counts[i] != counts[i]:
-                emp = EmpiricalDistribution.from_sorted(state.arm_samples_view(i))
+        params = self.params
+        log_t = math.log(state.t + 1)
+        best_arm = 0
+        best_index = -math.inf
+        for i, summary in enumerate(self._summaries):
+            rewards = state.rewards[i]
+            n = len(rewards)
+            if self._scored_at[i] != n:
+                for x in rewards[summary.t :]:
+                    summary.push(x)
                 try:
-                    self._values[i] = self.criterion.evaluate(emp)
+                    self._values[i] = self.criterion.evaluate(summary)
                 except Exception as exc:
                     add_context(exc, f"criterion failed on arm {i}")
                     raise
-                self._eval_counts[i] = counts[i]
-        log_t = math.log(t_now)
-        best_arm = 0
-        best_index = -math.inf
-        for i in range(self.k):
-            bonus = phi_inv(self.params, self.params.ucb_alpha * log_t / counts[i])
-            index = self._values[i] + bonus
+                self._scored_at[i] = n
+            index = self._values[i] + phi_inv(params, params.ucb_alpha * log_t / n)
             if index > best_index:
                 best_index = index
                 best_arm = i
@@ -202,6 +191,8 @@ class SimplePolicy(Policy):
         p = np.asarray(p, dtype=float)
         if p.ndim != 1 or len(p) == 0:
             raise DomainError("simple policy needs a non-empty weight vector")
+        if not np.all(np.isfinite(p)):
+            raise DomainError(f"weights must be finite, got {p}")
         if np.any(p < 0) or abs(float(np.sum(p)) - 1.0) > 1e-9:
             raise DomainError(f"weights must be a probability vector, got {p}")
         self.p = p / float(np.sum(p))
@@ -224,11 +215,20 @@ class _Bad1OracleSession:
     LEVEL = 0.1
     THRESHOLD = 1.0
 
+    def __init__(self):
+        self.low_count = 0  # pooled rewards <= THRESHOLD seen so far
+        self._seen = [0, 0]
+
     def select(self, state: PolicyState) -> int:
+        for i, rewards in enumerate(state.rewards):
+            for x in rewards[self._seen[i] :]:
+                if x <= self.THRESHOLD:
+                    self.low_count += 1
+            self._seen[i] = len(rewards)
         if state.t == 0:
             return 1
         t_now = state.t + 1
-        worst_case = (state.count_le(self.THRESHOLD) + 1) / t_now
+        worst_case = (self.low_count + 1) / t_now
         return 1 if worst_case >= self.LEVEL else 0
 
 
@@ -263,10 +263,11 @@ class Bad2OraclePolicy(Policy):
 
 
 def ucb_select(state: PolicyState, criterion: RiskCriterion, params: UcbParams) -> int:
-    """Stateless optimism selection: recomputes every arm's score.
+    """Stateless optimism selection: recomputes every arm's score from its
+    full sorted sample.
 
-    Equivalent to the cached session used by the episode runner; ties break
-    to the lowest arm index.
+    The reference for the episode runner's session, which scores running
+    summaries instead; ties break to the lowest arm index.
     """
     if state.t < state.k:
         return state.t
@@ -274,9 +275,8 @@ def ucb_select(state: PolicyState, criterion: RiskCriterion, params: UcbParams) 
     best_arm = 0
     best_index = -math.inf
     for i in range(state.k):
-        emp = EmpiricalDistribution.from_sorted(state.arm_samples_view(i))
         try:
-            value = criterion.evaluate(emp)
+            value = criterion.evaluate(state.empirical(i))
         except Exception as exc:
             add_context(exc, f"criterion failed on arm {i}")
             raise

@@ -214,6 +214,36 @@ def test_simulate_roundtrip_metadata(tmp_path):
     assert {r.estimator for r in report.rows} == {"performance", "horizon-gap"}
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("certificate-a", float("nan")),
+        ("certificate-b", float("inf")),
+        ("ucb-alpha", float("nan")),
+        ("simple-p", [float("nan"), 0.0, 1.0]),
+    ],
+)
+def test_simulate_rejects_non_finite_policy_parameters(tmp_path, capsys, field, value):
+    doc = _base_doc()
+    doc["arms"].append({"kind": "gaussian", "mean": 0.5, "stddev": 1.0})
+    doc["criterion"]["certificate"] = {"a": 2.0, "b": 0.5, "q": 2.0}
+    doc["policies"] = [{"kind": "ucb"}]
+    doc["horizons"] = [64]
+    doc["replications"] = 2
+    if field.startswith("certificate-"):
+        doc["criterion"]["certificate"][field[-1]] = value
+    elif field == "ucb-alpha":
+        doc["policies"] = [{"kind": "ucb", "alpha": value}]
+    else:
+        doc["policies"] = [{"kind": "simple", "p": value}]
+    path = _write(tmp_path, doc)
+    assert ".nan" in Path(path).read_text() or ".inf" in Path(path).read_text()
+    code = main(["simulate", "--config", path, "--out", str(tmp_path)])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_simulate_seed_override_changes_results(tmp_path):
     doc = _base_doc()
     doc["policies"] = [{"kind": "simple", "p": [1.0, 0.0]}]

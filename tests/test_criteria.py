@@ -308,6 +308,16 @@ def test_certificate_overrides():
     assert (cert.a, cert.b, cert.q) == (1.5, 2.0, 2.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["a", "b", "q"])
+def test_stability_certificate_rejects_non_finite(field, bad):
+    values = {"a": 1.0, "b": 1.0, "q": 2.0, field: bad}
+    with pytest.raises(DomainError, match="finite"):
+        StabilityCertificate(**values)
+    with pytest.raises(DomainError, match="finite"):
+        CVaRCriterion(0.1).stability_certificate([PointMass(0.0)], **{field: bad})
+
+
 def test_certificate_q_values():
     arms = [Gaussian(0, 1), Gaussian(0.1, 1)]
     assert CVaRCriterion(0.1).stability_certificate(arms).q == 2.0
@@ -468,3 +478,76 @@ def test_build_criterion_roundtrip():
         build_criterion("cvar")
     with pytest.raises(DomainError):
         build_criterion("mean", alpha=0.3)
+
+
+# ---------------------------------------------------------------------------
+# Running summaries (accumulators) against the full-sample evaluation
+# ---------------------------------------------------------------------------
+
+_ACCUMULATOR_CRITERIA = [
+    CVaRCriterion(0.1),
+    CVaRCriterion(0.25),
+    VaRCriterion(0.1),
+    VaRCriterion(0.3),
+    MeanCriterion(),
+    SecondMomentCriterion(),
+    NegTSVCriterion(1.0),
+    EntropicCriterion(0.7),
+    NegVarianceCriterion(),
+    MeanVarianceCriterion(0.2),
+    SharpeCriterion(0.0, 0.5),
+    SortinoCriterion(0.0, 0.5),
+    Bad1Criterion(),
+]
+
+_ACCUMULATOR_ARMS = {
+    "gaussian": [Gaussian(1.5, 1.0), Gaussian(2.0, 0.5), Gaussian(3.0, 2.0)],
+    # rewards tie at the quantile, and at the semivariance target
+    "ties": [TwoPoint(0.3, -2.0, 1.0), PointMass(1.0), PointMass(0.5)],
+}
+
+
+@pytest.mark.parametrize("arms", list(_ACCUMULATOR_ARMS))
+@pytest.mark.parametrize("crit", _ACCUMULATOR_CRITERIA, ids=lambda c: f"{c.tag}-{c.params_label()}")
+def test_accumulator_matches_full_sample_after_every_push(crit, arms):
+    arm_set = _ACCUMULATOR_ARMS[arms]
+    r = rng(17)
+    which = r.integers(0, len(arm_set), size=300)
+    rewards = [float(arm_set[i].sample(r, 1)[0]) for i in which]
+    acc = crit.accumulator()
+    for n, x in enumerate(rewards, start=1):
+        acc.push(x)
+        assert acc.t == n
+        want = crit.evaluate(EmpiricalDistribution(rewards[:n]))
+        assert crit.evaluate(acc) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_order_statistic_accumulator_answers_only_its_own_level():
+    acc = CVaRCriterion(0.25).accumulator()
+    for x in (3.0, 1.0, 2.0, 0.0):
+        acc.push(x)
+    assert acc.quantile(0.25) == 0.0
+    assert acc.cdf_integral_below(0.0) == 0.0
+    with pytest.raises(UnsupportedOperationError):
+        acc.quantile(0.5)
+    with pytest.raises(UnsupportedOperationError):
+        acc.cdf_integral_below(1.0)
+
+
+def test_running_sums_refuse_an_overflowing_exp_moment_like_the_full_sample():
+    crit = EntropicCriterion(0.7)
+    acc = crit.accumulator()
+    for x in (0.5, -2000.0):
+        acc.push(x)
+    with np.errstate(over="ignore"), pytest.raises(CriterionDomainError):
+        crit.evaluate(EmpiricalDistribution([0.5, -2000.0]))
+    with pytest.raises(CriterionDomainError):
+        crit.evaluate(acc)
+
+
+def test_running_sums_answer_only_their_functionals():
+    acc = MeanCriterion().accumulator()
+    acc.push(2.0)
+    assert acc.mean() == 2.0
+    with pytest.raises(UnsupportedOperationError):
+        acc.second_moment()

@@ -3,8 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from riskbandits.criteria import CVaRCriterion, MeanCriterion
-from riskbandits.dist import Gaussian, PointMass
+from riskbandits.criteria import (
+    Bad1Criterion,
+    CVaRCriterion,
+    EntropicCriterion,
+    MeanCriterion,
+    MeanVarianceCriterion,
+    NegTSVCriterion,
+    NegVarianceCriterion,
+    SecondMomentCriterion,
+    SharpeCriterion,
+    SortinoCriterion,
+    VaRCriterion,
+)
+from riskbandits.dist import Gaussian, PointMass, TwoPoint
 from riskbandits.errors import CriterionDomainError, DomainError
 from riskbandits.policy import (
     Bad1OraclePolicy,
@@ -51,6 +63,14 @@ def test_phi_domain_and_params_validation():
         UcbParams(1.0, 1.0, 2.0, ucb_alpha=2.0)
     with pytest.raises(DomainError):
         UcbParams(0.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["a", "b", "q", "ucb_alpha"])
+def test_ucb_params_reject_non_finite(field, bad):
+    values = {"a": 1.0, "b": 1.0, "q": 2.0, "ucb_alpha": 3.0, field: bad}
+    with pytest.raises(DomainError, match="finite"):
+        UcbParams(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +213,12 @@ def test_simple_policy_validation():
         SimplePolicy([0.5, 0.5]).pull_counts(3, (3,), rng(0))
 
 
+@pytest.mark.parametrize("p", [[math.nan, 0.0, 1.0], [math.inf, 0.0, 1.0], [0.5, 0.5, math.nan]])
+def test_simple_policy_rejects_non_finite_weights(p):
+    with pytest.raises(DomainError, match="finite"):
+        SimplePolicy(p)
+
+
 def test_simple_policy_pull_frequency_convergence():
     # ||empirical pull frequencies - p||_inf decreases with the horizon
     p = np.array([0.2, 0.5, 0.3])
@@ -226,6 +252,23 @@ def test_bad1_oracle_guard_examples():
     assert session.select(st) == 0
 
 
+def test_bad1_oracle_low_count_matches_count_le_every_step():
+    from conftest import bad1_arm_wide
+
+    arms = [bad1_arm_wide(), PointMass(5.0)]
+    session = Bad1OraclePolicy().start(2, None, rng(0))
+    st = PolicyState(2)
+    streams = [d.sample(rng(40 + i), 3000) for i, d in enumerate(arms)]
+    for _ in range(3000):
+        arm = session.select(st)
+        low = st.count_le(session.THRESHOLD)
+        assert session.low_count == low
+        want = 1 if st.t == 0 or (low + 1) / (st.t + 1) >= session.LEVEL else 0
+        assert arm == want
+        st.update(arm, float(streams[arm][st.pull_counts[arm]]))
+    assert 0 < st.count_le(session.THRESHOLD) < st.t
+
+
 def test_bad1_oracle_keeps_low_mass_under_level():
     from riskbandits.sim import run_episode
     from conftest import bad1_arm_wide
@@ -247,3 +290,55 @@ def test_oracle_schedules_need_two_arms():
         Bad1OraclePolicy().start(3, None, rng(0))
     with pytest.raises(DomainError):
         Bad2OraclePolicy().pull_counts(1, (1,), rng(0))
+
+
+_SESSION_CRITERIA = [
+    CVaRCriterion(0.1),
+    VaRCriterion(0.2),
+    MeanCriterion(),
+    SecondMomentCriterion(),
+    NegTSVCriterion(1.0),
+    EntropicCriterion(0.7),
+    NegVarianceCriterion(),
+    MeanVarianceCriterion(0.2),
+    SharpeCriterion(0.0, 0.5),
+    SortinoCriterion(0.0, 0.5),
+    Bad1Criterion(),
+]
+
+_SESSION_ARMS = {
+    "gaussian": [Gaussian(1.5, 1.0), Gaussian(1.3, 0.5), Gaussian(1.0, 2.0)],
+    # tied rewards: quantiles and scores tie within and across arms
+    "ties": [TwoPoint(0.9, 0.0, 1.0), PointMass(0.8), TwoPoint(0.85, 0.5, 1.0)],
+}
+
+
+def _indices(state, crit, params):
+    """Every arm's optimism index, each scored on its full sorted sample."""
+    log_t = math.log(state.t + 1)
+    return [
+        crit.evaluate(state.empirical(i))
+        + phi_inv(params, params.ucb_alpha * log_t / state.pull_counts[i])
+        for i in range(state.k)
+    ]
+
+
+@pytest.mark.parametrize("arms", list(_SESSION_ARMS))
+@pytest.mark.parametrize("crit", _SESSION_CRITERIA, ids=lambda c: c.tag)
+def test_ucb_session_matches_functional_rule_over_seeds(crit, arms):
+    # The session scores running summaries, whose last bits may differ from
+    # a full-sample score: on an exact index tie it may take the other tied
+    # arm, and nowhere else.
+    arm_set = _SESSION_ARMS[arms]
+    params = UcbParams(0.77, 0.6, 2.0, 3.0)
+    for seed in range(20):
+        session = UcbPolicy(params).start(3, crit, rng(seed))
+        st = PolicyState(3)
+        streams = [d.sample(rng(1000 * seed + i), 120) for i, d in enumerate(arm_set)]
+        for _ in range(120):
+            got = session.select(st)
+            want = ucb_select(st, crit, params)
+            if got != want:
+                index = _indices(st, crit, params)
+                assert index[got] == pytest.approx(index[want], rel=1e-12, abs=0.0)
+            st.update(got, float(streams[got][st.pull_counts[got]]))
