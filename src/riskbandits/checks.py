@@ -17,6 +17,7 @@ from .criteria import (
     RiskCriterion,
     StabilityCertificate,
     SmoothnessCertificate,
+    _mixture_grid,
     check_growth_condition_c4,
     fit_c4_constants,
 )
@@ -118,15 +119,6 @@ def condition_c2(arms) -> CheckResult:
     if bad:
         return CheckResult("C2", False, f"arms {bad} are not certifiably sub-Gaussian")
     return CheckResult("C2", True, "all arms Gaussian or of bounded support")
-
-
-def _mixture_grid(arms, resolution):
-    from .oracle import simplex_lattice
-
-    if len(arms) == 1:
-        return [arms[0]]
-    n = max(1, int(round(1.0 / resolution)))
-    return [MixtureDistribution(arms, p) for p in simplex_lattice(len(arms), n)]
 
 
 def condition_c3(arms, alpha: float, resolution: float = 0.125) -> CheckResult:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -932,4 +933,7 @@ def build_criterion(kind: str, **params) -> RiskCriterion:
     extra = [k for k in params if k not in names]
     if extra:
         raise DomainError(f"criterion {kind!r} got unknown parameters {extra}")
+    bad = [n for n in names if not (isinstance(params[n], Real) and math.isfinite(params[n]))]
+    if bad:
+        raise DomainError(f"criterion {kind!r} parameters {bad} must be finite numbers")
     return cls(*(params[n] for n in names))

@@ -161,6 +161,10 @@ class Gaussian(RewardDistribution):
     has_smooth_part = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.mean_value) and math.isfinite(self.stddev)):
+            raise DomainError(
+                f"gaussian mean and stddev must be finite, got {self.mean_value}, {self.stddev}"
+            )
         if self.stddev <= 0:
             raise DomainError(f"stddev must be positive, got {self.stddev}")
 
@@ -230,222 +234,6 @@ class Gaussian(RewardDistribution):
         return ("point", q, q)
 
 
-@dataclass(frozen=True)
-class PointMass(RewardDistribution):
-    value: float
-
-    def cdf(self, y):
-        return (np.asarray(y, dtype=float) >= self.value).astype(float)
-
-    def cdf_left(self, y):
-        return (np.asarray(y, dtype=float) > self.value).astype(float)
-
-    def _quantile(self, alpha):
-        return self.value
-
-    def upper_quantile(self, c):
-        if c >= 1.0:
-            return math.inf
-        return self.value if c >= 0.0 else -math.inf
-
-    def _sample(self, rng, n):
-        return np.full(n, float(self.value))
-
-    def mean(self):
-        return self.value
-
-    def second_moment(self):
-        return self.value**2
-
-    def below_target_semivariance(self, r):
-        return (self.value - r) ** 2 if self.value <= r else 0.0
-
-    def exp_moment(self, theta):
-        return math.exp(-theta * self.value)
-
-    def lower_tail(self):
-        return self.value if self.value <= 0 else 0.0
-
-    def upper_tail(self):
-        return self.value if self.value > 0 else 0.0
-
-    def cdf_integral_below(self, v):
-        return max(0.0, v - self.value)
-
-    def breakpoints(self):
-        return np.array([self.value], dtype=float)
-
-    def support_bounds(self):
-        return (self.value, self.value)
-
-    def _level_set(self, alpha):
-        return ("empty", math.nan, math.nan)
-
-    def as_piecewise(self):
-        return PiecewiseLinearCDF.from_jumps([(self.value, 1.0)])
-
-
-@dataclass(frozen=True)
-class Uniform(RewardDistribution):
-    lo: float
-    hi: float
-
-    has_sloped_part = True
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise DomainError(f"uniform needs lo < hi, got [{self.lo}, {self.hi}]")
-
-    def _pw(self):
-        return PiecewiseLinearCDF(
-            np.array([self.lo, self.hi]),
-            np.array([0.0, 1.0]),
-            np.array([0.0, 1.0]),
-        )
-
-    def cdf(self, y):
-        y = np.asarray(y, dtype=float)
-        return np.clip((y - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-
-    def cdf_left(self, y):
-        return self.cdf(y)
-
-    def _quantile(self, alpha):
-        return self.lo + alpha * (self.hi - self.lo)
-
-    def upper_quantile(self, c):
-        if c >= 1.0:
-            return math.inf
-        if c <= 0.0:
-            return self.lo if c == 0.0 else -math.inf
-        return self.lo + c * (self.hi - self.lo)
-
-    def _sample(self, rng, n):
-        return rng.uniform(self.lo, self.hi, size=n)
-
-    def mean(self):
-        return 0.5 * (self.lo + self.hi)
-
-    def second_moment(self):
-        return (self.lo**2 + self.lo * self.hi + self.hi**2) / 3.0
-
-    def below_target_semivariance(self, r):
-        return self._pw().below_target_semivariance(r)
-
-    def exp_moment(self, theta):
-        return (math.exp(-theta * self.lo) - math.exp(-theta * self.hi)) / (
-            theta * (self.hi - self.lo)
-        )
-
-    def lower_tail(self):
-        return self._pw().lower_tail()
-
-    def upper_tail(self):
-        return self._pw().upper_tail()
-
-    def cdf_integral_below(self, v):
-        return self._pw().cdf_integral_below(v)
-
-    def breakpoints(self):
-        return np.array([self.lo, self.hi], dtype=float)
-
-    def support_bounds(self):
-        return (self.lo, self.hi)
-
-    def _level_set(self, alpha):
-        q = self._quantile(alpha)
-        return ("point", q, q)
-
-    def as_piecewise(self):
-        return self._pw()
-
-
-@dataclass(frozen=True)
-class TwoPoint(RewardDistribution):
-    """Scaled Bernoulli: value ``hi`` with probability ``p``, else ``lo``."""
-
-    p: float
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0):
-            raise DomainError(f"probability must lie in [0,1], got {self.p}")
-        if not self.lo < self.hi:
-            raise DomainError(f"two-point needs lo < hi, got [{self.lo}, {self.hi}]")
-
-    def _pw(self):
-        return PiecewiseLinearCDF.from_jumps([(self.lo, 1.0 - self.p), (self.hi, self.p)])
-
-    def cdf(self, y):
-        y = np.asarray(y, dtype=float)
-        return np.where(y >= self.hi, 1.0, np.where(y >= self.lo, 1.0 - self.p, 0.0))
-
-    def cdf_left(self, y):
-        y = np.asarray(y, dtype=float)
-        return np.where(y > self.hi, 1.0, np.where(y > self.lo, 1.0 - self.p, 0.0))
-
-    def _quantile(self, alpha):
-        return self.lo if alpha <= 1.0 - self.p else self.hi
-
-    def upper_quantile(self, c):
-        if c >= 1.0:
-            return math.inf
-        if c >= 1.0 - self.p:
-            return self.hi
-        return self.lo if c >= 0.0 else -math.inf
-
-    def _sample(self, rng, n):
-        return np.where(rng.random(n) < self.p, float(self.hi), float(self.lo))
-
-    def mean(self):
-        return (1.0 - self.p) * self.lo + self.p * self.hi
-
-    def second_moment(self):
-        return (1.0 - self.p) * self.lo**2 + self.p * self.hi**2
-
-    def below_target_semivariance(self, r):
-        out = 0.0
-        if self.lo <= r:
-            out += (1.0 - self.p) * (self.lo - r) ** 2
-        if self.hi <= r:
-            out += self.p * (self.hi - r) ** 2
-        return out
-
-    def exp_moment(self, theta):
-        return (1.0 - self.p) * math.exp(-theta * self.lo) + self.p * math.exp(
-            -theta * self.hi
-        )
-
-    def lower_tail(self):
-        out = 0.0
-        if self.lo <= 0:
-            out += (1.0 - self.p) * self.lo
-        if self.hi <= 0:
-            out += self.p * self.hi
-        return out
-
-    def upper_tail(self):
-        return self.mean() - self.lower_tail()
-
-    def cdf_integral_below(self, v):
-        return (1.0 - self.p) * max(0.0, v - self.lo) + self.p * max(0.0, v - self.hi)
-
-    def breakpoints(self):
-        return np.array([self.lo, self.hi], dtype=float)
-
-    def support_bounds(self):
-        return (self.lo, self.hi)
-
-    def _level_set(self, alpha):
-        if math.isclose(alpha, 1.0 - self.p, rel_tol=0.0, abs_tol=1e-12) and self.p > 0:
-            return ("interval", self.lo, self.hi)
-        return ("empty", math.nan, math.nan)
-
-    def as_piecewise(self):
-        return self._pw()
-
-
 class PiecewiseLinearCDF(RewardDistribution):
     """CDF made of jumps, flat stretches, and sloped linear segments.
 
@@ -462,6 +250,8 @@ class PiecewiseLinearCDF(RewardDistribution):
         fr = np.asarray(fr, dtype=float)
         if ys.ndim != 1 or len(ys) < 1 or len(fl) != len(ys) or len(fr) != len(ys):
             raise DomainError("piecewise CDF needs matching non-empty knot arrays")
+        if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(fl)) and np.all(np.isfinite(fr))):
+            raise DomainError(f"piecewise CDF knots must be finite, got locations {ys}")
         if np.any(np.diff(ys) <= 0):
             raise DomainError("piecewise knot locations must be strictly increasing")
         interleaved = np.column_stack([fl, fr]).ravel()
@@ -474,10 +264,26 @@ class PiecewiseLinearCDF(RewardDistribution):
         self.fr = np.minimum(np.maximum(fr, 0.0), 1.0)
         self.fl[0] = 0.0
         self.fr[-1] = 1.0
-        self.ys.setflags(write=False)
-        self.fl.setflags(write=False)
-        self.fr.setflags(write=False)
-        self.has_sloped_part = bool(np.any(self.fl[1:] > self.fr[:-1]))
+        # the np.interp table lists each knot twice, as (left limit, value):
+        # interp then returns the value at a knot and the segment line between
+        self._interp_ys = np.repeat(self.ys, 2)
+        self._interp_fs = np.column_stack([self.fl, self.fr]).ravel()
+        # interp's rounded slope can overshoot a segment's end value by an ulp
+        # in the last floats before the knot.  A left-limit entry only sets
+        # the slope (interp returns the value entry at the knot itself), and
+        # interp rises along a segment, so lower it an ulp at a time until the
+        # last float before the knot stays at or below the left limit.
+        seg = np.flatnonzero(self.fl[1:] > self.fr[:-1])
+        last = np.nextafter(self.ys[seg + 1], -np.inf)
+        while True:
+            over = np.interp(last, self._interp_ys, self._interp_fs) > self.fl[seg + 1]
+            if not over.any():
+                break
+            end = 2 * seg[over] + 2
+            self._interp_fs[end] = np.nextafter(self._interp_fs[end], -np.inf)
+        for a in (self.ys, self.fl, self.fr, self._interp_ys, self._interp_fs):
+            a.setflags(write=False)
+        self.has_sloped_part = bool(seg.size)
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -501,48 +307,18 @@ class PiecewiseLinearCDF(RewardDistribution):
                 fr.append(f)
         return cls(np.array(ys), np.array(fl), np.array(fr))
 
-    @classmethod
-    def from_jumps(cls, atoms):
-        """Pure step CDF from (location, mass) atoms."""
-        atoms = sorted(atoms)
-        ys, fl, fr = [], [], []
-        acc = 0.0
-        for y, m in atoms:
-            ys.append(float(y))
-            fl.append(acc)
-            acc += float(m)
-            fr.append(acc)
-        if abs(acc - 1.0) > 1e-9:
-            raise DomainError(f"atom masses must sum to 1, got {acc}")
-        fr[-1] = 1.0
-        return cls(np.array(ys), np.array(fl), np.array(fr))
-
     # CDF evaluation: vectorized over y.
     def cdf(self, y):
-        scalar = np.isscalar(y) or np.ndim(y) == 0
-        yv = np.atleast_1d(np.asarray(y, dtype=float))
-        idx = np.searchsorted(self.ys, yv, side="right") - 1
-        out = np.zeros(yv.shape, dtype=float)
-        last = idx == len(self.ys) - 1
-        out[last] = 1.0
-        mid = (idx >= 0) & ~last
-        k = idx[mid]
-        f0 = self.fr[k]
-        f1 = self.fl[k + 1]
-        t = (yv[mid] - self.ys[k]) / (self.ys[k + 1] - self.ys[k])
-        out[mid] = f0 + t * (f1 - f0)
-        return float(out[0]) if scalar else out
+        out = np.interp(y, self._interp_ys, self._interp_fs)
+        return out if out.ndim else float(out)
 
     def cdf_left(self, y):
-        scalar = np.isscalar(y) or np.ndim(y) == 0
-        yv = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.atleast_1d(np.asarray(self.cdf(yv))).copy()
-        at_knot = np.isin(yv, self.ys)
-        if np.any(at_knot):
-            kk = np.searchsorted(self.ys, yv[at_knot])
-            out[at_knot] = self.fl[kk]
-        out[yv > self.ys[-1]] = 1.0
-        return float(out[0]) if scalar else out
+        # cdf with the knot entries replaced by their left limits, so it
+        # equals cdf exactly away from the knots
+        y = np.asarray(y, dtype=float)
+        k = np.minimum(np.searchsorted(self.ys, y), len(self.ys) - 1)
+        out = np.where(self.ys[k] == y, self.fl[k], self.cdf(y))
+        return out if out.ndim else float(out)
 
     def _quantile(self, alpha):
         k = int(np.searchsorted(self.fr, alpha, side="left"))
@@ -590,59 +366,51 @@ class PiecewiseLinearCDF(RewardDistribution):
     def _sample(self, rng, n):
         return self.quantile_array(rng.random(n))
 
-    # exact segment/jump integral helpers ------------------------------
+    # exact segment/jump integrals ---------------------------------------
+    # Each sloped segment contributes its mass times the average of the
+    # integrand over it, e.g. m (a+b)/2 for x and m (a^2+ab+b^2)/3 for x^2:
+    # no difference of large powers, so no cancellation far from 0.
 
     def _jump_masses(self):
         return self.fr - self.fl
 
-    def _segments(self):
-        """(a, b, slope) for each inter-knot linear piece with slope > 0."""
+    def _segments_below(self, c):
+        """(a, b, mass) of the sloped pieces cut to (-inf, c], with mass > 0."""
         a = self.ys[:-1]
         b = self.ys[1:]
-        df = self.fl[1:] - self.fr[:-1]
-        slope = df / (b - a)
-        keep = df > 0
-        return a[keep], b[keep], slope[keep]
+        m = self.fl[1:] - self.fr[:-1]
+        bb = np.minimum(b, c)
+        keep = (m > 0) & (a < bb)
+        a, b, bb, m = a[keep], b[keep], bb[keep], m[keep]
+        return a, bb, m * ((bb - a) / (b - a))
 
     def mean(self):
-        out = float(np.dot(self.ys, self._jump_masses()))
-        a, b, s = self._segments()
-        out += float(np.sum(s * (b**2 - a**2) / 2.0))
-        return out
+        return self._partial_mean(math.inf)
 
     def second_moment(self):
+        a, b, m = self._segments_below(math.inf)
         out = float(np.dot(self.ys**2, self._jump_masses()))
-        a, b, s = self._segments()
-        out += float(np.sum(s * (b**3 - a**3) / 3.0))
-        return out
+        return out + float(np.sum(m * (a * a + a * b + b * b) / 3.0))
 
     def below_target_semivariance(self, r):
-        m = self._jump_masses()
         sel = self.ys <= r
-        out = float(np.dot((self.ys[sel] - r) ** 2, m[sel]))
-        a, b, s = self._segments()
-        bb = np.minimum(b, r)
-        cut = a < bb
-        aa, bb, ss = a[cut], bb[cut], s[cut]
-        out += float(np.sum(ss * ((bb - r) ** 3 - (aa - r) ** 3) / 3.0))
-        return out
+        out = float(np.dot((self.ys[sel] - r) ** 2, self._jump_masses()[sel]))
+        a, b, m = self._segments_below(r)
+        u, v = a - r, b - r
+        return out + float(np.sum(m * (u * u + u * v + v * v) / 3.0))
 
     def exp_moment(self, theta):
         out = float(np.dot(np.exp(-theta * self.ys), self._jump_masses()))
-        a, b, s = self._segments()
-        out += float(np.sum(s * (np.exp(-theta * a) - np.exp(-theta * b)) / theta))
-        return out
+        a, b, m = self._segments_below(math.inf)
+        h = theta * (b - a)
+        return out + float(np.sum(m * np.exp(-theta * a) * -np.expm1(-h) / h))
 
     def _partial_mean(self, c):
-        m = self._jump_masses()
+        """``int_{-inf}^c x dF``."""
         sel = self.ys <= c
-        out = float(np.dot(self.ys[sel], m[sel]))
-        a, b, s = self._segments()
-        bb = np.minimum(b, c)
-        cut = a < bb
-        aa, bb, ss = a[cut], bb[cut], s[cut]
-        out += float(np.sum(ss * (bb**2 - aa**2) / 2.0))
-        return out
+        out = float(np.dot(self.ys[sel], self._jump_masses()[sel]))
+        a, b, m = self._segments_below(c)
+        return out + float(np.sum(m * (a + b) / 2.0))
 
     def lower_tail(self):
         return self._partial_mean(0.0)
@@ -707,6 +475,60 @@ class PiecewiseLinearCDF(RewardDistribution):
         return f"PiecewiseLinearCDF({len(self.ys)} knots on [{self.ys[0]}, {self.ys[-1]}])"
 
 
+# The closed-form kinds are knot tables on the piecewise kernel.  The two
+# sampler overrides keep the seeded streams these kinds have always drawn.
+
+
+class PointMass(PiecewiseLinearCDF):
+    """All mass at ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+        super().__init__([value], [0.0], [1.0])
+
+    def _sample(self, rng, n):
+        return np.full(n, float(self.value))  # draws nothing from rng
+
+    def __repr__(self):
+        return f"PointMass(value={self.value!r})"
+
+
+class Uniform(PiecewiseLinearCDF):
+    """Uniform on ``[lo, hi]``; the kernel's inverse-CDF sampler draws the
+    same values as ``rng.uniform(lo, hi)``."""
+
+    def __init__(self, lo, hi):
+        if not lo < hi:
+            raise DomainError(f"uniform needs lo < hi, got [{lo}, {hi}]")
+        self.lo = lo
+        self.hi = hi
+        super().__init__([lo, hi], [0.0, 1.0], [0.0, 1.0])
+
+    def __repr__(self):
+        return f"Uniform(lo={self.lo!r}, hi={self.hi!r})"
+
+
+class TwoPoint(PiecewiseLinearCDF):
+    """Scaled Bernoulli: value ``hi`` with probability ``p``, else ``lo``."""
+
+    def __init__(self, p, lo, hi):
+        if not (0.0 <= p <= 1.0):
+            raise DomainError(f"probability must lie in [0,1], got {p}")
+        if not lo < hi:
+            raise DomainError(f"two-point needs lo < hi, got [{lo}, {hi}]")
+        self.p = p
+        self.lo = lo
+        self.hi = hi
+        super().__init__([lo, hi], [0.0, 1.0 - p], [1.0 - p, 1.0])
+
+    def _sample(self, rng, n):
+        # u < p -> hi, where the kernel's inverse CDF maps u > 1-p -> hi
+        return np.where(rng.random(n) < self.p, float(self.hi), float(self.lo))
+
+    def __repr__(self):
+        return f"TwoPoint(p={self.p!r}, lo={self.lo!r}, hi={self.hi!r})"
+
+
 # ---------------------------------------------------------------------------
 # Empirical distribution (step CDF over a sample multiset)
 # ---------------------------------------------------------------------------
@@ -734,11 +556,6 @@ class EmpiricalDistribution(RewardDistribution):
         out.samples = samples
         out.t = len(samples)
         return out
-
-    def with_value(self, x: float) -> "EmpiricalDistribution":
-        """A new empirical distribution with one more observation."""
-        merged = np.insert(self.samples, np.searchsorted(self.samples, x), x)
-        return EmpiricalDistribution.from_sorted(merged)
 
     def cdf(self, y):
         y = np.asarray(y, dtype=float)

@@ -31,8 +31,6 @@ __all__ = [
     "sup_distance",
     "norm_distance",
     "norm_value",
-    "parse_norm_spec",
-    "PRESETS",
 ]
 
 
@@ -162,38 +160,3 @@ def norm_value(f: RewardDistribution, spec: NormSpec) -> float:
             return math.inf
         out = max(out, abs(v))
     return out
-
-
-def _preset(*kinds) -> NormSpec:
-    return NormSpec(tuple(SemiNormFunctional(k) for k in kinds))
-
-
-#: Named norm presets exposed in experiment configs.
-PRESETS = {
-    "sup": _preset(),
-    "sup+lower-tail": _preset("lower-tail"),
-    "sup+both-tails": _preset("lower-tail", "upper-tail"),
-    "sup+mean+second-moment": _preset("mean", "second-moment"),
-}
-
-
-def parse_norm_spec(name: str) -> NormSpec:
-    """Parse a preset name, allowing parametrized pieces like ``tsv{0.5}``."""
-    if name in PRESETS:
-        return PRESETS[name]
-    parts = name.split("+")
-    if parts[0] != "sup":
-        raise DomainError(f"norm spec must start with 'sup': {name!r}")
-    functionals = []
-    for part in parts[1:]:
-        if part == "both-tails":
-            functionals += [SemiNormFunctional("lower-tail"), SemiNormFunctional("upper-tail")]
-            continue
-        if "{" in part:
-            kind, _, rest = part.partition("{")
-            if not rest.endswith("}"):
-                raise DomainError(f"malformed functional {part!r} in norm spec")
-            functionals.append(SemiNormFunctional(kind, float(rest[:-1])))
-        else:
-            functionals.append(SemiNormFunctional(part))
-    return NormSpec(tuple(functionals))

@@ -244,6 +244,48 @@ def test_simulate_rejects_non_finite_policy_parameters(tmp_path, capsys, field, 
     assert not list(tmp_path.glob("*.csv"))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "section,spec",
+    [
+        ("arm", {"kind": "gaussian", "mean": NAN, "stddev": 1.0}),
+        ("arm", {"kind": "gaussian", "mean": 0.0, "stddev": INF}),
+        ("arm", {"kind": "point-mass", "value": NAN}),
+        ("arm", {"kind": "uniform", "lo": 0.0, "hi": INF}),
+        ("arm", {"kind": "bernoulli-scaled", "p": 0.5, "lo": -INF, "hi": 1.0}),
+        ("arm", {"kind": "piecewise-linear-cdf", "knots": [[0, 0.0], [NAN, 0.5], [2, 1.0]]}),
+        ("arm", {"kind": "piecewise-linear-cdf", "knots": [[0, 0.0], [1, NAN], [2, 1.0]]}),
+        ("criterion", {"kind": "neg-tsv", "r": NAN}),
+        ("criterion", {"kind": "mean-variance", "rho": NAN}),
+        ("criterion", {"kind": "entropic", "theta": NAN}),
+        ("criterion", {"kind": "sharpe", "r": NAN, "eps_sigma": 0.5}),
+        ("criterion", {"kind": "sharpe", "r": 0.0, "eps_sigma": NAN}),
+        ("criterion", {"kind": "sortino", "r": NAN, "eps_sigma": 0.5}),
+        ("criterion", {"kind": "sortino", "r": 0.0, "eps_sigma": INF}),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "-".join(
+        [v["kind"]] + [k for k, x in v.items() if "nan" in str(x) or "inf" in str(x)]
+    ),
+)
+def test_simulate_rejects_non_finite_arm_and_criterion_parameters(tmp_path, capsys, section, spec):
+    doc = _base_doc()
+    doc["policies"] = [{"kind": "simple", "p": [1.0, 0.0]}]
+    doc["horizons"] = [64]
+    doc["replications"] = 2
+    if section == "arm":
+        doc["arms"][1] = spec
+    else:
+        doc["criterion"] = spec
+    path = _write(tmp_path, doc)
+    assert ".nan" in Path(path).read_text() or ".inf" in Path(path).read_text()
+    code = main(["simulate", "--config", path, "--out", str(tmp_path)])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_simulate_seed_override_changes_results(tmp_path):
     doc = _base_doc()
     doc["policies"] = [{"kind": "simple", "p": [1.0, 0.0]}]

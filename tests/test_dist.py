@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +82,105 @@ def test_cdf_monotone_right_continuous(d):
         assert float(d.cdf(b)) >= float(d.cdf_left(b)) - 1e-15
 
 
+def searchsorted_cdf(d, y):
+    """The searchsorted form of the piecewise CDF, kept as the reference."""
+    yv = np.atleast_1d(np.asarray(y, dtype=float))
+    idx = np.searchsorted(d.ys, yv, side="right") - 1
+    out = np.zeros(yv.shape, dtype=float)
+    last = idx == len(d.ys) - 1
+    out[last] = 1.0
+    mid = (idx >= 0) & ~last
+    k = idx[mid]
+    f0 = d.fr[k]
+    f1 = d.fl[k + 1]
+    t = (yv[mid] - d.ys[k]) / (d.ys[k + 1] - d.ys[k])
+    out[mid] = f0 + t * (f1 - f0)
+    return out
+
+
+def searchsorted_cdf_left(d, y):
+    yv = np.atleast_1d(np.asarray(y, dtype=float))
+    out = searchsorted_cdf(d, yv)
+    at_knot = np.isin(yv, d.ys)
+    out[at_knot] = d.fl[np.searchsorted(d.ys, yv[at_knot])]
+    out[yv > d.ys[-1]] = 1.0
+    return out
+
+
+def random_knot_table(r):
+    """A random piecewise CDF: jumps, flat stretches and slopes; 1-7 knots."""
+    n = int(r.integers(1, 8))
+    ys = r.normal(0.0, 10.0) + np.cumsum(r.choice([1e-3, 0.5, 7.0], size=n) * (r.random(n) + 0.01))
+    # interleaved (fl[0], fr[0], fl[1], ...): about 40 % of the steps are 0,
+    # which makes flat stretches (between knots) and knots without a jump
+    steps = r.random(2 * n) * (r.random(2 * n) < 0.6)
+    steps[-1] += 1e-3
+    vals = np.cumsum(steps) / np.sum(steps)
+    return PiecewiseLinearCDF(ys, np.r_[0.0, vals[2::2]], vals[1::2])
+
+
+def assert_matches_reference_inside(d, inside):
+    """Probes strictly inside segments: within 4 ulp of the segment's end value.
+
+    np.interp computes slope * (y - a) + F(a), the reference
+    F(a) + (y - a) / (b - a) * dF: the roundings differ by up to 2 ulp.  A
+    slope the constructor lowered to stop an overshoot (see the monotone
+    test) moves the line by up to about 2 ulp of the segment's end value.
+    """
+    ref = searchsorted_cdf(d, inside)
+    end_value = d.fl[np.searchsorted(d.ys, inside, side="right")]
+    for got in (d.cdf(inside), d.cdf_left(inside)):
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(end_value))
+        assert np.all((got >= 0.0) & (got <= 1.0))
+
+
+def test_kernel_cdf_matches_searchsorted_reference():
+    r = rng(29)
+    for _ in range(400):
+        d = random_knot_table(r)
+        lo, hi = d.ys[0], d.ys[-1]
+        outside = np.array([lo - 1.0, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), hi + 5.0])
+        for y in (d.ys, outside):
+            assert np.array_equal(d.cdf(y), searchsorted_cdf(d, y))
+            assert np.array_equal(d.cdf_left(y), searchsorted_cdf_left(d, y))
+        inside = r.uniform(lo, hi, 200)
+        inside = inside[~np.isin(inside, d.ys)]
+        assert_matches_reference_inside(d, inside)
+        for y in np.r_[d.ys, inside[:20], outside]:
+            assert d.cdf(y) == float(d.cdf(np.array([y]))[0])
+            assert d.cdf_left(y) == float(d.cdf_left(np.array([y]))[0])
+
+
+def test_kernel_cdf_is_monotone_into_every_knot():
+    # np.interp's rounded slope can overshoot a segment's end value in the
+    # last floats before a knot: with the plain (left limit, value) table,
+    # 12 of these tables would dip into the jump-free knot b or rise above 1
+    # before the last knot
+    r = rng(31)
+    for _ in range(10_000):
+        a = r.normal() * 10.0 ** r.integers(-3, 4)
+        b = a + r.random() * 10.0 ** r.integers(-3, 4) + 1e-9
+        f0 = r.random() ** r.integers(1, 6)
+        f1 = f0 + (1.0 - f0) * r.random()
+        d = PiecewiseLinearCDF([a, b, b + 1.0], [0.0, f1, 1.0], [f0, f1, 1.0])
+        knots = np.array([b, b + 1.0])
+        before = np.nextafter(knots, -np.inf)
+        assert np.all(d.cdf(before) <= d.cdf(knots))
+        inside = np.r_[before, r.uniform(a, b + 1.0, 4)]
+        assert_matches_reference_inside(d, inside[~np.isin(inside, d.ys)])
+
+
+def test_kernel_single_knot_and_flat_tables():
+    pm = PiecewiseLinearCDF([2.0], [0.0], [1.0])
+    ys = np.array([1.0, 2.0, np.nextafter(2.0, np.inf)])
+    assert np.array_equal(pm.cdf(ys), [0.0, 1.0, 1.0])
+    assert np.array_equal(pm.cdf_left(ys), [0.0, 0.0, 1.0])
+    flat = PiecewiseLinearCDF([0.0, 1.0, 3.0], [0.0, 0.4, 0.4], [0.4, 0.4, 1.0])
+    ys = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
+    assert np.array_equal(flat.cdf(ys), [0.4, 0.4, 0.4, 0.4, 1.0])
+    assert np.array_equal(flat.cdf_left(ys), [0.0, 0.4, 0.4, 0.4, 0.4])
+
+
 @pytest.mark.parametrize("d", distribution_catalog(), ids=repr)
 def test_cdf_limits_at_infinity(d):
     assert float(d.cdf(-1e12)) == pytest.approx(0.0, abs=1e-12)
@@ -149,6 +249,20 @@ def test_upper_quantile_flat_edges():
 
 def test_point_mass_sampling():
     assert np.array_equal(PointMass(5.0).sample(rng(0), 3), [5.0, 5.0, 5.0])
+
+
+def test_closed_form_kinds_keep_their_seeded_streams():
+    n = 100_000
+    # Uniform samples through the kernel's inverse CDF: lo + u (hi - lo)
+    for lo, hi in [(-1.0, 2.0), (0.5, 0.75), (1e6, 1e6 + 3.0)]:
+        assert np.array_equal(Uniform(lo, hi).sample(rng(3), n), rng(3).uniform(lo, hi, n))
+    r = rng(3)
+    state = r.bit_generator.state
+    assert np.array_equal(PointMass(-0.25).sample(r, n), np.full(n, -0.25))
+    assert r.bit_generator.state == state
+    for p in (0.0, 0.3, 1.0):
+        got = TwoPoint(p, -2.0, 1.0).sample(rng(3), n)
+        assert np.array_equal(got, np.where(rng(3).random(n) < p, 1.0, -2.0))
 
 
 def test_gaussian_sample_mean_clt():
@@ -256,6 +370,65 @@ def test_piecewise_moments_quadrature():
     assert f.exp_moment(0.5) == pytest.approx(expm, rel=1e-9)
 
 
+def _exact_integrals(d, r):
+    """Mean, second moment, lower tail and semivariance below r of a knot
+    table, in exact rational arithmetic on its stored floats."""
+    ys = [Fraction(y) for y in d.ys]
+    fl = [Fraction(f) for f in d.fl]
+    fr = [Fraction(f) for f in d.fr]
+    r = Fraction(r)
+    mean = second = lower = tsv = Fraction(0)
+    for y, a, b in zip(ys, fl, fr):
+        mean += y * (b - a)
+        second += y * y * (b - a)
+        lower += y * (b - a) if y <= 0 else 0
+        tsv += (y - r) ** 2 * (b - a) if y <= r else 0
+    for a, b, f0, f1 in zip(ys, ys[1:], fr, fl[1:]):
+        m = f1 - f0
+        mean += m * (a + b) / 2
+        second += m * (a * a + a * b + b * b) / 3
+        for c, part in ((Fraction(0), "lower"), (r, "tsv")):
+            cut = min(b, c)
+            if cut <= a:
+                continue
+            mc = m * (cut - a) / (b - a)
+            if part == "lower":
+                lower += mc * (a + cut) / 2
+            else:
+                u, v = a - r, cut - r
+                tsv += mc * (u * u + u * v + v * v) / 3
+    return mean, second, lower, tsv
+
+
+@pytest.mark.parametrize(
+    "d,r",
+    [
+        (PiecewiseLinearCDF([1e6, 1e6 + 3.0], [0.0, 1.0], [0.0, 1.0]), 1e6 + 1.0),
+        (Uniform(1e6, 1e6 + 3.0), 1e6 + 2.5),
+        (Uniform(-1e6 - 0.5, -1e6), -1e6 - 0.25),
+        (PiecewiseLinearCDF([-3e5, -3e5 + 1.0, 7e5, 7e5 + 2.0], [0.0, 0.2, 0.5, 0.9],
+                            [0.1, 0.5, 0.6, 1.0]), -3e5 + 0.5),
+        (TwoPoint(0.3, -2.0, 1.0), 0.0),
+        (bad1_arm_wide(), 3.0),
+        (Uniform(-1.0, 3.0), 0.5),
+    ],
+    ids=repr,
+)
+def test_segment_integrals_match_exact_rationals(d, r):
+    # mass x segment average: the slope (b^3 - a^3) / 3 form got the
+    # second moment of [1e6, 1e6 + 3] wrong by 4.1
+    got = (d.mean(), d.second_moment(), d.lower_tail(), d.below_target_semivariance(r))
+    for g, exact in zip(got, _exact_integrals(d, r)):
+        assert abs(Fraction(g) - exact) <= 4e-16 * max(abs(exact), 1)
+
+
+def test_uniform_moments_equal_their_closed_forms():
+    for lo, hi in [(-1, 3), (0.1, 0.7), (1e6, 1e6 + 3.0), (-2.5, -0.5)]:
+        u = Uniform(lo, hi)
+        assert u.mean() == 0.5 * (lo + hi)
+        assert u.second_moment() == (lo**2 + lo * hi + hi**2) / 3.0
+
+
 def test_gaussian_tsv_quadrature():
     g = Gaussian(-0.4, 0.8)
     pdf = stats.norm(-0.4, 0.8).pdf
@@ -298,14 +471,6 @@ def test_empirical_counts_brute_force():
         for y in r.normal(size=20):
             assert float(e.cdf(y)) == np.mean(x <= y)
             assert float(e.cdf_left(y)) == np.mean(x < y)
-
-
-def test_empirical_append_keeps_sorted():
-    e = empirical_from_samples([5.0])
-    for v in [2.0, 7.0, 2.0, -1.0]:
-        e = e.with_value(v)
-        assert np.all(np.diff(e.samples) >= 0)
-    assert e.t == 5
 
 
 def test_empirical_rejects_empty():

@@ -18,14 +18,13 @@ from riskbandits.norms import (
     SemiNormFunctional,
     norm_distance,
     norm_value,
-    parse_norm_spec,
     seminorm_value,
     sup_distance,
 )
 
 from conftest import bad1_arm_wide, rng
 
-BOTH_TAILS = parse_norm_spec("sup+both-tails")
+BOTH_TAILS = NormSpec((SemiNormFunctional("lower-tail"), SemiNormFunctional("upper-tail")))
 
 
 def brute_sup(f, g, lo=-60.0, hi=80.0, n=200_001):
@@ -109,7 +108,7 @@ def test_norm_dominates_sup(catalog):
 
 
 def test_sup_only_spec_matches_sup(catalog):
-    spec = parse_norm_spec("sup")
+    spec = NormSpec()
     for f in catalog[:4]:
         for g in catalog[4:8]:
             assert norm_distance(f, g, spec) == sup_distance(f, g)
@@ -157,18 +156,6 @@ def test_empirical_norm_convergence_median():
             dists.append(norm_distance(emp, g, BOTH_TAILS))
         medians.append(float(np.median(dists)))
     assert all(a > b for a, b in zip(medians, medians[1:]))
-
-
-def test_parse_norm_spec_errors():
-    from riskbandits.errors import DomainError
-
-    with pytest.raises(DomainError):
-        parse_norm_spec("mean+sup")
-    with pytest.raises(DomainError):
-        parse_norm_spec("sup+warp")
-    spec = parse_norm_spec("sup+mean+tsv{0.5}")
-    assert spec.dimension == 2
-    assert spec.functionals[1].param == 0.5
 
 
 def test_two_point_vs_uniform_exact():

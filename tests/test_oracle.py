@@ -11,7 +11,7 @@ from riskbandits.criteria import (
 )
 from riskbandits.dist import Gaussian, PointMass, Uniform
 from riskbandits.errors import CriterionDomainError, DomainError, UnsupportedOperationError
-from riskbandits.norms import parse_norm_spec
+from riskbandits.norms import NormSpec, SemiNormFunctional
 from riskbandits.oracle import (
     best_single_arm,
     expected_pull_bound,
@@ -101,7 +101,7 @@ def test_grid_argmax_guards():
 
 
 def test_lipschitz_constant_formula():
-    sup_only = parse_norm_spec("sup")
+    sup_only = NormSpec()
     arms = [Uniform(0, 1), Uniform(0.5, 1.5)]  # sup distance exactly 0.5
     cert = StabilityCertificate(a=1.0, b=1.0, q=2.0)
     assert lipschitz_constant(cert, arms, sup_only) == pytest.approx(1.5)
@@ -117,8 +117,9 @@ def test_lipschitz_rejects_infinite_pairwise_norm():
 
     cert = StabilityCertificate(1.0, 1.0, 2.0)
     arms = [HeavyTail(0, 1), Gaussian(1, 1)]
+    both_tails = NormSpec((SemiNormFunctional("lower-tail"), SemiNormFunctional("upper-tail")))
     with pytest.raises(DomainError, match="integrable"):
-        lipschitz_constant(cert, arms, parse_norm_spec("sup+both-tails"))
+        lipschitz_constant(cert, arms, both_tails)
 
 
 def test_expected_pull_bound_hand_arithmetic():
