@@ -33,10 +33,7 @@ from .dist import (
     RewardDistribution,
     TwoPoint,
     Uniform,
-    empirical_from_samples,
-    mixture,
     proxy_distribution,
-    tail_integral,
 )
 from .errors import ConfigError, CriterionDomainError, DomainError, UnsupportedOperationError
 from .norms import NormSpec, SemiNormFunctional, norm_distance, norm_value, sup_distance
@@ -57,7 +54,6 @@ from .policy import (
     UcbPolicy,
     phi,
     phi_inv,
-    simple_policy_select,
     ucb_select,
 )
 from .sim import (
@@ -68,7 +64,6 @@ from .sim import (
     estimate_proxy_regret,
     estimate_reference_regret,
     geometric_checkpoints,
-    rate_curve,
     run_episode,
     run_replications,
 )

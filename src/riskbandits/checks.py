@@ -58,6 +58,16 @@ class CheckResult:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
 
+# Tolerances and sizes of the suites below.
+_MODULUS_REL_SLACK = 1e-9
+_CONVEXITY_TOL = 1e-9
+_RESIDUAL_EMPIRICAL_T = 4096  # sample size of the empirical side of a residual pair
+_RESIDUAL_ABS_TOL = 1e-10
+_PHI_IDENTITY_TOL = 1e-12
+_RANDOM_EMPIRICAL_MAX_T = 200
+_CVAR_ORDER_STATISTIC_MAX_T = 50
+
+
 def _rng(seed):
     return np.random.default_rng(np.random.SeedSequence(seed))
 
@@ -73,9 +83,9 @@ def _random_mixture(rng, arms):
     return MixtureDistribution(arms, _random_simplex(rng, len(arms)))
 
 
-def _random_empirical(rng, arms, max_t=200):
+def _random_empirical(rng, arms):
     base = _random_mixture(rng, arms)
-    t = int(rng.integers(1, max_t + 1))
+    t = int(rng.integers(1, _RANDOM_EMPIRICAL_MAX_T + 1))
     samples = base.sample(rng, t)
     if rng.random() < 0.25:
         samples = samples + rng.normal(0.0, 2.0)  # shifted multiset
@@ -121,10 +131,10 @@ def condition_c2(arms) -> CheckResult:
     return CheckResult("C2", True, "all arms Gaussian or of bounded support")
 
 
-def condition_c3(arms, alpha: float, resolution: float = 0.125) -> CheckResult:
+def condition_c3(arms, alpha: float) -> CheckResult:
     """Level set of size at most 1 across the mixture grid."""
     worst = "empty"
-    for f in _mixture_grid(arms, resolution):
+    for f in _mixture_grid(arms):
         kind, lo, hi = f.level_set(alpha)
         if kind == "interval":
             return CheckResult("C3", False, f"flat stretch [{lo:.6g}, {hi:.6g}] at level {alpha}")
@@ -139,11 +149,10 @@ def condition_c4(
     b_alpha: float | None = None,
     m_alpha: float | None = None,
     grid_step: float = 1e-3,
-    resolution: float = 0.125,
 ) -> CheckResult:
     """Quantile growth condition, fitted when constants are not supplied."""
     if b_alpha is None or m_alpha is None:
-        fitted = fit_c4_constants(arms, alpha, p_resolution=resolution, grid_step=grid_step)
+        fitted = fit_c4_constants(arms, alpha, grid_step=grid_step)
         if fitted is None:
             return CheckResult("C4", False, "no growth constants found (condition violated)")
         b_alpha, m_alpha = fitted
@@ -151,7 +160,7 @@ def condition_c4(
     else:
         detail = f"b_alpha={b_alpha:.6g}, m_alpha={m_alpha:.6g}"
     worst = math.inf
-    for f in _mixture_grid(arms, resolution):
+    for f in _mixture_grid(arms):
         ok, slack, at = check_growth_condition_c4(f, alpha, b_alpha, m_alpha, grid_step)
         worst = min(worst, slack)
         if not ok:
@@ -159,13 +168,13 @@ def condition_c4(
     return CheckResult("C4", True, f"{detail}; worst slack {worst:.3g}")
 
 
-def condition_c5(arms, alpha: float, resolution: float = 0.125) -> CheckResult:
+def condition_c5(arms, alpha: float) -> CheckResult:
     """Twice continuous differentiability at the percentile point.
 
     The catalog CDFs are smooth except at their breakpoints (jumps, kinks),
     so the check is: the percentile never lands on a breakpoint.
     """
-    for f in _mixture_grid(arms, resolution):
+    for f in _mixture_grid(arms):
         v = f.quantile(alpha)
         breaks = f.breakpoints()
         if len(breaks) and np.min(np.abs(breaks - v)) < 1e-9:
@@ -184,7 +193,6 @@ def modulus_check(
     certificate: StabilityCertificate,
     n_pairs: int = 500,
     seed: int = 0,
-    rel_slack: float = 1e-9,
 ) -> CheckResult:
     """``|R(F) - R(G)| <= b(||F-G|| + ||F-G||^q)`` on sampled pairs."""
     rng = _rng(seed)
@@ -196,7 +204,7 @@ def modulus_check(
         lhs = abs(criterion.evaluate(f) - criterion.evaluate(g))
         dist = norm_distance(f, g, spec)
         rhs = certificate.modulus(dist)
-        if lhs > rhs * (1.0 + rel_slack) + 1e-15:
+        if lhs > rhs * (1.0 + _MODULUS_REL_SLACK) + 1e-15:
             return CheckResult(
                 f"modulus[{criterion.tag}]",
                 False,
@@ -214,7 +222,6 @@ def convexity_check(
     arms,
     n_pairs: int = 500,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> CheckResult:
     """Quasiconvexity / convexity / linearity along mixture segments."""
     rng = _rng(seed)
@@ -236,19 +243,19 @@ def convexity_check(
         for lam in lambdas:
             mix = MixtureDistribution(arms, lam * wf + (1 - lam) * wg)
             rm = criterion.evaluate(mix)
-            if kind in ("linear", "convex") and rm > lam * rf + (1 - lam) * rg + tol:
+            if kind in ("linear", "convex") and rm > lam * rf + (1 - lam) * rg + _CONVEXITY_TOL:
                 return CheckResult(
                     f"convexity[{criterion.tag}]",
                     False,
                     f"convex combination exceeded chord by {rm - lam*rf - (1-lam)*rg:.3g}",
                 )
-            if kind == "linear" and rm < lam * rf + (1 - lam) * rg - tol:
+            if kind == "linear" and rm < lam * rf + (1 - lam) * rg - _CONVEXITY_TOL:
                 return CheckResult(
                     f"convexity[{criterion.tag}]",
                     False,
                     f"linearity violated by {lam*rf + (1-lam)*rg - rm:.3g}",
                 )
-            if rm > max(rf, rg) + tol:
+            if rm > max(rf, rg) + _CONVEXITY_TOL:
                 return CheckResult(
                     f"convexity[{criterion.tag}]",
                     False,
@@ -266,8 +273,6 @@ def residual_check(
     certificate: SmoothnessCertificate,
     n_pairs: int = 200,
     seed: int = 0,
-    empirical_t: int = 4096,
-    abs_tol: float = 1e-10,
 ) -> CheckResult:
     """``|Res(G, F)| <= d2/2 ||G-F||^2`` within the certificate radius."""
     rng = _rng(seed)
@@ -281,12 +286,12 @@ def residual_check(
         if rng.random() < 0.5:
             g: RewardDistribution = _random_mixture(rng, arms)
         else:
-            g = EmpiricalDistribution(f.sample(rng, empirical_t))
+            g = EmpiricalDistribution(f.sample(rng, _RESIDUAL_EMPIRICAL_T))
         d = norm_distance(f, g, spec)
         if not (0 < d <= certificate.m0):
             continue
         res = criterion.residual(g, f)
-        bound = 0.5 * certificate.d2 * d * d + abs_tol
+        bound = 0.5 * certificate.d2 * d * d + _RESIDUAL_ABS_TOL
         if abs(res) > bound:
             return CheckResult(
                 f"residual[{criterion.tag}]",
@@ -307,14 +312,14 @@ def residual_check(
     )
 
 
-def phi_identity_check(params: UcbParams, tol: float = 1e-12) -> CheckResult:
+def phi_identity_check(params: UcbParams) -> CheckResult:
     """``phi(phi_inv(x)) = x`` on a 30-point log grid."""
     xs = np.logspace(-6, 6, 30)
     worst = 0.0
     for x in xs:
         err = abs(phi(params, phi_inv(params, float(x))) - x) / max(1.0, x)
         worst = max(worst, err)
-    passed = worst <= tol
+    passed = worst <= _PHI_IDENTITY_TOL
     return CheckResult("phi-inverse-identity", passed, f"worst relative error {worst:.3g}")
 
 
@@ -356,14 +361,14 @@ def dkw_grid_check(dist, pairs, reps: int = 10_000, seed: int = 0, slack: float 
     )
 
 
-def cvar_order_statistic_check(max_t: int = 50, seed: int = 0) -> CheckResult:
+def cvar_order_statistic_check(seed: int = 0) -> CheckResult:
     """Step-CDF tail-average equals the order-statistic mean at integral t*alpha."""
     from .criteria import CVaRCriterion
 
     rng = _rng(seed)
     for alpha in (0.1, 0.2, 0.5):
         crit = CVaRCriterion(alpha)
-        for t in range(1, max_t + 1):
+        for t in range(1, _CVAR_ORDER_STATISTIC_MAX_T + 1):
             k = alpha * t
             if abs(k - round(k)) > 1e-9 or round(k) < 1:
                 continue
@@ -378,4 +383,5 @@ def cvar_order_statistic_check(max_t: int = 50, seed: int = 0) -> CheckResult:
                     False,
                     f"t={t}, alpha={alpha}: {lhs!r} vs {rhs!r}",
                 )
-    return CheckResult("cvar-order-statistic", True, f"all integral t*alpha up to t={max_t}")
+    detail = f"all integral t*alpha up to t={_CVAR_ORDER_STATISTIC_MAX_T}"
+    return CheckResult("cvar-order-statistic", True, detail)

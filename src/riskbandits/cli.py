@@ -31,6 +31,7 @@ from .sim import (
     estimate_proxy_regret,
     estimate_reference_regret,
     run_replications,
+    write_csv,
     write_report_csv,
 )
 
@@ -64,12 +65,7 @@ def cmd_eval(cfg: ExperimentConfig, out_dir: Path | None) -> int:
         print(f"  {name:<{width}}  {value:.12g}")
     if out_dir is not None:
         path = out_dir / "eval.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            for key, val in sorted(_base_meta(cfg).items()):
-                fh.write(f"# {key}={val}\n")
-            fh.write("target,value\n")
-            for name, value in rows:
-                fh.write(f"{name},{value!r}\n")
+        write_csv(path, _base_meta(cfg), ("target", "value"), ((n, repr(v)) for n, v in rows))
         print(f"wrote {path}")
     return 0
 
@@ -100,24 +96,19 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir: Path | None) -> int:
         print(f"T={horizon}: expected pulls {'; '.join(parts)}; "
               f"proxy-regret bound {regret_bound:.6g}")
     if out_dir is not None:
+        rows = [("best-arm", report.best_arm + 1, "", repr(report.best_value))]
+        rows += [("gap", i + 1, "", repr(gap)) for i, gap in enumerate(report.gaps)]
+        if report.p_star is not None:
+            p = "|".join(f"{w:g}" for w in report.p_star)
+            rows.append((f"simplex-argmax[{p}]", "", "", repr(report.p_star_value)))
+        if report.lipschitz is not None:
+            rows.append(("lipschitz", "", "", repr(report.lipschitz)))
+        for horizon, (bounds, regret_bound) in report.pull_bounds.items():
+            pulls = [(i + 1, u) for i, u in enumerate(bounds) if u is not None]
+            rows += [("pull-bound", arm, horizon, repr(u)) for arm, u in pulls]
+            rows.append(("proxy-regret-bound", "", horizon, repr(regret_bound)))
         path = out_dir / "oracle.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            for key, val in sorted(_base_meta(cfg).items()):
-                fh.write(f"# {key}={val}\n")
-            fh.write("record,arm,horizon,value\n")
-            fh.write(f"best-arm,{report.best_arm + 1},,{report.best_value!r}\n")
-            for i, gap in enumerate(report.gaps):
-                fh.write(f"gap,{i + 1},,{gap!r}\n")
-            if report.p_star is not None:
-                p = "|".join(f"{w:g}" for w in report.p_star)
-                fh.write(f"simplex-argmax[{p}],,,{report.p_star_value!r}\n")
-            if report.lipschitz is not None:
-                fh.write(f"lipschitz,,,{report.lipschitz!r}\n")
-            for horizon, (bounds, regret_bound) in report.pull_bounds.items():
-                for i, u in enumerate(bounds):
-                    if u is not None:
-                        fh.write(f"pull-bound,{i + 1},{horizon},{u!r}\n")
-                fh.write(f"proxy-regret-bound,,{horizon},{regret_bound!r}\n")
+        write_csv(path, _base_meta(cfg), ("record", "arm", "horizon", "value"), rows)
         print(f"wrote {path}")
     return 0
 
@@ -192,10 +183,10 @@ def cmd_simulate(
 
 
 def cmd_check(cfg: ExperimentConfig, out_dir: Path | None) -> int:
-    opts = cfg.check_options
-    pairs = int(opts.get("pairs", 200))
-    seed = int(opts.get("seed", cfg.seed))
-    dkw_reps = int(opts.get("dkw_reps", 2000))
+    opts = cfg.check_options  # typed by the config parser
+    pairs = opts.get("pairs", 200)
+    seed = opts.get("seed", cfg.seed)
+    dkw_reps = opts.get("dkw_reps", 2000)
     results = []
 
     results.append(checklib.condition_c1(cfg.criterion, cfg.arms))
@@ -209,7 +200,7 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path | None) -> int:
                 alpha,
                 b_alpha=opts.get("b_alpha"),
                 m_alpha=opts.get("m_alpha"),
-                grid_step=float(opts.get("grid_step", 1e-3)),
+                grid_step=opts.get("grid_step", 1e-3),
             )
         )
         results.append(checklib.condition_c5(cfg.arms, alpha))
@@ -247,13 +238,8 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     print(f"{len(results) - n_fail}/{len(results)} checks passed")
     if out_dir is not None:
         path = out_dir / "check.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            for key, val in sorted(_base_meta(cfg).items()):
-                fh.write(f"# {key}={val}\n")
-            fh.write("check,passed,detail\n")
-            for res in results:
-                detail = res.detail.replace(",", ";")
-                fh.write(f"{res.name},{int(res.passed)},{detail}\n")
+        rows = ((r.name, int(r.passed), r.detail.replace(",", ";")) for r in results)
+        write_csv(path, _base_meta(cfg), ("check", "passed", "detail"), rows)
         print(f"wrote {path}")
     return 2 if n_fail else 0
 
@@ -296,7 +282,8 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(cfg, out_dir)
     except (ConfigError, DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        constraint = getattr(exc, "constraint", "")
+        print(f"error: {exc}" + (f" [{constraint}]" if constraint else ""), file=sys.stderr)
         return 1
     return 0
 

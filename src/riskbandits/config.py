@@ -7,6 +7,7 @@ misspelled fields never silently change an archived experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import yaml
 
@@ -114,6 +115,35 @@ def _require(mapping: dict, key: str, context: str):
     return mapping.pop(key)
 
 
+def _list(value, name: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return list(value)
+
+
+def _number(value, name: str, integer: bool = False):
+    """``value`` if it is a real number, as an int if ``integer``.  Strings and
+    booleans are refused, and so are fractions where an integer is asked for
+    (an integral float such as 1.0e4 passes)."""
+    if integer and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return int(value) if integer else value
+
+
+def _numbers(value, name: str, integer: bool = False) -> list:
+    return [_number(v, f"{name} entry", integer) for v in _list(value, name)]
+
+
+def _pairs(value, name: str) -> list:
+    pairs = [_numbers(p, f"{name} entry") for p in _list(value, name)]
+    if any(len(p) != 2 for p in pairs):
+        raise ConfigError(f"{name} must be a list of pairs, got {value!r}")
+    return pairs
+
+
 def parse_distribution(spec: dict) -> RewardDistribution:
     """Tagged record -> distribution. Kinds: gaussian, point-mass, uniform,
     bernoulli-scaled, piecewise-linear-cdf."""
@@ -121,22 +151,21 @@ def parse_distribution(spec: dict) -> RewardDistribution:
         raise ConfigError(f"distribution spec must be a mapping, got {spec!r}")
     spec = dict(spec)
     kind = _require(spec, "kind", "distribution")
+
+    def number(key):
+        return _number(_require(spec, key, kind), f"{kind} {key}")
+
     try:
         if kind == "gaussian":
-            out = Gaussian(_require(spec, "mean", kind), _require(spec, "stddev", kind))
+            out = Gaussian(number("mean"), number("stddev"))
         elif kind == "point-mass":
-            out = PointMass(_require(spec, "value", kind))
+            out = PointMass(number("value"))
         elif kind == "uniform":
-            out = Uniform(_require(spec, "lo", kind), _require(spec, "hi", kind))
+            out = Uniform(number("lo"), number("hi"))
         elif kind == "bernoulli-scaled":
-            out = TwoPoint(
-                _require(spec, "p", kind),
-                _require(spec, "lo", kind),
-                _require(spec, "hi", kind),
-            )
+            out = TwoPoint(number("p"), number("lo"), number("hi"))
         elif kind == "piecewise-linear-cdf":
-            knots = _require(spec, "knots", kind)
-            out = PiecewiseLinearCDF.from_pairs([(float(y), float(f)) for y, f in knots])
+            out = PiecewiseLinearCDF.from_pairs(_pairs(_require(spec, "knots", kind), "knots"))
         else:
             raise ConfigError(f"unknown distribution kind {kind!r}")
     except DomainError as exc:
@@ -153,6 +182,8 @@ def _parse_criterion(spec: dict):
     overrides = spec.pop("certificate", {})
     if not isinstance(overrides, dict) or set(overrides) - {"a", "b", "q"}:
         raise ConfigError("criterion certificate override allows only keys a, b, q")
+    for key, value in overrides.items():
+        _number(value, f"certificate {key}")
     try:
         criterion = build_criterion(kind, **spec)
     except DomainError as exc:
@@ -179,6 +210,25 @@ _KNOWN_KEYS = {
 }
 
 
+def _parse_check_options(raw) -> dict:
+    """The ``check:`` knobs: integers pairs, seed and dkw_reps; reals b_alpha,
+    m_alpha and grid_step; dkw_grid, a list of [t, x] points."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"check options must be a mapping, got {raw!r}")
+    opts = {}
+    for key, value in raw.items():
+        if key in ("pairs", "seed", "dkw_reps"):
+            opts[key] = _number(value, f"check {key}", integer=True)
+        elif key in ("b_alpha", "m_alpha", "grid_step"):
+            opts[key] = float(_number(value, f"check {key}"))
+        elif key == "dkw_grid":
+            grid = _pairs(value, "check dkw_grid")
+            opts[key] = [(_number(t, "check dkw_grid t", integer=True), x) for t, x in grid]
+        else:
+            raise ConfigError(f"unknown check key {key!r}")
+    return opts
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
@@ -187,7 +237,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "version" not in raw:
         raise ConfigError("config is missing required key 'version'")
-    if raw["version"] != CONFIG_VERSION:
+    if _number(raw["version"], "version", integer=True) != CONFIG_VERSION:
         raise ConfigError(
             f"unsupported config version {raw['version']!r}; expected {CONFIG_VERSION}"
         )
@@ -198,43 +248,64 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if "criterion" not in raw:
         raise ConfigError("config is missing required key 'criterion'")
 
-    arms = [parse_distribution(s) for s in raw["arms"]]
+    arms = [parse_distribution(s) for s in _list(raw["arms"], "arms")]
     criterion, overrides = _parse_criterion(raw["criterion"])
 
-    estimators = tuple(raw.get("estimators", _ESTIMATOR_NAMES))
-    bad = set(estimators) - set(_ESTIMATOR_NAMES)
+    estimators = tuple(_list(raw.get("estimators", _ESTIMATOR_NAMES), "estimators"))
+    bad = [e for e in estimators if e not in _ESTIMATOR_NAMES]
     if bad:
-        raise ConfigError(f"unknown estimators {sorted(bad)}; known: {_ESTIMATOR_NAMES}")
+        raise ConfigError(f"unknown estimators {bad}; known: {_ESTIMATOR_NAMES}")
 
-    mixtures = [list(map(float, p)) for p in raw.get("mixtures", [])]
+    mixtures = [
+        list(map(float, _numbers(p, "mixture"))) for p in _list(raw.get("mixtures", []), "mixtures")
+    ]
     for p in mixtures:
         if len(p) != len(arms):
             raise ConfigError(f"mixture weight vector {p} does not match {len(arms)} arms")
 
-    cfg = ExperimentConfig(
-        version=int(raw["version"]),
-        seed=int(raw["seed"]),
+    policies = _list(raw.get("policies", []), "policies")
+    reference = raw.get("reference", "best-arm")
+    for spec in policies:
+        if not isinstance(spec, dict) or "kind" not in spec:
+            raise ConfigError(f"policy spec must be a mapping with 'kind': {spec!r}")
+    for spec in policies + [reference]:
+        if isinstance(spec, dict):
+            for key in [k for k in ("alpha", "a", "b", "q") if k in spec]:
+                _number(spec[key], f"policy {key}")
+            if "p" in spec:
+                _numbers(spec["p"], "policy p")
+
+    checkpoints = raw.get("checkpoints")
+    if checkpoints is not None:
+        checkpoints = _numbers(checkpoints, "checkpoints", integer=True) or None
+    grid_resolution = raw.get("grid_resolution")
+    if grid_resolution is not None:
+        _number(grid_resolution, "grid_resolution")
+    output = raw.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ConfigError(f"output must be a directory path, got {output!r}")
+    replications = _number(raw.get("replications", 100), "replications", integer=True)
+    if replications < 1:
+        raise ConfigError(f"replications must be >= 1, got {replications}")
+
+    return ExperimentConfig(
+        version=CONFIG_VERSION,
+        seed=_number(raw["seed"], "seed", integer=True),
         arms=arms,
         criterion=criterion,
         certificate_overrides=overrides,
-        policies=list(raw.get("policies", [])),
-        horizons=[int(t) for t in raw.get("horizons", [])],
-        checkpoints=[int(c) for c in raw["checkpoints"]] if raw.get("checkpoints") else None,
-        replications=int(raw.get("replications", 100)),
+        policies=policies,
+        horizons=_numbers(raw.get("horizons", []), "horizons", integer=True),
+        checkpoints=checkpoints,
+        replications=replications,
         mixtures=mixtures,
         estimators=estimators,
-        reference=raw.get("reference", "best-arm"),
-        grid_resolution=raw.get("grid_resolution"),
-        ucb_alpha=float(raw.get("ucb_alpha", 3.0)),
-        check_options=dict(raw.get("check", {})),
-        output=raw.get("output"),
+        reference=reference,
+        grid_resolution=grid_resolution,
+        ucb_alpha=float(_number(raw.get("ucb_alpha", 3.0), "ucb_alpha")),
+        check_options=_parse_check_options(raw.get("check", {})),
+        output=output,
     )
-    if cfg.replications < 1:
-        raise ConfigError(f"replications must be >= 1, got {cfg.replications}")
-    for spec in cfg.policies:
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise ConfigError(f"policy spec must be a mapping with 'kind': {spec!r}")
-    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

@@ -26,7 +26,13 @@ from numbers import Real
 
 import numpy as np
 
-from .dist import EmpiricalDistribution, MixtureDistribution, RewardDistribution, _quantile_rank
+from .dist import (
+    EmpiricalDistribution,
+    MixtureDistribution,
+    RewardDistribution,
+    _exp,
+    _quantile_rank,
+)
 from .errors import CriterionDomainError, DomainError, UnsupportedOperationError
 from .norms import NormSpec, SemiNormFunctional, norm_distance, norm_value, seminorm_value
 
@@ -49,7 +55,6 @@ __all__ = [
     "build_criterion",
     "default_concentration_rate",
     "check_growth_condition_c4",
-    "check_level_set_c3",
     "fit_c4_constants",
 ]
 
@@ -81,13 +86,22 @@ class StabilityCertificate:
 
 @dataclass(frozen=True)
 class SmoothnessCertificate:
-    """Linear-map bound ``d1``, residual curvature ``d2``, validity radius ``m0``."""
+    """Linear-map bound ``d1``, residual curvature ``d2``, validity radius ``m0``.
+
+    ``m0 = inf`` means the residual bound holds at every distance.
+    """
 
     d1: float
     d2: float
     m0: float
 
     def __post_init__(self):
+        radius_ok = math.isfinite(self.m0) or self.m0 == math.inf
+        if not (math.isfinite(self.d1) and math.isfinite(self.d2) and radius_ok):
+            raise DomainError(
+                "certificate constants must be finite (m0 may be inf); "
+                f"got d1={self.d1}, d2={self.d2}, m0={self.m0}"
+            )
         if self.d1 < 0 or self.d2 < 0 or self.m0 <= 0:
             raise DomainError(
                 f"certificate needs d1,d2>=0, m0>0; got {self.d1}, {self.d2}, {self.m0}"
@@ -97,6 +111,17 @@ class SmoothnessCertificate:
 def default_concentration_rate(m: int) -> float:
     """Sup-norm concentration rate 2 shared across m semi-norm coordinates."""
     return 2.0 * math.log(2.0) / math.log(2.0 * (m + 1))
+
+
+# Smoothness radii m0, as fractions of the arm set's own scale where one exists.
+_ENTROPIC_RADIUS_FRACTION = 0.5  # of the smallest arm exp-moment
+_RATIO_RADIUS = 1.0              # Sharpe and Sortino
+_CVAR_RADIUS_FRACTION = 0.99     # of the fitted growth radius m_alpha
+
+# The growth-constant fit and the C3-C5 conditions scan the arm mixtures on
+# the simplex lattice with denominator _MIXTURE_GRID_N (spacing 0.125).
+_MIXTURE_GRID_N = 8
+_C4_MAX_DOUBLINGS = 40
 
 
 def _mean_range(arms) -> tuple[float, float]:
@@ -149,7 +174,7 @@ class RiskCriterion:
     def _default_stability(self, arms):
         return None
 
-    def smoothness_certificate(self, arms, m0=None):
+    def smoothness_certificate(self, arms):
         return None
 
     def linear_map(self, f_ref: RewardDistribution, g: RewardDistribution) -> float:
@@ -261,14 +286,6 @@ class _LowerOrderStatistics:
         return (v * len(self._low) - (self._sum + self._err)) / self.t
 
 
-def _exp(y: float) -> float:
-    """``math.exp`` that overflows to inf, as ``np.exp`` does."""
-    try:
-        return math.exp(y)
-    except OverflowError:
-        return math.inf
-
-
 _INTEGRANDS = {
     "mean": lambda x, p: x,
     "second-moment": lambda x, p: x * x,
@@ -354,47 +371,41 @@ class _CompositeCriterion(RiskCriterion):
         return float(np.dot(self.grad_h(x), self.coordinates(g) - x))
 
 
-class MeanCriterion(_CompositeCriterion):
-    tag = "mean"
+class _LinearCriterion(_CompositeCriterion):
+    """``sign * B(F)`` for one linear functional B; exact everywhere, so the
+    residual vanishes at every distance."""
+
     convexity = "linear"
+    sign = 1.0
+
+    def h(self, x):
+        return self.sign * float(x[0])
+
+    def grad_h(self, x):
+        return np.array([self.sign])
+
+    def _default_stability(self, arms):
+        return StabilityCertificate(default_concentration_rate(1), 0.5, 1.0)
+
+    def smoothness_certificate(self, arms):
+        return SmoothnessCertificate(1.0, 0.0, math.inf)
+
+
+class MeanCriterion(_LinearCriterion):
+    tag = "mean"
     functionals = (SemiNormFunctional("mean"),)
 
-    def h(self, x):
-        return float(x[0])
 
-    def grad_h(self, x):
-        return np.array([1.0])
-
-    def _default_stability(self, arms):
-        return StabilityCertificate(default_concentration_rate(1), 0.5, 1.0)
-
-    def smoothness_certificate(self, arms, m0=None):
-        return SmoothnessCertificate(1.0, 0.0, m0 or math.inf)
-
-
-class SecondMomentCriterion(_CompositeCriterion):
+class SecondMomentCriterion(_LinearCriterion):
     tag = "second-moment"
-    convexity = "linear"
     functionals = (SemiNormFunctional("second-moment"),)
 
-    def h(self, x):
-        return float(x[0])
 
-    def grad_h(self, x):
-        return np.array([1.0])
-
-    def _default_stability(self, arms):
-        return StabilityCertificate(default_concentration_rate(1), 0.5, 1.0)
-
-    def smoothness_certificate(self, arms, m0=None):
-        return SmoothnessCertificate(1.0, 0.0, m0 or math.inf)
-
-
-class NegTSVCriterion(_CompositeCriterion):
+class NegTSVCriterion(_LinearCriterion):
     """Negated below-target semivariance around threshold r."""
 
     tag = "neg-tsv"
-    convexity = "linear"
+    sign = -1.0
 
     def __init__(self, r: float):
         self.r = float(r)
@@ -402,18 +413,6 @@ class NegTSVCriterion(_CompositeCriterion):
 
     def params_label(self):
         return f"r={self.r:g}"
-
-    def h(self, x):
-        return -float(x[0])
-
-    def grad_h(self, x):
-        return np.array([-1.0])
-
-    def _default_stability(self, arms):
-        return StabilityCertificate(default_concentration_rate(1), 0.5, 1.0)
-
-    def smoothness_certificate(self, arms, m0=None):
-        return SmoothnessCertificate(1.0, 0.0, m0 or math.inf)
 
 
 class EntropicCriterion(_CompositeCriterion):
@@ -451,10 +450,10 @@ class EntropicCriterion(_CompositeCriterion):
     def _e_floor(self, arms) -> float:
         return min(a.exp_moment(self.theta) for a in arms)
 
-    def smoothness_certificate(self, arms, m0=None):
+    def smoothness_certificate(self, arms):
         e_min = self._e_floor(arms)
-        m0 = m0 if m0 is not None else 0.5 * e_min
-        if m0 >= e_min:
+        m0 = _ENTROPIC_RADIUS_FRACTION * e_min
+        if m0 >= e_min:  # an exp-moment floor of 0 or inf
             raise DomainError("smoothness radius must stay below the exp-moment floor")
         d2 = 1.0 / (self.theta * (e_min - m0) ** 2)
         return SmoothnessCertificate(1.0 / (self.theta * e_min), d2, m0)
@@ -478,9 +477,9 @@ class NegVarianceCriterion(_CompositeCriterion):
         b = 1.0 + 2.0 * _abs_mean_bound(arms)
         return StabilityCertificate(default_concentration_rate(2), b, 2.0)
 
-    def smoothness_certificate(self, arms, m0=None):
+    def smoothness_certificate(self, arms):
         d1 = 1.0 + 2.0 * _abs_mean_bound(arms)
-        return SmoothnessCertificate(d1, 2.0, m0 or math.inf)
+        return SmoothnessCertificate(d1, 2.0, math.inf)
 
 
 class MeanVarianceCriterion(_CompositeCriterion):
@@ -513,10 +512,8 @@ class MeanVarianceCriterion(_CompositeCriterion):
         b = self.rho + max(abs(1.0 + 2.0 * self.rho * hi), abs(1.0 + 2.0 * self.rho * lo))
         return StabilityCertificate(default_concentration_rate(2), b, 2.0)
 
-    def smoothness_certificate(self, arms, m0=None):
-        return SmoothnessCertificate(
-            self._default_stability(arms).b, 2.0 * self.rho, m0 or math.inf
-        )
+    def smoothness_certificate(self, arms):
+        return SmoothnessCertificate(self._default_stability(arms).b, 2.0 * self.rho, math.inf)
 
 
 class _RatioCriterion(_CompositeCriterion):
@@ -586,8 +583,8 @@ class SharpeCriterion(_RatioCriterion):
         b = max(c1 + 0.5 * c2, c3 + 0.5 * c2)
         return StabilityCertificate(default_concentration_rate(2), b, 3.0)
 
-    def smoothness_certificate(self, arms, m0=None):
-        m0 = m0 if m0 is not None else 1.0
+    def smoothness_certificate(self, arms):
+        m0 = _RATIO_RADIUS
         amax = _abs_mean_bound(arms)
         spread = self._target_spread(arms)
         e = self.eps
@@ -628,8 +625,8 @@ class SortinoCriterion(_RatioCriterion):
         b = max(1.0, 2.0 * self.eps + self._target_spread(arms)) / (2.0 * self.eps**1.5)
         return StabilityCertificate(default_concentration_rate(2), b, 2.0)
 
-    def smoothness_certificate(self, arms, m0=None):
-        m0 = m0 if m0 is not None else 1.0
+    def smoothness_certificate(self, arms):
+        m0 = _RATIO_RADIUS
         e = self.eps
         d2 = abs(self.r) / e**1.5 + 3.0 * (self._target_spread(arms) + m0) / (4.0 * e**2.5)
         return SmoothnessCertificate(self._default_stability(arms).b, d2, m0)
@@ -668,14 +665,11 @@ class VaRCriterion(RiskCriterion):
     def accumulator(self):
         return _LowerOrderStatistics(self.alpha)
 
-    def stability_certificate(self, arms, a=None, b=None, q=None,
-                              b_alpha=None, m_alpha=None):
+    def stability_certificate(self, arms, a=None, b=None, q=None):
         if b is None:
-            fitted = (b_alpha, m_alpha)
-            if b_alpha is None or m_alpha is None:
-                fitted = fit_c4_constants(arms, self.alpha)
-                if fitted is None:
-                    return None
+            fitted = fit_c4_constants(arms, self.alpha)
+            if fitted is None:
+                return None
             b_alpha, m_alpha = fitted
             c_star = _c_star(arms, self.norm_spec)
             b = max(
@@ -730,18 +724,14 @@ class CVaRCriterion(RiskCriterion):
         )
         return StabilityCertificate(default_concentration_rate(2), b, 2.0)
 
-    def smoothness_certificate(self, arms, m0=None, b_alpha=None, m_alpha=None):
-        if b_alpha is None or m_alpha is None:
-            fitted = fit_c4_constants(arms, self.alpha)
-            if fitted is None:
-                return None
-            b_alpha, m_alpha = fitted
+    def smoothness_certificate(self, arms):
+        fitted = fit_c4_constants(arms, self.alpha)
+        if fitted is None:
+            return None
+        b_alpha, m_alpha = fitted
         v_star = max(abs(a.quantile(self.alpha)) for a in arms)
-        m0 = m0 if m0 is not None else 0.99 * m_alpha
-        if m0 >= m_alpha:
-            raise DomainError("smoothness radius must stay below the growth radius")
         return SmoothnessCertificate(
-            (1.0 + v_star) / self.alpha, 2.0 * b_alpha / self.alpha, m0
+            (1.0 + v_star) / self.alpha, 2.0 * b_alpha / self.alpha, _CVAR_RADIUS_FRACTION * m_alpha
         )
 
     def linear_map(self, f_ref, g):
@@ -817,12 +807,6 @@ class Bad2Criterion(RiskCriterion):
 # ---------------------------------------------------------------------------
 
 
-def check_level_set_c3(f: RewardDistribution, alpha: float):
-    """Cardinality class of ``{y | F(y) = alpha}``: 'empty', 'point', 'interval'."""
-    kind, lo, hi = f.level_set(alpha)
-    return kind
-
-
 def check_growth_condition_c4(
     f: RewardDistribution,
     alpha: float,
@@ -853,20 +837,15 @@ def check_growth_condition_c4(
     return bool(vals[worst] >= -1e-12), float(vals[worst]), float(ys[worst])
 
 
-def fit_c4_constants(
-    arms,
-    alpha: float,
-    p_resolution: float = 0.125,
-    grid_step: float = 1e-3,
-    max_doublings: int = 40,
-):
+def fit_c4_constants(arms, alpha: float, grid_step: float = 1e-3):
     """Search for growth-condition constants valid across the mixture set.
 
     The radius is pinned to the largest pairwise arm distance (the mixture
     set's diameter bound), floored at 0.05 for single-arm problems, and the
-    scale ``b_alpha`` is doubled from 1 until the growth inequality holds on
-    every mixture-grid distribution.  Returns ``(b_alpha, m_alpha)`` or
-    ``None`` when the condition appears unsatisfiable.
+    scale ``b_alpha`` is doubled from 1, at most ``_C4_MAX_DOUBLINGS`` times,
+    until the growth inequality holds on every mixture-grid distribution.
+    Returns ``(b_alpha, m_alpha)`` or ``None`` when the condition appears
+    unsatisfiable.
     """
     spec = _TAIL_NORM
     if len(arms) == 1:
@@ -881,9 +860,9 @@ def fit_c4_constants(
     if m_alpha > min(alpha, 1.0 - alpha):
         return None  # |F - alpha| <= min(alpha, 1-alpha) < m_alpha: unsatisfiable
 
-    grid = _mixture_grid(arms, p_resolution)
+    grid = _mixture_grid(arms)
     b = 1.0
-    for _ in range(max_doublings):
+    for _ in range(_C4_MAX_DOUBLINGS):
         if all(
             check_growth_condition_c4(f, alpha, b, m_alpha, grid_step)[0] for f in grid
         ):
@@ -892,13 +871,13 @@ def fit_c4_constants(
     return None
 
 
-def _mixture_grid(arms, p_resolution: float):
+def _mixture_grid(arms):
+    """The arm mixtures on the simplex lattice of spacing 1/_MIXTURE_GRID_N."""
     if len(arms) == 1:
         return [arms[0]]
-    n = max(1, int(round(1.0 / p_resolution)))
     from .oracle import simplex_lattice
 
-    return [MixtureDistribution(arms, p) for p in simplex_lattice(len(arms), n)]
+    return [MixtureDistribution(arms, p) for p in simplex_lattice(len(arms), _MIXTURE_GRID_N)]
 
 
 # ---------------------------------------------------------------------------

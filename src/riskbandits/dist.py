@@ -29,10 +29,7 @@ __all__ = [
     "PiecewiseLinearCDF",
     "EmpiricalDistribution",
     "MixtureDistribution",
-    "empirical_from_samples",
-    "mixture",
     "proxy_distribution",
-    "tail_integral",
 ]
 
 _WEIGHT_TOL = 1e-12
@@ -43,6 +40,14 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def _norm_pdf(z):
     return _INV_SQRT_2PI * np.exp(-0.5 * np.square(z))
+
+
+def _exp(y: float) -> float:
+    """``math.exp`` that overflows to inf, as ``np.exp`` does."""
+    try:
+        return math.exp(y)
+    except OverflowError:
+        return math.inf
 
 
 class RewardDistribution:
@@ -203,7 +208,7 @@ class Gaussian(RewardDistribution):
         ) ** 2 * Phi
 
     def exp_moment(self, theta):
-        return math.exp(-theta * self.mean_value + 0.5 * theta**2 * self.stddev**2)
+        return _exp(-theta * self.mean_value + 0.5 * theta**2 * self.stddev**2)
 
     def _partial_mean(self, c):
         # int_{-inf}^c x dF
@@ -632,11 +637,6 @@ def _quantile_rank(alpha: float, t: int) -> int:
     return min(max(1, math.ceil(alpha * t - 1e-9)), t)
 
 
-def empirical_from_samples(values) -> EmpiricalDistribution:
-    """Sorted-multiset empirical distribution of the given rewards."""
-    return EmpiricalDistribution(values)
-
-
 # ---------------------------------------------------------------------------
 # Mixtures
 # ---------------------------------------------------------------------------
@@ -812,11 +812,6 @@ class MixtureDistribution(RewardDistribution):
         return f"MixtureDistribution(weights=[{w}])"
 
 
-def mixture(arms, p) -> MixtureDistribution:
-    """The distribution with CDF ``sum_i p_i F_i`` for simplex weights p."""
-    return MixtureDistribution(arms, p)
-
-
 def proxy_distribution(arms, pull_counts, horizon: int) -> MixtureDistribution:
     """Mixture of the true arm CDFs weighted by pull fractions."""
     pull_counts = np.asarray(pull_counts)
@@ -831,17 +826,3 @@ def proxy_distribution(arms, pull_counts, horizon: int) -> MixtureDistribution:
         )
     return MixtureDistribution(arms, pull_counts / float(horizon))
 
-
-def tail_integral(dist: RewardDistribution, side: str) -> float:
-    """Magnitude of the one-sided first-moment integral around 0.
-
-    ``side='lower'`` gives ``|int_{-inf}^0 x dF|``; ``side='upper'`` gives
-    ``|int_0^inf x dF|``.  Divergent tails surface as ``math.inf``.
-    """
-    if side == "lower":
-        val = dist.lower_tail()
-    elif side == "upper":
-        val = dist.upper_tail()
-    else:
-        raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
-    return abs(val)

@@ -52,24 +52,12 @@ class SemiNormFunctional:
         ):
             raise DomainError(f"unknown semi-norm functional {self.kind!r}")
 
-    def label(self) -> str:
-        if self.kind in ("tsv", "exp-moment"):
-            return f"{self.kind}{{{self.param:g}}}"
-        return self.kind
-
 
 @dataclass(frozen=True)
 class NormSpec:
     """Sup-norm baseline plus a tuple of semi-norm functionals."""
 
     functionals: tuple[SemiNormFunctional, ...] = ()
-
-    @property
-    def dimension(self) -> int:
-        return len(self.functionals)
-
-    def label(self) -> str:
-        return "+".join(["sup"] + [f.label() for f in self.functionals])
 
 
 def seminorm_value(dist: RewardDistribution, functional: SemiNormFunctional) -> float:

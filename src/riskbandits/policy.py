@@ -42,7 +42,6 @@ __all__ = [
     "Bad1OraclePolicy",
     "Bad2OraclePolicy",
     "ucb_select",
-    "simple_policy_select",
 ]
 
 
@@ -122,8 +121,6 @@ class Policy:
     """Immutable policy configuration: open-loop policies override
     ``pull_counts``, closed-loop policies override ``start``."""
 
-    tag = ""
-
     def pull_counts(self, k: int, checkpoints, rng: np.random.Generator):
         """Pull counts (len(checkpoints), k), or None for closed-loop play."""
         return None
@@ -176,7 +173,6 @@ class UcbPolicy(Policy):
     """Optimism policy with confidence radii derived from (a, b, q)."""
 
     params: UcbParams
-    tag = "ucb"
 
     def start(self, k, criterion, rng):
         return _UcbSession(k, criterion, self.params)
@@ -184,8 +180,6 @@ class UcbPolicy(Policy):
 
 class SimplePolicy(Policy):
     """Stationary randomized policy: i.i.d. categorical arm draws."""
-
-    tag = "simple"
 
     def __init__(self, p):
         p = np.asarray(p, dtype=float)
@@ -240,8 +234,6 @@ class Bad1OraclePolicy(Policy):
     rides the wide arm.  Keeps ``F_hat(1) < 0.1`` for the whole horizon.
     """
 
-    tag = "bad1-oracle"
-
     def start(self, k, criterion, rng):
         if k != 2:
             raise DomainError("this oracle schedule is defined for exactly 2 arms")
@@ -250,8 +242,6 @@ class Bad1OraclePolicy(Policy):
 
 class Bad2OraclePolicy(Policy):
     """Pull arm 1 once, then arm 2 forever (the trivial optimal schedule)."""
-
-    tag = "bad2-oracle"
 
     def pull_counts(self, k, checkpoints, rng):
         if k != 2:
@@ -285,9 +275,3 @@ def ucb_select(state: PolicyState, criterion: RiskCriterion, params: UcbParams) 
             best_index = value + bonus
             best_arm = i
     return best_arm
-
-
-def simple_policy_select(p, rng: np.random.Generator) -> int:
-    """One categorical draw from simplex weights p."""
-    policy = SimplePolicy(p)
-    return int(np.searchsorted(np.cumsum(policy.p)[:-1], rng.random(), side="right"))

@@ -38,8 +38,8 @@ __all__ = [
     "estimate_proxy_regret",
     "estimate_horizon_gap",
     "estimate_reference_regret",
-    "rate_curve",
     "dkw_exceedance",
+    "write_csv",
     "write_report_csv",
     "read_report_csv",
 ]
@@ -305,31 +305,6 @@ def estimate_reference_regret(episodes, reference_episodes) -> list[EstimateRow]
     return rows
 
 
-_RATES = {
-    "logT/T": lambda t: math.log(t) / t,
-    "1/sqrtT": lambda t: 1.0 / math.sqrt(t),
-    "1/T": lambda t: 1.0 / t,
-}
-
-
-def rate_curve(values, horizons, rate) -> np.ndarray:
-    """``value / f(T)`` per horizon, for a named rate or a power exponent.
-
-    A float ``rate`` gamma means ``f(T) = T**(-gamma)``.
-    """
-    values = np.asarray(values, dtype=float)
-    horizons = np.asarray(horizons, dtype=float)
-    if len(values) != len(horizons):
-        raise DomainError("values and horizons must align")
-    if isinstance(rate, str):
-        if rate not in _RATES:
-            raise DomainError(f"unknown rate {rate!r}; choose from {sorted(_RATES)}")
-        f = np.array([_RATES[rate](t) for t in horizons])
-    else:
-        f = horizons ** (-float(rate))
-    return values / f
-
-
 # ---------------------------------------------------------------------------
 # Empirical concentration
 # ---------------------------------------------------------------------------
@@ -371,17 +346,25 @@ def dkw_exceedance(dist, t: int, x: float, reps: int, seed: int = 0) -> float:
 _CSV_COLUMNS = ("checkpoint", "estimator", "value", "stderr", "reps", "flagged")
 
 
-def write_report_csv(path, report: RegretReport) -> None:
-    """One row per (checkpoint, estimator); metadata as '# key=value' header."""
+def write_csv(path, meta: dict, columns, rows) -> None:
+    """The CSV format of every CLI output: one '# key=value' line per metadata
+    key in sorted order, the column header, then one line per row of cells
+    (written with ``str``)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(report.meta):
-            fh.write(f"# {key}={report.meta[key]}\n")
-        fh.write(",".join(_CSV_COLUMNS) + "\n")
-        for row in report.rows:
-            fh.write(
-                f"{row.checkpoint},{row.estimator},{float(row.value)!r},"
-                f"{float(row.stderr)!r},{row.reps},{row.flagged}\n"
-            )
+        for key in sorted(meta):
+            fh.write(f"# {key}={meta[key]}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
+def write_report_csv(path, report: RegretReport) -> None:
+    """One row per (checkpoint, estimator)."""
+    rows = (
+        (r.checkpoint, r.estimator, repr(float(r.value)), repr(float(r.stderr)), r.reps, r.flagged)
+        for r in report.rows
+    )
+    write_csv(path, report.meta, _CSV_COLUMNS, rows)
 
 
 def read_report_csv(path) -> RegretReport:

@@ -3,12 +3,12 @@ import pytest
 
 from riskbandits.criteria import RiskCriterion
 from riskbandits.dist import (
+    EmpiricalDistribution,
     Gaussian,
     PiecewiseLinearCDF,
     PointMass,
     TwoPoint,
     Uniform,
-    empirical_from_samples,
 )
 from riskbandits.errors import CriterionDomainError
 from riskbandits.norms import NormSpec
@@ -51,8 +51,8 @@ def distribution_catalog():
         bad1_arm_wide(),
         bad2_arm_steep(),
         bad2_arm_step(),
-        empirical_from_samples([-2.0, -2.0, 0.5, 4.0]),
-        empirical_from_samples(np.linspace(-3, 3, 17)),
+        EmpiricalDistribution([-2.0, -2.0, 0.5, 4.0]),
+        EmpiricalDistribution(np.linspace(-3, 3, 17)),
     ]
 
 

@@ -374,3 +374,47 @@ def test_check_default_dkw_grid_passes_on_correct_code(tmp_path, capsys):
     main(["check", "--config", _write(tmp_path, doc)])
     out = capsys.readouterr().out
     assert "[PASS] dkw-concentration" in out
+
+
+def _arms(*specs):
+    return {"arms": [{"kind": "gaussian", "mean": 0.0, "stddev": 1.0}, *specs]}
+
+
+@pytest.mark.parametrize(
+    "command,patch,expect",
+    [
+        pytest.param("simulate", {"seed": "x"}, "seed", id="seed-string"),
+        pytest.param("simulate", {"horizons": [100.7]}, "horizons", id="horizon-fraction"),
+        pytest.param("simulate", {"horizons": ["abc"]}, "horizons", id="horizon-string"),
+        pytest.param("simulate", {"horizons": 100}, "horizons", id="horizons-scalar"),
+        pytest.param("simulate", {"checkpoints": [2, "x"]}, "checkpoints", id="checkpoint-string"),
+        pytest.param("simulate", {"replications": 2.9}, "replications", id="replications-fraction"),
+        pytest.param("simulate", {"replications": True}, "replications", id="replications-bool"),
+        pytest.param("simulate", {"ucb_alpha": "x"}, "ucb_alpha", id="ucb-alpha-string"),
+        pytest.param("eval", {"mixtures": [[0.5, "a"]]}, "mixture", id="mixture-string"),
+        pytest.param("eval", {"mixtures": [0.5, 0.5]}, "mixture", id="mixture-scalar"),
+        pytest.param(
+            "simulate", _arms({"kind": "uniform", "lo": "0", "hi": 1.0}), "uniform lo",
+            id="arm-string",
+        ),
+        pytest.param("check", {"check": {"pairz": 40}}, "pairz", id="check-unknown-key"),
+        pytest.param("check", {"check": {"pairs": "many"}}, "pairs", id="check-pairs-string"),
+        pytest.param("check", {"check": {"dkw_reps": 2.5}}, "dkw_reps", id="check-reps-fraction"),
+        pytest.param(
+            "check",
+            {**_arms({"kind": "gaussian", "mean": 0.0, "stddev": 40.0}),
+             "criterion": {"kind": "entropic", "theta": 1.0}},
+            "exp-moment finite",
+            id="check-entropic-exp-moment-overflow",
+        ),
+    ],
+)
+def test_bad_config_values_exit_1_with_an_error(tmp_path, capsys, command, patch, expect):
+    doc = _base_doc()
+    doc.update(policies=[{"kind": "simple", "p": [1.0, 0.0]}], horizons=[64], replications=2)
+    doc.update(patch)
+    code = main([command, "--config", _write(tmp_path, doc), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and expect in err
+    assert not list(tmp_path.glob("*.csv"))

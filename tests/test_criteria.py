@@ -16,12 +16,12 @@ from riskbandits.criteria import (
     NegVarianceCriterion,
     SecondMomentCriterion,
     SharpeCriterion,
+    SmoothnessCertificate,
     SortinoCriterion,
     StabilityCertificate,
     VaRCriterion,
     build_criterion,
     check_growth_condition_c4,
-    check_level_set_c3,
     default_concentration_rate,
     fit_c4_constants,
 )
@@ -33,8 +33,6 @@ from riskbandits.dist import (
     PointMass,
     TwoPoint,
     Uniform,
-    empirical_from_samples,
-    mixture,
 )
 from riskbandits.errors import CriterionDomainError, DomainError, UnsupportedOperationError
 
@@ -48,7 +46,7 @@ from conftest import bad1_arm_wide, rng
 
 def test_cvar_small_sample_order_statistic():
     crit = CVaRCriterion(0.5)
-    assert crit.evaluate(empirical_from_samples([1, 2, 3, 4])) == pytest.approx(1.5)
+    assert crit.evaluate(EmpiricalDistribution([1, 2, 3, 4])) == pytest.approx(1.5)
     # oracle: mean of the two smallest order statistics
     assert (1 + 2) / 2 == 1.5
 
@@ -73,7 +71,7 @@ def test_cvar_shifted_scaled_gaussian():
 
 
 def test_cvar_order_statistic_equality_exhaustive():
-    result = checklib.cvar_order_statistic_check(max_t=50, seed=12)
+    result = checklib.cvar_order_statistic_check(seed=12)
     assert result.passed, result.detail
 
 
@@ -85,7 +83,7 @@ def test_var_is_quantile():
 
 def test_mean_variance_example_and_composition():
     crit = MeanVarianceCriterion(1.0)
-    assert crit.evaluate(empirical_from_samples([0, 2])) == pytest.approx(0.0, abs=1e-15)
+    assert crit.evaluate(EmpiricalDistribution([0, 2])) == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -95,7 +93,7 @@ def test_mean_variance_example_and_composition():
         Uniform(-1, 3),
         TwoPoint(0.25, -2, 4),
         bad1_arm_wide(),
-        empirical_from_samples([-1.5, 0.2, 0.2, 3.7, 5.0]),
+        EmpiricalDistribution([-1.5, 0.2, 0.2, 3.7, 5.0]),
     ],
     ids=repr,
 )
@@ -136,9 +134,11 @@ def test_entropic_domain_error():
         def exp_moment(self, theta):
             return math.inf
 
-    with pytest.raises(CriterionDomainError) as err:
-        EntropicCriterion(1.0).evaluate(DivergentExp(0.0))
-    assert "exp-moment" in err.value.constraint
+    # an infinite exp-moment, and a Gaussian one that overflows a float: exp(800)
+    for arm in (DivergentExp(0.0), Gaussian(0.0, 40.0)):
+        with pytest.raises(CriterionDomainError) as err:
+            EntropicCriterion(1.0).evaluate(arm)
+        assert "exp-moment" in err.value.constraint
 
 
 def test_sharpe_guard_flags_not_errors():
@@ -163,11 +163,11 @@ def test_bad1_closed_form_table(bad1_arms):
         0.95: 10.0,
     }
     for p2, want in values.items():
-        f = mixture(bad1_arms, [1 - p2, p2]) if p2 > 0 else bad1_arms[0]
+        f = MixtureDistribution(bad1_arms, [1 - p2, p2]) if p2 > 0 else bad1_arms[0]
         assert crit.evaluate(f) == pytest.approx(want, abs=1e-9)
     # interior branch formula: 5 + (45 - 50 p2) / (1 - p2)
     for p2 in (0.1, 0.25, 0.6, 0.8):
-        got = crit.evaluate(mixture(bad1_arms, [1 - p2, p2]))
+        got = crit.evaluate(MixtureDistribution(bad1_arms, [1 - p2, p2]))
         assert got == pytest.approx(5 + (45 - 50 * p2) / (1 - p2), abs=1e-9)
 
 
@@ -175,7 +175,7 @@ def test_bad2_closed_form_table(bad2_arms):
     crit = Bad2Criterion()
     cases = {0.5: 5.0, 0.95: 6.0, 1.0: 10.0}
     for p2, want in cases.items():
-        f = mixture(bad2_arms, [1 - p2, p2])
+        f = MixtureDistribution(bad2_arms, [1 - p2, p2])
         assert crit.evaluate(f) == pytest.approx(want, abs=1e-9)
     # the four stationary branches: 5 below 8/9; -85 + 10/(1-p2) on the
     # narrow strip (8/9, 81/91); 6 up to 1; 10 at the vertex
@@ -187,7 +187,7 @@ def test_bad2_closed_form_table(bad2_arms):
         return 6.0 if p2 < 1 else 10.0
 
     for p2 in (0.2, 0.7, 0.885, 0.8893, 0.8899, 0.92, 0.99):
-        got = crit.evaluate(mixture(bad2_arms, [1 - p2, p2]))
+        got = crit.evaluate(MixtureDistribution(bad2_arms, [1 - p2, p2]))
         assert got == pytest.approx(stationary(p2), abs=1e-9), p2
 
 
@@ -198,7 +198,7 @@ def test_bad2_point_mass():
 def test_bad2_on_empirical_flat_stretch():
     # samples below 1 force the +5 bonus; percentile rides the flat stretch
     crit = Bad2Criterion()
-    emp = empirical_from_samples([0.5] + [20.0] * 9)
+    emp = EmpiricalDistribution([0.5] + [20.0] * 9)
     # percentile at 0.1 level = 0.5, flat stretch ends at next atom 20
     assert crit.evaluate(emp) == pytest.approx(25.0)
 
@@ -216,7 +216,7 @@ def test_residual_zero_at_reference():
 
 def test_linear_criterion_zero_residual():
     crit = MeanCriterion()
-    g = empirical_from_samples([3, 7, -1])
+    g = EmpiricalDistribution([3, 7, -1])
     f = PointMass(1.0)
     assert crit.residual(g, f) == pytest.approx(0.0, abs=1e-14)
 
@@ -224,7 +224,7 @@ def test_linear_criterion_zero_residual():
 def test_neg_variance_residual_hand_example():
     crit = NegVarianceCriterion()
     f = PointMass(0.0)
-    g = empirical_from_samples([-1.0, 1.0])
+    g = EmpiricalDistribution([-1.0, 1.0])
     # gradient of -(x2 - x1^2) at (0, 0) is (0, -1): A = -(1 - 0) = -1
     assert crit.linear_map(f, g) == pytest.approx(-1.0)
     assert crit.residual(g, f) == pytest.approx(0.0, abs=1e-14)
@@ -309,13 +309,20 @@ def test_certificate_overrides():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["a", "b", "q"])
+@pytest.mark.parametrize("field", ["a", "b", "q", "d1", "d2", "m0"])
 def test_stability_certificate_rejects_non_finite(field, bad):
-    values = {"a": 1.0, "b": 1.0, "q": 2.0, field: bad}
-    with pytest.raises(DomainError, match="finite"):
-        StabilityCertificate(**values)
-    with pytest.raises(DomainError, match="finite"):
-        CVaRCriterion(0.1).stability_certificate([PointMass(0.0)], **{field: bad})
+    if field in ("a", "b", "q"):
+        values = {"a": 1.0, "b": 1.0, "q": 2.0, field: bad}
+        with pytest.raises(DomainError, match="finite"):
+            StabilityCertificate(**values)
+        with pytest.raises(DomainError, match="finite"):
+            CVaRCriterion(0.1).stability_certificate([PointMass(0.0)], **{field: bad})
+    elif field == "m0" and bad == math.inf:
+        # the linear criteria's radius: their residual bound holds at every distance
+        assert SmoothnessCertificate(1.0, 1.0, math.inf).m0 == math.inf
+    else:
+        with pytest.raises(DomainError, match="finite"):
+            SmoothnessCertificate(**{"d1": 1.0, "d2": 1.0, "m0": 1.0, field: bad})
 
 
 def test_certificate_q_values():
@@ -347,10 +354,7 @@ def test_var_certificate_needs_growth_constants():
     flat = PiecewiseLinearCDF.from_pairs([(0, 0.0), (1, 0.1), (2, 0.1), (3, 1.0)])
     assert fit_c4_constants([flat], 0.1) is None
     assert VaRCriterion(0.1).stability_certificate([flat]) is None
-    # supplied constants short-circuit the fit
-    cert = VaRCriterion(0.1).stability_certificate(
-        [Gaussian(0, 1)], b_alpha=12.0, m_alpha=0.05
-    )
+    cert = VaRCriterion(0.1).stability_certificate([Gaussian(0, 1)])
     assert cert is not None and cert.q == 1.0
 
 
@@ -360,9 +364,9 @@ def test_var_certificate_needs_growth_constants():
 
 
 def test_level_set_condition_examples():
-    assert check_level_set_c3(Gaussian(0, 1), 0.3) == "point"
-    assert check_level_set_c3(PointMass(5.0), 0.3) == "empty"
-    assert check_level_set_c3(bad1_arm_wide(), 0.1) == "interval"
+    assert Gaussian(0, 1).level_set(0.3)[0] == "point"
+    assert PointMass(5.0).level_set(0.3)[0] == "empty"
+    assert bad1_arm_wide().level_set(0.1)[0] == "interval"
 
 
 def test_growth_condition_gaussian_spec_example():

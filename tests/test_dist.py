@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from riskbandits.dist import (
+    EmpiricalDistribution,
     Gaussian,
+    MixtureDistribution,
     PiecewiseLinearCDF,
     PointMass,
     TwoPoint,
     Uniform,
-    empirical_from_samples,
-    mixture,
     proxy_distribution,
-    tail_integral,
 )
 from riskbandits.errors import DomainError
 
@@ -197,7 +196,7 @@ def test_quantile_examples():
     f = bad1_arm_wide()
     assert f.quantile(0.1) == pytest.approx(1.0, abs=1e-12)
     assert f.quantile(0.9) == pytest.approx(45.0, abs=1e-12)
-    assert empirical_from_samples([1, 2, 3, 4]).quantile(0.5) == 2.0
+    assert EmpiricalDistribution([1, 2, 3, 4]).quantile(0.5) == 2.0
 
 
 def test_quantile_brute_force_oracle():
@@ -316,7 +315,7 @@ def test_sampler_matches_cdf_dkw(d):
 
 
 def test_mixture_sampling_matches_weights():
-    m = mixture([PointMass(0.0), PointMass(1.0)], [0.25, 0.75])
+    m = MixtureDistribution([PointMass(0.0), PointMass(1.0)], [0.25, 0.75])
     x = m.sample(rng(3), 40_000)
     assert np.mean(x) == pytest.approx(0.75, abs=0.01)
 
@@ -333,18 +332,18 @@ def test_gaussian_tail_integrals_quadrature():
     up, _ = integrate.quad(lambda x: x * pdf(x), 0, 60)
     assert g.lower_tail() == pytest.approx(low, abs=1e-10)
     assert g.upper_tail() == pytest.approx(up, abs=1e-10)
-    assert tail_integral(Gaussian(0, 1), "lower") == pytest.approx(0.398942, abs=1e-6)
+    assert abs(Gaussian(0, 1).lower_tail()) == pytest.approx(0.398942, abs=1e-6)
 
 
 def test_point_mass_tails():
-    assert tail_integral(PointMass(5.0), "lower") == 0.0
-    assert tail_integral(PointMass(5.0), "upper") == 5.0
+    assert abs(PointMass(5.0).lower_tail()) == 0.0
+    assert abs(PointMass(5.0).upper_tail()) == 5.0
 
 
 def test_empirical_tails_partial_sums():
-    e = empirical_from_samples([-2, 4])
-    assert tail_integral(e, "lower") == 1.0
-    assert tail_integral(e, "upper") == 2.0
+    e = EmpiricalDistribution([-2, 4])
+    assert abs(e.lower_tail()) == 1.0
+    assert abs(e.upper_tail()) == 2.0
 
 
 def test_piecewise_moments_quadrature():
@@ -368,6 +367,12 @@ def test_piecewise_moments_quadrature():
     assert f.second_moment() == pytest.approx(second, rel=1e-9)
     assert f.below_target_semivariance(3.0) == pytest.approx(tsv3, rel=1e-9)
     assert f.exp_moment(0.5) == pytest.approx(expm, rel=1e-9)
+
+
+def test_gaussian_exp_moment_overflows_to_inf():
+    # like the piecewise and empirical kinds (np.exp), not OverflowError
+    assert Gaussian(0.0, 40.0).exp_moment(1.0) == math.inf
+    assert Gaussian(0.0, 1.0).exp_moment(1.0) == math.exp(0.5)
 
 
 def _exact_integrals(d, r):
@@ -445,7 +450,7 @@ def test_cdf_integral_below_quadrature():
 
 
 def test_empirical_cdf_integral_below():
-    e = empirical_from_samples([1, 2, 3, 4])
+    e = EmpiricalDistribution([1, 2, 3, 4])
     assert e.cdf_integral_below(2.0) == pytest.approx(0.25)
     assert e.cdf_integral_below(0.0) == 0.0
     assert e.cdf_integral_below(5.0) == pytest.approx((4 + 3 + 2 + 1) / 4)
@@ -457,7 +462,7 @@ def test_empirical_cdf_integral_below():
 
 
 def test_empirical_from_samples_sorted_and_exact():
-    e = empirical_from_samples([3, 1, 2])
+    e = EmpiricalDistribution([3, 1, 2])
     assert np.array_equal(e.samples, [1, 2, 3])
     assert float(e.cdf(1)) == pytest.approx(1 / 3)
     assert float(e.cdf(2.5)) == pytest.approx(2 / 3)
@@ -467,7 +472,7 @@ def test_empirical_counts_brute_force():
     r = rng(17)
     for _ in range(50):
         x = r.normal(size=int(r.integers(1, 40)))
-        e = empirical_from_samples(x)
+        e = EmpiricalDistribution(x)
         for y in r.normal(size=20):
             assert float(e.cdf(y)) == np.mean(x <= y)
             assert float(e.cdf_left(y)) == np.mean(x < y)
@@ -475,7 +480,7 @@ def test_empirical_counts_brute_force():
 
 def test_empirical_rejects_empty():
     with pytest.raises(DomainError):
-        empirical_from_samples([])
+        EmpiricalDistribution([])
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +490,7 @@ def test_empirical_rejects_empty():
 
 def test_mixture_vertex_is_component():
     f1, f2 = bad1_arm_wide(), PointMass(5.0)
-    m = mixture([f1, f2], [1.0, 0.0])
+    m = MixtureDistribution([f1, f2], [1.0, 0.0])
     ys = np.linspace(-2, 55, 997)
     assert np.allclose(np.asarray(m.cdf(ys)), np.asarray(f1.cdf(ys)), atol=1e-15)
 
@@ -494,35 +499,35 @@ def test_mixture_pointwise_linear(catalog):
     r = rng(23)
     arms = [catalog[0], catalog[4], catalog[6]]
     w = np.array([0.2, 0.5, 0.3])
-    m = mixture(arms, w)
+    m = MixtureDistribution(arms, w)
     ys = r.uniform(-5, 55, size=200)
     direct = sum(wi * np.asarray(a.cdf(ys)) for wi, a in zip(w, arms))
     assert np.allclose(np.asarray(m.cdf(ys)), direct, atol=1e-12)
 
 
 def test_mixture_of_point_masses():
-    m = mixture([PointMass(0.0), PointMass(1.0)], [0.5, 0.5])
+    m = MixtureDistribution([PointMass(0.0), PointMass(1.0)], [0.5, 0.5])
     assert float(m.cdf(0.5)) == 0.5
 
 
 def test_mixture_weight_validation():
     arms = [PointMass(0.0), PointMass(1.0)]
     with pytest.raises(DomainError):
-        mixture(arms, [0.7, 0.4])
+        MixtureDistribution(arms, [0.7, 0.4])
     with pytest.raises(DomainError):
-        mixture(arms, [-0.1, 1.1])
-    m = mixture(arms, [0.5 + 4e-13, 0.5])  # within tolerance: renormalized
+        MixtureDistribution(arms, [-0.1, 1.1])
+    m = MixtureDistribution(arms, [0.5 + 4e-13, 0.5])  # within tolerance: renormalized
     assert float(np.sum(m.weights)) == pytest.approx(1.0, abs=0)
 
 
 def test_bad1_mixture_quantiles():
-    m = mixture([bad1_arm_wide(), PointMass(5.0)], [0.5, 0.5])
+    m = MixtureDistribution([bad1_arm_wide(), PointMass(5.0)], [0.5, 0.5])
     assert m.quantile(0.1) == pytest.approx(5.0, abs=1e-12)
     assert m.quantile(0.9) == pytest.approx(40.0, abs=1e-12)
 
 
 def test_gaussian_mixture_quantile_bisection():
-    m = mixture([Gaussian(0, 1), Gaussian(4, 0.5)], [0.5, 0.5])
+    m = MixtureDistribution([Gaussian(0, 1), Gaussian(4, 0.5)], [0.5, 0.5])
     for alpha in (0.05, 0.3, 0.5, 0.9):
         q = m.quantile(alpha)
         assert float(m.cdf(q)) == pytest.approx(alpha, abs=1e-9)

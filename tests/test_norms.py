@@ -11,7 +11,6 @@ from riskbandits.dist import (
     PointMass,
     TwoPoint,
     Uniform,
-    empirical_from_samples,
 )
 from riskbandits.norms import (
     NormSpec,
@@ -45,7 +44,7 @@ def brute_sup(f, g, lo=-60.0, hi=80.0, n=200_001):
 def test_sup_identity_and_disjoint_steps():
     g = Gaussian(0, 1)
     assert sup_distance(g, g) == 0.0
-    assert sup_distance(empirical_from_samples([0]), empirical_from_samples([1])) == 1.0
+    assert sup_distance(EmpiricalDistribution([0]), EmpiricalDistribution([1])) == 1.0
 
 
 def test_sup_gaussian_vs_point_mass():
@@ -64,7 +63,7 @@ def test_sup_gaussian_vs_point_mass():
             MixtureDistribution([Gaussian(0, 1), PointMass(1.0)], [0.6, 0.4]),
             MixtureDistribution([Gaussian(1, 2), Uniform(0, 3)], [0.5, 0.5]),
         ),
-        (empirical_from_samples([-1, 0.3, 2.2]), Gaussian(0, 1)),
+        (EmpiricalDistribution([-1, 0.3, 2.2]), Gaussian(0, 1)),
         (bad1_arm_wide(), PointMass(5.0)),
     ],
 )
@@ -82,15 +81,15 @@ def test_sup_two_gaussians_closed_form():
 
 
 def test_seminorm_examples():
-    assert seminorm_value(empirical_from_samples([1, 2, 3]), SemiNormFunctional("mean")) == 2.0
+    assert seminorm_value(EmpiricalDistribution([1, 2, 3]), SemiNormFunctional("mean")) == 2.0
     assert seminorm_value(PointMass(3.0), SemiNormFunctional("second-moment")) == 9.0
     m = MixtureDistribution([PointMass(0.0), PointMass(-math.log(2))], [0.5, 0.5])
     assert seminorm_value(m, SemiNormFunctional("exp-moment", 1.0)) == pytest.approx(1.5)
 
 
 def test_norm_distance_partial_sum_example():
-    f = empirical_from_samples([-2, 4])
-    g = empirical_from_samples([-2, -2])
+    f = EmpiricalDistribution([-2, 4])
+    g = EmpiricalDistribution([-2, -2])
     assert sup_distance(f, g) == pytest.approx(0.5)
     lower = SemiNormFunctional("lower-tail")
     upper = SemiNormFunctional("upper-tail")
@@ -125,7 +124,7 @@ def test_norm_symmetry_and_triangle(catalog):
     )
     pool = catalog + [
         MixtureDistribution([catalog[0], catalog[4]], [0.3, 0.7]),
-        empirical_from_samples(rng(5).normal(size=23)),
+        EmpiricalDistribution(rng(5).normal(size=23)),
     ]
     for _ in range(500):
         i, j, k = r.integers(0, len(pool), size=3)

@@ -27,7 +27,6 @@ from riskbandits.policy import (
     UcbPolicy,
     phi,
     phi_inv,
-    simple_policy_select,
     ucb_select,
 )
 
@@ -183,25 +182,28 @@ def test_simple_vertex_always_same_arm():
 @pytest.mark.parametrize("p", [[0.3, 0.2, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
 def test_simple_pull_counts_match_step_draws(p):
     checkpoints = (3, 7, 50, 51, 400)
-    tau = SimplePolicy(p).pull_counts(3, checkpoints, rng(4))
+    policy = SimplePolicy(p)
+    tau = policy.pull_counts(3, checkpoints, rng(4))
     r = rng(4)
-    arms = [simple_policy_select(p, r) for _ in range(checkpoints[-1])]
+    # reference: one categorical draw per step
+    cum = np.cumsum(policy.p)[:-1]
+    arms = [int(np.searchsorted(cum, r.random(), side="right")) for _ in range(checkpoints[-1])]
     want = [np.bincount(arms[:c], minlength=3) for c in checkpoints]
     assert np.array_equal(tau, want)
 
 
 def test_simple_policy_frequencies_binomial():
     n = 100_000
-    r = rng(6)
-    draws = np.array([simple_policy_select([0.5, 0.5], r) for _ in range(n)])
+    tau = SimplePolicy([0.5, 0.5]).pull_counts(2, [n], rng(6))
     # binomial CI: 4 sigma = 4 * 0.5 / sqrt(n) ~ 0.0063 < 0.01
-    assert abs(np.mean(draws) - 0.5) < 0.01
+    assert abs(tau[-1, 1] / n - 0.5) < 0.01
 
 
 def test_simple_policy_deterministic():
-    a = [simple_policy_select([0.3, 0.2, 0.5], rng(9)) for _ in range(50)]
-    b = [simple_policy_select([0.3, 0.2, 0.5], rng(9)) for _ in range(50)]
-    assert a == b
+    policy = SimplePolicy([0.3, 0.2, 0.5])
+    a = policy.pull_counts(3, range(1, 51), rng(9))
+    b = policy.pull_counts(3, range(1, 51), rng(9))
+    assert np.array_equal(a, b)
 
 
 def test_simple_policy_validation():

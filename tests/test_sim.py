@@ -38,7 +38,6 @@ from riskbandits.sim import (
     estimate_proxy_regret,
     estimate_reference_regret,
     geometric_checkpoints,
-    rate_curve,
     read_report_csv,
     run_episode,
     run_replications,
@@ -339,18 +338,6 @@ def test_bad1_oracle_outperforms_safe_vertex(bad1_arms):
 # ---------------------------------------------------------------------------
 # Rates and concentration
 # ---------------------------------------------------------------------------
-
-
-def test_rate_curve_algebra():
-    horizons = np.array([10, 100, 1000, 10000])
-    c = 2.7
-    values = c * np.log(horizons) / horizons
-    assert np.allclose(rate_curve(values, horizons, "logT/T"), c)
-    increasing = rate_curve(c / np.sqrt(horizons), horizons, "logT/T")
-    assert np.all(np.diff(increasing) > 0)
-    assert np.allclose(rate_curve(c / horizons, horizons, 1.0), c)
-    with pytest.raises(DomainError):
-        rate_curve(values, horizons, "1/logT")
 
 
 def test_dkw_exceedance_edges():
