@@ -9,8 +9,13 @@ exponential moments):
 
 ``sup_distance`` is exact for piecewise-linear/step CDF pairs (the sup of a
 piecewise-linear difference is attained at knots, approached at jump left
-limits); pairs involving Gaussian parts add closed-form probe points and a
-bounded scalar refinement between candidates.
+limits).  Pairs involving Gaussian parts add closed-form probe points and
+refine between candidates in batches: a 33-point coarse grid on every
+interval, then one zoom pass over all intervals that can still hold the
+sup (each round a 33-point grid around every interval's argmax, 16 times
+narrower than the last, with one CDF call per distribution and round),
+then a bounded Brent search (``minimize_scalar``) only on the intervals
+whose zoomed value is the best found, which can still gain a few ulp.
 """
 
 from __future__ import annotations
@@ -23,6 +28,12 @@ from scipy.optimize import minimize_scalar
 
 from .dist import RewardDistribution
 from .errors import DomainError
+
+# sup-distance refinement: points per grid, grid shrink per zoom round, rounds
+# (32 * 16**12 spacings cover an interval to float resolution)
+_ZOOM_POINTS = 33
+_ZOOM_SHRINK = 16
+_ZOOM_ROUNDS = 12
 
 __all__ = [
     "SemiNormFunctional",
@@ -102,29 +113,54 @@ def sup_distance(f: RewardDistribution, g: RewardDistribution) -> float:
         g.has_smooth_part and (f.has_smooth_part or f.has_sloped_part)
     )
     if needs_refine and len(pts) > 1:
-        # coarse vectorized pass over every interval, then scalar refinement
-        # only where an interior extremum can still beat the best candidate
+        # coarse vectorized pass over every interval
         a = pts[:-1]
         b = pts[1:]
         keep = b - a > 1e-12
         a, b = a[keep], b[keep]
-        frac = np.linspace(0.0, 1.0, 33)
+        frac = np.linspace(0.0, 1.0, _ZOOM_POINTS)
         grid = a[:, None] + (b - a)[:, None] * frac[None, :]
-        flat = grid.ravel()
-        coarse = np.abs(np.asarray(f.cdf(flat)) - np.asarray(g.cdf(flat))).reshape(grid.shape)
+        coarse = _abs_diff(f, g, grid)
         per_interval = coarse.max(axis=1)
         best = max(best, float(per_interval.max()))
 
+        # zoom on every interval where an interior extremum can still beat
+        # the best candidate, all at once: a grid around each argmax, its
+        # half-width one spacing of the previous grid
+        sel = np.flatnonzero(per_interval >= best - 1e-2)
+        a, b = a[sel], b[sel]
+        rows = np.arange(len(sel))
+        centre = grid[sel, coarse[sel].argmax(axis=1)]
+        top = per_interval[sel]
+        offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
+        half_width = (b - a) / (_ZOOM_POINTS - 1)
+        for _ in range(_ZOOM_ROUNDS):
+            zoom = np.clip(centre[:, None] + half_width[:, None] * offsets, a[:, None], b[:, None])
+            values = _abs_diff(f, g, zoom)
+            arg = values.argmax(axis=1)
+            centre = zoom[rows, arg]
+            top = np.maximum(top, values[rows, arg])
+            half_width /= _ZOOM_SHRINK
+        best = max(best, float(top.max(initial=best)))
+
+        # polish the intervals that hold the best value with a bounded Brent
+        # search, which can still gain a few ulp on the zoom
         def neg_abs_diff(y):
             return -abs(float(f.cdf(y)) - float(g.cdf(y)))
 
-        for i in np.flatnonzero(per_interval >= best - 1e-2):
+        for i in np.flatnonzero(top == best):
             res = minimize_scalar(
                 neg_abs_diff, bounds=(a[i], b[i]), method="bounded",
                 options={"xatol": 1e-11},
             )
             best = max(best, -float(res.fun))
     return best
+
+
+def _abs_diff(f: RewardDistribution, g: RewardDistribution, y: np.ndarray) -> np.ndarray:
+    """``|F(y) - G(y)|`` on a 2-d grid, in one CDF call per distribution."""
+    flat = y.ravel()
+    return np.abs(np.asarray(f.cdf(flat)) - np.asarray(g.cdf(flat))).reshape(y.shape)
 
 
 def norm_distance(f: RewardDistribution, g: RewardDistribution, spec: NormSpec) -> float:

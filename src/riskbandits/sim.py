@@ -323,13 +323,15 @@ def dkw_exceedance(dist, t: int, x: float, reps: int, seed: int = 0) -> float:
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     draws = np.sort(dist.sample(rng, reps * t).reshape(reps, t), axis=1)
     grid = np.arange(1, t + 1) / t
+    breakpoints = dist.breakpoints()
     f_right = np.asarray(dist.cdf(draws))
-    f_left = np.asarray(dist.cdf_left(draws))
+    # without breakpoints the CDF has no jumps: its left limits are its values
+    f_left = np.asarray(dist.cdf_left(draws)) if len(breakpoints) else f_right
     sup = np.maximum(
         np.max(grid[None, :] - f_right, axis=1),
         np.max(f_left - grid[None, :] + 1.0 / t, axis=1),
     )
-    for b in dist.breakpoints():
+    for b in breakpoints:
         fb = float(dist.cdf(b))
         fb_left = float(dist.cdf_left(b))
         emp_right = np.sum(draws <= b, axis=1) / t

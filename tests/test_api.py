@@ -1,11 +1,15 @@
-"""Every name a module lists in ``__all__`` resolves.
+"""Every name a module lists in ``__all__`` resolves, and so does every
+private or foreign name the benchmark's layer tracer wraps.
 
 A stale entry breaks only ``from riskbandits.<module> import *``, which no
-other test exercises.
+other test exercises; a stale tracer target crashes ``perfbench/run.py
+--trace 1`` runs.
 """
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +28,23 @@ def test_all_names_resolve(name):
     names = getattr(module, "__all__", [])
     assert len(set(names)) == len(names), f"{name}.__all__ repeats a name"
     assert [n for n in names if not hasattr(module, n)] == []
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_perfbench_tracer_targets_resolve():
+    tracer = _load_tracer()
+    for layer, attr in tracer.EXTRA:
+        module = importlib.import_module(f"riskbandits.{layer}")
+        assert callable(getattr(module, attr, None)), f"riskbandits.{layer}.{attr}"
+    for name in tracer.PRIVATE_METHODS:
+        layer, cls, attr = name.split(".")
+        owner = getattr(importlib.import_module(f"riskbandits.{layer}"), cls)
+        # the tracer wraps only what the class itself defines
+        assert callable(vars(owner).get(attr)), name

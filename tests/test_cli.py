@@ -394,6 +394,9 @@ def _arms(*specs):
         pytest.param("eval", {"mixtures": [[0.5, "a"]]}, "mixture", id="mixture-string"),
         pytest.param("eval", {"mixtures": [0.5, 0.5]}, "mixture", id="mixture-scalar"),
         pytest.param(
+            "eval", {"mixtures": [[float("nan"), 1.0]]}, "mixture weights", id="mixture-nan"
+        ),
+        pytest.param(
             "simulate", _arms({"kind": "uniform", "lo": "0", "hi": 1.0}), "uniform lo",
             id="arm-string",
         ),

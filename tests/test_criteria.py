@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 from riskbandits import checks as checklib
+from riskbandits import criteria as criteria_module
 from riskbandits.criteria import (
     Bad1Criterion,
     Bad2Criterion,
@@ -36,7 +37,7 @@ from riskbandits.dist import (
 )
 from riskbandits.errors import CriterionDomainError, DomainError, UnsupportedOperationError
 
-from conftest import bad1_arm_wide, rng
+from conftest import bad1_arm_wide, distribution_catalog, rng
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +483,32 @@ def test_build_criterion_roundtrip():
         build_criterion("cvar")
     with pytest.raises(DomainError):
         build_criterion("mean", alpha=0.3)
+
+
+_EVERY_KIND_PARAMS = {"r": 0.0, "theta": 0.5, "rho": 0.8, "eps_sigma": 0.5, "alpha": 0.25}
+
+
+@pytest.mark.parametrize("kind", sorted(criteria_module._FACTORIES))
+def test_evaluate_returns_a_python_float_on_every_distribution_kind(kind):
+    # CSV cells are written with str(): a numpy scalar would print as np.float64(...)
+    names = criteria_module._FACTORIES[kind][1]
+    crit = build_criterion(kind, **{n: _EVERY_KIND_PARAMS[n] for n in names})
+    catalog = distribution_catalog()
+    dists = catalog + [
+        Gaussian(0, 1),
+        PointMass(1),
+        Uniform(0, 1),
+        TwoPoint(0.5, 0, 1),
+        MixtureDistribution([Uniform(0.0, 1.0), PointMass(0.05)], [0.5, 0.5]),
+        MixtureDistribution([catalog[0], catalog[4], catalog[5]], [0.2, 0.5, 0.3]),
+    ]
+    for f in dists:
+        try:
+            value = crit.evaluate(f)
+        except DomainError:
+            continue
+        assert type(value) is float, (f, value)
+        assert type(f.cdf_integral_below(0.5)) is float, f
 
 
 # ---------------------------------------------------------------------------

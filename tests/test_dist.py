@@ -516,6 +516,8 @@ def test_mixture_weight_validation():
         MixtureDistribution(arms, [0.7, 0.4])
     with pytest.raises(DomainError):
         MixtureDistribution(arms, [-0.1, 1.1])
+    with pytest.raises(DomainError):
+        MixtureDistribution(arms, [math.nan, 1.0])
     m = MixtureDistribution(arms, [0.5 + 4e-13, 0.5])  # within tolerance: renormalized
     assert float(np.sum(m.weights)) == pytest.approx(1.0, abs=0)
 
@@ -540,6 +542,150 @@ def test_proxy_distribution_weights():
     assert np.allclose(proxy_distribution(arms, [1, 1, 2], 4).weights, [0.25, 0.25, 0.5])
     with pytest.raises(DomainError):
         proxy_distribution(arms, [1, 1, 1], 4)
+
+
+# ---------------------------------------------------------------------------
+# The mixture kernel against the per-component loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def loop_mixture_cdf(m, y, left=False):
+    """``sum_i p_i F_i(y)``, one component at a time, skipping zero weights."""
+    y = np.asarray(y, dtype=float)
+    out = np.zeros(y.shape, dtype=float)
+    for w, c in zip(m.weights, m.components):
+        if w > 0:
+            out += w * np.asarray(c.cdf_left(y) if left else c.cdf(y))
+    return out if out.ndim else float(out)
+
+
+def scalar_bisect(m, target, strict, lo, hi):
+    """Bisection with one scalar CDF call per midpoint."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        v = loop_mixture_cdf(m, mid)
+        if (v > target) if strict else (v >= target):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def reference_quantile(m, alpha):
+    qs = [c.quantile(alpha) for w, c in zip(m.weights, m.components) if w > 0]
+    lo = min(qs)
+    lo -= max(1e-9, 1e-12 * abs(lo))
+    return scalar_bisect(m, alpha, False, lo, max(qs))
+
+
+def reference_upper_quantile(m, c):
+    qs = [d.upper_quantile(c) for w, d in zip(m.weights, m.components) if w > 0]
+    lo, hi = min(qs), max(qs)
+    lo -= max(1e-9, 1e-12 * abs(lo))
+    hi += max(1e-9, 1e-12 * abs(hi))
+    return scalar_bisect(m, c, True, lo, hi)
+
+
+def random_component(r, kinds):
+    kind = kinds[int(r.integers(len(kinds)))]
+    if kind == "gaussian":
+        return Gaussian(float(r.normal(0.0, 2.0)), float(r.uniform(0.2, 3.0)))
+    if kind == "empirical":
+        return EmpiricalDistribution(r.normal(0.0, 2.0, size=int(r.integers(1, 40))))
+    return distribution_catalog()[int(r.integers(2, 9))]  # the knot-table kinds
+
+
+def random_mixture(r, kinds):
+    k = int(r.integers(1, 13))
+    comps = [random_component(r, kinds) for _ in range(k)]
+    w = r.dirichlet(np.ones(k))
+    if k > 1 and r.random() < 0.3:
+        w[int(r.integers(k))] = 0.0
+    return MixtureDistribution(comps, w / w.sum())
+
+
+def probes(r, m):
+    lo, hi = m.support_bounds()
+    inside = r.uniform(lo - 1.0, hi + 1.0, size=60)
+    return np.concatenate([inside, m.breakpoints(), [-np.inf, np.inf]])
+
+
+MIXTURE_KINDS = {
+    "gaussian": ["gaussian"],
+    "piecewise": ["table", "empirical"],
+    "mixed": ["gaussian", "table", "empirical"],
+}
+
+
+@pytest.mark.parametrize("kinds", MIXTURE_KINDS.values(), ids=MIXTURE_KINDS.keys())
+def test_mixture_kernel_is_bit_identical_to_the_component_loop(kinds):
+    r = rng(61)
+    for _ in range(150):
+        m = random_mixture(r, kinds)
+        ys = probes(r, m)
+        for left, method in ((False, m.cdf), (True, m.cdf_left)):
+            want = loop_mixture_cdf(m, ys, left)
+            assert np.array_equal(method(ys), want)
+            assert np.array_equal(method(ys[:60].reshape(3, 20)), want[:60].reshape(3, 20))
+            # a lone float takes the kernel's scalar path
+            for y in [*ys[::7].tolist(), *m.breakpoints()[:4].tolist(), -math.inf, math.inf]:
+                got = method(y)
+                assert type(got) is float
+                assert got == loop_mixture_cdf(m, y, left)
+
+
+def test_mixture_cdf_of_nan_is_nan_on_both_paths():
+    # the loop gave 1.0 for an empirical component (searchsorted sorts NaN last)
+    r = rng(65)
+    for _ in range(20):
+        m = random_mixture(r, MIXTURE_KINDS["mixed"])
+        for method in (m.cdf, m.cdf_left):
+            assert math.isnan(method(math.nan))
+            assert np.isnan(method(np.array([0.0, math.nan])))[1]
+
+
+def test_nested_mixture_stays_within_ulps_of_the_component_loop():
+    # a nested mixture's components join the kernel with the product of the
+    # weights, so its sums round differently: at most 3 ulp measured
+    r = rng(62)
+    for _ in range(100):
+        inner = [random_mixture(r, MIXTURE_KINDS["mixed"]) for _ in range(2)]
+        m = MixtureDistribution([inner[0], Gaussian(0.5, 2.0), inner[1]], r.dirichlet(np.ones(3)))
+        ys = probes(r, m)[:-2]
+        for left, method in ((False, m.cdf), (True, m.cdf_left)):
+            want = loop_mixture_cdf(m, ys, left)
+            assert np.all(np.abs(method(ys) - want) <= 8 * np.spacing(want))
+
+
+@pytest.mark.parametrize("kinds", [["gaussian"], ["gaussian", "table", "empirical"]],
+                         ids=["gaussian", "mixed"])
+def test_block_bisection_is_bit_identical_to_scalar_bisection(kinds):
+    r = rng(63)
+    for _ in range(100):
+        m = random_mixture(r, kinds)
+        if m.as_piecewise() is not None:
+            continue  # no Gaussian weight: the merged table answers
+        for level in r.uniform(0.0, 1.0, size=4):
+            level = float(level)
+            got = m.quantile(level)
+            assert type(got) is float
+            assert got == reference_quantile(m, level)
+            assert m.upper_quantile(level) == reference_upper_quantile(m, level)
+
+
+def test_knot_table_mixture_merges_as_the_component_loop():
+    # quantiles and level sets of a knot-table mixture come from one table
+    # over every component's knots, with the component sums as its values
+    r = rng(64)
+    for _ in range(100):
+        m = random_mixture(r, MIXTURE_KINDS["piecewise"])
+        ys = np.unique(np.concatenate([c.as_piecewise().ys for c in m.components]))
+        want = PiecewiseLinearCDF(ys, loop_mixture_cdf(m, ys, left=True), loop_mixture_cdf(m, ys))
+        got = m.as_piecewise()
+        for attr in ("ys", "fl", "fr", "_interp_fs"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
 # ---------------------------------------------------------------------------

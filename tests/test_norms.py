@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 from scipy.special import ndtr
 
+from riskbandits import norms
+from riskbandits.checks import _random_empirical, _random_mixture
 from riskbandits.dist import (
     EmpiricalDistribution,
     Gaussian,
@@ -21,7 +24,7 @@ from riskbandits.norms import (
     sup_distance,
 )
 
-from conftest import bad1_arm_wide, rng
+from conftest import bad1_arm_wide, distribution_catalog, rng
 
 BOTH_TAILS = NormSpec((SemiNormFunctional("lower-tail"), SemiNormFunctional("upper-tail")))
 
@@ -162,3 +165,81 @@ def test_two_point_vs_uniform_exact():
     g = Uniform(0.0, 1.0)
     # |F-G| peaks approaching the atoms: 0.5 at y -> 0+ and y -> 1-
     assert sup_distance(f, g) == pytest.approx(0.5, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The zoom pass against the per-interval Brent loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def brent_loop_sup_distance(f, g):
+    """Candidates, the 33-point coarse pass, then a bounded Brent search on
+    every interval within 1e-2 of the best value."""
+    pts = norms._candidate_points(f, g)
+    d_right = np.abs(np.asarray(f.cdf(pts)) - np.asarray(g.cdf(pts)))
+    d_left = np.abs(np.asarray(f.cdf_left(pts)) - np.asarray(g.cdf_left(pts)))
+    best = float(max(d_right.max(), d_left.max()))
+    needs_refine = (f.has_smooth_part and (g.has_smooth_part or g.has_sloped_part)) or (
+        g.has_smooth_part and (f.has_smooth_part or f.has_sloped_part)
+    )
+    if needs_refine and len(pts) > 1:
+        a, b = pts[:-1], pts[1:]
+        keep = b - a > 1e-12
+        a, b = a[keep], b[keep]
+        grid = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 33)[None, :]
+        flat = grid.ravel()
+        coarse = np.abs(np.asarray(f.cdf(flat)) - np.asarray(g.cdf(flat))).reshape(grid.shape)
+        per_interval = coarse.max(axis=1)
+        best = max(best, float(per_interval.max()))
+
+        def neg_abs_diff(y):
+            return -abs(float(f.cdf(y)) - float(g.cdf(y)))
+
+        for i in np.flatnonzero(per_interval >= best - 1e-2):
+            res = minimize_scalar(
+                neg_abs_diff, bounds=(a[i], b[i]), method="bounded", options={"xatol": 1e-11}
+            )
+            best = max(best, -float(res.fun))
+    return best
+
+
+ACCEPTANCE_8_ARMS = {
+    "mixed": [Gaussian(0.5, 1.0), Uniform(-1.0, 2.0), TwoPoint(0.3, -1.0, 3.0)],
+    "positive": [Gaussian(1.0, 1.0), Uniform(0.5, 2.0), TwoPoint(0.5, 0.2, 3.0)],
+    "close-gaussians": [Gaussian(0.0, 1.0), Gaussian(0.1, 1.0)],
+}
+
+
+def sup_corpus():
+    catalog = distribution_catalog()
+    pairs = [(f, g) for f in catalog for g in catalog]
+    r = rng(71)
+    for arms in ACCEPTANCE_8_ARMS.values():  # the pairs the modulus suite draws
+        for _ in range(60):
+            f = _random_mixture(r, arms)
+            g = _random_mixture(r, arms) if r.random() < 0.5 else _random_empirical(r, arms)
+            pairs.append((f, g))
+    for _ in range(100):
+        f, g = (
+            MixtureDistribution(
+                [Gaussian(float(r.normal()), float(r.uniform(0.3, 2.0))),
+                 Uniform(*np.sort(r.normal(size=2)))],
+                r.dirichlet(np.ones(2)),
+            )
+            for _ in range(2)
+        )
+        pairs.append((f, g))
+    return pairs
+
+
+def test_sup_distance_never_falls_below_the_brent_loop(monkeypatch):
+    calls = []
+    brent = norms.minimize_scalar
+    monkeypatch.setattr(
+        norms, "minimize_scalar", lambda *a, **k: calls.append(1) or brent(*a, **k)
+    )
+    pairs = sup_corpus()
+    for f, g in pairs:
+        assert sup_distance(f, g) >= brent_loop_sup_distance(f, g)
+    # the polish runs only where the zoom found the best value
+    assert len(calls) <= len(pairs)
