@@ -12,7 +12,6 @@ processes.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -41,10 +40,6 @@ _BISECT_DEPTH = 7
 
 # Density of the standard normal at 0 and friends.
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-# standard scores of the probe points bracketing a Gaussian's sup-distance extrema
-_PROBE_Z = np.linspace(-8.0, 8.0, 33)
 
 
 def _norm_pdf(z):
@@ -238,7 +233,7 @@ class Gaussian(RewardDistribution):
         return np.array([])
 
     def smooth_probe_points(self):
-        return self.mean_value + self.stddev * _PROBE_Z
+        return self.mean_value + self.stddev * np.linspace(-8.0, 8.0, 33)
 
     def support_bounds(self):
         return (self.mean_value - 9 * self.stddev, self.mean_value + 9 * self.stddev)
@@ -662,124 +657,64 @@ class _MixtureKernel:
     """The CDF rows of a mixture's components, one per leaf component.
 
     Nested mixtures are expanded into their components (leaf weight = the
-    outer weight times ``scale``).  The Gaussian leaves form a bank of mean
-    and stddev columns, whose rows are one ``ndtr`` call.  Every other leaf
-    is a knot table (``as_piecewise``); over the union of their knots each
-    table's ``np.interp`` segment (start, value at the start, slope) is
-    tabulated per union interval, with its left limit at each union knot,
-    so one ``searchsorted`` places a probe on every row's segment, where
-    ``slope * (y - start) + value`` is interp's own formula.  The kernel
-    depends on the components only, not on the weights: mixtures of the
-    same components (every proxy of a run, every mixture a check draws)
-    share one (``_kernel_for``).
+    outer weight times ``scale``, the leaf's weight in the inner mixture).
+    The Gaussian leaves form a bank of mean and stddev columns, whose rows
+    are one ``ndtr`` call.  Every other leaf gives its own row by its own
+    ``cdf``, so the kernel copies no component's table.
     """
 
     def __init__(self, components):
         leaves = []  # (owner, scale, component)
         for i, c in enumerate(components):
             if isinstance(c, MixtureDistribution):
-                inner = _kernel_for(c.components)
-                leaves += [(i, w * s, d) for w, s, d in
-                           zip(c.weights[inner.owner], inner.scale, inner.components)]
+                inner, weights = c._rows()
+                leaves += [(i, w, d) for w, d in zip(weights, inner.components)]
             else:
                 leaves.append((i, 1.0, c))
         self.owner = np.array([i for i, _, _ in leaves])
         self.scale = np.array([s for _, s, _ in leaves])
         self.components = [c for _, _, c in leaves]
         gauss = [i for i, c in enumerate(self.components) if isinstance(c, Gaussian)]
-        self.gauss_rows = np.array(gauss, dtype=int)
+        self.gauss_rows = gauss
         self.mu = np.array([self.components[i].mean_value for i in gauss], dtype=float)[:, None]
         self.sd = np.array([self.components[i].stddev for i in gauss], dtype=float)[:, None]
-        self.table_rows = np.setdiff1d(np.arange(len(leaves)), self.gauss_rows)
-        # component order of the rows stacked Gaussians first
-        self.order = np.argsort(np.concatenate([self.gauss_rows, self.table_rows]))
-        tables = [self.components[i].as_piecewise() for i in self.table_rows]
-        if any(t is None for t in tables):
-            raise DomainError("mixture components must be Gaussian, knot tables or mixtures")
-        self.knots = np.unique(np.concatenate([t.ys for t in tables])) if tables else np.array([])
-        # interval q of the union knots starts at edges[q]
-        self.edges = np.concatenate([[-np.inf], self.knots])
-        self.segments = np.zeros((3, len(tables), len(self.edges)))  # start, value, slope
-        self.left = np.zeros((len(tables), len(self.edges)))
-        self.own_knot = np.zeros((len(tables), len(self.knots)), dtype=bool)
-        for r, t in enumerate(tables):
-            xs, fs = t._interp_ys, t._interp_fs
-            own = np.searchsorted(t.ys, self.edges, side="right")  # own knots <= edge
-            inner = (own > 0) & (own < len(t.ys))
-            j = 2 * own[inner] - 1  # interp's segment index: xs[j] <= y < xs[j + 1]
-            self.segments[0, r, inner] = xs[j]
-            self.segments[1, r] = np.where(own == len(t.ys), fs[-1], fs[0])
-            self.segments[1, r, inner] = fs[j]
-            self.segments[2, r, inner] = (fs[j + 1] - fs[j]) / (xs[j + 1] - xs[j])
-            self.left[r, 1:] = t.cdf_left(self.knots)
-            self.own_knot[r] = np.isin(self.knots, t.ys)
-        # the same tables as Python floats, for one probe at a time
-        self.knot_list = self.knots.tolist()
-        self.segment_rows = self.segments.transpose(1, 2, 0).tolist()  # [row][interval]
-        self.left_rows = self.left.tolist()
+        self.others = [(i, c) for i, c in enumerate(self.components)
+                       if not isinstance(c, Gaussian)]
 
     def cdf(self, y, weights, left):
         """Mixture CDF (or left limit) at the 1-d array ``y``; ``weights`` is
-        the column of leaf weights."""
-        rows = []
-        if len(self.gauss_rows):
-            rows.append(ndtr((y - self.mu) / self.sd))
-        if len(self.table_rows):
-            q = self.knots.searchsorted(y, "right")
-            start, value, slope = self.segments.take(q, axis=2)
-            # every row is flat beyond the knots, with start 0: probe +-inf at 0
-            line = slope * (np.where(np.isinf(y), 0.0, y) - start) + value
-            if left:
-                line = np.where(self.edges[q] == y, self.left.take(q, axis=1), line)
-            rows.append(line)
-        rows = rows[0] if len(rows) == 1 else np.concatenate(rows).take(self.order, axis=0)
+        the array of leaf weights."""
+        rows = [None] * len(self.components)
+        if self.gauss_rows:
+            for i, row in zip(self.gauss_rows, ndtr((y - self.mu) / self.sd)):
+                rows[i] = row
+        for i, c in self.others:
+            rows[i] = c.cdf_left(y) if left else c.cdf(y)
         # a sequential sum in component order, as a loop over the components;
         # a zero weight adds +0.0, which changes no sum
-        return (weights * rows).cumsum(axis=0)[-1]
-
-    def cdf_at(self, y, weights, left):
-        """``cdf`` at one float ``y``, with the same operations on Python
-        floats: a lone probe (a Brent search step) then costs a few numpy
-        calls, not twenty.  ``weights`` is the list of leaf weights."""
-        rows = [0.0] * len(self.components)
-        if len(self.gauss_rows):
-            z = ndtr((y - self.mu[:, 0]) / self.sd[:, 0]).tolist()
-            for i, v in zip(self.gauss_rows.tolist(), z):
-                rows[i] = v
-        q = bisect.bisect_right(self.knot_list, y)
-        at_knot = left and q > 0 and self.knot_list[q - 1] == y
-        for i, segments, lefts in zip(self.table_rows.tolist(), self.segment_rows, self.left_rows):
-            start, value, slope = segments[q]
-            if at_knot:
-                rows[i] = lefts[q]
-            else:
-                rows[i] = value if math.isinf(y) else slope * (y - start) + value
         out = weights[0] * rows[0]
-        for w, v in zip(weights[1:], rows[1:]):
-            out += w * v
+        for w, row in zip(weights[1:], rows[1:]):
+            out += w * row
         return out
-
-
-@functools.lru_cache(maxsize=64)
-def _kernel_for(components: tuple) -> _MixtureKernel:
-    return _MixtureKernel(components)
 
 
 class MixtureDistribution(RewardDistribution):
     """Convex combination ``F_p = sum_i p_i F_i`` of component distributions.
 
-    The CDF is one kernel over two banks (``_MixtureKernel``): Gaussian
-    components in one ``ndtr`` call, knot-table components in one
-    ``searchsorted`` into their union knots.  The component rows are
-    summed in component order by a sequential reduction, so the values are
-    those of summing ``p_i F_i(y)`` component by component, bit for bit;
-    nested mixtures are expanded into their components, whose weights
-    multiply.  The kernel is fetched on first use, not on construction: a
-    proxy mixture is built at every checkpoint and may only be sampled.  A
-    mixture of knot tables also merges into one ``PiecewiseLinearCDF``
-    that answers its quantiles and level sets; with a Gaussian component
-    those are solved by block bisection on the kernel.  Moments and tail
-    integrals are the weighted sums of the components' own exact values.
+    The CDF is one kernel (``_MixtureKernel``): Gaussian components in one
+    ``ndtr`` call, every other component by its own ``cdf``, and the rows
+    summed in component order, so the values are those of summing
+    ``p_i F_i(y)`` component by component, bit for bit; nested mixtures
+    are expanded into their components, whose weights multiply.  A CDF
+    call at ``n`` points holds the Gaussian rows (``n`` floats per
+    Gaussian component) and a few ``n``-float rows besides.  The kernel is
+    built on first use, not on construction: a proxy mixture is built at
+    every checkpoint and may only be sampled.  A mixture of knot tables
+    also merges into one ``PiecewiseLinearCDF`` over the union of the
+    knots, which answers its quantiles and level sets; with a Gaussian
+    component those are solved by block bisection on the kernel.  Moments
+    and tail integrals are the weighted sums of the components' own exact
+    values.
     """
 
     def __init__(self, components, weights):
@@ -803,26 +738,26 @@ class MixtureDistribution(RewardDistribution):
         self._merged = None
 
     def _rows(self):
-        """The kernel and the column of its leaf weights."""
+        """The kernel and the array of its leaf weights."""
         if self._kernel is None:
-            k = _kernel_for(self.components)
-            self._kernel = (k, (self.weights[k.owner] * k.scale)[:, None])
+            k = _MixtureKernel(self.components)
+            self._kernel = (k, self.weights[k.owner] * k.scale)
         return self._kernel
 
     def _evaluate(self, y, left):
         k, weights = self._rows()
-        if np.ndim(y) == 0:
-            return float(k.cdf_at(float(y), weights[:, 0].tolist(), left))
         y = np.asarray(y, dtype=float)
-        return k.cdf(y.reshape(-1), weights, left).reshape(y.shape)
+        out = k.cdf(y.reshape(-1), weights, left).reshape(y.shape)
+        return out if out.ndim else float(out)
 
     def _merged_piecewise(self):
-        """The mixture as one knot table, or None with a Gaussian component."""
-        k, _ = self._rows()
-        if self._merged is None and len(k.gauss_rows) == 0:
+        """The mixture as one knot table, or None with a smooth component."""
+        if self._merged is None and not self.has_smooth_part:
             # over every component's knots, zero weights included
-            fl = self._evaluate(k.knots, True)
-            self._merged = PiecewiseLinearCDF(k.knots, fl, self._evaluate(k.knots, False))
+            k, _ = self._rows()
+            knots = np.unique(np.concatenate([c.breakpoints() for c in k.components]))
+            fl = self._evaluate(knots, True)
+            self._merged = PiecewiseLinearCDF(knots, fl, self._evaluate(knots, False))
         return self._merged
 
     def cdf(self, y):
@@ -928,26 +863,27 @@ class MixtureDistribution(RewardDistribution):
     def cdf_integral_below(self, v):
         return self._weighted(lambda c: c.cdf_integral_below(v))
 
-    def _positive_leaves(self):
-        """Masks of the Gaussian and the knot-table leaves of positive weight."""
-        k, weights = self._rows()
-        positive = weights[:, 0] > 0
-        return k, positive[k.gauss_rows], positive[k.table_rows]
-
     def breakpoints(self):
-        k, _, tables = self._positive_leaves()
-        return k.knots[k.own_knot[tables].any(axis=0)]
+        parts = [c.breakpoints() for w, c in zip(self.weights, self.components) if w > 0]
+        parts = [p for p in parts if len(p)]
+        if not parts:
+            return np.array([])
+        return np.unique(np.concatenate(parts))
 
     def smooth_probe_points(self):
-        k, gauss, _ = self._positive_leaves()
-        return np.unique(k.mu[gauss] + k.sd[gauss] * _PROBE_Z)
+        parts = [
+            c.smooth_probe_points()
+            for w, c in zip(self.weights, self.components)
+            if w > 0
+        ]
+        parts = [p for p in parts if len(p)]
+        if not parts:
+            return np.array([])
+        return np.unique(np.concatenate(parts))
 
     def support_bounds(self):
-        k, gauss, _ = self._positive_leaves()
-        knots = self.breakpoints()
-        lo = np.concatenate([k.mu[gauss, 0] - 9 * k.sd[gauss, 0], knots[:1]])
-        hi = np.concatenate([k.mu[gauss, 0] + 9 * k.sd[gauss, 0], knots[-1:]])
-        return (float(lo.min()), float(hi.max()))
+        bounds = [c.support_bounds() for w, c in zip(self.weights, self.components) if w > 0]
+        return (min(b[0] for b in bounds), max(b[1] for b in bounds))
 
     def _level_set(self, alpha):
         merged = self._merged_piecewise()

