@@ -54,7 +54,6 @@ from .policy import (
     UcbPolicy,
     phi,
     phi_inv,
-    ucb_select,
 )
 from .sim import (
     Episode,

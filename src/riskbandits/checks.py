@@ -99,7 +99,7 @@ def _random_empirical(rng, arms):
 
 def condition_c1(criterion: RiskCriterion, arms) -> CheckResult:
     """Criterion values and bound-norm functionals finite on every arm."""
-    worst = ""
+    values = []
     for i, arm in enumerate(arms):
         try:
             value = criterion.evaluate(arm)
@@ -110,7 +110,8 @@ def condition_c1(criterion: RiskCriterion, arms) -> CheckResult:
         nv = norm_value(arm, criterion.norm_spec)
         if not math.isfinite(nv):
             return CheckResult("C1", False, f"arm {i}: bound norm is infinite")
-        worst = f"max |value| = {max(abs(criterion.evaluate(a)) for a in arms):.6g}"
+        values.append(value)
+    worst = f"max |value| = {max(map(abs, values)):.6g}" if values else ""
     return CheckResult("C1", True, worst)
 
 

@@ -334,11 +334,10 @@ class PiecewiseLinearCDF(RewardDistribution):
         if k >= len(self.ys):
             return float(self.ys[-1])
         if self.fl[k] >= alpha and k > 0:
+            # searchsorted gives fr[k-1] < alpha <= fl[k]: a rising segment
             f0, f1 = self.fr[k - 1], self.fl[k]
-            if f1 > f0:
-                t = (alpha - f0) / (f1 - f0)
-                return float(self.ys[k - 1] + t * (self.ys[k] - self.ys[k - 1]))
-            return float(self.ys[k - 1]) if f0 >= alpha else float(self.ys[k])
+            t = (alpha - f0) / (f1 - f0)
+            return float(self.ys[k - 1] + t * (self.ys[k] - self.ys[k - 1]))
         return float(self.ys[k])
 
     def upper_quantile(self, c):
@@ -365,10 +364,8 @@ class PiecewiseLinearCDF(RewardDistribution):
         out = self.ys[ks].copy()
         interp = (ks > 0) & (self.fl[ks] >= u)
         k = ks[interp]
-        f0 = self.fr[k - 1]
-        f1 = self.fl[k]
-        slope_ok = f1 > f0
-        t = np.where(slope_ok, (u[interp] - f0) / np.where(slope_ok, f1 - f0, 1.0), 1.0)
+        f0 = self.fr[k - 1]  # fr[k-1] < u <= fl[k], as in _quantile
+        t = (u[interp] - f0) / (self.fl[k] - f0)
         out[interp] = self.ys[k - 1] + t * (self.ys[k] - self.ys[k - 1])
         return out
 
@@ -574,13 +571,16 @@ class EmpiricalDistribution(RewardDistribution):
         return out
 
     def cdf(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.searchsorted(self.samples, y, side="right") / self.t
-        return out if out.ndim else float(out)
+        return self._step(y, "right")
 
     def cdf_left(self, y):
+        return self._step(y, "left")
+
+    def _step(self, y, side):
         y = np.asarray(y, dtype=float)
-        out = np.searchsorted(self.samples, y, side="left") / self.t
+        out = np.searchsorted(self.samples, y, side=side) / self.t
+        # searchsorted sorts NaN last, past every sample
+        out = np.where(np.isnan(y), np.nan, out)
         return out if out.ndim else float(out)
 
     def _quantile(self, alpha):

@@ -6,29 +6,25 @@ A ``Policy`` is an immutable configuration.  Open-loop policies (stationary
 play, the Bad2 schedule) ignore rewards, so ``pull_counts`` hands over the
 pull counts at every checkpoint in one call.  Closed-loop policies (optimism,
 the Bad1 schedule) return ``None`` there; their ``start`` produces a
-per-episode session that selects purely from the :class:`PolicyState`, which
-contains only past observations, so replaying a recorded trajectory
-reproduces every decision.
+per-episode session, which is the episode's whole state: a
+:class:`PolicyState` (pull counts and step) whose ``update`` hands each
+reward to the session exactly once, and whose ``select`` picks the next arm
+from past observations only, so replaying a recorded trajectory reproduces
+every decision.
 
-``PolicyState`` keeps each arm's rewards in arrival order (O(1) per update)
-and sorts only on demand.  Sessions keep their own running summaries, fed
-from the rewards that arrived since their last decision: the optimism
-session holds one criterion accumulator per arm and re-scores only the arm
-that changed; the Bad1 session counts low rewards.  The stateless
-``ucb_select`` re-scores every arm from its full sample and is the
-reference the session is tested against.
+The optimism session folds each reward into the pulled arm's criterion
+accumulator and re-scores that arm at the next ``select``; the Bad1 session
+counts low rewards.  No session keeps the rewards themselves.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .criteria import RiskCriterion
-from .dist import EmpiricalDistribution
 from .errors import DomainError, add_context
 
 __all__ = [
@@ -41,7 +37,6 @@ __all__ = [
     "SimplePolicy",
     "Bad1OraclePolicy",
     "Bad2OraclePolicy",
-    "ucb_select",
 ]
 
 
@@ -85,10 +80,12 @@ def phi_inv(params, x: float) -> float:
 
 
 class PolicyState:
-    """Per-episode observation record: pull counts and each arm's rewards.
+    """Per-episode pull record: arm count ``k``, step ``t`` and
+    ``pull_counts`` (a list of ints).
 
-    ``rewards[i]`` holds arm i's rewards in arrival order.  Single-owner
-    mutable within one episode; episodes never share state.
+    ``update`` counts one pull and passes its reward to ``_observe``, the
+    hook where a closed-loop session folds it into its own summary.
+    Single-owner mutable within one episode; episodes never share state.
     """
 
     def __init__(self, k: int):
@@ -96,25 +93,17 @@ class PolicyState:
             raise DomainError(f"need at least one arm, got {k}")
         self.k = k
         self.t = 0
-        self.pull_counts = np.zeros(k, dtype=np.int64)
-        self.rewards = [array("d") for _ in range(k)]
+        self.pull_counts = [0] * k
 
     def update(self, arm: int, reward: float) -> None:
         if not (0 <= arm < self.k):
             raise DomainError(f"arm index {arm} out of range [0, {self.k})")
         self.pull_counts[arm] += 1
-        self.rewards[arm].append(reward)
         self.t += 1
+        self._observe(arm, reward)
 
-    def empirical(self, arm: int) -> EmpiricalDistribution:
-        """Stable snapshot of one arm's empirical distribution."""
-        if self.pull_counts[arm] == 0:
-            raise DomainError(f"arm {arm} has no observations yet")
-        return EmpiricalDistribution(self.rewards[arm])
-
-    def count_le(self, y: float) -> int:
-        """Number of pooled rewards <= y (exact step-CDF numerator)."""
-        return sum(int(np.count_nonzero(np.asarray(r) <= y)) for r in self.rewards)
+    def _observe(self, arm: int, reward: float) -> None:
+        """Take one reward of ``arm``; the bare record keeps nothing."""
 
 
 class Policy:
@@ -125,42 +114,42 @@ class Policy:
         """Pull counts (len(checkpoints), k), or None for closed-loop play."""
         return None
 
-    def start(self, k: int, criterion: RiskCriterion, rng: np.random.Generator):
-        """Per-episode session whose ``select(state)`` picks the next arm."""
+    def start(self, k: int, criterion: RiskCriterion) -> PolicyState:
+        """Per-episode session whose ``select()`` picks the next arm."""
         raise NotImplementedError
 
 
-class _UcbSession:
-    """Optimism session: one criterion accumulator per arm, fed the arm's
-    new rewards and re-scored only when it has some."""
+class _UcbSession(PolicyState):
+    """Optimism session: one criterion accumulator per arm, fed each reward
+    on ``update`` and re-scored at the next ``select``."""
 
     def __init__(self, k, criterion, params):
-        self.k = k
+        super().__init__(k)
         self.criterion = criterion
         self.params = params
         self._summaries = [criterion.accumulator() for _ in range(k)]
         self._values = [0.0] * k
-        self._scored_at = [0] * k  # sample count behind each value
+        self._stale = []  # arms updated since their last score
 
-    def select(self, state: PolicyState) -> int:
-        if state.t < self.k:
-            return state.t  # one initialization pull per arm
+    def _observe(self, arm, reward):
+        self._summaries[arm].push(reward)
+        self._stale.append(arm)
+
+    def select(self) -> int:
+        for i in self._stale:
+            try:
+                self._values[i] = self.criterion.evaluate(self._summaries[i])
+            except Exception as exc:
+                add_context(exc, f"criterion failed on arm {i}")
+                raise
+        self._stale.clear()
+        if self.t < self.k:
+            return self.t  # one initialization pull per arm
         params = self.params
-        log_t = math.log(state.t + 1)
+        log_t = math.log(self.t + 1)
         best_arm = 0
         best_index = -math.inf
-        for i, summary in enumerate(self._summaries):
-            rewards = state.rewards[i]
-            n = len(rewards)
-            if self._scored_at[i] != n:
-                for x in rewards[summary.t :]:
-                    summary.push(x)
-                try:
-                    self._values[i] = self.criterion.evaluate(summary)
-                except Exception as exc:
-                    add_context(exc, f"criterion failed on arm {i}")
-                    raise
-                self._scored_at[i] = n
+        for i, n in enumerate(self.pull_counts):
             index = self._values[i] + phi_inv(params, params.ucb_alpha * log_t / n)
             if index > best_index:
                 best_index = index
@@ -174,7 +163,7 @@ class UcbPolicy(Policy):
 
     params: UcbParams
 
-    def start(self, k, criterion, rng):
+    def start(self, k, criterion):
         return _UcbSession(k, criterion, self.params)
 
 
@@ -205,23 +194,22 @@ class SimplePolicy(Policy):
         return np.cumsum([np.bincount(s, minlength=k) for s in segments], axis=0)
 
 
-class _Bad1OracleSession:
+class _Bad1OracleSession(PolicyState):
     LEVEL = 0.1
     THRESHOLD = 1.0
 
     def __init__(self):
+        super().__init__(2)
         self.low_count = 0  # pooled rewards <= THRESHOLD seen so far
-        self._seen = [0, 0]
 
-    def select(self, state: PolicyState) -> int:
-        for i, rewards in enumerate(state.rewards):
-            for x in rewards[self._seen[i] :]:
-                if x <= self.THRESHOLD:
-                    self.low_count += 1
-            self._seen[i] = len(rewards)
-        if state.t == 0:
+    def _observe(self, arm, reward):
+        if reward <= self.THRESHOLD:
+            self.low_count += 1
+
+    def select(self) -> int:
+        if self.t == 0:
             return 1
-        t_now = state.t + 1
+        t_now = self.t + 1
         worst_case = (self.low_count + 1) / t_now
         return 1 if worst_case >= self.LEVEL else 0
 
@@ -234,7 +222,7 @@ class Bad1OraclePolicy(Policy):
     rides the wide arm.  Keeps ``F_hat(1) < 0.1`` for the whole horizon.
     """
 
-    def start(self, k, criterion, rng):
+    def start(self, k, criterion):
         if k != 2:
             raise DomainError("this oracle schedule is defined for exactly 2 arms")
         return _Bad1OracleSession()
@@ -248,30 +236,3 @@ class Bad2OraclePolicy(Policy):
             raise DomainError("this oracle schedule is defined for exactly 2 arms")
         return np.array([(1, c - 1) for c in checkpoints], dtype=np.int64)
 
-
-# -- functional forms of the selection rules (contract surface) -------------
-
-
-def ucb_select(state: PolicyState, criterion: RiskCriterion, params: UcbParams) -> int:
-    """Stateless optimism selection: recomputes every arm's score from its
-    full sorted sample.
-
-    The reference for the episode runner's session, which scores running
-    summaries instead; ties break to the lowest arm index.
-    """
-    if state.t < state.k:
-        return state.t
-    t_now = state.t + 1
-    best_arm = 0
-    best_index = -math.inf
-    for i in range(state.k):
-        try:
-            value = criterion.evaluate(state.empirical(i))
-        except Exception as exc:
-            add_context(exc, f"criterion failed on arm {i}")
-            raise
-        bonus = phi_inv(params, params.ucb_alpha * math.log(t_now) / state.pull_counts[i])
-        if value + bonus > best_index:
-            best_index = value + bonus
-            best_arm = i
-    return best_arm

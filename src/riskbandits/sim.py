@@ -2,8 +2,10 @@
 
 Open-loop policies hand over the pull counts at every checkpoint
 (``Policy.pull_counts``) and each arm then draws its rewards in one call;
-closed-loop policies play their ``start`` session step by step.  One
-evaluator scores each checkpoint from the pull counts and the arm rewards.
+closed-loop policies play their ``start`` session step by step, handing it
+each reward once.  The session holds the episode's pull counts; the runner
+holds the rewards.  One evaluator scores each checkpoint from the pull
+counts and the arm rewards.
 
 All randomness descends from one base seed: episode ``rep`` of an
 experiment derives stream ``j`` from
@@ -25,7 +27,7 @@ import numpy as np
 from .criteria import RiskCriterion
 from .dist import EmpiricalDistribution, proxy_distribution
 from .errors import DomainError, add_context
-from .policy import Policy, PolicyState
+from .policy import Policy
 
 __all__ = [
     "Episode",
@@ -126,7 +128,7 @@ def run_episode(
     policy_rng, arm_rngs = _episode_streams(seed, rep, k)
     tau = policy.pull_counts(k, checkpoints, policy_rng)
     if tau is None:
-        tau, draws = _play_closed_loop(arms, policy, criterion, checkpoints, policy_rng, arm_rngs)
+        tau, draws = _play_closed_loop(arms, policy, criterion, checkpoints, arm_rngs)
     else:
         draws = [a.sample(r, n) if n else np.empty(0) for a, r, n in zip(arms, arm_rngs, tau[-1])]
 
@@ -148,26 +150,25 @@ def run_episode(
     return Episode(seed, rep, horizon, checkpoints, tau, pooled_values, proxy_values, flagged)
 
 
-def _play_closed_loop(arms, policy, criterion, checkpoints, policy_rng, arm_rngs):
+def _play_closed_loop(arms, policy, criterion, checkpoints, arm_rngs):
     """Pull counts at the checkpoints and each arm's rewards in draw order.
 
     Each arm's rewards come from doubling blocks of its own stream, the same
     values one scalar draw per pull would give; unpulled draws go unseen.
     """
     k = len(arms)
-    state = PolicyState(k)
-    session = policy.start(k, criterion, policy_rng)
+    session = policy.start(k, criterion)
     tau = np.zeros((len(checkpoints), k), dtype=np.int64)
     draws = [np.empty(0) for _ in range(k)]
-    counts = state.pull_counts
+    counts = session.pull_counts
     for idx, c in enumerate(checkpoints):
-        while state.t < c:
-            arm = session.select(state)
+        while session.t < c:
+            arm = session.select()
             n = counts[arm]
             if n == len(draws[arm]):
                 block = arms[arm].sample(arm_rngs[arm], max(n, 64))
                 draws[arm] = np.concatenate([draws[arm], block])
-            state.update(arm, float(draws[arm][n]))
+            session.update(arm, draws[arm].item(n))
         tau[idx] = counts
     return tau, draws
 

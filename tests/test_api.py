@@ -1,5 +1,6 @@
 """Every name a module lists in ``__all__`` resolves, and so does every
-private or foreign name the benchmark's layer tracer wraps.
+private or foreign name the benchmark's layer tracer wraps; the closed-loop
+sessions keep the method names the tracer matches.
 
 A stale entry breaks only ``from riskbandits.<module> import *``, which no
 other test exercises; a stale tracer target crashes ``perfbench/run.py
@@ -14,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import riskbandits
+from riskbandits import policy
+from riskbandits.criteria import MeanCriterion
 
 MODULES = [f"riskbandits.{m.name}" for m in pkgutil.iter_modules(riskbandits.__path__)]
 
@@ -48,3 +51,18 @@ def test_perfbench_tracer_targets_resolve():
         owner = getattr(importlib.import_module(f"riskbandits.{layer}"), cls)
         # the tracer wraps only what the class itself defines
         assert callable(vars(owner).get(attr)), name
+
+
+def test_closed_loop_tracer_boundaries_stay_defined():
+    # the tracer counts pulls at policy.PolicyState.update and decisions at
+    # policy.<session>.select, under their own names in vars() of the class
+    assert callable(vars(policy.PolicyState).get("update"))
+    sessions = [
+        policy.UcbPolicy(policy.UcbParams(1.0, 1.0, 2.0)).start(2, MeanCriterion()),
+        policy.Bad1OraclePolicy().start(2, None),
+    ]
+    for session in sessions:
+        cls = type(session)
+        assert isinstance(session, policy.PolicyState)
+        assert callable(vars(cls).get("select")), cls.__name__
+        assert "update" not in vars(cls), cls.__name__

@@ -28,6 +28,22 @@ def test_c1_passes_on_catalog():
     assert res.passed
 
 
+def test_c1_scores_each_arm_once():
+    class CountingCriterion(CVaRCriterion):
+        calls = 0
+
+        def evaluate(self, f):
+            CountingCriterion.calls += 1
+            return super().evaluate(f)
+
+    crit = CountingCriterion(0.1)
+    arms = [Gaussian(0, 1), Uniform(-3, 1), PointMass(2.0)]
+    res = checklib.condition_c1(crit, arms)
+    assert res.passed and CountingCriterion.calls == len(arms)
+    worst = max(abs(CVaRCriterion(0.1).evaluate(a)) for a in arms)
+    assert res.detail == f"max |value| = {worst:.6g}"
+
+
 def test_c2_kind_based():
     assert checklib.condition_c2([Gaussian(0, 1), PointMass(3.0), bad1_arm_wide()]).passed
 

@@ -187,6 +187,19 @@ def test_cdf_limits_at_infinity(d):
     assert float(d.cdf(1e12)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_cdf_of_nan_is_nan_for_every_kind():
+    mixtures = [
+        MixtureDistribution([EmpiricalDistribution([1.0, 2.0]), EmpiricalDistribution([0.5])],
+                            [0.4, 0.6]),
+        MixtureDistribution([Gaussian(0.0, 1.0), bad1_arm_wide()], [0.5, 0.5]),
+    ]
+    for d in [*distribution_catalog(), *mixtures]:
+        for f in (d.cdf, d.cdf_left):
+            assert math.isnan(f(math.nan)), d
+            out = f(np.array([math.nan, 0.0, math.nan]))
+            assert np.isnan(out[[0, 2]]).all() and out[1] == f(0.0), d
+
+
 # ---------------------------------------------------------------------------
 # Quantiles and the Galois connection
 # ---------------------------------------------------------------------------
@@ -225,6 +238,17 @@ def test_galois_connection(d):
         alpha = float(r.uniform(1e-9, 1 - 1e-9))
         y = float(r.uniform(lo - pad, hi + pad))
         assert (d.quantile(alpha) <= y) == (alpha <= float(d.cdf(y)))
+
+
+def test_scalar_and_array_quantiles_agree_on_random_tables():
+    # both interpolate on the segment searchsorted finds, which rises: the
+    # level lies strictly above its start value; probed at every knot value
+    r = rng(37)
+    for _ in range(1000):
+        d = random_knot_table(r)
+        levels = np.r_[r.random(10), d.fl, d.fr]
+        want = [d._quantile(float(a)) for a in levels]
+        assert np.array_equal(d.quantile_array(levels), want)
 
 
 @given(alpha=st.floats(min_value=1e-6, max_value=1 - 1e-6))

@@ -16,8 +16,8 @@ from riskbandits.criteria import (
     SortinoCriterion,
     VaRCriterion,
 )
-from riskbandits.dist import Gaussian, PointMass, TwoPoint
-from riskbandits.errors import CriterionDomainError, DomainError
+from riskbandits.dist import EmpiricalDistribution, Gaussian, PointMass, TwoPoint
+from riskbandits.errors import CriterionDomainError, DomainError, add_context
 from riskbandits.policy import (
     Bad1OraclePolicy,
     Bad2OraclePolicy,
@@ -27,10 +27,66 @@ from riskbandits.policy import (
     UcbPolicy,
     phi,
     phi_inv,
-    ucb_select,
 )
 
 from conftest import RefusingCriterion, rng
+
+
+# ---------------------------------------------------------------------------
+# Reference selection rule: every arm scored from its full sample
+# ---------------------------------------------------------------------------
+
+
+class RewardRecord(PolicyState):
+    """Pull record that also keeps every arm's rewards in arrival order."""
+
+    def __init__(self, k):
+        super().__init__(k)
+        self.rewards = [[] for _ in range(k)]
+
+    def _observe(self, arm, reward):
+        self.rewards[arm].append(reward)
+
+    def empirical(self, arm):
+        """One arm's empirical distribution."""
+        if not self.rewards[arm]:
+            raise DomainError(f"arm {arm} has no observations yet")
+        return EmpiricalDistribution(self.rewards[arm])
+
+    def count_le(self, y):
+        """Number of pooled rewards <= y (exact step-CDF numerator)."""
+        return sum(x <= y for rewards in self.rewards for x in rewards)
+
+
+def ucb_select(record, criterion, params):
+    """Stateless optimism selection: recomputes every arm's score from its
+    full sorted sample; ties break to the lowest arm index.
+
+    The decision oracle for the optimism session, which scores running
+    summaries instead.
+    """
+    if record.t < record.k:
+        return record.t
+    t_now = record.t + 1
+    best_arm = 0
+    best_index = -math.inf
+    for i in range(record.k):
+        try:
+            value = criterion.evaluate(record.empirical(i))
+        except Exception as exc:
+            add_context(exc, f"criterion failed on arm {i}")
+            raise
+        bonus = phi_inv(params, params.ucb_alpha * math.log(t_now) / record.pull_counts[i])
+        if value + bonus > best_index:
+            best_index = value + bonus
+            best_arm = i
+    return best_arm
+
+
+def _feed(reward_sequence, *states):
+    for arm, x in reward_sequence:
+        for st in states:
+            st.update(arm, x)
 
 
 # ---------------------------------------------------------------------------
@@ -78,31 +134,47 @@ def test_ucb_params_reject_non_finite(field, bad):
 
 
 def test_update_bookkeeping():
-    st = PolicyState(3)
-    st.update(0, 5.0)
-    assert st.t == 1
-    assert list(st.pull_counts) == [1, 0, 0]
+    crit = MeanCriterion()
+    params = UcbParams(1.0, 1.0, 2.0, 3.0)
+    st = RewardRecord(3)
+    session = UcbPolicy(params).start(3, crit)
+    _feed([(0, 5.0)], st, session)
+    assert st.t == session.t == 1
+    assert st.pull_counts == session.pull_counts == [1, 0, 0]
     assert st.empirical(0).samples.tolist() == [5.0]
-    seq = [(1, 2.0), (0, -1.0), (2, 0.5), (1, 3.0)]
-    for arm, x in seq:
-        st.update(arm, x)
-    assert st.t == int(st.pull_counts.sum()) == 5
+    _feed([(1, 2.0), (0, -1.0), (2, 0.5), (1, 3.0)], st, session)
+    assert st.t == session.t == sum(st.pull_counts) == 5
+    assert session.pull_counts == st.pull_counts
     for i in range(3):
         assert st.empirical(i).t == st.pull_counts[i]
     assert st.count_le(2.0) == 3
+    for state in (st, session, PolicyState(3)):
+        with pytest.raises(DomainError):
+            state.update(3, 0.0)
+        with pytest.raises(DomainError):
+            state.update(-1, 0.0)
+    assert session.t == 5 and session.pull_counts == [2, 2, 1]
     with pytest.raises(DomainError):
-        st.update(3, 0.0)
+        PolicyState(0)
 
 
 def test_replay_reproduces_state():
     r = rng(2)
     trajectory = [(int(r.integers(0, 2)), float(r.normal())) for _ in range(200)]
-    a, b = PolicyState(2), PolicyState(2)
-    for arm, x in trajectory:
-        a.update(arm, x)
-    for arm, x in trajectory:
-        b.update(arm, x)
-    assert np.array_equal(a.pull_counts, b.pull_counts)
+    params = UcbParams(0.77, 0.6, 2.0, 3.0)
+
+    def replay():
+        record = RewardRecord(2)
+        session = UcbPolicy(params).start(2, CVaRCriterion(0.2))
+        decisions = []
+        for step in trajectory:
+            _feed([step], record, session)
+            decisions.append(session.select())
+        return record, session, decisions
+
+    (a, sa, da), (b, sb, db) = replay(), replay()
+    assert da == db
+    assert a.pull_counts == b.pull_counts == sa.pull_counts == sb.pull_counts
     for i in range(2):
         assert np.array_equal(a.empirical(i).samples, b.empirical(i).samples)
 
@@ -113,57 +185,69 @@ def test_replay_reproduces_state():
 
 
 def test_ucb_initialization_round_robin():
-    st = PolicyState(3)
     params = UcbParams(1.0, 1.0, 2.0, 3.0)
     crit = MeanCriterion()
-    assert ucb_select(st, crit, params) == 0
-    st.update(0, 1.0)
-    assert ucb_select(st, crit, params) == 1
-    st.update(1, 0.0)
-    assert ucb_select(st, crit, params) == 2
+    st = RewardRecord(3)
+    session = UcbPolicy(params).start(3, crit)
+    assert ucb_select(st, crit, params) == session.select() == 0
+    _feed([(0, 1.0)], st, session)
+    assert ucb_select(st, crit, params) == session.select() == 1
+    _feed([(1, 0.0)], st, session)
+    assert ucb_select(st, crit, params) == session.select() == 2
 
 
 def test_ucb_hand_arithmetic():
     # two arms, one observation each, decision at time 3
-    st = PolicyState(2)
-    st.update(0, 0.5)
-    st.update(1, 0.2)
     params = UcbParams(1.0, 1.0, 2.0, 3.0)
+    st = RewardRecord(2)
+    session = UcbPolicy(params).start(2, MeanCriterion())
+    _feed([(0, 0.5), (1, 0.2)], st, session)
     bonus = phi_inv(params, 3.0 * math.log(3.0))
     assert bonus == pytest.approx(6.5917, abs=1e-4)
     assert ucb_select(st, MeanCriterion(), params) == 0
+    assert session.select() == 0
 
 
 def test_ucb_tie_breaks_to_lowest_index():
-    st = PolicyState(2)
-    st.update(0, 0.7)
-    st.update(1, 0.7)
-    assert ucb_select(st, MeanCriterion(), UcbParams(1, 1, 2, 3)) == 0
+    params = UcbParams(1, 1, 2, 3)
+    st = RewardRecord(2)
+    session = UcbPolicy(params).start(2, MeanCriterion())
+    _feed([(0, 0.7), (1, 0.7)], st, session)
+    assert ucb_select(st, MeanCriterion(), params) == 0
+    assert session.select() == 0
 
 
 def test_ucb_session_matches_functional_rule():
     arms = [Gaussian(0, 1), Gaussian(-0.3, 1), Gaussian(0.2, 2)]
     crit = CVaRCriterion(0.2)
     params = UcbParams(0.77, 0.6, 2.0, 3.0)
-    session = UcbPolicy(params).start(3, crit, rng(0))
-    st = PolicyState(3)
+    session = UcbPolicy(params).start(3, crit)
+    st = RewardRecord(3)
     streams = [d.sample(rng(100 + i), 400) for i, d in enumerate(arms)]
     cursors = [0, 0, 0]
     for _ in range(300):
         want = ucb_select(st, crit, params)
-        got = session.select(st)
+        got = session.select()
         assert got == want
-        st.update(got, float(streams[got][cursors[got]]))
+        _feed([(got, float(streams[got][cursors[got]]))], st, session)
         cursors[got] += 1
 
 
 def test_ucb_failure_context_keeps_the_exception():
-    st = PolicyState(2)
-    st.update(0, 0.5)
-    st.update(1, 0.2)
     params = UcbParams(1.0, 1.0, 2.0, 3.0)
-    session = UcbPolicy(params).start(2, RefusingCriterion(), rng(0))
-    for select in (lambda: ucb_select(st, RefusingCriterion(), params), lambda: session.select(st)):
+    st = RewardRecord(2)
+    session = UcbPolicy(params).start(2, RefusingCriterion())
+    # the session scores an arm at the first select after its reward,
+    # so the failure surfaces inside the initialization round
+    early = UcbPolicy(params).start(2, RefusingCriterion())
+    assert early.select() == 0
+    early.update(0, 0.5)
+    _feed([(0, 0.5), (1, 0.2)], st, session)
+    for select in (
+        lambda: ucb_select(st, RefusingCriterion(), params),
+        session.select,
+        early.select,
+    ):
         with pytest.raises(CriterionDomainError, match="criterion failed on arm 0") as info:
             select()
         assert info.value.constraint == "lower-tail finite"
@@ -241,33 +325,37 @@ def test_simple_policy_pull_frequency_convergence():
 
 
 def test_bad1_oracle_guard_examples():
-    session = Bad1OraclePolicy().start(2, None, rng(0))
-    st = PolicyState(2)
-    assert session.select(st) == 1  # first pull: the safe arm
-    st.update(1, 5.0)
+    session = Bad1OraclePolicy().start(2, None)
+    assert session.select() == 1  # first pull: the safe arm
+    session.update(1, 5.0)
     # one low reward would give (0 + 1)/2 = 0.5 >= 0.1: stay on the safe arm
-    assert session.select(st) == 1
+    assert session.select() == 1
     # after enough high rewards the wide arm becomes safe to pull
     for _ in range(9):
-        st.update(1, 5.0)
-    assert (st.count_le(1.0) + 1) / (st.t + 1) == pytest.approx(1 / 11)
-    assert session.select(st) == 0
+        session.update(1, 5.0)
+    assert session.low_count == 0
+    assert (session.low_count + 1) / (session.t + 1) == pytest.approx(1 / 11)
+    assert session.select() == 0
+    # a reward at the threshold counts as low
+    session.update(0, session.THRESHOLD)
+    assert session.low_count == 1 and session.select() == 1
 
 
 def test_bad1_oracle_low_count_matches_count_le_every_step():
     from conftest import bad1_arm_wide
 
     arms = [bad1_arm_wide(), PointMass(5.0)]
-    session = Bad1OraclePolicy().start(2, None, rng(0))
-    st = PolicyState(2)
+    session = Bad1OraclePolicy().start(2, None)
+    st = RewardRecord(2)
     streams = [d.sample(rng(40 + i), 3000) for i, d in enumerate(arms)]
     for _ in range(3000):
-        arm = session.select(st)
+        arm = session.select()
         low = st.count_le(session.THRESHOLD)
         assert session.low_count == low
         want = 1 if st.t == 0 or (low + 1) / (st.t + 1) >= session.LEVEL else 0
         assert arm == want
-        st.update(arm, float(streams[arm][st.pull_counts[arm]]))
+        _feed([(arm, float(streams[arm][st.pull_counts[arm]]))], st, session)
+    assert session.pull_counts == st.pull_counts
     assert 0 < st.count_le(session.THRESHOLD) < st.t
 
 
@@ -289,7 +377,7 @@ def test_bad2_oracle_schedule():
 
 def test_oracle_schedules_need_two_arms():
     with pytest.raises(DomainError):
-        Bad1OraclePolicy().start(3, None, rng(0))
+        Bad1OraclePolicy().start(3, None)
     with pytest.raises(DomainError):
         Bad2OraclePolicy().pull_counts(1, (1,), rng(0))
 
@@ -334,13 +422,13 @@ def test_ucb_session_matches_functional_rule_over_seeds(crit, arms):
     arm_set = _SESSION_ARMS[arms]
     params = UcbParams(0.77, 0.6, 2.0, 3.0)
     for seed in range(20):
-        session = UcbPolicy(params).start(3, crit, rng(seed))
-        st = PolicyState(3)
+        session = UcbPolicy(params).start(3, crit)
+        st = RewardRecord(3)
         streams = [d.sample(rng(1000 * seed + i), 120) for i, d in enumerate(arm_set)]
         for _ in range(120):
-            got = session.select(st)
+            got = session.select()
             want = ucb_select(st, crit, params)
             if got != want:
                 index = _indices(st, crit, params)
                 assert index[got] == pytest.approx(index[want], rel=1e-12, abs=0.0)
-            st.update(got, float(streams[got][st.pull_counts[got]]))
+            _feed([(got, float(streams[got][st.pull_counts[got]]))], st, session)

@@ -62,19 +62,20 @@ def step_loop_episode(arms, policy, criterion, horizon, checkpoints=None, seed=0
         np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep, i + 1)))
         for i in range(k)
     ]
+    state = PolicyState(k)  # closed-loop sessions are their own state
     if isinstance(policy, SimplePolicy):
         cumulative = np.cumsum(policy.p)[:-1]
 
-        def select(state):
+        def select():
             return int(np.searchsorted(cumulative, policy_rng.random(), side="right"))
     elif isinstance(policy, Bad2OraclePolicy):
 
-        def select(state):
+        def select():
             return 0 if state.t == 0 else 1
     else:
-        select = policy.start(k, criterion, policy_rng).select
+        state = policy.start(k, criterion)
+        select = state.select
 
-    state = PolicyState(k)
     pooled = []
     n_cp = len(checkpoints)
     tau = np.zeros((n_cp, k), dtype=np.int64)
@@ -83,7 +84,7 @@ def step_loop_episode(arms, policy, criterion, horizon, checkpoints=None, seed=0
     flagged = np.zeros(n_cp, dtype=bool)
     next_cp = 0
     for _ in range(horizon):
-        arm = select(state)
+        arm = select()
         reward = float(arms[arm].sample(arm_rngs[arm], 1)[0])
         state.update(arm, reward)
         bisect.insort(pooled, reward)
