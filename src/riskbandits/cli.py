@@ -257,7 +257,7 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override the base seed")
         if name == "simulate":
             p.add_argument("--reps", type=int, default=None, help="override replications")
-            p.add_argument("--parallel", type=int, default=1, help="worker processes")
+            p.add_argument("--parallel", type=int, default=1, help="worker processes (at least 1)")
     args = parser.parse_args(argv)
 
     try:

@@ -14,8 +14,10 @@ refine between candidates in batches: a 33-point coarse grid on every
 interval, then one zoom pass over all intervals that can still hold the
 sup (each round a 33-point grid around every interval's argmax, 16 times
 narrower than the last, with one CDF call per distribution and round),
-then a bounded Brent search (``minimize_scalar``) only on the intervals
-whose zoomed value is the best found, which can still gain a few ulp.
+then a bounded Brent search only on the intervals whose zoomed value is
+the best found, which can still gain a few ulp.  The search
+(``minimize_scalar``) is a port of scipy's bounded ``minimize_scalar`` to
+Python floats, step for step: the same probes and the same minimum.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .dist import RewardDistribution
 from .errors import DomainError
@@ -34,6 +35,11 @@ from .errors import DomainError
 _ZOOM_POINTS = 33
 _ZOOM_SHRINK = 16
 _ZOOM_ROUNDS = 12
+
+# bounded Brent search: scipy's constants and evaluation cap
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_BRENT_MAX_EVALS = 500
 
 __all__ = [
     "SemiNormFunctional",
@@ -149,12 +155,80 @@ def sup_distance(f: RewardDistribution, g: RewardDistribution) -> float:
             return -abs(float(f.cdf(y)) - float(g.cdf(y)))
 
         for i in np.flatnonzero(top == best):
-            res = minimize_scalar(
-                neg_abs_diff, bounds=(a[i], b[i]), method="bounded",
-                options={"xatol": 1e-11},
-            )
-            best = max(best, -float(res.fun))
+            _, low, _ = minimize_scalar(neg_abs_diff, float(a[i]), float(b[i]), xatol=1e-11)
+            best = max(best, -low)
     return best
+
+
+def minimize_scalar(fun, lo: float, hi: float, xatol: float) -> tuple[float, float, int]:
+    """Bounded Brent search for a minimum of ``fun`` on ``[lo, hi]``.
+
+    A port of scipy's ``minimize_scalar(method="bounded")`` (golden-section
+    steps, parabolic steps where the fit is acceptable, at most 500
+    evaluations) with every comparison and update in the same order, so it
+    probes the same points.  Returns ``(x, fun(x), evaluations)``.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise DomainError(f"bounds must be finite with lo <= hi, got ({lo}, {hi})")
+    a, b = lo, hi
+    # xf: best point so far; nfc, fulc: the second and third best
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = fun(xf)
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0 else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0 else xf - step
+        fu = fun(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BRENT_MAX_EVALS:
+            break
+    return xf, fx, num
 
 
 def _abs_diff(f: RewardDistribution, g: RewardDistribution, y: np.ndarray) -> np.ndarray:

@@ -192,15 +192,22 @@ def run_replications(
     checkpoints=None,
     parallel: int = 1,
 ) -> list[Episode]:
-    """Independent episodes rep=0..reps-1; parallel runs match serial ones."""
+    """Independent episodes rep=0..reps-1; parallel runs match serial ones.
+
+    ``parallel`` caps the worker processes; no more start than there are
+    replications, and one worker means a serial run in this process.
+    """
     if reps < 1:
         raise DomainError(f"need at least one replication, got {reps}")
+    if parallel < 1:
+        raise DomainError(f"need at least one worker process, got parallel={parallel}")
     jobs = [(arms, policy, criterion, horizon, checkpoints, seed, rep) for rep in range(reps)]
-    if parallel <= 1:
+    workers = min(parallel, reps)
+    if workers == 1:
         episodes = [_run_one(j) for j in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            episodes = list(pool.map(_run_one, jobs, chunksize=max(1, reps // (4 * parallel))))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            episodes = list(pool.map(_run_one, jobs, chunksize=max(1, reps // (4 * workers))))
     episodes.sort(key=lambda e: e.rep)
     return episodes
 

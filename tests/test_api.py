@@ -10,6 +10,8 @@ other test exercises; a stale tracer target crashes ``perfbench/run.py
 import importlib
 import importlib.util
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +68,17 @@ def test_closed_loop_tracer_boundaries_stay_defined():
         assert isinstance(session, policy.PolicyState)
         assert callable(vars(cls).get("select")), cls.__name__
         assert "update" not in vars(cls), cls.__name__
+
+
+def test_cli_import_loads_no_scipy_optimize():
+    # cold start: the CLI needs scipy.special only, not the solver stack
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import riskbandits.cli; "
+        "print(*sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'linalg'], ['scipy', 'sparse'])))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(src)], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == []

@@ -286,6 +286,19 @@ def test_simulate_rejects_non_finite_arm_and_criterion_parameters(tmp_path, caps
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("parallel", ["0", "-2"])
+def test_simulate_refuses_fewer_than_one_worker(tmp_path, capsys, parallel):
+    doc = _base_doc()
+    doc["policies"] = [{"kind": "simple", "p": [1.0, 0.0]}]
+    doc["horizons"] = [16]
+    doc["replications"] = 2
+    path = _write(tmp_path, doc)
+    code = main(["simulate", "--config", path, "--out", str(tmp_path), "--parallel", parallel])
+    assert code == 1
+    assert "error: need at least one worker process" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_simulate_seed_override_changes_results(tmp_path):
     doc = _base_doc()
     doc["policies"] = [{"kind": "simple", "p": [1.0, 0.0]}]

@@ -243,3 +243,107 @@ def test_sup_distance_never_falls_below_the_brent_loop(monkeypatch):
         assert sup_distance(f, g) >= brent_loop_sup_distance(f, g)
     # the polish runs only where the zoom found the best value
     assert len(calls) <= len(pairs)
+
+
+# ---------------------------------------------------------------------------
+# The bounded Brent search against scipy's, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def bit_pattern(values):
+    """Floats as hex strings, so -0.0 and NaN compare by their bits."""
+    return [float(v).hex() for v in values]
+
+
+def port_and_scipy(fun, lo, hi):
+    """The port's run and scipy's bounded search at the polish tolerance, each
+    as ([x, fun(x)], evaluations, probes), floats as bits; the evaluations
+    are also counted in the objective."""
+    runs = []
+    for search in ("port", "scipy"):
+        probes = []
+
+        def counted(y):
+            probes.append(y)
+            return fun(y)
+
+        if search == "port":
+            x, fx, nfev = norms.minimize_scalar(counted, lo, hi, xatol=1e-11)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # the parabola may overflow
+                res = minimize_scalar(counted, bounds=(lo, hi), method="bounded",
+                                      options={"xatol": 1e-11})
+            x, fx, nfev = res.x, res.fun, res.nfev
+        assert nfev == len(probes)
+        runs.append((bit_pattern([x, fx]), nfev, bit_pattern(probes)))
+    return runs
+
+
+def test_bounded_brent_matches_scipy_on_every_sup_polish(monkeypatch):
+    polished = []
+    brent = norms.minimize_scalar
+
+    def record(fun, lo, hi, xatol):
+        polished.append((fun, lo, hi))
+        return brent(fun, lo, hi, xatol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(norms, "minimize_scalar", record)
+        for f, g in sup_corpus():
+            sup_distance(f, g)
+    assert len(polished) > 50
+    for fun, lo, hi in polished:
+        port, reference = port_and_scipy(fun, lo, hi)
+        assert port == reference
+
+
+def random_objectives(r):
+    """Smooth objectives, kinked ones, a flat one and a step."""
+    for _ in range(60):
+        w, phi, c = r.uniform(0.1, 8.0), r.uniform(0, 2 * math.pi), r.normal()
+        yield lambda y, w=w, phi=phi, c=c: math.cos(w * y + phi) + c * y * y
+        m, s = r.normal(), r.uniform(0.05, 3.0)
+        yield lambda y, m=m, s=s: -math.exp(-((y - m) / s) ** 2) + 0.1 * y
+        k1, k2, c = r.normal(size=2).tolist() + [r.uniform(0.0, 2.0)]
+        yield lambda y, k1=k1, k2=k2, c=c: abs(y - k1) + c * abs(y - k2)
+        k = r.normal()
+        yield lambda y, k=k: max(y - k, 0.5 * (k - y)) ** 3
+    yield lambda y: 1.0
+    yield lambda y: 0.0 if y < 0.1 else -1.0
+
+
+def test_bounded_brent_matches_scipy_on_random_objectives():
+    r = rng(83)
+    for fun in random_objectives(r):
+        for width in (1e-9, 1e-3, 1.0, 50.0):
+            lo = float(r.normal(scale=3.0))
+            port, reference = port_and_scipy(fun, lo, lo + width * float(r.uniform(0.5, 1.0)))
+            assert port == reference
+
+
+def test_bounded_brent_degenerate_interval_and_bad_bounds():
+    port, reference = port_and_scipy(lambda y: y * y, 0.75, 0.75)
+    assert port == reference
+    assert port[1] == 1  # one evaluation, at the single point
+    for lo, hi in ((1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            norms.minimize_scalar(lambda y: y, lo, hi, xatol=1e-11)
+
+
+def test_bounded_brent_matches_scipy_at_the_evaluation_cap():
+    # golden steps from a width of 1e300 down to 1e-11 take ~1500 evaluations;
+    # the parabola through such values overflows to inf and NaN
+    for lo, hi in ((-1e300, 1e300), (-1e200, 3e200)):
+        port, reference = port_and_scipy(abs, lo, hi)
+        assert port == reference
+        assert port[1] == 500
+
+
+@pytest.mark.parametrize(
+    "fun",
+    [lambda y: math.nan, lambda y: math.nan if y > 0.3 else (y - 0.2) ** 2],
+    ids=["always-nan", "nan-above-0.3"],
+)
+def test_bounded_brent_matches_scipy_on_nan_objectives(fun):
+    port, reference = port_and_scipy(fun, -1.0, 2.0)
+    assert port == reference

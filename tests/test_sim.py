@@ -1,9 +1,11 @@
 import bisect
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from riskbandits import sim
 from riskbandits.criteria import (
     Bad1Criterion,
     Bad2Criterion,
@@ -238,6 +240,38 @@ def test_replications_parallel_bit_identical():
     )
     for a, b in zip(serial, parallel):
         assert a.rep == b.rep
+        assert np.array_equal(a.pooled_values, b.pooled_values)
+        assert np.array_equal(a.tau, b.tau)
+
+
+@pytest.mark.parametrize("parallel", [0, -2])
+def test_replications_refuse_fewer_than_one_worker(parallel):
+    with pytest.raises(DomainError, match="worker"):
+        run_replications(
+            [PointMass(1.0)], SimplePolicy([1.0]), MeanCriterion(), 8, reps=2, seed=0,
+            parallel=parallel,
+        )
+
+
+def test_replication_pool_never_outnumbers_the_replications(monkeypatch):
+    started = []
+
+    def pool(max_workers):
+        started.append(max_workers)
+        # never more than two real processes, whatever was asked for
+        return ProcessPoolExecutor(max_workers=min(max_workers, 2))
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", pool)
+    arms = [Gaussian(0, 1), Gaussian(-0.4, 1)]
+    policy = SimplePolicy([0.5, 0.5])
+    serial = run_replications(arms, policy, MeanCriterion(), 64, reps=2, seed=5)
+    assert started == []
+    capped = run_replications(arms, policy, MeanCriterion(), 64, reps=2, seed=5, parallel=8)
+    assert started == [2]
+    # one replication runs in this process, whatever the worker count
+    run_replications(arms, policy, MeanCriterion(), 64, reps=1, seed=5, parallel=8)
+    assert started == [2]
+    for a, b in zip(serial, capped):
         assert np.array_equal(a.pooled_values, b.pooled_values)
         assert np.array_equal(a.tau, b.tau)
 
