@@ -50,7 +50,6 @@ from .policy import (
     Policy,
     PolicyState,
     SimplePolicy,
-    UcbParams,
     UcbPolicy,
     phi,
     phi_inv,

@@ -28,7 +28,7 @@ from .dist import (
     RewardDistribution,
 )
 from .norms import norm_distance, norm_value
-from .policy import UcbParams, phi, phi_inv
+from .policy import phi, phi_inv
 from .sim import dkw_exceedance
 
 __all__ = [
@@ -313,12 +313,12 @@ def residual_check(
     )
 
 
-def phi_identity_check(params: UcbParams) -> CheckResult:
+def phi_identity_check(cert: StabilityCertificate) -> CheckResult:
     """``phi(phi_inv(x)) = x`` on a 30-point log grid."""
     xs = np.logspace(-6, 6, 30)
     worst = 0.0
     for x in xs:
-        err = abs(phi(params, phi_inv(params, float(x))) - x) / max(1.0, x)
+        err = abs(phi(cert, phi_inv(cert, float(x))) - x) / max(1.0, x)
         worst = max(worst, err)
     passed = worst <= _PHI_IDENTITY_TOL
     return CheckResult("phi-inverse-identity", passed, f"worst relative error {worst:.3g}")

@@ -22,7 +22,7 @@ from . import checks as checklib
 from .config import ExperimentConfig, load_config
 from .dist import MixtureDistribution
 from .errors import ConfigError, DomainError
-from .oracle import best_single_arm, oracle_report, simplex_grid_argmax
+from .oracle import _MAX_GRID_ARMS, best_single_arm, oracle_report, simplex_grid_argmax
 from .policy import SimplePolicy
 from .sim import (
     RegretReport,
@@ -118,7 +118,7 @@ def _stationary_optimum(cfg: ExperimentConfig) -> float | None:
     otherwise (when a resolution is configured)."""
     if cfg.criterion.convexity in ("linear", "convex", "quasiconvex"):
         return best_single_arm(cfg.criterion, cfg.arms)[1]
-    if cfg.grid_resolution is not None and len(cfg.arms) <= 4:
+    if cfg.grid_resolution is not None and len(cfg.arms) <= _MAX_GRID_ARMS:
         return simplex_grid_argmax(cfg.criterion, cfg.arms, cfg.grid_resolution)[1]
     return None
 
@@ -129,11 +129,8 @@ def _reference_policy(cfg: ExperimentConfig):
         p = np.zeros(len(cfg.arms))
         p[best] = 1.0
         return f"best-arm(arm{best + 1})", SimplePolicy(p)
-    if isinstance(cfg.reference, dict):
-        return cfg.reference.get("label", cfg.reference["kind"]), cfg.resolve_policy(
-            cfg.reference
-        )
-    raise ConfigError(f"unknown reference spec {cfg.reference!r}")
+    # any other reference is a policy record (checked by the config parser)
+    return cfg.reference.get("label", cfg.reference["kind"]), cfg.resolve_policy(cfg.reference)
 
 
 def cmd_simulate(
@@ -211,11 +208,9 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     cert = cfg.criterion.stability_certificate(cfg.arms)
     if cert is not None:
         results.append(checklib.modulus_check(cfg.criterion, cfg.arms, cert, pairs, seed))
-    try:
-        params = cfg.resolve_policy({"kind": "ucb", "alpha": cfg.ucb_alpha}).params
-        results.append(checklib.phi_identity_check(params))
-    except ConfigError:
-        pass
+    radii = cfg.criterion.stability_certificate(cfg.arms, **cfg.certificate_overrides)
+    if radii is not None:
+        results.append(checklib.phi_identity_check(radii))
     try:
         smooth = cfg.criterion.smoothness_certificate(cfg.arms)
     except DomainError:

@@ -6,6 +6,7 @@ misspelled fields never silently change an archived experiment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -26,7 +27,6 @@ from .policy import (
     Bad2OraclePolicy,
     Policy,
     SimplePolicy,
-    UcbParams,
     UcbPolicy,
 )
 
@@ -35,6 +35,14 @@ __all__ = ["ExperimentConfig", "load_config", "parse_config", "parse_distributio
 CONFIG_VERSION = 1
 
 _ESTIMATOR_NAMES = ("performance", "proxy-regret", "horizon-gap", "reference-regret")
+
+# the keys of each policy kind besides ``kind`` and ``label``
+_POLICY_KEYS = {
+    "simple": {"p"},
+    "bad1-oracle": set(),
+    "bad2-oracle": set(),
+    "ucb": {"alpha", "a", "b", "q"},
+}
 
 
 @dataclass
@@ -57,35 +65,25 @@ class ExperimentConfig:
     output: str | None = None
 
     def resolve_policy(self, spec: dict) -> Policy:
-        """Build a policy, resolving UCB radii from the criterion's
-        certificate when not overridden."""
-        spec = dict(spec)
-        kind = spec.pop("kind")
-        spec.pop("label", None)
+        """Build a policy from a record ``parse_config`` checked, resolving UCB
+        radii from the criterion's certificate when not overridden."""
+        kind = spec["kind"]
         if kind == "simple":
-            policy = SimplePolicy(spec.pop("p"))
-            _reject_extra("policy", spec)
-            return policy
+            return SimplePolicy(spec["p"])
         if kind == "bad1-oracle":
-            _reject_extra("policy", spec)
             return Bad1OraclePolicy()
         if kind == "bad2-oracle":
-            _reject_extra("policy", spec)
             return Bad2OraclePolicy()
         if kind == "ucb":
-            alpha = spec.pop("alpha", self.ucb_alpha)
             overrides = dict(self.certificate_overrides)
-            overrides.update(
-                {k: spec.pop(k) for k in ("a", "b", "q") if k in spec}
-            )
-            _reject_extra("policy", spec)
+            overrides.update({k: spec[k] for k in ("a", "b", "q") if k in spec})
             cert = self.criterion.stability_certificate(self.arms, **overrides)
             if cert is None:
                 raise ConfigError(
                     f"criterion {self.criterion.tag!r} has no stability certificate "
                     "for these arms; supply a, b, q explicitly"
                 )
-            return UcbPolicy(UcbParams(cert.a, cert.b, cert.q, alpha))
+            return UcbPolicy(cert, spec.get("alpha", self.ucb_alpha))
         raise ConfigError(f"unknown policy kind {kind!r}")
 
     def policy_objects(self) -> list[tuple[str, Policy]]:
@@ -142,6 +140,33 @@ def _pairs(value, name: str) -> list:
     if any(len(p) != 2 for p in pairs):
         raise ConfigError(f"{name} must be a list of pairs, got {value!r}")
     return pairs
+
+
+def _ucb_alpha(value, name: str) -> float:
+    alpha = float(_number(value, name))
+    if not (math.isfinite(alpha) and alpha > 2):
+        raise ConfigError(f"{name} must be finite and exceed 2, got {value!r}")
+    return alpha
+
+
+def _check_policy(spec, name: str) -> None:
+    """Refuse a policy record of an unknown kind, or with a missing, unknown,
+    ill-typed or non-finite parameter."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigError(f"{name} spec must be a mapping with 'kind': {spec!r}")
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _POLICY_KEYS:
+        raise ConfigError(f"unknown policy kind {kind!r}")
+    _reject_extra(f"{kind} {name}", set(spec) - _POLICY_KEYS[kind] - {"kind", "label"})
+    if "alpha" in spec:
+        _ucb_alpha(spec["alpha"], f"{name} alpha")
+    if kind == "simple" and "p" not in spec:
+        raise ConfigError(f"simple {name} is missing required key 'p'")
+    values = [(f"{name} {k}", spec[k]) for k in ("a", "b", "q") if k in spec]
+    values += [(f"{name} p entry", w) for w in _list(spec.get("p", []), f"{name} p")]
+    for label, value in values:
+        if not math.isfinite(_number(value, label)):
+            raise ConfigError(f"{label} must be finite, got {value!r}")
 
 
 def parse_distribution(spec: dict) -> RewardDistribution:
@@ -264,16 +289,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"mixture weight vector {p} does not match {len(arms)} arms")
 
     policies = _list(raw.get("policies", []), "policies")
-    reference = raw.get("reference", "best-arm")
     for spec in policies:
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise ConfigError(f"policy spec must be a mapping with 'kind': {spec!r}")
-    for spec in policies + [reference]:
-        if isinstance(spec, dict):
-            for key in [k for k in ("alpha", "a", "b", "q") if k in spec]:
-                _number(spec[key], f"policy {key}")
-            if "p" in spec:
-                _numbers(spec["p"], "policy p")
+        _check_policy(spec, "policy")
+    reference = raw.get("reference", "best-arm")
+    if reference != "best-arm":
+        _check_policy(reference, "reference")
 
     checkpoints = raw.get("checkpoints")
     if checkpoints is not None:
@@ -302,7 +322,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         estimators=estimators,
         reference=reference,
         grid_resolution=grid_resolution,
-        ucb_alpha=float(_number(raw.get("ucb_alpha", 3.0), "ucb_alpha")),
+        ucb_alpha=_ucb_alpha(raw.get("ucb_alpha", 3.0), "ucb_alpha"),
         check_options=_parse_check_options(raw.get("check", {})),
         output=output,
     )

@@ -641,11 +641,9 @@ _TAIL_NORM = NormSpec(
 )
 
 
-class VaRCriterion(RiskCriterion):
-    """Reward at percentile level alpha (the generalized inverse CDF)."""
-
-    tag = "var"
-    convexity = "quasiconvex"
+class _PercentileCriterion(RiskCriterion):
+    """A criterion at percentile level alpha, on the tail norm, whose running
+    summary is the lower order statistics."""
 
     def __init__(self, alpha: float):
         if not (0.0 < alpha < 1.0):
@@ -659,11 +657,18 @@ class VaRCriterion(RiskCriterion):
     def norm_spec(self):
         return _TAIL_NORM
 
-    def evaluate(self, f):
-        return f.quantile(self.alpha)
-
     def accumulator(self):
         return _LowerOrderStatistics(self.alpha)
+
+
+class VaRCriterion(_PercentileCriterion):
+    """Reward at percentile level alpha (the generalized inverse CDF)."""
+
+    tag = "var"
+    convexity = "quasiconvex"
+
+    def evaluate(self, f):
+        return f.quantile(self.alpha)
 
     def stability_certificate(self, arms, a=None, b=None, q=None):
         if b is None:
@@ -687,23 +692,11 @@ class VaRCriterion(RiskCriterion):
     # approximation with a quadratically bounded remainder.
 
 
-class CVaRCriterion(RiskCriterion):
+class CVaRCriterion(_PercentileCriterion):
     """Average reward below percentile level alpha."""
 
     tag = "cvar"
     convexity = "convex"
-
-    def __init__(self, alpha: float):
-        if not (0.0 < alpha < 1.0):
-            raise DomainError(f"percentile level must lie in (0,1), got {alpha}")
-        self.alpha = float(alpha)
-
-    def params_label(self):
-        return f"alpha={self.alpha:g}"
-
-    @property
-    def norm_spec(self):
-        return _TAIL_NORM
 
     def evaluate(self, f):
         v = f.quantile(self.alpha)
@@ -713,9 +706,6 @@ class CVaRCriterion(RiskCriterion):
                 "lower-tail integral diverges", constraint="integrable lower tail"
             )
         return v - integral / self.alpha
-
-    def accumulator(self):
-        return _LowerOrderStatistics(self.alpha)
 
     def _default_stability(self, arms):
         c_star = _c_star(arms, self.norm_spec)

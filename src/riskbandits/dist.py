@@ -147,10 +147,6 @@ class RewardDistribution:
     def _level_set(self, alpha: float):
         raise NotImplementedError
 
-    def as_piecewise(self):
-        """Exact piecewise-linear representation, or None (smooth kinds)."""
-        return None
-
 
 def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha < 1.0):
@@ -481,9 +477,6 @@ class PiecewiseLinearCDF(RewardDistribution):
             return ("interval", float(lo), float(hi))
         return ("point", float(lo), float(hi))
 
-    def as_piecewise(self):
-        return self
-
     def __repr__(self):
         return f"PiecewiseLinearCDF({len(self.ys)} knots on [{self.ys[0]}, {self.ys[-1]}])"
 
@@ -631,13 +624,10 @@ class EmpiricalDistribution(RewardDistribution):
         return (float(self.samples[0]), float(self.samples[-1]))
 
     def _level_set(self, alpha):
-        return self.as_piecewise()._level_set(alpha)
-
-    def as_piecewise(self):
         vals, counts = np.unique(self.samples, return_counts=True)
         cum = np.cumsum(counts) / self.t
         fl = np.concatenate([[0.0], cum[:-1]])
-        return PiecewiseLinearCDF(vals, fl, cum)
+        return PiecewiseLinearCDF(vals, fl, cum)._level_set(alpha)
 
     def __repr__(self):
         return f"EmpiricalDistribution(t={self.t})"
@@ -653,68 +643,22 @@ def _quantile_rank(alpha: float, t: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _MixtureKernel:
-    """The CDF rows of a mixture's components, one per leaf component.
-
-    Nested mixtures are expanded into their components (leaf weight = the
-    outer weight times ``scale``, the leaf's weight in the inner mixture).
-    The Gaussian leaves form a bank of mean and stddev columns, whose rows
-    are one ``ndtr`` call.  Every other leaf gives its own row by its own
-    ``cdf``, so the kernel copies no component's table.
-    """
-
-    def __init__(self, components):
-        leaves = []  # (owner, scale, component)
-        for i, c in enumerate(components):
-            if isinstance(c, MixtureDistribution):
-                inner, weights = c._rows()
-                leaves += [(i, w, d) for w, d in zip(weights, inner.components)]
-            else:
-                leaves.append((i, 1.0, c))
-        self.owner = np.array([i for i, _, _ in leaves])
-        self.scale = np.array([s for _, s, _ in leaves])
-        self.components = [c for _, _, c in leaves]
-        gauss = [i for i, c in enumerate(self.components) if isinstance(c, Gaussian)]
-        self.gauss_rows = gauss
-        self.mu = np.array([self.components[i].mean_value for i in gauss], dtype=float)[:, None]
-        self.sd = np.array([self.components[i].stddev for i in gauss], dtype=float)[:, None]
-        self.others = [(i, c) for i, c in enumerate(self.components)
-                       if not isinstance(c, Gaussian)]
-
-    def cdf(self, y, weights, left):
-        """Mixture CDF (or left limit) at the 1-d array ``y``; ``weights`` is
-        the array of leaf weights."""
-        rows = [None] * len(self.components)
-        if self.gauss_rows:
-            for i, row in zip(self.gauss_rows, ndtr((y - self.mu) / self.sd)):
-                rows[i] = row
-        for i, c in self.others:
-            rows[i] = c.cdf_left(y) if left else c.cdf(y)
-        # a sequential sum in component order, as a loop over the components;
-        # a zero weight adds +0.0, which changes no sum
-        out = weights[0] * rows[0]
-        for w, row in zip(weights[1:], rows[1:]):
-            out += w * row
-        return out
-
-
 class MixtureDistribution(RewardDistribution):
     """Convex combination ``F_p = sum_i p_i F_i`` of component distributions.
 
-    The CDF is one kernel (``_MixtureKernel``): Gaussian components in one
-    ``ndtr`` call, every other component by its own ``cdf``, and the rows
-    summed in component order, so the values are those of summing
-    ``p_i F_i(y)`` component by component, bit for bit; nested mixtures
-    are expanded into their components, whose weights multiply.  A CDF
-    call at ``n`` points holds the Gaussian rows (``n`` floats per
-    Gaussian component) and a few ``n``-float rows besides.  The kernel is
-    built on first use, not on construction: a proxy mixture is built at
-    every checkpoint and may only be sampled.  A mixture of knot tables
-    also merges into one ``PiecewiseLinearCDF`` over the union of the
-    knots, which answers its quantiles and level sets; with a Gaussian
-    component those are solved by block bisection on the kernel.  Moments
-    and tail integrals are the weighted sums of the components' own exact
-    values.
+    The CDF takes the Gaussian components in one ``ndtr`` call (a bank of
+    their mean and stddev columns), every other component by its own
+    ``cdf``, and sums the rows in component order, so the values are those
+    of summing ``p_i F_i(y)`` component by component, bit for bit; a nested
+    mixture is one such component.  A CDF call at ``n`` points holds the
+    Gaussian rows (``n`` floats per Gaussian component) and a few
+    ``n``-float rows besides.  The bank is built on the first CDF call, not
+    on construction: a proxy mixture is built at every checkpoint and may
+    only be sampled.  A mixture of knot tables also merges into one
+    ``PiecewiseLinearCDF`` over the union of the knots, which answers its
+    quantiles and level sets; with a Gaussian component those are solved by
+    block bisection on the CDF.  Moments and tail integrals are the
+    weighted sums of the components' own exact values.
     """
 
     def __init__(self, components, weights):
@@ -734,28 +678,36 @@ class MixtureDistribution(RewardDistribution):
         self.weights.setflags(write=False)
         self.has_smooth_part = any(c.has_smooth_part for c in components)
         self.has_sloped_part = any(c.has_sloped_part for c in components)
-        self._kernel = None
+        self._bank = None
         self._merged = None
 
-    def _rows(self):
-        """The kernel and the array of its leaf weights."""
-        if self._kernel is None:
-            k = _MixtureKernel(self.components)
-            self._kernel = (k, self.weights[k.owner] * k.scale)
-        return self._kernel
-
     def _evaluate(self, y, left):
-        k, weights = self._rows()
+        if self._bank is None:
+            idx = [i for i, c in enumerate(self.components) if isinstance(c, Gaussian)]
+            mu = np.array([self.components[i].mean_value for i in idx], dtype=float)
+            sd = np.array([self.components[i].stddev for i in idx], dtype=float)
+            self._bank = (idx, mu[:, None], sd[:, None])
+        idx, mu, sd = self._bank
         y = np.asarray(y, dtype=float)
-        out = k.cdf(y.reshape(-1), weights, left).reshape(y.shape)
+        flat = y.reshape(-1)
+        gauss = dict(zip(idx, ndtr((flat - mu) / sd))) if idx else {}
+        rows = [
+            gauss[i] if i in gauss else (c.cdf_left(flat) if left else c.cdf(flat))
+            for i, c in enumerate(self.components)
+        ]
+        # a sequential sum in component order, as a loop over the components;
+        # a zero weight adds +0.0, which changes no sum
+        out = self.weights[0] * rows[0]
+        for w, row in zip(self.weights[1:], rows[1:]):
+            out += w * row
+        out = out.reshape(y.shape)
         return out if out.ndim else float(out)
 
     def _merged_piecewise(self):
         """The mixture as one knot table, or None with a smooth component."""
         if self._merged is None and not self.has_smooth_part:
             # over every component's knots, zero weights included
-            k, _ = self._rows()
-            knots = np.unique(np.concatenate([c.breakpoints() for c in k.components]))
+            knots = np.unique(np.concatenate([c.breakpoints() for c in self.components]))
             fl = self._evaluate(knots, True)
             self._merged = PiecewiseLinearCDF(knots, fl, self._evaluate(knots, False))
         return self._merged
@@ -894,9 +846,6 @@ class MixtureDistribution(RewardDistribution):
         if abs(float(self.cdf(q)) - alpha) <= 1e-12:
             return ("point", q, q)
         return ("empty", math.nan, math.nan)
-
-    def as_piecewise(self):
-        return self._merged_piecewise()
 
     def __repr__(self):
         w = ", ".join(f"{x:.4g}" for x in self.weights)

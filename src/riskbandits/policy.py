@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import RiskCriterion
+from .criteria import RiskCriterion, StabilityCertificate
 from .errors import DomainError, add_context
 
 __all__ = [
-    "UcbParams",
     "phi",
     "phi_inv",
     "PolicyState",
@@ -40,43 +39,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UcbParams:
-    """Modulus constants (a, b, q) plus the exploration exponent."""
-
-    a: float
-    b: float
-    q: float
-    ucb_alpha: float = 3.0
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.a, self.b, self.q, self.ucb_alpha))):
-            raise DomainError(
-                f"radii constants must be finite; got a={self.a}, b={self.b}, "
-                f"q={self.q}, ucb_alpha={self.ucb_alpha}"
-            )
-        if self.a <= 0 or self.b <= 0 or self.q < 1:
-            raise DomainError(
-                f"radii need a>0, b>0, q>=1; got a={self.a}, b={self.b}, q={self.q}"
-            )
-        if self.ucb_alpha <= 2:
-            raise DomainError(f"ucb_alpha must exceed 2, got {self.ucb_alpha}")
-
-
-def phi(params, y: float) -> float:
+def phi(cert: StabilityCertificate, y: float) -> float:
     """``min{a (y/2b)^2, a (y/2b)^(2/q)}`` for y >= 0."""
     if y < 0:
         raise DomainError(f"phi argument must be >= 0, got {y}")
-    z = y / (2.0 * params.b)
-    return params.a * min(z**2.0, z ** (2.0 / params.q))
+    z = y / (2.0 * cert.b)
+    return cert.a * min(z**2.0, z ** (2.0 / cert.q))
 
 
-def phi_inv(params, x: float) -> float:
+def phi_inv(cert: StabilityCertificate, x: float) -> float:
     """``max{2b (x/a)^(1/2), 2b (x/a)^(q/2)}``; inverse of :func:`phi`."""
     if x < 0:
         raise DomainError(f"phi_inv argument must be >= 0, got {x}")
-    z = x / params.a
-    return 2.0 * params.b * max(z**0.5, z ** (params.q / 2.0))
+    z = x / cert.a
+    return 2.0 * cert.b * max(z**0.5, z ** (cert.q / 2.0))
 
 
 class PolicyState:
@@ -123,10 +99,11 @@ class _UcbSession(PolicyState):
     """Optimism session: one criterion accumulator per arm, fed each reward
     on ``update`` and re-scored at the next ``select``."""
 
-    def __init__(self, k, criterion, params):
+    def __init__(self, k, criterion, certificate, ucb_alpha):
         super().__init__(k)
         self.criterion = criterion
-        self.params = params
+        self.certificate = certificate
+        self.ucb_alpha = ucb_alpha
         self._summaries = [criterion.accumulator() for _ in range(k)]
         self._values = [0.0] * k
         self._stale = []  # arms updated since their last score
@@ -145,12 +122,12 @@ class _UcbSession(PolicyState):
         self._stale.clear()
         if self.t < self.k:
             return self.t  # one initialization pull per arm
-        params = self.params
+        cert, alpha = self.certificate, self.ucb_alpha
         log_t = math.log(self.t + 1)
         best_arm = 0
         best_index = -math.inf
         for i, n in enumerate(self.pull_counts):
-            index = self._values[i] + phi_inv(params, params.ucb_alpha * log_t / n)
+            index = self._values[i] + phi_inv(cert, alpha * log_t / n)
             if index > best_index:
                 best_index = index
                 best_arm = i
@@ -159,12 +136,18 @@ class _UcbSession(PolicyState):
 
 @dataclass(frozen=True)
 class UcbPolicy(Policy):
-    """Optimism policy with confidence radii derived from (a, b, q)."""
+    """Optimism policy with confidence radii ``phi_inv`` of the certificate
+    (a, b, q) and exploration exponent ``ucb_alpha > 2``."""
 
-    params: UcbParams
+    certificate: StabilityCertificate
+    ucb_alpha: float = 3.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.ucb_alpha) and self.ucb_alpha > 2):
+            raise DomainError(f"ucb_alpha must be finite and exceed 2, got {self.ucb_alpha}")
 
     def start(self, k, criterion):
-        return _UcbSession(k, criterion, self.params)
+        return _UcbSession(k, criterion, self.certificate, self.ucb_alpha)
 
 
 class SimplePolicy(Policy):

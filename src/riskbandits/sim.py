@@ -120,6 +120,8 @@ def run_episode(
     if checkpoints is None:
         checkpoints = geometric_checkpoints(k, horizon)
     checkpoints = tuple(sorted(set(int(c) for c in checkpoints)))
+    if not checkpoints:
+        raise DomainError("an episode needs at least one checkpoint")
     if checkpoints[0] < k or checkpoints[-1] > horizon:
         raise DomainError(
             f"checkpoints must lie in [{k}, {horizon}], got {checkpoints}"

@@ -33,7 +33,7 @@ from riskbandits.dist import (
     Uniform,
 )
 from riskbandits.oracle import best_single_arm, expected_pull_bound
-from riskbandits.policy import Bad1OraclePolicy, SimplePolicy, UcbParams, UcbPolicy
+from riskbandits.policy import Bad1OraclePolicy, SimplePolicy, UcbPolicy
 from riskbandits.sim import (
     estimate_horizon_gap,
     estimate_performance,
@@ -135,7 +135,7 @@ def test_acceptance_5_linear_zero_gap():
     arms = [Gaussian(0.5, 1.0), Gaussian(0.0, 1.0), Gaussian(-0.5, 1.0)]
     crit = MeanCriterion()
     cert = crit.stability_certificate(arms)
-    policy = UcbPolicy(UcbParams(cert.a, cert.b, cert.q, 3.0))
+    policy = UcbPolicy(cert, 3.0)
     eps = run_replications(arms, policy, crit, 2048, 300, 2718)
     rows = estimate_horizon_gap(eps)
     violations = [(r.checkpoint, r.value, 3 * r.stderr) for r in rows if r.value > 3 * r.stderr]
@@ -163,7 +163,7 @@ def test_acceptance_6_pull_bounds_and_rate():
     crit = CVaRCriterion(0.1)
     best, p_star_value, gaps = best_single_arm(crit, _C6_ARMS)
     assert min(g for i, g in enumerate(gaps) if i != best) >= 0.3
-    policy = UcbPolicy(UcbParams(_C6_CERT.a, _C6_CERT.b, _C6_CERT.q, 3.0))
+    policy = UcbPolicy(_C6_CERT, 3.0)
     ratios = {}
     tau_ok = True
     lines = []
@@ -305,8 +305,8 @@ def test_acceptance_8_invariant_suites():
     results += list(_convexity_suite())
     results += list(_modulus_suite())
     results += list(_residual_suite())
-    results.append(checklib.phi_identity_check(UcbParams(0.77, 310.0, 2.0, 3.0)))
-    results.append(checklib.phi_identity_check(UcbParams(2.0, 0.45, 1.0, 3.0)))
+    results.append(checklib.phi_identity_check(StabilityCertificate(0.77, 310.0, 2.0)))
+    results.append(checklib.phi_identity_check(StabilityCertificate(2.0, 0.45, 1.0)))
     results.append(
         checklib.dkw_grid_check(
             Gaussian(0, 1),
@@ -334,7 +334,7 @@ def _determinism_check():
     arms = [Gaussian(0.0, 1.0), Gaussian(-0.5, 1.0)]
     crit = CVaRCriterion(0.2)
     cert = crit.stability_certificate(arms, b=0.5)
-    policy = UcbPolicy(UcbParams(cert.a, cert.b, cert.q, 3.0))
+    policy = UcbPolicy(cert, 3.0)
     serial = run_replications(arms, policy, crit, 512, 16, seed=77, parallel=1)
     parallel = run_replications(arms, policy, crit, 512, 16, seed=77, parallel=4)
     again = run_replications(arms, policy, crit, 512, 16, seed=77, parallel=1)

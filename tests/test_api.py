@@ -1,6 +1,6 @@
 """Every name a module lists in ``__all__`` resolves, and so does every
 private or foreign name the benchmark's layer tracer wraps; the closed-loop
-sessions keep the method names the tracer matches.
+sessions and the mixture keep the method names the tracer matches.
 
 A stale entry breaks only ``from riskbandits.<module> import *``, which no
 other test exercises; a stale tracer target crashes ``perfbench/run.py
@@ -18,7 +18,8 @@ import pytest
 
 import riskbandits
 from riskbandits import policy
-from riskbandits.criteria import MeanCriterion
+from riskbandits.criteria import MeanCriterion, StabilityCertificate
+from riskbandits.dist import MixtureDistribution
 
 MODULES = [f"riskbandits.{m.name}" for m in pkgutil.iter_modules(riskbandits.__path__)]
 
@@ -55,12 +56,19 @@ def test_perfbench_tracer_targets_resolve():
         assert callable(vars(owner).get(attr)), name
 
 
+def test_mixture_tracer_boundaries_stay_defined():
+    # the tracer's dist.mixture_* spans match these methods by name, so the
+    # mixture class must define each itself and not inherit it
+    for attr in ("cdf", "cdf_left", "_quantile", "upper_quantile"):
+        assert callable(vars(MixtureDistribution).get(attr)), attr
+
+
 def test_closed_loop_tracer_boundaries_stay_defined():
     # the tracer counts pulls at policy.PolicyState.update and decisions at
     # policy.<session>.select, under their own names in vars() of the class
     assert callable(vars(policy.PolicyState).get("update"))
     sessions = [
-        policy.UcbPolicy(policy.UcbParams(1.0, 1.0, 2.0)).start(2, MeanCriterion()),
+        policy.UcbPolicy(StabilityCertificate(1.0, 1.0, 2.0)).start(2, MeanCriterion()),
         policy.Bad1OraclePolicy().start(2, None),
     ]
     for session in sessions:

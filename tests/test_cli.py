@@ -96,12 +96,12 @@ def test_policy_resolution_uses_certificate():
     policy = cfg.policy_objects()[0][1]
     assert isinstance(policy, UcbPolicy)
     cert = cfg.criterion.stability_certificate(cfg.arms)
-    assert policy.params.b == cert.b and policy.params.ucb_alpha == 2.5
+    assert policy.certificate == cert and policy.ucb_alpha == 2.5
     # explicit overrides win
     cfg2 = parse_config(
         {**_base_doc(), "policies": [{"kind": "ucb", "a": 2.0, "b": 0.4, "q": 2.0}]}
     )
-    assert cfg2.policy_objects()[0][1].params.b == 0.4
+    assert cfg2.policy_objects()[0][1].certificate.b == 0.4
     cfg3 = parse_config({**_base_doc(), "policies": [{"kind": "simple", "p": [1, 0]}]})
     assert isinstance(cfg3.policy_objects()[0][1], SimplePolicy)
     cfg4 = parse_config(
@@ -404,6 +404,27 @@ def _arms(*specs):
         pytest.param("simulate", {"replications": 2.9}, "replications", id="replications-fraction"),
         pytest.param("simulate", {"replications": True}, "replications", id="replications-bool"),
         pytest.param("simulate", {"ucb_alpha": "x"}, "ucb_alpha", id="ucb-alpha-string"),
+        pytest.param(
+            "eval", {"policies": [{"kind": "ucb", "typo_key": 7}]}, "typo_key",
+            id="policy-unknown-key",
+        ),
+        pytest.param(
+            "eval", {"policies": [{"kind": "nosuchpolicy"}]}, "nosuchpolicy", id="policy-unknown-kind"
+        ),
+        pytest.param("eval", {"policies": [{"kind": "simple"}]}, "'p'", id="policy-missing-p"),
+        pytest.param(
+            "eval", {"reference": {"kind": "simple", "p": [1.0, 0.0], "bogus": 1}}, "bogus",
+            id="reference-unknown-key",
+        ),
+        pytest.param("eval", {"reference": "best-arms"}, "best-arms", id="reference-unknown"),
+        pytest.param(
+            "eval", {"policies": [{"kind": "ucb", "a": NAN}]}, "policy a must be finite",
+            id="policy-a-nan",
+        ),
+        pytest.param(
+            "oracle", {"reference": {"kind": "simple", "p": [INF, 0.0]}},
+            "reference p entry must be finite", id="reference-p-inf",
+        ),
         pytest.param("eval", {"mixtures": [[0.5, "a"]]}, "mixture", id="mixture-string"),
         pytest.param("eval", {"mixtures": [0.5, 0.5]}, "mixture", id="mixture-scalar"),
         pytest.param(
@@ -426,11 +447,34 @@ def _arms(*specs):
     ],
 )
 def test_bad_config_values_exit_1_with_an_error(tmp_path, capsys, command, patch, expect):
+    assert expect in _error_of(tmp_path, capsys, command, patch)
+
+
+def _error_of(tmp_path, capsys, command, patch):
+    """The ``error:`` line of ``command`` on a patched config, which must exit
+    1 and write no CSV."""
     doc = _base_doc()
     doc.update(policies=[{"kind": "simple", "p": [1.0, 0.0]}], horizons=[64], replications=2)
     doc.update(patch)
     code = main([command, "--config", _write(tmp_path, doc), "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error:") and expect in err
+    assert err.startswith("error:")
     assert not list(tmp_path.glob("*.csv"))
+    return err
+
+
+@pytest.mark.parametrize("command", ["eval", "oracle", "simulate", "check"])
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"ucb_alpha": 2.0},
+        {"ucb_alpha": NAN},
+        {"policies": [{"kind": "ucb", "alpha": 1.5}]},
+        {"reference": {"kind": "ucb", "alpha": INF}},
+    ],
+    ids=["ucb-alpha-2", "ucb-alpha-nan", "policy-alpha", "reference-alpha"],
+)
+def test_ucb_alpha_at_or_below_2_or_non_finite_exits_1(tmp_path, capsys, command, patch):
+    # refused while loading, before any command builds a UCB policy
+    assert "must be finite and exceed 2" in _error_of(tmp_path, capsys, command, patch)

@@ -661,9 +661,8 @@ def test_mixture_kernel_is_bit_identical_to_the_component_loop(kinds):
                 assert got == loop_mixture_cdf(m, y, left)
 
 
-def test_nested_mixture_stays_within_ulps_of_the_component_loop():
-    # a nested mixture's components join the kernel with the product of the
-    # weights, so its sums round differently: at most 3 ulp measured
+def test_nested_mixture_is_bit_identical_to_the_component_loop():
+    # a nested mixture is one component, answering by its own CDF
     r = rng(62)
     for _ in range(100):
         inner = [random_mixture(r, MIXTURE_KINDS["mixed"]) for _ in range(2)]
@@ -671,7 +670,7 @@ def test_nested_mixture_stays_within_ulps_of_the_component_loop():
         ys = probes(r, m)[:-2]
         for left, method in ((False, m.cdf), (True, m.cdf_left)):
             want = loop_mixture_cdf(m, ys, left)
-            assert np.all(np.abs(method(ys) - want) <= 8 * np.spacing(want))
+            assert np.array_equal(method(ys), want)
 
 
 def test_mixture_of_large_empirical_components_holds_memory_linear_in_the_knots():
@@ -700,8 +699,8 @@ def test_block_bisection_is_bit_identical_to_scalar_bisection(kinds):
     r = rng(63)
     for _ in range(100):
         m = random_mixture(r, kinds)
-        if m.as_piecewise() is not None:
-            continue  # no Gaussian weight: the merged table answers
+        if not m.has_smooth_part:
+            continue  # no Gaussian component: the merged table answers
         for level in r.uniform(0.0, 1.0, size=4):
             level = float(level)
             got = m.quantile(level)
@@ -716,9 +715,9 @@ def test_knot_table_mixture_merges_as_the_component_loop():
     r = rng(64)
     for _ in range(100):
         m = random_mixture(r, MIXTURE_KINDS["piecewise"])
-        ys = np.unique(np.concatenate([c.as_piecewise().ys for c in m.components]))
+        ys = np.unique(np.concatenate([c.breakpoints() for c in m.components]))
         want = PiecewiseLinearCDF(ys, loop_mixture_cdf(m, ys, left=True), loop_mixture_cdf(m, ys))
-        got = m.as_piecewise()
+        got = m._merged_piecewise()
         for attr in ("ys", "fl", "fr", "_interp_fs"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
 

@@ -14,6 +14,7 @@ from riskbandits.criteria import (
     SecondMomentCriterion,
     SharpeCriterion,
     SortinoCriterion,
+    StabilityCertificate,
     VaRCriterion,
 )
 from riskbandits.dist import EmpiricalDistribution, Gaussian, PointMass, TwoPoint
@@ -23,7 +24,6 @@ from riskbandits.policy import (
     Bad2OraclePolicy,
     PolicyState,
     SimplePolicy,
-    UcbParams,
     UcbPolicy,
     phi,
     phi_inv,
@@ -58,7 +58,7 @@ class RewardRecord(PolicyState):
         return sum(x <= y for rewards in self.rewards for x in rewards)
 
 
-def ucb_select(record, criterion, params):
+def ucb_select(record, criterion, ucb):
     """Stateless optimism selection: recomputes every arm's score from its
     full sorted sample; ties break to the lowest arm index.
 
@@ -76,7 +76,7 @@ def ucb_select(record, criterion, params):
         except Exception as exc:
             add_context(exc, f"criterion failed on arm {i}")
             raise
-        bonus = phi_inv(params, params.ucb_alpha * math.log(t_now) / record.pull_counts[i])
+        bonus = phi_inv(ucb.certificate, ucb.ucb_alpha * math.log(t_now) / record.pull_counts[i])
         if value + bonus > best_index:
             best_index = value + bonus
             best_arm = i
@@ -95,7 +95,7 @@ def _feed(reward_sequence, *states):
 
 
 def test_phi_examples():
-    p = UcbParams(1.0, 1.0, 2.0)
+    p = StabilityCertificate(1.0, 1.0, 2.0)
     assert phi(p, 2.0) == 1.0
     assert phi_inv(p, 4.0) == 8.0
     assert phi(p, 0.0) == 0.0
@@ -103,29 +103,30 @@ def test_phi_examples():
 
 def test_phi_inverse_identity_log_grid():
     for q in (1.0, 2.0, 3.0):
-        p = UcbParams(0.7, 2.3, q)
+        p = StabilityCertificate(0.7, 2.3, q)
         for x in np.logspace(-4, 4, 30):
             assert phi(p, phi_inv(p, float(x))) == pytest.approx(float(x), rel=1e-12)
 
 
 def test_phi_domain_and_params_validation():
-    p = UcbParams(1.0, 1.0, 2.0)
+    p = StabilityCertificate(1.0, 1.0, 2.0)
     with pytest.raises(DomainError):
         phi(p, -0.1)
     with pytest.raises(DomainError):
         phi_inv(p, -0.1)
+    with pytest.raises(DomainError, match="exceed 2"):
+        UcbPolicy(p, ucb_alpha=2.0)
     with pytest.raises(DomainError):
-        UcbParams(1.0, 1.0, 2.0, ucb_alpha=2.0)
-    with pytest.raises(DomainError):
-        UcbParams(0.0, 1.0, 2.0)
+        StabilityCertificate(0.0, 1.0, 2.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("field", ["a", "b", "q", "ucb_alpha"])
 def test_ucb_params_reject_non_finite(field, bad):
     values = {"a": 1.0, "b": 1.0, "q": 2.0, "ucb_alpha": 3.0, field: bad}
+    alpha = values.pop("ucb_alpha")
     with pytest.raises(DomainError, match="finite"):
-        UcbParams(**values)
+        UcbPolicy(StabilityCertificate(**values), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +136,9 @@ def test_ucb_params_reject_non_finite(field, bad):
 
 def test_update_bookkeeping():
     crit = MeanCriterion()
-    params = UcbParams(1.0, 1.0, 2.0, 3.0)
+    ucb = UcbPolicy(StabilityCertificate(1.0, 1.0, 2.0), 3.0)
     st = RewardRecord(3)
-    session = UcbPolicy(params).start(3, crit)
+    session = ucb.start(3, crit)
     _feed([(0, 5.0)], st, session)
     assert st.t == session.t == 1
     assert st.pull_counts == session.pull_counts == [1, 0, 0]
@@ -161,11 +162,11 @@ def test_update_bookkeeping():
 def test_replay_reproduces_state():
     r = rng(2)
     trajectory = [(int(r.integers(0, 2)), float(r.normal())) for _ in range(200)]
-    params = UcbParams(0.77, 0.6, 2.0, 3.0)
+    ucb = UcbPolicy(StabilityCertificate(0.77, 0.6, 2.0), 3.0)
 
     def replay():
         record = RewardRecord(2)
-        session = UcbPolicy(params).start(2, CVaRCriterion(0.2))
+        session = ucb.start(2, CVaRCriterion(0.2))
         decisions = []
         for step in trajectory:
             _feed([step], record, session)
@@ -185,48 +186,48 @@ def test_replay_reproduces_state():
 
 
 def test_ucb_initialization_round_robin():
-    params = UcbParams(1.0, 1.0, 2.0, 3.0)
+    ucb = UcbPolicy(StabilityCertificate(1.0, 1.0, 2.0), 3.0)
     crit = MeanCriterion()
     st = RewardRecord(3)
-    session = UcbPolicy(params).start(3, crit)
-    assert ucb_select(st, crit, params) == session.select() == 0
+    session = ucb.start(3, crit)
+    assert ucb_select(st, crit, ucb) == session.select() == 0
     _feed([(0, 1.0)], st, session)
-    assert ucb_select(st, crit, params) == session.select() == 1
+    assert ucb_select(st, crit, ucb) == session.select() == 1
     _feed([(1, 0.0)], st, session)
-    assert ucb_select(st, crit, params) == session.select() == 2
+    assert ucb_select(st, crit, ucb) == session.select() == 2
 
 
 def test_ucb_hand_arithmetic():
     # two arms, one observation each, decision at time 3
-    params = UcbParams(1.0, 1.0, 2.0, 3.0)
+    ucb = UcbPolicy(StabilityCertificate(1.0, 1.0, 2.0), 3.0)
     st = RewardRecord(2)
-    session = UcbPolicy(params).start(2, MeanCriterion())
+    session = ucb.start(2, MeanCriterion())
     _feed([(0, 0.5), (1, 0.2)], st, session)
-    bonus = phi_inv(params, 3.0 * math.log(3.0))
+    bonus = phi_inv(ucb.certificate, 3.0 * math.log(3.0))
     assert bonus == pytest.approx(6.5917, abs=1e-4)
-    assert ucb_select(st, MeanCriterion(), params) == 0
+    assert ucb_select(st, MeanCriterion(), ucb) == 0
     assert session.select() == 0
 
 
 def test_ucb_tie_breaks_to_lowest_index():
-    params = UcbParams(1, 1, 2, 3)
+    ucb = UcbPolicy(StabilityCertificate(1, 1, 2), 3)
     st = RewardRecord(2)
-    session = UcbPolicy(params).start(2, MeanCriterion())
+    session = ucb.start(2, MeanCriterion())
     _feed([(0, 0.7), (1, 0.7)], st, session)
-    assert ucb_select(st, MeanCriterion(), params) == 0
+    assert ucb_select(st, MeanCriterion(), ucb) == 0
     assert session.select() == 0
 
 
 def test_ucb_session_matches_functional_rule():
     arms = [Gaussian(0, 1), Gaussian(-0.3, 1), Gaussian(0.2, 2)]
     crit = CVaRCriterion(0.2)
-    params = UcbParams(0.77, 0.6, 2.0, 3.0)
-    session = UcbPolicy(params).start(3, crit)
+    ucb = UcbPolicy(StabilityCertificate(0.77, 0.6, 2.0), 3.0)
+    session = ucb.start(3, crit)
     st = RewardRecord(3)
     streams = [d.sample(rng(100 + i), 400) for i, d in enumerate(arms)]
     cursors = [0, 0, 0]
     for _ in range(300):
-        want = ucb_select(st, crit, params)
+        want = ucb_select(st, crit, ucb)
         got = session.select()
         assert got == want
         _feed([(got, float(streams[got][cursors[got]]))], st, session)
@@ -234,17 +235,17 @@ def test_ucb_session_matches_functional_rule():
 
 
 def test_ucb_failure_context_keeps_the_exception():
-    params = UcbParams(1.0, 1.0, 2.0, 3.0)
+    ucb = UcbPolicy(StabilityCertificate(1.0, 1.0, 2.0), 3.0)
     st = RewardRecord(2)
-    session = UcbPolicy(params).start(2, RefusingCriterion())
+    session = ucb.start(2, RefusingCriterion())
     # the session scores an arm at the first select after its reward,
     # so the failure surfaces inside the initialization round
-    early = UcbPolicy(params).start(2, RefusingCriterion())
+    early = ucb.start(2, RefusingCriterion())
     assert early.select() == 0
     early.update(0, 0.5)
     _feed([(0, 0.5), (1, 0.2)], st, session)
     for select in (
-        lambda: ucb_select(st, RefusingCriterion(), params),
+        lambda: ucb_select(st, RefusingCriterion(), ucb),
         session.select,
         early.select,
     ):
@@ -403,12 +404,12 @@ _SESSION_ARMS = {
 }
 
 
-def _indices(state, crit, params):
+def _indices(state, crit, ucb):
     """Every arm's optimism index, each scored on its full sorted sample."""
     log_t = math.log(state.t + 1)
     return [
         crit.evaluate(state.empirical(i))
-        + phi_inv(params, params.ucb_alpha * log_t / state.pull_counts[i])
+        + phi_inv(ucb.certificate, ucb.ucb_alpha * log_t / state.pull_counts[i])
         for i in range(state.k)
     ]
 
@@ -420,15 +421,15 @@ def test_ucb_session_matches_functional_rule_over_seeds(crit, arms):
     # a full-sample score: on an exact index tie it may take the other tied
     # arm, and nowhere else.
     arm_set = _SESSION_ARMS[arms]
-    params = UcbParams(0.77, 0.6, 2.0, 3.0)
+    ucb = UcbPolicy(StabilityCertificate(0.77, 0.6, 2.0), 3.0)
     for seed in range(20):
-        session = UcbPolicy(params).start(3, crit)
+        session = ucb.start(3, crit)
         st = RewardRecord(3)
         streams = [d.sample(rng(1000 * seed + i), 120) for i, d in enumerate(arm_set)]
         for _ in range(120):
             got = session.select()
-            want = ucb_select(st, crit, params)
+            want = ucb_select(st, crit, ucb)
             if got != want:
-                index = _indices(st, crit, params)
+                index = _indices(st, crit, ucb)
                 assert index[got] == pytest.approx(index[want], rel=1e-12, abs=0.0)
             _feed([(got, float(streams[got][st.pull_counts[got]]))], st, session)

@@ -13,6 +13,7 @@ from riskbandits.criteria import (
     MeanCriterion,
     NegVarianceCriterion,
     RiskCriterion,
+    StabilityCertificate,
 )
 from riskbandits.dist import (
     EmpiricalDistribution,
@@ -29,7 +30,6 @@ from riskbandits.policy import (
     Bad2OraclePolicy,
     PolicyState,
     SimplePolicy,
-    UcbParams,
     UcbPolicy,
 )
 from riskbandits.sim import (
@@ -110,7 +110,7 @@ _MIXED_ARMS = [Gaussian(0.3, 1.2), Uniform(-1.0, 2.0), TwoPoint(0.3, -2.0, 1.0),
 ENGINE_CASES = {
     "ucb": (
         [Gaussian(0.0, 1.0), Uniform(-1.0, 1.0), TwoPoint(0.4, -1.0, 1.5)],
-        UcbPolicy(UcbParams(0.77, 0.5, 2.0, 3.0)),
+        UcbPolicy(StabilityCertificate(0.77, 0.5, 2.0), 3.0),
         CVaRCriterion(0.2),
         300,
     ),
@@ -150,6 +150,8 @@ def test_checkpoint_validation():
         run_episode(arms, SimplePolicy([1, 0]), MeanCriterion(), 10, checkpoints=[1, 5])
     with pytest.raises(DomainError):
         run_episode(arms, SimplePolicy([1, 0]), MeanCriterion(), 10, checkpoints=[5, 20])
+    with pytest.raises(DomainError, match="at least one checkpoint"):
+        run_episode(arms, SimplePolicy([1, 0]), MeanCriterion(), 10, checkpoints=[])
 
 
 def test_trivial_single_arm_episode():
@@ -161,7 +163,7 @@ def test_trivial_single_arm_episode():
 
 def test_episode_determinism():
     arms = [Gaussian(0, 1), Uniform(-1, 1)]
-    policy = UcbPolicy(UcbParams(0.77, 0.5, 2.0, 3.0))
+    policy = UcbPolicy(StabilityCertificate(0.77, 0.5, 2.0), 3.0)
     a = run_episode(arms, policy, MeanCriterion(), 300, seed=9, rep=4)
     b = run_episode(arms, policy, MeanCriterion(), 300, seed=9, rep=4)
     assert np.array_equal(a.pooled_values, b.pooled_values)
@@ -233,7 +235,7 @@ def test_replication_failures_name_the_replication(parallel):
 
 def test_replications_parallel_bit_identical():
     arms = [Gaussian(0, 1), Gaussian(-0.4, 1)]
-    policy = UcbPolicy(UcbParams(0.77, 0.5, 2.0, 3.0))
+    policy = UcbPolicy(StabilityCertificate(0.77, 0.5, 2.0), 3.0)
     serial = run_replications(arms, policy, MeanCriterion(), 200, reps=6, seed=11)
     parallel = run_replications(
         arms, policy, MeanCriterion(), 200, reps=6, seed=11, parallel=3
@@ -298,7 +300,7 @@ def test_proxy_regret_worst_arm_equals_gap():
 
 def test_horizon_gap_linear_criterion_is_noise():
     arms = [Gaussian(0.5, 1), Gaussian(0.0, 1)]
-    policy = UcbPolicy(UcbParams(1.0, 0.5, 2.0, 3.0))
+    policy = UcbPolicy(StabilityCertificate(1.0, 0.5, 2.0), 3.0)
     eps = run_replications(arms, policy, MeanCriterion(), 256, reps=200, seed=21)
     for row in estimate_horizon_gap(eps):
         assert row.value <= 3 * row.stderr
@@ -341,7 +343,7 @@ def test_proxy_regret_decomposition_bound(seed):
     crit = CVaRCriterion(0.2)
     cert = crit.stability_certificate(arms)
     best, p_star_value, _ = best_single_arm(crit, arms)
-    policy = UcbPolicy(UcbParams(cert.a, 0.5, cert.q, 3.0))
+    policy = UcbPolicy(StabilityCertificate(cert.a, 0.5, cert.q), 3.0)
     horizon = 1000
     eps = run_replications(arms, policy, crit, horizon, reps=40, seed=seed, checkpoints=[horizon])
     row = estimate_proxy_regret(eps, p_star_value)[0]
