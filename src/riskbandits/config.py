@@ -104,7 +104,7 @@ def _default_policy_label(spec: dict) -> str:
 
 def _reject_extra(context: str, mapping: dict) -> None:
     if mapping:
-        raise ConfigError(f"unknown {context} keys: {sorted(mapping)}")
+        raise ConfigError(f"unknown {context} keys: {sorted(mapping, key=str)}")
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -149,9 +149,10 @@ def _ucb_alpha(value, name: str) -> float:
     return alpha
 
 
-def _check_policy(spec, name: str) -> None:
-    """Refuse a policy record of an unknown kind, or with a missing, unknown,
-    ill-typed or non-finite parameter."""
+def _check_policy(spec, name: str, n_arms: int) -> None:
+    """Refuse a policy record of an unknown kind, with a missing, unknown,
+    ill-typed or non-finite parameter, or with a weight vector ``p`` whose
+    length is not the arm count."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"{name} spec must be a mapping with 'kind': {spec!r}")
     kind = spec["kind"]
@@ -167,6 +168,8 @@ def _check_policy(spec, name: str) -> None:
     for label, value in values:
         if not math.isfinite(_number(value, label)):
             raise ConfigError(f"{label} must be finite, got {value!r}")
+    if kind == "simple" and len(spec["p"]) != n_arms:
+        raise ConfigError(f"simple {name} has {len(spec['p'])} weights for {n_arms} arms")
 
 
 def parse_distribution(spec: dict) -> RewardDistribution:
@@ -259,7 +262,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("config root must be a mapping")
     unknown = set(raw) - _KNOWN_KEYS
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
     if "version" not in raw:
         raise ConfigError("config is missing required key 'version'")
     if _number(raw["version"], "version", integer=True) != CONFIG_VERSION:
@@ -290,10 +293,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     policies = _list(raw.get("policies", []), "policies")
     for spec in policies:
-        _check_policy(spec, "policy")
+        _check_policy(spec, "policy", len(arms))
     reference = raw.get("reference", "best-arm")
     if reference != "best-arm":
-        _check_policy(reference, "reference")
+        _check_policy(reference, "reference", len(arms))
 
     checkpoints = raw.get("checkpoints")
     if checkpoints is not None:

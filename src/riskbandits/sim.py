@@ -41,6 +41,7 @@ __all__ = [
     "estimate_horizon_gap",
     "estimate_reference_regret",
     "dkw_exceedance",
+    "dkw_sup_distances",
     "write_csv",
     "write_report_csv",
     "read_report_csv",
@@ -320,35 +321,58 @@ def estimate_reference_regret(episodes, reference_episodes) -> list[EstimateRow]
 # ---------------------------------------------------------------------------
 
 
-def dkw_exceedance(dist, t: int, x: float, reps: int, seed: int = 0) -> float:
-    """Fraction of replications with ``sup |F_hat_t - F| >= x``.
+#: Draws scored per block of rows in ``dkw_sup_distances``: the CDF values,
+#: left limits and grid differences of one block are temporaries of this size.
+_DKW_BLOCK_DRAWS = 1 << 16
 
-    The sup is exact: over sample points (both sides) and the distribution's
-    own jump points (both sides).
-    """
+
+def _check_reps(reps: int) -> None:
     if reps < 100:
         raise DomainError(f"need at least 100 replications, got {reps}")
+
+
+def dkw_sup_distances(dist, t: int, reps: int, seed: int = 0) -> np.ndarray:
+    """``sup |F_hat_t - F|`` of each of ``reps`` samples of size ``t``.
+
+    The sup is exact: over sample points (both sides) and the distribution's
+    own jump points (both sides).  The ``reps * t`` draws come from stream
+    ``SeedSequence(seed, spawn_key=(0,))`` in one ``sample`` call and are
+    held once; the rows are sorted in place and scored in blocks of about
+    ``_DKW_BLOCK_DRAWS`` draws, so the other temporaries are block-sized.
+    Every step is elementwise, an exact maximum or an integer count, so the
+    distances do not depend on the block size.
+    """
+    _check_reps(reps)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    draws = dist.sample(rng, reps * t).reshape(reps, t)
+    grid = np.arange(1, t + 1) / t
+    jumps = [(b, float(dist.cdf(b)), float(dist.cdf_left(b))) for b in dist.breakpoints()]
+    sup = np.empty(reps)
+    rows = max(1, _DKW_BLOCK_DRAWS // t)
+    for lo in range(0, reps, rows):
+        block = draws[lo : lo + rows]
+        block.sort(axis=1)
+        f_right = np.asarray(dist.cdf(block))
+        # without breakpoints the CDF has no jumps: its left limits are its values
+        f_left = np.asarray(dist.cdf_left(block)) if jumps else f_right
+        s = np.maximum(
+            np.max(grid - f_right, axis=1), np.max(f_left - grid + 1.0 / t, axis=1)
+        )
+        for b, fb, fb_left in jumps:
+            s = np.maximum(s, np.abs(np.sum(block <= b, axis=1) / t - fb))
+            s = np.maximum(s, np.abs(np.sum(block < b, axis=1) / t - fb_left))
+        sup[lo : lo + rows] = s
+    return sup
+
+
+def dkw_exceedance(dist, t: int, x: float, reps: int, seed: int = 0) -> float:
+    """Fraction of replications with ``sup |F_hat_t - F| >= x``: the
+    distances of ``dkw_sup_distances``, or 1.0 without drawing when
+    ``x <= 0``."""
+    _check_reps(reps)
     if x <= 0.0:
         return 1.0
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    draws = np.sort(dist.sample(rng, reps * t).reshape(reps, t), axis=1)
-    grid = np.arange(1, t + 1) / t
-    breakpoints = dist.breakpoints()
-    f_right = np.asarray(dist.cdf(draws))
-    # without breakpoints the CDF has no jumps: its left limits are its values
-    f_left = np.asarray(dist.cdf_left(draws)) if len(breakpoints) else f_right
-    sup = np.maximum(
-        np.max(grid[None, :] - f_right, axis=1),
-        np.max(f_left - grid[None, :] + 1.0 / t, axis=1),
-    )
-    for b in breakpoints:
-        fb = float(dist.cdf(b))
-        fb_left = float(dist.cdf_left(b))
-        emp_right = np.sum(draws <= b, axis=1) / t
-        emp_left = np.sum(draws < b, axis=1) / t
-        sup = np.maximum(sup, np.abs(emp_right - fb))
-        sup = np.maximum(sup, np.abs(emp_left - fb_left))
-    return float(np.mean(sup >= x))
+    return float(np.mean(dkw_sup_distances(dist, t, reps, seed) >= x))
 
 
 # ---------------------------------------------------------------------------

@@ -434,6 +434,13 @@ def _arms(*specs):
             "simulate", _arms({"kind": "uniform", "lo": "0", "hi": 1.0}), "uniform lo",
             id="arm-string",
         ),
+        pytest.param(
+            "eval", _arms({"kind": "gaussian", "mean": 0.0, "stddev": 1.0, 7: 1, "x": 2}),
+            "unknown gaussian distribution keys: [7, 'x']", id="arm-mixed-type-keys",
+        ),
+        pytest.param(
+            "eval", {7: 1, "x": 2}, "unknown config keys: [7, 'x']", id="config-mixed-type-keys"
+        ),
         pytest.param("check", {"check": {"pairz": 40}}, "pairz", id="check-unknown-key"),
         pytest.param("check", {"check": {"pairs": "many"}}, "pairs", id="check-pairs-string"),
         pytest.param("check", {"check": {"dkw_reps": 2.5}}, "dkw_reps", id="check-reps-fraction"),
@@ -462,6 +469,16 @@ def _error_of(tmp_path, capsys, command, patch):
     assert err.startswith("error:")
     assert not list(tmp_path.glob("*.csv"))
     return err
+
+
+@pytest.mark.parametrize("command", ["eval", "oracle", "simulate", "check"])
+@pytest.mark.parametrize("key", ["policies", "reference"])
+def test_simple_weights_not_one_per_arm_exit_1(tmp_path, capsys, command, key):
+    # refused while loading, also by the commands that never build the policy
+    spec = {"kind": "simple", "p": [1.0]}
+    patch = {key: [spec] if key == "policies" else spec}
+    err = _error_of(tmp_path, capsys, command, patch)
+    assert "has 1 weights for 2 arms" in err
 
 
 @pytest.mark.parametrize("command", ["eval", "oracle", "simulate", "check"])

@@ -1,11 +1,12 @@
 import bisect
 import math
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from riskbandits import sim
+from riskbandits import checks, sim
 from riskbandits.criteria import (
     Bad1Criterion,
     Bad2Criterion,
@@ -18,6 +19,8 @@ from riskbandits.criteria import (
 from riskbandits.dist import (
     EmpiricalDistribution,
     Gaussian,
+    MixtureDistribution,
+    PiecewiseLinearCDF,
     PointMass,
     TwoPoint,
     Uniform,
@@ -35,6 +38,7 @@ from riskbandits.policy import (
 from riskbandits.sim import (
     RegretReport,
     dkw_exceedance,
+    dkw_sup_distances,
     estimate_horizon_gap,
     estimate_performance,
     estimate_proxy_regret,
@@ -397,6 +401,123 @@ def test_dkw_exceedance_discrete_distribution():
     # atoms force the supremum onto jump points; bound must still hold
     d = PointMass(0.0)
     assert dkw_exceedance(d, 50, 0.1, reps=500, seed=2) == 0.0
+
+
+def one_shot_dkw_sup_distances(dist, t, reps, seed=0):
+    """Reference: the one-shot scoring the blocked one replaced.  It sorts a
+    copy of all ``reps * t`` draws and scores them in full-size arrays."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    draws = np.sort(dist.sample(rng, reps * t).reshape(reps, t), axis=1)
+    grid = np.arange(1, t + 1) / t
+    breakpoints = dist.breakpoints()
+    f_right = np.asarray(dist.cdf(draws))
+    f_left = np.asarray(dist.cdf_left(draws)) if len(breakpoints) else f_right
+    sup = np.maximum(
+        np.max(grid[None, :] - f_right, axis=1),
+        np.max(f_left - grid[None, :] + 1.0 / t, axis=1),
+    )
+    for b in breakpoints:
+        fb = float(dist.cdf(b))
+        fb_left = float(dist.cdf_left(b))
+        emp_right = np.sum(draws <= b, axis=1) / t
+        emp_left = np.sum(draws < b, axis=1) / t
+        sup = np.maximum(sup, np.abs(emp_right - fb))
+        sup = np.maximum(sup, np.abs(emp_left - fb_left))
+    return sup
+
+
+def one_shot_dkw_exceedance(dist, t, x, reps, seed=0):
+    if reps < 100:
+        raise DomainError(f"need at least 100 replications, got {reps}")
+    if x <= 0.0:
+        return 1.0
+    return float(np.mean(one_shot_dkw_sup_distances(dist, t, reps, seed) >= x))
+
+
+_DKW_KINDS = {
+    "gaussian": Gaussian(0.3, 2.0),
+    "point-mass": PointMass(0.5),
+    "bad1-wide": bad1_arm_wide(),  # jumps and a flat part
+    "var-flat": PiecewiseLinearCDF.from_pairs([(0, 0.0), (1, 0.3), (2, 0.3), (3, 1.0)]),
+    "gaussian+point-mass": MixtureDistribution([Gaussian(0, 1), PointMass(0.25)], [0.6, 0.4]),
+    "empirical-50": EmpiricalDistribution(np.random.default_rng(8).normal(size=50)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DKW_KINDS))
+@pytest.mark.parametrize(
+    "t,reps,block",
+    # t = 400 scores several blocks and a short last one; a horizon past
+    # the block size (a block of 256 draws, at test size) scores one row a block
+    [(1, 1000, None), (7, 1000, None), (25, 1000, None), (400, 500, None), (400, 100, 256)],
+)
+def test_dkw_blocked_scoring_is_bit_identical_to_one_shot(monkeypatch, kind, t, reps, block):
+    if block is not None:
+        monkeypatch.setattr(sim, "_DKW_BLOCK_DRAWS", block)
+    d = _DKW_KINDS[kind]
+    sups = dkw_sup_distances(d, t, reps, seed=6)
+    np.testing.assert_array_equal(sups, one_shot_dkw_sup_distances(d, t, reps, seed=6))
+    # a threshold at a sup distance itself counts that replication
+    for x in (float(np.median(sups)), float(sups.max()), 0.1):
+        assert dkw_exceedance(d, t, x, reps, seed=6) == one_shot_dkw_exceedance(
+            d, t, x, reps, seed=6
+        )
+
+
+def _per_pair_dkw_line(dist, pairs, reps, seed, slack=1.2):
+    """The concentration line of a loop that scores every pair afresh."""
+    worst = 0.0
+    for t, x in pairs:
+        emp = one_shot_dkw_exceedance(dist, t, x, reps, seed)
+        bound = 2.0 * math.exp(-2.0 * t * x * x)
+        if emp > min(1.0, slack * bound):
+            detail = f"t={t}, x={x}: empirical {emp:.4g} > {slack} x bound {bound:.4g}"
+            return checks.CheckResult("dkw-concentration", False, detail).line()
+        if bound > 0:
+            worst = max(worst, emp / bound)
+    return checks.CheckResult(
+        "dkw-concentration", True, f"worst empirical/bound ratio {worst:.3f}"
+    ).line()
+
+
+_CLI_DKW_GRID = [(25, 0.2), (100, 0.1), (100, 0.14), (400, 0.05), (400, 0.07)]
+
+
+@pytest.mark.parametrize("slack", [1.2, 0.1])
+def test_dkw_grid_check_line_matches_per_pair_scoring(slack):
+    d = Gaussian(0, 1)
+    got = checks.dkw_grid_check(d, _CLI_DKW_GRID, reps=2000, seed=14, slack=slack)
+    assert got.passed == (slack > 1)
+    assert got.line() == _per_pair_dkw_line(d, _CLI_DKW_GRID, 2000, 14, slack)
+
+
+def test_dkw_grid_check_draws_each_horizon_once(monkeypatch):
+    calls = []
+    sample = Gaussian.sample
+
+    def counting(self, rng, n):
+        calls.append(n)
+        return sample(self, rng, n)
+
+    monkeypatch.setattr(Gaussian, "sample", counting)
+    # a pair with x <= 0 scores 1.0 without drawing
+    grid = _CLI_DKW_GRID + [(50, 0.0)]
+    assert checks.dkw_grid_check(Gaussian(0, 1), grid, reps=2000, seed=14).passed
+    assert calls == [2000 * 25, 2000 * 100, 2000 * 400]
+    # too few replications raise at the first pair, drawn or not
+    with pytest.raises(DomainError):
+        checks.dkw_grid_check(Gaussian(0, 1), [(25, 0.0), (25, 0.2)], reps=10)
+
+
+def test_dkw_exceedance_holds_one_draw_array():
+    # the 4e6 draws take 32 MB; scoring them adds block-sized temporaries only
+    tracemalloc.start()
+    try:
+        dkw_exceedance(Gaussian(0, 1), 400, 0.05, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 400 * 10_000 * 8
 
 
 # ---------------------------------------------------------------------------
