@@ -353,17 +353,32 @@ class PiecewiseLinearCDF(RewardDistribution):
             return float(self.ys[k - 1] + t * (self.ys[k] - self.ys[k - 1]))
         return float(self.ys[k])
 
+    @functools.cached_property
+    def _segment_table(self):
+        """Per knot k, the segment from knot k-1 to k: start level, rise (1.0
+        where it does not rise), start location, run, and end level (-inf at
+        k = 0).  Built on the first draw: merged mixture tables never sample."""
+        f0 = np.r_[0.0, self.fr[:-1]]
+        rise = self.fl - f0
+        rise[rise <= 0.0] = 1.0
+        y0 = np.r_[self.ys[0], self.ys[:-1]]
+        return f0, rise, y0, self.ys - y0, np.r_[-np.inf, self.fl[1:]]
+
     def quantile_array(self, u):
         u = np.asarray(u, dtype=float)
-        ks = np.searchsorted(self.fr, u, side="left")
-        ks = np.minimum(ks, len(self.ys) - 1)
-        out = self.ys[ks].copy()
-        interp = (ks > 0) & (self.fl[ks] >= u)
-        k = ks[interp]
-        f0 = self.fr[k - 1]  # fr[k-1] < u <= fl[k], as in _quantile
-        t = (u[interp] - f0) / (self.fl[k] - f0)
-        out[interp] = self.ys[k - 1] + t * (self.ys[k] - self.ys[k - 1])
-        return out
+        # searchsorted gives fr[k-1] < u <= fr[k], as in _quantile; the clip
+        # sends levels above 1 to the last knot, where top < u
+        k = np.searchsorted(self.fr, u)
+        f0, rise, y0, run, top = self._segment_table
+
+        def at(table):  # gathered inline, so few n-float temporaries live at once
+            return table.take(k, mode="clip")
+
+        # interpolate where fr[k-1] < u <= fl[k]; there the rise is positive.
+        # A subnormal rise can overflow the lanes np.where discards.
+        with np.errstate(over="ignore"):
+            val = at(y0) + (u - at(f0)) / at(rise) * at(run)
+        return np.where(at(top) >= u, val, at(self.ys))
 
     def _sample(self, rng, n):
         return self.quantile_array(rng.random(n))

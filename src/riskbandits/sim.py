@@ -140,9 +140,9 @@ def run_episode(
     proxy_values = np.full(n_cp, np.nan)
     flagged = np.zeros(n_cp, dtype=bool)
     for idx, c in enumerate(checkpoints):
-        pooled = EmpiricalDistribution.from_sorted(
-            np.sort(np.concatenate([d[:n] for d, n in zip(draws, tau[idx])]))
-        )
+        pool = np.concatenate([d[:n] for d, n in zip(draws, tau[idx])])
+        pool.sort()  # in place: np.sort would sort a second copy
+        pooled = EmpiricalDistribution.from_sorted(pool)
         proxy = proxy_distribution(arms, tau[idx], c)
         try:
             pooled_values[idx] = criterion.evaluate(pooled)

@@ -251,6 +251,80 @@ def test_scalar_and_array_quantiles_agree_on_random_tables():
         assert np.array_equal(d.quantile_array(levels), want)
 
 
+def mask_quantile_array(d, u):
+    """The gather/mask/scatter inverse CDF that the per-segment tables
+    replaced: the oracle for ``PiecewiseLinearCDF.quantile_array``."""
+    u = np.asarray(u, dtype=float)
+    ks = np.searchsorted(d.fr, u, side="left")
+    ks = np.minimum(ks, len(d.ys) - 1)
+    out = d.ys[ks].copy()
+    interp = (ks > 0) & (d.fl[ks] >= u)
+    k = ks[interp]
+    f0 = d.fr[k - 1]  # fr[k-1] < u <= fl[k], as in _quantile
+    t = (u[interp] - f0) / (d.fl[k] - f0)
+    out[interp] = d.ys[k - 1] + t * (d.ys[k] - d.ys[k - 1])
+    return out
+
+
+def oracle_knot_table(r):
+    """A random knot table of 1-8 knots, at location scale 1e-3 to 1e3 and
+    possibly below 0: flats, knots without a jump, and jumps at either end."""
+    n = int(r.integers(1, 9))
+    ys = 10.0 ** r.uniform(-3, 3) * (r.normal(0.0, 3.0) + np.cumsum(r.random(n) + 0.05))
+    # interleaved (fl[0], fr[0], fl[1], ...) increments; a zero step is a flat
+    # stretch (between knots) or a knot without a jump
+    steps = r.random(2 * n) * (r.random(2 * n) < 0.6)
+    steps[0] = 0.0
+    if not steps.any():
+        steps[-1] = 1.0
+    vals = np.cumsum(steps) / np.sum(steps)
+    return PiecewiseLinearCDF(ys, vals[0::2], vals[1::2])
+
+
+def assert_same_bits(got, want):
+    # int64 views tell -0.0 from +0.0
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_quantile_array_matches_mask_oracle_bit_for_bit():
+    r = rng(41)
+    tables = [oracle_knot_table(r) for _ in range(300)]
+    tables += [bad1_arm_wide(), bad2_arm_step(), PointMass(-2.0), Uniform(-1e-3, 1e3), TwoPoint(0.3, -5.0, 5.0)]
+    # a subnormal rise: levels above it overflow in lanes quantile_array discards
+    tables.append(PiecewiseLinearCDF([0.0, 1.0, 2.0], [0.0, 1e-320, 0.5], [0.0, 0.5, 1.0]))
+    sizes = {len(d.ys) for d in tables}
+    assert {1, 8} <= sizes
+    assert any(d.fr[0] > 0.0 and len(d.ys) > 1 for d in tables)  # jump at the first knot
+    assert any(d.fl[-1] < 1.0 for d in tables)  # jump at the last knot
+    assert any(np.any(d.fl[1:] == d.fr[:-1]) for d in tables)  # flat stretch
+    for d in tables:
+        knots = np.r_[d.fl, d.fr]
+        levels = np.r_[0.0, r.random(200), knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)]
+        # the level just above 0 (5e-324) underflows in both methods
+        with np.errstate(all="raise", under="ignore"):
+            assert_same_bits(d.quantile_array(levels), mask_quantile_array(d, levels))
+
+
+def test_quantile_array_keeps_the_input_shape():
+    u = Uniform(0, 2).quantile_array(0.3)
+    assert u.shape == () and u == 0.6
+    d = bad1_arm_wide()
+    levels = rng(2).random((3, 4))
+    got = d.quantile_array(levels)
+    assert_same_bits(got, mask_quantile_array(d, levels.ravel()).reshape(3, 4))
+
+
+@pytest.mark.parametrize(
+    "d",
+    [PiecewiseLinearCDF.from_pairs([(0, 0.0), (1, 0.3), (2, 0.3), (3, 1.0)]), bad1_arm_wide()],
+    ids=["var-flat", "bad1-wide"],
+)
+def test_seeded_draws_match_mask_oracle(d):
+    for n in (1, 64, 100_000):
+        assert_same_bits(d.sample(rng(9), n), mask_quantile_array(d, rng(9).random(n)))
+
+
 @given(alpha=st.floats(min_value=1e-6, max_value=1 - 1e-6))
 @settings(max_examples=200, deadline=None)
 def test_gaussian_quantile_inverts_cdf(alpha):
