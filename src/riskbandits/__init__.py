@@ -36,7 +36,7 @@ from .dist import (
     proxy_distribution,
 )
 from .errors import ConfigError, CriterionDomainError, DomainError, UnsupportedOperationError
-from .norms import NormSpec, SemiNormFunctional, norm_distance, norm_value, sup_distance
+from .norms import SemiNormFunctional, norm_distance, norm_value, sup_distance
 from .oracle import (
     best_single_arm,
     expected_pull_bound,

@@ -107,7 +107,7 @@ def condition_c1(criterion: RiskCriterion, arms) -> CheckResult:
             return CheckResult("C1", False, f"arm {i}: evaluation failed ({exc})")
         if not math.isfinite(value):
             return CheckResult("C1", False, f"arm {i}: criterion value {value}")
-        nv = norm_value(arm, criterion.norm_spec)
+        nv = norm_value(arm, criterion.functionals)
         if not math.isfinite(nv):
             return CheckResult("C1", False, f"arm {i}: bound norm is infinite")
         values.append(value)
@@ -197,13 +197,12 @@ def modulus_check(
 ) -> CheckResult:
     """``|R(F) - R(G)| <= b(||F-G|| + ||F-G||^q)`` on sampled pairs."""
     rng = _rng(seed)
-    spec = criterion.norm_spec
     worst = 0.0
     for _ in range(n_pairs):
         f = _random_mixture(rng, arms)
         g = _random_mixture(rng, arms) if rng.random() < 0.4 else _random_empirical(rng, arms)
         lhs = abs(criterion.evaluate(f) - criterion.evaluate(g))
-        dist = norm_distance(f, g, spec)
+        dist = norm_distance(f, g, criterion.functionals)
         rhs = certificate.modulus(dist)
         if lhs > rhs * (1.0 + _MODULUS_REL_SLACK) + 1e-15:
             return CheckResult(
@@ -277,7 +276,6 @@ def residual_check(
 ) -> CheckResult:
     """``|Res(G, F)| <= d2/2 ||G-F||^2`` within the certificate radius."""
     rng = _rng(seed)
-    spec = criterion.norm_spec
     checked = 0
     attempts = 0
     worst = 0.0
@@ -288,7 +286,7 @@ def residual_check(
             g: RewardDistribution = _random_mixture(rng, arms)
         else:
             g = EmpiricalDistribution(f.sample(rng, _RESIDUAL_EMPIRICAL_T))
-        d = norm_distance(f, g, spec)
+        d = norm_distance(f, g, criterion.functionals)
         if not (0 < d <= certificate.m0):
             continue
         res = criterion.residual(g, f)

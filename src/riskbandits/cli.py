@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks as checklib
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, _seed, load_config
 from .dist import MixtureDistribution
 from .errors import ConfigError, DomainError
 from .oracle import _MAX_GRID_ARMS, best_single_arm, oracle_report, simplex_grid_argmax
@@ -258,7 +258,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _seed(args.seed, "--seed")
         out_dir = None
         if args.out is not None:
             out_dir = Path(args.out)

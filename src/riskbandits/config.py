@@ -238,22 +238,38 @@ _KNOWN_KEYS = {
 }
 
 
+def _seed(value, name: str) -> int:
+    seed = _number(value, name, integer=True)
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {value!r}")
+    return seed
+
+
 def _parse_check_options(raw) -> dict:
-    """The ``check:`` knobs: integers pairs, seed and dkw_reps; reals b_alpha,
-    m_alpha and grid_step; dkw_grid, a list of [t, x] points."""
+    """The ``check:`` knobs: integers pairs >= 1, seed >= 0 and dkw_reps;
+    finite positive reals b_alpha, m_alpha and grid_step; dkw_grid, a list
+    of [t, x] points with t >= 1 and a finite x >= 0."""
     if not isinstance(raw, dict):
         raise ConfigError(f"check options must be a mapping, got {raw!r}")
     opts = {}
     for key, value in raw.items():
-        if key in ("pairs", "seed", "dkw_reps"):
+        if key == "seed":
+            opts[key] = _seed(value, "check seed")
+        elif key in ("pairs", "dkw_reps"):
             opts[key] = _number(value, f"check {key}", integer=True)
         elif key in ("b_alpha", "m_alpha", "grid_step"):
             opts[key] = float(_number(value, f"check {key}"))
+            if not (math.isfinite(opts[key]) and opts[key] > 0):
+                raise ConfigError(f"check {key} must be finite and > 0, got {value!r}")
         elif key == "dkw_grid":
             grid = _pairs(value, "check dkw_grid")
             opts[key] = [(_number(t, "check dkw_grid t", integer=True), x) for t, x in grid]
+            if not all(t >= 1 and math.isfinite(x) and x >= 0 for t, x in opts[key]):
+                raise ConfigError(f"check dkw_grid needs t >= 1 and finite x >= 0, got {value!r}")
         else:
             raise ConfigError(f"unknown check key {key!r}")
+    if opts.get("pairs", 1) < 1:
+        raise ConfigError(f"check pairs must be >= 1, got {opts['pairs']}")
     return opts
 
 
@@ -302,8 +318,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if checkpoints is not None:
         checkpoints = _numbers(checkpoints, "checkpoints", integer=True) or None
     grid_resolution = raw.get("grid_resolution")
-    if grid_resolution is not None:
-        _number(grid_resolution, "grid_resolution")
+    if grid_resolution is not None and not (0 < _number(grid_resolution, "grid_resolution") <= 1):
+        raise ConfigError(f"grid_resolution must lie in (0, 1], got {grid_resolution!r}")
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"output must be a directory path, got {output!r}")
@@ -313,7 +329,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         version=CONFIG_VERSION,
-        seed=_number(raw["seed"], "seed", integer=True),
+        seed=_seed(raw["seed"], "seed"),
         arms=arms,
         criterion=criterion,
         certificate_overrides=overrides,

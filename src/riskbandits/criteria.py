@@ -1,11 +1,12 @@
 """Risk criteria: functionals mapping a distribution to a scalar score.
 
 Each criterion bundles its evaluator with the metadata the learning and
-analysis layers need: a convexity class, the norm its continuity is
-measured in, a stability certificate (the constants ``a, b, q`` of the
-local modulus ``psi(x) = b(x + x^q)`` plus a concentration rate), and,
-where available, a smoothness certificate (``d1, d2, M0``) together with
-the linear approximation map that makes residuals computable.
+analysis layers need: a convexity class, the linear functionals of the
+norm its continuity is measured in (``functionals``), a stability
+certificate (the constants ``a, b, q`` of the local modulus
+``psi(x) = b(x + x^q)`` plus a concentration rate), and, where available,
+a smoothness certificate (``d1, d2, M0``) together with the linear
+approximation map that makes residuals computable.
 
 Certificate constants are computed from the configured arm set (extreme
 means, norm bounds, quantile bounds); every shipped constant is validated
@@ -26,15 +27,9 @@ from numbers import Real
 
 import numpy as np
 
-from .dist import (
-    EmpiricalDistribution,
-    MixtureDistribution,
-    RewardDistribution,
-    _exp,
-    _quantile_rank,
-)
+from .dist import EmpiricalDistribution, MixtureDistribution, RewardDistribution, _quantile_rank
 from .errors import CriterionDomainError, DomainError, UnsupportedOperationError
-from .norms import NormSpec, SemiNormFunctional, norm_distance, norm_value, seminorm_value
+from .norms import SemiNormFunctional, norm_distance, norm_value, seminorm_value
 
 __all__ = [
     "StabilityCertificate",
@@ -134,9 +129,9 @@ def _abs_mean_bound(arms) -> float:
     return max(abs(lo), abs(hi))
 
 
-def _c_star(arms, spec: NormSpec) -> float:
+def _c_star(arms, functionals: tuple[SemiNormFunctional, ...]) -> float:
     """Max composite norm over the mixture set (attained at a vertex)."""
-    return max(norm_value(a, spec) for a in arms)
+    return max(norm_value(a, functionals) for a in arms)
 
 
 class RiskCriterion:
@@ -144,10 +139,8 @@ class RiskCriterion:
 
     tag: str = ""
     convexity: str = "none"  # linear | convex | quasiconvex | none
-
-    @property
-    def norm_spec(self) -> NormSpec:
-        raise NotImplementedError
+    # the bound norm's linear functionals; () is the bare sup norm
+    functionals: tuple[SemiNormFunctional, ...] = ()
 
     def evaluate(self, f: RewardDistribution) -> float:
         raise NotImplementedError
@@ -286,16 +279,6 @@ class _LowerOrderStatistics:
         return (v * len(self._low) - (self._sum + self._err)) / self.t
 
 
-_INTEGRANDS = {
-    "mean": lambda x, p: x,
-    "second-moment": lambda x, p: x * x,
-    "tsv": lambda x, r: (x - r) * (x - r) if x <= r else 0.0,
-    "exp-moment": lambda x, theta: _exp(-theta * x),
-    "lower-tail": lambda x, p: x if x <= 0 else 0.0,
-    "upper-tail": lambda x, p: x if x > 0 else 0.0,
-}
-
-
 class _RunningSums:
     """Compensated running sums of the linear functionals of a composite
     criterion; each functional's value is its sum over ``t``.  O(1) per push."""
@@ -304,8 +287,9 @@ class _RunningSums:
 
     def __init__(self, functionals):
         self.t = 0
-        self._sums = {(fn.kind, fn.param): [0.0, 0.0] for fn in functionals}
-        self._terms = [(_INTEGRANDS[kind], param, acc) for (kind, param), acc in self._sums.items()]
+        integrands = {(fn.kind, fn.param): fn.integrand for fn in functionals}
+        self._sums = {key: [0.0, 0.0] for key in integrands}
+        self._terms = [(g, key[1], self._sums[key]) for key, g in integrands.items()]
 
     def push(self, x: float) -> None:
         self.t += 1
@@ -345,12 +329,6 @@ class _RunningSums:
 class _CompositeCriterion(RiskCriterion):
     """Criterion of the form ``h(B_1(F), ..., B_m(F))`` with smooth h."""
 
-    functionals: tuple[SemiNormFunctional, ...] = ()
-
-    @property
-    def norm_spec(self) -> NormSpec:
-        return NormSpec(self.functionals)
-
     def coordinates(self, f: RewardDistribution) -> np.ndarray:
         return np.array([seminorm_value(f, fn) for fn in self.functionals])
 
@@ -385,7 +363,7 @@ class _LinearCriterion(_CompositeCriterion):
         return np.array([self.sign])
 
     def _default_stability(self, arms):
-        return StabilityCertificate(default_concentration_rate(1), 0.5, 1.0)
+        return StabilityCertificate(default_concentration_rate(len(self.functionals)), 0.5, 1.0)
 
     def smoothness_certificate(self, arms):
         return SmoothnessCertificate(1.0, 0.0, math.inf)
@@ -475,7 +453,7 @@ class NegVarianceCriterion(_CompositeCriterion):
 
     def _default_stability(self, arms):
         b = 1.0 + 2.0 * _abs_mean_bound(arms)
-        return StabilityCertificate(default_concentration_rate(2), b, 2.0)
+        return StabilityCertificate(default_concentration_rate(len(self.functionals)), b, 2.0)
 
     def smoothness_certificate(self, arms):
         d1 = 1.0 + 2.0 * _abs_mean_bound(arms)
@@ -510,7 +488,7 @@ class MeanVarianceCriterion(_CompositeCriterion):
     def _default_stability(self, arms):
         lo, hi = _mean_range(arms)
         b = self.rho + max(abs(1.0 + 2.0 * self.rho * hi), abs(1.0 + 2.0 * self.rho * lo))
-        return StabilityCertificate(default_concentration_rate(2), b, 2.0)
+        return StabilityCertificate(default_concentration_rate(len(self.functionals)), b, 2.0)
 
     def smoothness_certificate(self, arms):
         return SmoothnessCertificate(self._default_stability(arms).b, 2.0 * self.rho, math.inf)
@@ -581,7 +559,7 @@ class SharpeCriterion(_RatioCriterion):
         c2 = (1.0 + 2.0 * amax + spread) / (2.0 * e**1.5)
         c3 = 1.0 / (2.0 * e**1.5)
         b = max(c1 + 0.5 * c2, c3 + 0.5 * c2)
-        return StabilityCertificate(default_concentration_rate(2), b, 3.0)
+        return StabilityCertificate(default_concentration_rate(len(self.functionals)), b, 3.0)
 
     def smoothness_certificate(self, arms):
         m0 = _RATIO_RADIUS
@@ -623,7 +601,7 @@ class SortinoCriterion(_RatioCriterion):
 
     def _default_stability(self, arms):
         b = max(1.0, 2.0 * self.eps + self._target_spread(arms)) / (2.0 * self.eps**1.5)
-        return StabilityCertificate(default_concentration_rate(2), b, 2.0)
+        return StabilityCertificate(default_concentration_rate(len(self.functionals)), b, 2.0)
 
     def smoothness_certificate(self, arms):
         m0 = _RATIO_RADIUS
@@ -636,14 +614,14 @@ class SortinoCriterion(_RatioCriterion):
 # Quantile-based criteria
 # ---------------------------------------------------------------------------
 
-_TAIL_NORM = NormSpec(
-    (SemiNormFunctional("lower-tail"), SemiNormFunctional("upper-tail"))
-)
+_TAILS = (SemiNormFunctional("lower-tail"), SemiNormFunctional("upper-tail"))
 
 
 class _PercentileCriterion(RiskCriterion):
     """A criterion at percentile level alpha, on the tail norm, whose running
     summary is the lower order statistics."""
+
+    functionals = _TAILS
 
     def __init__(self, alpha: float):
         if not (0.0 < alpha < 1.0):
@@ -652,10 +630,6 @@ class _PercentileCriterion(RiskCriterion):
 
     def params_label(self):
         return f"alpha={self.alpha:g}"
-
-    @property
-    def norm_spec(self):
-        return _TAIL_NORM
 
     def accumulator(self):
         return _LowerOrderStatistics(self.alpha)
@@ -676,14 +650,14 @@ class VaRCriterion(_PercentileCriterion):
             if fitted is None:
                 return None
             b_alpha, m_alpha = fitted
-            c_star = _c_star(arms, self.norm_spec)
+            c_star = _c_star(arms, self.functionals)
             b = max(
                 b_alpha,
                 (m_alpha + 2.0 * c_star)
                 / (min(self.alpha, 1.0 - self.alpha) * m_alpha),
             )
         return StabilityCertificate(
-            a if a is not None else default_concentration_rate(2),
+            a if a is not None else default_concentration_rate(len(self.functionals)),
             b,
             q if q is not None else 1.0,
         )
@@ -708,11 +682,11 @@ class CVaRCriterion(_PercentileCriterion):
         return v - integral / self.alpha
 
     def _default_stability(self, arms):
-        c_star = _c_star(arms, self.norm_spec)
+        c_star = _c_star(arms, self.functionals)
         b = (1.0 / self.alpha) * (
             1.0 + max(1.0, 3.0 * c_star) / min(self.alpha, 1.0 - self.alpha)
         )
-        return StabilityCertificate(default_concentration_rate(2), b, 2.0)
+        return StabilityCertificate(default_concentration_rate(len(self.functionals)), b, 2.0)
 
     def smoothness_certificate(self, arms):
         fitted = fit_c4_constants(arms, self.alpha)
@@ -747,10 +721,6 @@ class Bad1Criterion(RiskCriterion):
     LOW = 0.1
     HIGH = 0.9
 
-    @property
-    def norm_spec(self):
-        return NormSpec()
-
     def evaluate(self, f):
         return f.quantile(self.LOW) + f.quantile(self.HIGH)
 
@@ -772,10 +742,6 @@ class Bad2Criterion(RiskCriterion):
     LOW_EDGE = 1.0
     HIGH_EDGE = 10.0
 
-    @property
-    def norm_spec(self):
-        return NormSpec()
-
     def _flat_edge(self, f, x: float) -> float:
         c = float(f.cdf(x))
         if c >= 1.0 - 1e-12:
@@ -784,8 +750,8 @@ class Bad2Criterion(RiskCriterion):
 
     def evaluate(self, f):
         v = f.quantile(self.LEVEL)
-        v_plus = v if float(f.cdf(v)) >= 1.0 - 1e-12 else self._flat_edge(f, v)
-        v_pp = v_plus if float(f.cdf(v_plus)) >= 1.0 - 1e-12 else self._flat_edge(f, v_plus)
+        v_plus = self._flat_edge(f, v)
+        v_pp = self._flat_edge(f, v_plus)
         inner_mass = float(f.cdf_left(self.HIGH_EDGE)) - float(f.cdf(self.LOW_EDGE))
         below_mass = float(f.cdf_left(self.LOW_EDGE))
         bonus = self.BONUS if (inner_mass > 1e-12 or below_mass > 1e-12) else 0.0
@@ -837,12 +803,11 @@ def fit_c4_constants(arms, alpha: float, grid_step: float = 1e-3):
     Returns ``(b_alpha, m_alpha)`` or ``None`` when the condition appears
     unsatisfiable.
     """
-    spec = _TAIL_NORM
     if len(arms) == 1:
         diameter = 0.0
     else:
         diameter = max(
-            norm_distance(arms[i], arms[j], spec)
+            norm_distance(arms[i], arms[j], _TAILS)
             for i in range(len(arms))
             for j in range(i + 1, len(arms))
         )

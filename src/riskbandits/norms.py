@@ -7,6 +7,10 @@ exponential moments):
 
     ||F - G|| = max{ sup_y |F(y)-G(y)|,  |B_l(F) - B_l(G)| for each l }.
 
+A norm is named by its tuple of ``SemiNormFunctional``s (a criterion's
+``functionals``); the empty tuple is the bare sup norm.  ``_FUNCTIONALS``
+defines each kind once, by its value on a distribution and its integrand.
+
 ``sup_distance`` is exact for piecewise-linear/step CDF pairs (the sup of a
 piecewise-linear difference is attained at knots, approached at jump left
 limits).  Pairs involving Gaussian parts add closed-form probe points and
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import RewardDistribution
+from .dist import RewardDistribution, _exp
 from .errors import DomainError
 
 # sup-distance refinement: points per grid, grid shrink per zoom round, rounds
@@ -43,7 +47,6 @@ _BRENT_MAX_EVALS = 500
 
 __all__ = [
     "SemiNormFunctional",
-    "NormSpec",
     "seminorm_value",
     "sup_distance",
     "norm_distance",
@@ -51,48 +54,41 @@ __all__ = [
 ]
 
 
+# kind -> (value on a distribution through its exact method, integrand g(x, param));
+# each functional is B_l(F) = integral of g(x, param) dF(x)
+_FUNCTIONALS = {
+    "lower-tail": (lambda d, p: d.lower_tail(), lambda x, p: x if x <= 0 else 0.0),
+    "upper-tail": (lambda d, p: d.upper_tail(), lambda x, p: x if x > 0 else 0.0),
+    "mean": (lambda d, p: d.mean(), lambda x, p: x),
+    "second-moment": (lambda d, p: d.second_moment(), lambda x, p: x * x),
+    "tsv": (
+        lambda d, r: d.below_target_semivariance(r),
+        lambda x, r: (x - r) * (x - r) if x <= r else 0.0,
+    ),
+    "exp-moment": (lambda d, theta: d.exp_moment(theta), lambda x, theta: _exp(-theta * x)),
+}
+
+
 @dataclass(frozen=True)
 class SemiNormFunctional:
     """One linear functional B_l used as a semi-norm component."""
 
-    kind: str  # lower-tail | upper-tail | mean | second-moment | tsv | exp-moment
+    kind: str  # a key of _FUNCTIONALS
     param: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (
-            "lower-tail",
-            "upper-tail",
-            "mean",
-            "second-moment",
-            "tsv",
-            "exp-moment",
-        ):
+        if self.kind not in _FUNCTIONALS:
             raise DomainError(f"unknown semi-norm functional {self.kind!r}")
 
-
-@dataclass(frozen=True)
-class NormSpec:
-    """Sup-norm baseline plus a tuple of semi-norm functionals."""
-
-    functionals: tuple[SemiNormFunctional, ...] = ()
+    @property
+    def integrand(self):
+        """``g(x, param)``, with B_l(F) the integral of g against dF."""
+        return _FUNCTIONALS[self.kind][1]
 
 
 def seminorm_value(dist: RewardDistribution, functional: SemiNormFunctional) -> float:
     """Signed value of the linear functional B_l on a distribution."""
-    k = functional.kind
-    if k == "lower-tail":
-        return dist.lower_tail()
-    if k == "upper-tail":
-        return dist.upper_tail()
-    if k == "mean":
-        return dist.mean()
-    if k == "second-moment":
-        return dist.second_moment()
-    if k == "tsv":
-        return dist.below_target_semivariance(functional.param)
-    if k == "exp-moment":
-        return dist.exp_moment(functional.param)
-    raise DomainError(f"unknown functional {k!r}")
+    return _FUNCTIONALS[functional.kind][0](dist, functional.param)
 
 
 def _candidate_points(f: RewardDistribution, g: RewardDistribution) -> np.ndarray:
@@ -237,10 +233,12 @@ def _abs_diff(f: RewardDistribution, g: RewardDistribution, y: np.ndarray) -> np
     return np.abs(np.asarray(f.cdf(flat)) - np.asarray(g.cdf(flat))).reshape(y.shape)
 
 
-def norm_distance(f: RewardDistribution, g: RewardDistribution, spec: NormSpec) -> float:
-    """Composite norm of F - G under ``spec``; infinite parts propagate."""
+def norm_distance(
+    f: RewardDistribution, g: RewardDistribution, functionals: tuple[SemiNormFunctional, ...]
+) -> float:
+    """Composite norm of F - G with the given functionals; infinite parts propagate."""
     out = sup_distance(f, g)
-    for functional in spec.functionals:
+    for functional in functionals:
         a = seminorm_value(f, functional)
         b = seminorm_value(g, functional)
         if not (math.isfinite(a) and math.isfinite(b)):
@@ -249,10 +247,10 @@ def norm_distance(f: RewardDistribution, g: RewardDistribution, spec: NormSpec) 
     return out
 
 
-def norm_value(f: RewardDistribution, spec: NormSpec) -> float:
+def norm_value(f: RewardDistribution, functionals: tuple[SemiNormFunctional, ...]) -> float:
     """Composite norm of a proper distribution (sup part equals 1)."""
     out = 1.0
-    for functional in spec.functionals:
+    for functional in functionals:
         v = seminorm_value(f, functional)
         if not math.isfinite(v):
             return math.inf

@@ -17,7 +17,7 @@ import numpy as np
 from .criteria import RiskCriterion, StabilityCertificate
 from .dist import MixtureDistribution
 from .errors import DomainError, UnsupportedOperationError, add_context
-from .norms import NormSpec, norm_distance
+from .norms import SemiNormFunctional, norm_distance
 from .policy import phi
 
 __all__ = [
@@ -79,7 +79,7 @@ def simplex_grid_argmax(criterion: RiskCriterion, arms, resolution: float):
         raise UnsupportedOperationError(
             f"simplex sweep supports at most {_MAX_GRID_ARMS} arms, got {len(arms)}"
         )
-    if resolution <= 0 or resolution > 1:
+    if not (0 < resolution <= 1):
         raise DomainError(f"grid spacing must lie in (0, 1], got {resolution}")
     n = max(1, int(round(1.0 / resolution)))
     best_p = None
@@ -93,7 +93,7 @@ def simplex_grid_argmax(criterion: RiskCriterion, arms, resolution: float):
 
 
 def lipschitz_constant(
-    certificate: StabilityCertificate, arms, norm_spec: NormSpec
+    certificate: StabilityCertificate, arms, functionals: tuple[SemiNormFunctional, ...]
 ) -> float:
     """``b (1 + max_{i,j} ||F_i - F_j||^{q-1})`` from the modulus constants.
 
@@ -106,7 +106,7 @@ def lipschitz_constant(
     for i, j in combinations_with_replacement(range(len(arms)), 2):
         if i == j:
             continue
-        d = norm_distance(arms[i], arms[j], norm_spec)
+        d = norm_distance(arms[i], arms[j], functionals)
         if not math.isfinite(d):
             raise DomainError(
                 f"pairwise norm between arms {i} and {j} is infinite; "
@@ -150,12 +150,12 @@ def expected_pull_bound(
         bounds.append(
             ucb_alpha * math.log(horizon) / phi(certificate, gap / 2.0) + tail
         )
-    L = lipschitz_constant(certificate, arms, criterion.norm_spec)
+    L = lipschitz_constant(certificate, arms, criterion.functionals)
     regret_bound = 0.0
     for i, u in enumerate(bounds):
         if u is None:
             continue
-        regret_bound += u * norm_distance(arms[best], arms[i], criterion.norm_spec)
+        regret_bound += u * norm_distance(arms[best], arms[i], criterion.functionals)
     regret_bound *= L / horizon
     return bounds, regret_bound
 
@@ -178,7 +178,7 @@ def oracle_report(
     if certificate is None:
         certificate = criterion.stability_certificate(arms)
     if certificate is not None:
-        report.lipschitz = lipschitz_constant(certificate, arms, criterion.norm_spec)
+        report.lipschitz = lipschitz_constant(certificate, arms, criterion.functionals)
         if all(g > 0 for i, g in enumerate(gaps) if i != best):
             for T in horizons:
                 bounds, regret_bound = expected_pull_bound(

@@ -11,7 +11,6 @@ from riskbandits.dist import (
     Uniform,
 )
 from riskbandits.errors import CriterionDomainError
-from riskbandits.norms import NormSpec
 
 
 def bad1_arm_wide():
@@ -69,10 +68,6 @@ class RefusingCriterion(RiskCriterion):
     """Refuses every distribution, naming the violated constraint."""
 
     tag = "refusing"
-
-    @property
-    def norm_spec(self):
-        return NormSpec()
 
     def evaluate(self, f):
         raise CriterionDomainError("lower tail diverges", constraint="lower-tail finite")

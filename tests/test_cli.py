@@ -457,13 +457,13 @@ def test_bad_config_values_exit_1_with_an_error(tmp_path, capsys, command, patch
     assert expect in _error_of(tmp_path, capsys, command, patch)
 
 
-def _error_of(tmp_path, capsys, command, patch):
-    """The ``error:`` line of ``command`` on a patched config, which must exit
-    1 and write no CSV."""
+def _error_of(tmp_path, capsys, command, patch, *flags):
+    """The ``error:`` line of ``command`` on a patched config with extra
+    ``flags``, which must exit 1 and write no CSV."""
     doc = _base_doc()
     doc.update(policies=[{"kind": "simple", "p": [1.0, 0.0]}], horizons=[64], replications=2)
     doc.update(patch)
-    code = main([command, "--config", _write(tmp_path, doc), "--out", str(tmp_path)])
+    code = main([command, "--config", _write(tmp_path, doc), "--out", str(tmp_path), *flags])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:")
@@ -495,3 +495,38 @@ def test_simple_weights_not_one_per_arm_exit_1(tmp_path, capsys, command, key):
 def test_ucb_alpha_at_or_below_2_or_non_finite_exits_1(tmp_path, capsys, command, patch):
     # refused while loading, before any command builds a UCB policy
     assert "must be finite and exceed 2" in _error_of(tmp_path, capsys, command, patch)
+
+
+@pytest.mark.parametrize("command", ["eval", "oracle", "simulate", "check"])
+@pytest.mark.parametrize(
+    "patch,expect",
+    [
+        pytest.param({"seed": -5}, "seed must be >= 0", id="seed-negative"),
+        pytest.param({"check": {"seed": -2}}, "check seed must be >= 0", id="check-seed-negative"),
+        pytest.param({"grid_resolution": NAN}, "grid_resolution", id="grid-resolution-nan"),
+        pytest.param({"grid_resolution": 0.0}, "grid_resolution", id="grid-resolution-0"),
+        pytest.param({"grid_resolution": 1.5}, "grid_resolution", id="grid-resolution-1.5"),
+        pytest.param({"check": {"pairs": -4}}, "check pairs must be >= 1", id="pairs-negative"),
+        pytest.param({"check": {"pairs": 0}}, "check pairs must be >= 1", id="pairs-0"),
+        pytest.param({"check": {"grid_step": NAN}}, "check grid_step", id="grid-step-nan"),
+        pytest.param({"check": {"grid_step": -1e-3}}, "check grid_step", id="grid-step-negative"),
+        pytest.param({"check": {"b_alpha": NAN}}, "check b_alpha", id="b-alpha-nan"),
+        pytest.param({"check": {"b_alpha": 0.0}}, "check b_alpha", id="b-alpha-0"),
+        pytest.param({"check": {"m_alpha": INF}}, "check m_alpha", id="m-alpha-inf"),
+        pytest.param({"check": {"dkw_grid": [[100, NAN]]}}, "check dkw_grid", id="dkw-x-nan"),
+        pytest.param({"check": {"dkw_grid": [[100, -0.5]]}}, "check dkw_grid", id="dkw-x-negative"),
+        pytest.param({"check": {"dkw_grid": [[0, 0.1]]}}, "check dkw_grid", id="dkw-t-0"),
+        pytest.param({"check": {"dkw_grid": [[-6000, 0.1]]}}, "check dkw_grid", id="dkw-t-negative"),
+    ],
+)
+def test_out_of_range_seed_grid_and_check_knobs_exit_1_at_load(
+    tmp_path, capsys, command, patch, expect
+):
+    # refused while loading, also by the commands that never read the value
+    assert expect in _error_of(tmp_path, capsys, command, patch)
+
+
+@pytest.mark.parametrize("command", ["eval", "oracle", "simulate", "check"])
+def test_negative_seed_flag_exits_1(tmp_path, capsys, command):
+    err = _error_of(tmp_path, capsys, command, {}, "--seed", "-1")
+    assert err.startswith("error: --seed must be >= 0")

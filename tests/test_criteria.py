@@ -274,7 +274,7 @@ def test_cvar_residual_sign_and_bound():
         w = float(r.uniform(0, 1))
         f = MixtureDistribution(arms, [w, 1 - w])
         g = EmpiricalDistribution(f.sample(r, 3000))
-        d = norm_distance(f, g, crit.norm_spec)
+        d = norm_distance(f, g, crit.functionals)
         if d > smooth.m0:
             continue
         res = crit.residual(g, f)
@@ -291,6 +291,26 @@ def test_default_concentration_rates():
     assert default_concentration_rate(0) == pytest.approx(2.0)
     assert default_concentration_rate(1) == pytest.approx(2 * math.log(2) / math.log(4))
     assert default_concentration_rate(2) == pytest.approx(2 * math.log(2) / math.log(6))
+
+
+# m, the number of bound-norm functionals, of every criterion kind with a
+# default stability certificate
+_BOUND_NORM_SIZE = {
+    "mean": 1, "second-moment": 1, "neg-tsv": 1,
+    "neg-variance": 2, "mean-variance": 2, "sharpe": 2, "sortino": 2, "var": 2, "cvar": 2,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(criteria_module._FACTORIES))
+def test_default_certificate_rate_counts_the_bound_norm_functionals(kind):
+    names = criteria_module._FACTORIES[kind][1]
+    crit = build_criterion(kind, **{n: _EVERY_KIND_PARAMS[n] for n in names})
+    cert = crit.stability_certificate([Gaussian(0.0, 1.0), Gaussian(0.1, 1.0)])
+    if kind not in _BOUND_NORM_SIZE:
+        assert cert is None
+        return
+    assert len(crit.functionals) == _BOUND_NORM_SIZE[kind]
+    assert cert.a == default_concentration_rate(len(crit.functionals))
 
 
 def test_cvar_certificate_spec_example():

@@ -16,7 +16,6 @@ from riskbandits.dist import (
     Uniform,
 )
 from riskbandits.norms import (
-    NormSpec,
     SemiNormFunctional,
     norm_distance,
     norm_value,
@@ -26,7 +25,7 @@ from riskbandits.norms import (
 
 from conftest import bad1_arm_wide, distribution_catalog, rng
 
-BOTH_TAILS = NormSpec((SemiNormFunctional("lower-tail"), SemiNormFunctional("upper-tail")))
+BOTH_TAILS = (SemiNormFunctional("lower-tail"), SemiNormFunctional("upper-tail"))
 
 
 def brute_sup(f, g, lo=-60.0, hi=80.0, n=200_001):
@@ -90,6 +89,26 @@ def test_seminorm_examples():
     assert seminorm_value(m, SemiNormFunctional("exp-moment", 1.0)) == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [
+        SemiNormFunctional("lower-tail"),
+        SemiNormFunctional("upper-tail"),
+        SemiNormFunctional("mean"),
+        SemiNormFunctional("second-moment"),
+        SemiNormFunctional("tsv", 0.3),
+        SemiNormFunctional("exp-moment", 0.7),
+    ],
+    ids=lambda fn: fn.kind,
+)
+def test_seminorm_value_is_the_sample_mean_of_its_integrand(fn):
+    r = rng(17)
+    for samples in ([-1.5, 0.0, 2.0], r.normal(0.2, 1.5, size=41), r.uniform(-3, 1, size=200)):
+        emp = EmpiricalDistribution(samples)
+        want = np.mean([fn.integrand(float(x), fn.param) for x in samples])
+        assert seminorm_value(emp, fn) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
 def test_norm_distance_partial_sum_example():
     f = EmpiricalDistribution([-2, 4])
     g = EmpiricalDistribution([-2, -2])
@@ -110,21 +129,14 @@ def test_norm_dominates_sup(catalog):
 
 
 def test_sup_only_spec_matches_sup(catalog):
-    spec = NormSpec()
     for f in catalog[:4]:
         for g in catalog[4:8]:
-            assert norm_distance(f, g, spec) == sup_distance(f, g)
+            assert norm_distance(f, g, ()) == sup_distance(f, g)
 
 
 def test_norm_symmetry_and_triangle(catalog):
     r = rng(11)
-    spec = NormSpec(
-        (
-            SemiNormFunctional("lower-tail"),
-            SemiNormFunctional("upper-tail"),
-            SemiNormFunctional("mean"),
-        )
-    )
+    spec = (*BOTH_TAILS, SemiNormFunctional("mean"))
     pool = catalog + [
         MixtureDistribution([catalog[0], catalog[4]], [0.3, 0.7]),
         EmpiricalDistribution(rng(5).normal(size=23)),

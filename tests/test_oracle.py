@@ -11,7 +11,7 @@ from riskbandits.criteria import (
 )
 from riskbandits.dist import Gaussian, PointMass, Uniform
 from riskbandits.errors import CriterionDomainError, DomainError, UnsupportedOperationError
-from riskbandits.norms import NormSpec, SemiNormFunctional
+from riskbandits.norms import SemiNormFunctional
 from riskbandits.oracle import (
     best_single_arm,
     expected_pull_bound,
@@ -98,10 +98,12 @@ def test_grid_argmax_guards():
         simplex_grid_argmax(MeanCriterion(), arms, 0.5)
     with pytest.raises(DomainError):
         simplex_grid_argmax(MeanCriterion(), arms[:2], 0.0)
+    with pytest.raises(DomainError):
+        simplex_grid_argmax(MeanCriterion(), arms[:2], math.nan)
 
 
 def test_lipschitz_constant_formula():
-    sup_only = NormSpec()
+    sup_only = ()
     arms = [Uniform(0, 1), Uniform(0.5, 1.5)]  # sup distance exactly 0.5
     cert = StabilityCertificate(a=1.0, b=1.0, q=2.0)
     assert lipschitz_constant(cert, arms, sup_only) == pytest.approx(1.5)
@@ -117,7 +119,7 @@ def test_lipschitz_rejects_infinite_pairwise_norm():
 
     cert = StabilityCertificate(1.0, 1.0, 2.0)
     arms = [HeavyTail(0, 1), Gaussian(1, 1)]
-    both_tails = NormSpec((SemiNormFunctional("lower-tail"), SemiNormFunctional("upper-tail")))
+    both_tails = (SemiNormFunctional("lower-tail"), SemiNormFunctional("upper-tail"))
     with pytest.raises(DomainError, match="integrable"):
         lipschitz_constant(cert, arms, both_tails)
 
@@ -148,7 +150,7 @@ def test_pull_bound_regret_side():
     cert = StabilityCertificate(1.0, 1.0, 2.0)
     arms = [Uniform(2.5, 3.5), Uniform(0.5, 1.5)]
     bounds, regret_bound = expected_pull_bound(MeanCriterion(), arms, cert, 3.0, 100)
-    spec = MeanCriterion().norm_spec
+    spec = MeanCriterion().functionals
     from riskbandits.norms import norm_distance
 
     L = lipschitz_constant(cert, arms, spec)

@@ -27,7 +27,6 @@ from riskbandits.dist import (
     proxy_distribution,
 )
 from riskbandits.errors import DomainError
-from riskbandits.norms import NormSpec
 from riskbandits.policy import (
     Bad1OraclePolicy,
     Bad2OraclePolicy,
@@ -190,10 +189,6 @@ def test_flagged_checkpoints_do_not_abort():
     class FussyCriterion(RiskCriterion):
         tag = "fussy"
 
-        @property
-        def norm_spec(self):
-            return NormSpec()
-
         def evaluate(self, f):
             if getattr(f, "t", 10**9) < 4:
                 raise DomainError("needs at least 4 observations")
@@ -213,10 +208,6 @@ class BuggyCriterion(RiskCriterion):
     """A criterion with a coding bug: evaluation raises TypeError."""
 
     tag = "buggy"
-
-    @property
-    def norm_spec(self):
-        return NormSpec()
 
     def evaluate(self, f):
         return f.mean() + None
@@ -352,9 +343,9 @@ def test_proxy_regret_decomposition_bound(seed):
     eps = run_replications(arms, policy, crit, horizon, reps=40, seed=seed, checkpoints=[horizon])
     row = estimate_proxy_regret(eps, p_star_value)[0]
     mean_tau = np.stack([e.tau[-1] for e in eps]).mean(axis=0)
-    L = lipschitz_constant(cert, arms, crit.norm_spec)
+    L = lipschitz_constant(cert, arms, crit.functionals)
     bound = (L / horizon) * sum(
-        mean_tau[i] * norm_distance(arms[best], arms[i], crit.norm_spec)
+        mean_tau[i] * norm_distance(arms[best], arms[i], crit.functionals)
         for i in range(len(arms))
         if i != best
     )
