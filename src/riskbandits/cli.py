@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks as checklib
-from .config import ExperimentConfig, _seed, load_config
+from .config import ExperimentConfig, _file_stem, _seed, load_config
 from .dist import MixtureDistribution
 from .errors import ConfigError, DomainError
 from .oracle import _MAX_GRID_ARMS, best_single_arm, oracle_report, simplex_grid_argmax
@@ -65,7 +65,9 @@ def cmd_eval(cfg: ExperimentConfig, out_dir: Path | None) -> int:
         print(f"  {name:<{width}}  {value:.12g}")
     if out_dir is not None:
         path = out_dir / "eval.csv"
-        write_csv(path, _base_meta(cfg), ("target", "value"), ((n, repr(v)) for n, v in rows))
+        # the CSV separates a mixture's weights by '|', as oracle.csv does
+        rows = ((n.replace(",", "|"), repr(v)) for n, v in rows)
+        write_csv(path, _base_meta(cfg), ("target", "value"), rows)
         print(f"wrote {path}")
     return 0
 
@@ -143,15 +145,16 @@ def cmd_simulate(
     out_dir = out_dir or Path(".")
     p_star_value = _stationary_optimum(cfg)
     want = set(cfg.estimators)
+    if "reference-regret" in want:
+        ref_label, ref_policy = _reference_policy(cfg)
+    policies = cfg.policy_objects()
     for horizon in cfg.horizons:
-        ref_episodes = None
         if "reference-regret" in want:
-            ref_label, ref_policy = _reference_policy(cfg)
             ref_episodes = run_replications(
                 cfg.arms, ref_policy, cfg.criterion, horizon, reps,
                 cfg.seed, cfg.checkpoints, parallel,
             )
-        for label, policy in cfg.policy_objects():
+        for label, policy in policies:
             episodes = run_replications(
                 cfg.arms, policy, cfg.criterion, horizon, reps,
                 cfg.seed, cfg.checkpoints, parallel,
@@ -163,7 +166,7 @@ def cmd_simulate(
                 rows += estimate_proxy_regret(episodes, p_star_value)
             if "horizon-gap" in want and reps >= 2:
                 rows += estimate_horizon_gap(episodes)
-            if "reference-regret" in want and ref_episodes is not None:
+            if "reference-regret" in want:
                 rows += estimate_reference_regret(episodes, ref_episodes)
             meta = _base_meta(cfg)
             meta.update({"policy": label, "horizon": horizon, "replications": reps})
@@ -172,8 +175,7 @@ def cmd_simulate(
             if p_star_value is not None:
                 meta["stationary-optimum"] = repr(float(p_star_value))
             report = RegretReport(rows, meta)
-            safe_label = label.replace("/", "-").replace(" ", "")
-            path = out_dir / f"simulate_{safe_label}_T{horizon}.csv"
+            path = out_dir / f"simulate_{_file_stem(label)}_T{horizon}.csv"
             write_report_csv(path, report)
             print(f"wrote {path} ({len(rows)} rows)")
     return 0

@@ -87,19 +87,20 @@ class ExperimentConfig:
         raise ConfigError(f"unknown policy kind {kind!r}")
 
     def policy_objects(self) -> list[tuple[str, Policy]]:
-        out = []
-        for spec in self.policies:
-            policy = self.resolve_policy(spec)
-            label = spec.get("label", _default_policy_label(spec))
-            out.append((label, policy))
-        return out
+        return [(_policy_label(spec), self.resolve_policy(spec)) for spec in self.policies]
 
 
-def _default_policy_label(spec: dict) -> str:
-    kind = spec["kind"]
-    if kind == "simple":
+def _policy_label(spec: dict) -> str:
+    if "label" in spec:
+        return spec["label"]
+    if spec["kind"] == "simple":
         return "simple[" + ",".join(f"{w:g}" for w in spec["p"]) + "]"
-    return kind
+    return spec["kind"]
+
+
+def _file_stem(label: str) -> str:
+    """The part of a ``simulate`` CSV name that names the policy."""
+    return label.replace("/", "-").replace(" ", "")
 
 
 def _reject_extra(context: str, mapping: dict) -> None:
@@ -159,6 +160,8 @@ def _check_policy(spec, name: str, n_arms: int) -> None:
     if not isinstance(kind, str) or kind not in _POLICY_KEYS:
         raise ConfigError(f"unknown policy kind {kind!r}")
     _reject_extra(f"{kind} {name}", set(spec) - _POLICY_KEYS[kind] - {"kind", "label"})
+    if not isinstance(spec.get("label", ""), str):
+        raise ConfigError(f"{name} label must be a string, got {spec['label']!r}")
     if "alpha" in spec:
         _ucb_alpha(spec["alpha"], f"{name} alpha")
     if kind == "simple" and "p" not in spec:
@@ -268,8 +271,9 @@ def _parse_check_options(raw) -> dict:
                 raise ConfigError(f"check dkw_grid needs t >= 1 and finite x >= 0, got {value!r}")
         else:
             raise ConfigError(f"unknown check key {key!r}")
-    if opts.get("pairs", 1) < 1:
-        raise ConfigError(f"check pairs must be >= 1, got {opts['pairs']}")
+    for key, least in (("pairs", 1), ("dkw_reps", 100)):
+        if opts.get(key, least) < least:
+            raise ConfigError(f"check {key} must be >= {least}, got {opts[key]}")
     return opts
 
 
@@ -308,15 +312,29 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"mixture weight vector {p} does not match {len(arms)} arms")
 
     policies = _list(raw.get("policies", []), "policies")
+    labels = {}  # file stem -> label: two policies must not write the same CSV
     for spec in policies:
         _check_policy(spec, "policy", len(arms))
+        label = _policy_label(spec)
+        stem = _file_stem(label)
+        if stem in labels:
+            raise ConfigError(
+                f"policies {labels[stem]!r} and {label!r} both write simulate_{stem}_T*.csv"
+            )
+        labels[stem] = label
     reference = raw.get("reference", "best-arm")
     if reference != "best-arm":
         _check_policy(reference, "reference", len(arms))
 
+    k = len(arms)
+    horizons = _numbers(raw.get("horizons", []), "horizons", integer=True)
+    if any(h < k for h in horizons):
+        raise ConfigError(f"every horizon must be >= the arm count {k}, got {horizons}")
     checkpoints = raw.get("checkpoints")
     if checkpoints is not None:
         checkpoints = _numbers(checkpoints, "checkpoints", integer=True) or None
+    if checkpoints and horizons and not k <= min(checkpoints) <= max(checkpoints) <= min(horizons):
+        raise ConfigError(f"checkpoints must lie in [{k}, {min(horizons)}], got {checkpoints}")
     grid_resolution = raw.get("grid_resolution")
     if grid_resolution is not None and not (0 < _number(grid_resolution, "grid_resolution") <= 1):
         raise ConfigError(f"grid_resolution must lie in (0, 1], got {grid_resolution!r}")
@@ -334,7 +352,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         criterion=criterion,
         certificate_overrides=overrides,
         policies=policies,
-        horizons=_numbers(raw.get("horizons", []), "horizons", integer=True),
+        horizons=horizons,
         checkpoints=checkpoints,
         replications=replications,
         mixtures=mixtures,

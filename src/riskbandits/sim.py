@@ -221,45 +221,42 @@ def run_replications(
 
 
 def _check_common(episodes):
+    """The episodes' shared checkpoints and their (episodes x checkpoints) flags."""
     if not episodes:
         raise DomainError("no episodes to aggregate")
     cps = episodes[0].checkpoints
     if any(e.checkpoints != cps or e.horizon != episodes[0].horizon for e in episodes):
         raise DomainError("episodes disagree on checkpoints or horizon")
-    return cps
+    return cps, np.stack([e.flagged for e in episodes])
 
 
-def _column_stats(episodes, column: str):
-    """Per-checkpoint (mean, stderr, n, flagged) excluding flagged episodes."""
-    cps = _check_common(episodes)
-    values = np.stack([getattr(e, column) for e in episodes])
-    flags = np.stack([e.flagged for e in episodes])
+def _checkpoint_stats(values, flags, min_n: int):
+    """Per-checkpoint (mean, stderr, n, flagged) of an (episodes x checkpoints)
+    array over its unflagged episodes: value and stderr are NaN below
+    ``min_n`` episodes, and the stderr is NaN at one."""
     out = []
-    for c in range(len(cps)):
-        good = ~flags[:, c]
-        vals = values[good, c]
+    for vals, good in zip(values.T, ~flags.T):
         n = int(good.sum())
-        if n == 0:
-            out.append((math.nan, math.nan, 0, len(episodes)))
+        if n < min_n:
+            out.append((math.nan, math.nan, n, len(good) - n))
             continue
-        mean = float(np.mean(vals))
+        vals = vals[good]
         stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
-        out.append((mean, stderr, n, len(episodes) - n))
-    return cps, out
+        out.append((float(np.mean(vals)), stderr, n, len(good) - n))
+    return out
 
 
 def estimate_performance(episodes) -> list[EstimateRow]:
     """Mean criterion value on the pooled empirical CDF, per checkpoint."""
-    cps, stats = _column_stats(episodes, "pooled_values")
-    return [
-        EstimateRow(cp, "performance", m, se, n, fl)
-        for cp, (m, se, n, fl) in zip(cps, stats)
-    ]
+    cps, flags = _check_common(episodes)
+    stats = _checkpoint_stats(np.stack([e.pooled_values for e in episodes]), flags, 1)
+    return [EstimateRow(cp, "performance", *s) for cp, s in zip(cps, stats)]
 
 
 def estimate_proxy_regret(episodes, p_star_value: float) -> list[EstimateRow]:
     """Mean of ``best stationary value - criterion(proxy mixture)``."""
-    cps, stats = _column_stats(episodes, "proxy_values")
+    cps, flags = _check_common(episodes)
+    stats = _checkpoint_stats(np.stack([e.proxy_values for e in episodes]), flags, 1)
     return [
         EstimateRow(cp, "proxy-regret", p_star_value - m, se, n, fl)
         for cp, (m, se, n, fl) in zip(cps, stats)
@@ -270,29 +267,12 @@ def estimate_horizon_gap(episodes) -> list[EstimateRow]:
     """|mean(pooled - proxy)| with the stderr of the signed mean."""
     if len(episodes) < 2:
         raise DomainError("horizon gap needs at least 2 replications")
-    cps = _check_common(episodes)
-    pooled = np.stack([e.pooled_values for e in episodes])
-    proxy = np.stack([e.proxy_values for e in episodes])
-    flags = np.stack([e.flagged for e in episodes])
-    rows = []
-    for c, cp in enumerate(cps):
-        good = ~flags[:, c]
-        diff = pooled[good, c] - proxy[good, c]
-        n = int(good.sum())
-        if n < 2:
-            rows.append(EstimateRow(cp, "horizon-gap", math.nan, math.nan, n, len(episodes) - n))
-            continue
-        rows.append(
-            EstimateRow(
-                cp,
-                "horizon-gap",
-                abs(float(np.mean(diff))),
-                float(np.std(diff, ddof=1) / math.sqrt(n)),
-                n,
-                len(episodes) - n,
-            )
-        )
-    return rows
+    cps, flags = _check_common(episodes)
+    diff = np.stack([e.pooled_values - e.proxy_values for e in episodes])
+    return [
+        EstimateRow(cp, "horizon-gap", abs(m), se, n, fl)
+        for cp, (m, se, n, fl) in zip(cps, _checkpoint_stats(diff, flags, 2))
+    ]
 
 
 def estimate_reference_regret(episodes, reference_episodes) -> list[EstimateRow]:
@@ -301,19 +281,18 @@ def estimate_reference_regret(episodes, reference_episodes) -> list[EstimateRow]
     The benchmark is an explicit named policy (finite-horizon optima are not
     computable in general), so rows read "reference regret vs <policy>".
     """
-    cps = _check_common(episodes)
-    ref_cps = _check_common(reference_episodes)
+    cps, flags = _check_common(episodes)
+    ref_cps, ref_flags = _check_common(reference_episodes)
     if cps != ref_cps or episodes[0].horizon != reference_episodes[0].horizon:
         raise DomainError("candidate and reference episodes use different configs")
-    _, cand = _column_stats(episodes, "pooled_values")
-    _, ref = _column_stats(reference_episodes, "pooled_values")
-    rows = []
-    for cp, (m_c, se_c, n_c, fl_c), (m_r, se_r, n_r, fl_r) in zip(cps, cand, ref):
-        se = math.sqrt(se_c**2 + se_r**2) if n_c > 1 and n_r > 1 else math.nan
-        rows.append(
-            EstimateRow(cp, "reference-regret", m_r - m_c, se, min(n_c, n_r), fl_c + fl_r)
-        )
-    return rows
+    cand = _checkpoint_stats(np.stack([e.pooled_values for e in episodes]), flags, 1)
+    ref = _checkpoint_stats(np.stack([e.pooled_values for e in reference_episodes]), ref_flags, 1)
+    # a stderr is NaN below two episodes, and so is their combination
+    return [
+        EstimateRow(cp, "reference-regret", m_r - m_c, math.sqrt(se_c**2 + se_r**2),
+                    min(n_c, n_r), fl_c + fl_r)
+        for cp, (m_c, se_c, n_c, fl_c), (m_r, se_r, n_r, fl_r) in zip(cps, cand, ref)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
+import csv
 from pathlib import Path
 
 import pytest
 import yaml
 
 from riskbandits.cli import main
-from riskbandits.config import load_config, parse_config, parse_distribution
+from riskbandits.config import ExperimentConfig, load_config, parse_config, parse_distribution
 from riskbandits.errors import ConfigError
 from riskbandits.policy import SimplePolicy, UcbPolicy
 from riskbandits.sim import read_report_csv
@@ -299,6 +300,25 @@ def test_simulate_refuses_fewer_than_one_worker(tmp_path, capsys, parallel):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_simulate_resolves_each_policy_once_for_all_horizons(tmp_path, monkeypatch):
+    kinds = []
+    resolve = ExperimentConfig.resolve_policy
+
+    def counting_resolve(self, spec):
+        kinds.append(spec["kind"])
+        return resolve(self, spec)
+
+    monkeypatch.setattr(ExperimentConfig, "resolve_policy", counting_resolve)
+    doc = _base_doc()
+    doc["policies"] = [{"kind": "simple", "p": [1.0, 0.0]}, {"kind": "ucb"}]
+    doc["reference"] = {"kind": "simple", "p": [0.5, 0.5], "label": "half"}
+    doc["horizons"] = [16, 32, 64]
+    doc["replications"] = 2
+    assert main(["simulate", "--config", _write(tmp_path, doc), "--out", str(tmp_path)]) == 0
+    assert len(list(tmp_path.glob("simulate_*.csv"))) == 6
+    assert sorted(kinds) == ["simple", "simple", "ucb"]
+
+
 def test_simulate_seed_override_changes_results(tmp_path):
     doc = _base_doc()
     doc["policies"] = [{"kind": "simple", "p": [1.0, 0.0]}]
@@ -418,6 +438,10 @@ def _arms(*specs):
         ),
         pytest.param("eval", {"reference": "best-arms"}, "best-arms", id="reference-unknown"),
         pytest.param(
+            "eval", {"policies": [{"kind": "ucb", "label": 5}]}, "policy label must be a string",
+            id="policy-label-int",
+        ),
+        pytest.param(
             "eval", {"policies": [{"kind": "ucb", "a": NAN}]}, "policy a must be finite",
             id="policy-a-nan",
         ),
@@ -508,6 +532,9 @@ def test_ucb_alpha_at_or_below_2_or_non_finite_exits_1(tmp_path, capsys, command
         pytest.param({"grid_resolution": 1.5}, "grid_resolution", id="grid-resolution-1.5"),
         pytest.param({"check": {"pairs": -4}}, "check pairs must be >= 1", id="pairs-negative"),
         pytest.param({"check": {"pairs": 0}}, "check pairs must be >= 1", id="pairs-0"),
+        pytest.param(
+            {"check": {"dkw_reps": 50}}, "check dkw_reps must be >= 100, got 50", id="dkw-reps-50"
+        ),
         pytest.param({"check": {"grid_step": NAN}}, "check grid_step", id="grid-step-nan"),
         pytest.param({"check": {"grid_step": -1e-3}}, "check grid_step", id="grid-step-negative"),
         pytest.param({"check": {"b_alpha": NAN}}, "check b_alpha", id="b-alpha-nan"),
@@ -530,3 +557,66 @@ def test_out_of_range_seed_grid_and_check_knobs_exit_1_at_load(
 def test_negative_seed_flag_exits_1(tmp_path, capsys, command):
     err = _error_of(tmp_path, capsys, command, {}, "--seed", "-1")
     assert err.startswith("error: --seed must be >= 0")
+
+
+@pytest.mark.parametrize("command", ["eval", "oracle", "simulate", "check"])
+@pytest.mark.parametrize(
+    "patch,expect",
+    [
+        pytest.param({"horizons": [100, 1]}, "horizon must be >= the arm count 2", id="horizon-1"),
+        pytest.param({"horizons": [0]}, "horizon must be >= the arm count 2", id="horizon-0"),
+        pytest.param({"horizons": [-64]}, "horizon must be >= the arm count 2", id="horizon-negative"),
+        pytest.param({"checkpoints": [1, 32]}, "must lie in [2, 64]", id="checkpoint-below-arms"),
+        pytest.param({"checkpoints": [2, 65]}, "must lie in [2, 64]", id="checkpoint-above-horizon"),
+        pytest.param(
+            {"horizons": [128, 64], "checkpoints": [2, 100]}, "must lie in [2, 64]",
+            id="checkpoint-above-smallest-horizon",
+        ),
+    ],
+)
+def test_horizon_below_arm_count_or_checkpoint_outside_horizon_exits_1_at_load(
+    tmp_path, capsys, command, patch, expect
+):
+    # refused while loading, before simulate writes the CSV of any horizon
+    assert expect in _error_of(tmp_path, capsys, command, patch)
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+@pytest.mark.parametrize(
+    "policies,labels",
+    [
+        ([{"kind": "ucb", "alpha": 3.0}, {"kind": "ucb", "alpha": 8.0}], ("ucb", "ucb")),
+        (
+            [{"kind": "simple", "p": [1, 0], "label": "a/b"}, {"kind": "ucb", "label": "a-b"}],
+            ("a/b", "a-b"),
+        ),
+        (
+            [{"kind": "bad1-oracle", "label": "my run"}, {"kind": "ucb", "label": "myrun"}],
+            ("my run", "myrun"),
+        ),
+    ],
+    ids=["same-kind", "slash", "space"],
+)
+def test_two_policies_writing_the_same_csv_exit_1(tmp_path, capsys, command, policies, labels):
+    err = _error_of(tmp_path, capsys, command, {"policies": policies})
+    assert f"policies {labels[0]!r} and {labels[1]!r}" in err
+
+
+@pytest.mark.parametrize(
+    "config",
+    sorted(CONFIG_DIR.glob("*.yaml")) + [CONFIG_DIR.parent / "perfbench" / "close_gaussians.yaml"],
+    ids=lambda p: p.stem,
+)
+def test_every_csv_row_has_one_cell_per_column(tmp_path, capsys, config):
+    commands = ["eval", "oracle", "check"] + (["simulate"] if load_config(config).policies else [])
+    for command in commands:
+        flags = ["--reps", "2"] if command == "simulate" else []
+        code = main([command, "--config", str(config), "--out", str(tmp_path / command), *flags])
+        assert code in (0, 2)  # a failed check still writes its CSV
+    capsys.readouterr()
+    paths = sorted(tmp_path.glob("*/*.csv"))
+    assert {p.parent.name for p in paths} == set(commands)
+    for path in paths:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if not row[0].startswith("#")]
+        assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows), path

@@ -327,6 +327,35 @@ def test_reference_regret_config_mismatch():
         estimate_reference_regret(a, b)
 
 
+def test_estimators_at_zero_one_and_three_unflagged_episodes():
+    # checkpoint 0 is flagged in every episode, checkpoint 1 in all but the
+    # first, checkpoint 2 in none
+    pooled = np.array([[9.0, 1.0, 1.0], [9.0, 5.0, 2.0], [9.0, 7.0, 6.0]])
+    proxy = np.array([[9.0, 0.5, 3.0], [9.0, 4.0, 3.0], [9.0, 6.0, 7.0]])
+    flags = np.array([[True, False, False], [True, True, False], [True, True, False]])
+    eps = [
+        sim.Episode(0, rep, 8, (2, 4, 8), np.zeros((3, 2)), pooled[rep], proxy[rep], flags[rep])
+        for rep in range(3)
+    ]
+    perf = estimate_performance(eps)
+    gap = estimate_horizon_gap(eps)
+    ref = estimate_reference_regret(eps, eps)
+    assert [(r.reps, r.flagged) for r in perf] == [(0, 3), (1, 2), (3, 0)]
+    assert [(r.reps, r.flagged) for r in gap] == [(0, 3), (1, 2), (3, 0)]
+    assert [(r.reps, r.flagged) for r in ref] == [(0, 6), (1, 4), (3, 0)]
+    assert math.isnan(perf[0].value) and math.isnan(perf[0].stderr)
+    assert perf[1].value == 1.0 and math.isnan(perf[1].stderr)
+    assert perf[2].value == 3.0 and perf[2].stderr == np.std([1.0, 2.0, 6.0], ddof=1) / math.sqrt(3)
+    # the gap needs two episodes; its value is |mean| of the signed differences
+    assert all(math.isnan(r.value) and math.isnan(r.stderr) for r in gap[:2])
+    diff = [-2.0, -1.0, -1.0]
+    assert gap[2].value == -np.mean(diff) and gap[2].stderr == np.std(diff, ddof=1) / math.sqrt(3)
+    assert ref[1].value == 0.0 and math.isnan(ref[1].stderr)
+    assert ref[2].stderr == math.sqrt(2 * perf[2].stderr**2)
+    proxy_rows = estimate_proxy_regret(eps, 10.0)
+    assert proxy_rows[1].value == 9.5 and proxy_rows[2].value == 10.0 - np.mean([3.0, 3.0, 7.0])
+
+
 @pytest.mark.parametrize("seed", [5, 6])
 def test_proxy_regret_decomposition_bound(seed):
     # measured proxy regret <= (L/T) sum_i mean(tau_i) ||F_best - F_i|| + 3 se
