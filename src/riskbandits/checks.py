@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import (
+    CVaRCriterion,
     RiskCriterion,
     StabilityCertificate,
     SmoothnessCertificate,
@@ -240,7 +241,8 @@ def convexity_check(
         if criterion.domain_flags(f) or criterion.domain_flags(g):
             continue
         rf, rg = criterion.evaluate(f), criterion.evaluate(g)
-        for lam in lambdas:
+        # the end blends are g and f themselves, scored as rg and rf
+        for lam in lambdas[1:-1]:
             mix = MixtureDistribution(arms, lam * wf + (1 - lam) * wg)
             rm = criterion.evaluate(mix)
             if kind in ("linear", "convex") and rm > lam * rf + (1 - lam) * rg + _CONVEXITY_TOL:
@@ -373,8 +375,6 @@ def dkw_grid_check(dist, pairs, reps: int = 10_000, seed: int = 0, slack: float 
 
 def cvar_order_statistic_check(seed: int = 0) -> CheckResult:
     """Step-CDF tail-average equals the order-statistic mean at integral t*alpha."""
-    from .criteria import CVaRCriterion
-
     rng = _rng(seed)
     for alpha in (0.1, 0.2, 0.5):
         crit = CVaRCriterion(alpha)

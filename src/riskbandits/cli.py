@@ -20,7 +20,6 @@ import numpy as np
 
 from . import checks as checklib
 from .config import ExperimentConfig, _file_stem, _seed, load_config
-from .dist import MixtureDistribution
 from .errors import ConfigError, DomainError
 from .oracle import _MAX_GRID_ARMS, best_single_arm, oracle_report, simplex_grid_argmax
 from .policy import SimplePolicy
@@ -56,9 +55,9 @@ def cmd_eval(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     rows = []
     for i, arm in enumerate(cfg.arms):
         rows.append((f"arm{i + 1}", cfg.criterion.evaluate(arm)))
-    for p in cfg.mixtures:
+    for p, mixture in cfg.mixtures:
         label = "mix[" + ",".join(f"{w:g}" for w in p) + "]"
-        rows.append((label, cfg.criterion.evaluate(MixtureDistribution(cfg.arms, p))))
+        rows.append((label, cfg.criterion.evaluate(mixture)))
     width = max(len(r[0]) for r in rows)
     print(f"criterion: {_criterion_label(cfg)}")
     for name, value in rows:
@@ -126,13 +125,12 @@ def _stationary_optimum(cfg: ExperimentConfig) -> float | None:
 
 
 def _reference_policy(cfg: ExperimentConfig):
-    if cfg.reference == "best-arm":
-        best, _, _ = best_single_arm(cfg.criterion, cfg.arms)
-        p = np.zeros(len(cfg.arms))
-        p[best] = 1.0
-        return f"best-arm(arm{best + 1})", SimplePolicy(p)
-    # any other reference is a policy record (checked by the config parser)
-    return cfg.reference.get("label", cfg.reference["kind"]), cfg.resolve_policy(cfg.reference)
+    if cfg.reference != "best-arm":
+        return cfg.reference  # built by the config parser
+    best, _, _ = best_single_arm(cfg.criterion, cfg.arms)
+    p = np.zeros(len(cfg.arms))
+    p[best] = 1.0
+    return f"best-arm(arm{best + 1})", SimplePolicy(p)
 
 
 def cmd_simulate(
@@ -147,14 +145,13 @@ def cmd_simulate(
     want = set(cfg.estimators)
     if "reference-regret" in want:
         ref_label, ref_policy = _reference_policy(cfg)
-    policies = cfg.policy_objects()
     for horizon in cfg.horizons:
         if "reference-regret" in want:
             ref_episodes = run_replications(
                 cfg.arms, ref_policy, cfg.criterion, horizon, reps,
                 cfg.seed, cfg.checkpoints, parallel,
             )
-        for label, policy in policies:
+        for label, policy in cfg.policies:
             episodes = run_replications(
                 cfg.arms, policy, cfg.criterion, horizon, reps,
                 cfg.seed, cfg.checkpoints, parallel,

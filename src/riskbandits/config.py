@@ -7,7 +7,7 @@ misspelled fields never silently change an archived experiment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral, Real
 
 import yaml
@@ -15,6 +15,7 @@ import yaml
 from .criteria import RiskCriterion, build_criterion
 from .dist import (
     Gaussian,
+    MixtureDistribution,
     PiecewiseLinearCDF,
     PointMass,
     RewardDistribution,
@@ -28,6 +29,7 @@ from .policy import (
     Policy,
     SimplePolicy,
     UcbPolicy,
+    check_ucb_alpha,
 )
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config", "parse_distribution"]
@@ -47,55 +49,25 @@ _POLICY_KEYS = {
 
 @dataclass
 class ExperimentConfig:
+    """A checked experiment; ``parse_config`` sets every field and builds
+    each policy record and mixture (kept beside its raw weights)."""
+
     version: int
     seed: int
     arms: list[RewardDistribution]
     criterion: RiskCriterion
-    certificate_overrides: dict = field(default_factory=dict)
-    policies: list[dict] = field(default_factory=list)
-    horizons: list[int] = field(default_factory=list)
-    checkpoints: list[int] | None = None
-    replications: int = 100
-    mixtures: list[list[float]] = field(default_factory=list)
-    estimators: tuple[str, ...] = _ESTIMATOR_NAMES
-    reference: dict | str = "best-arm"
-    grid_resolution: float | None = None
-    ucb_alpha: float = 3.0
-    check_options: dict = field(default_factory=dict)
-    output: str | None = None
-
-    def resolve_policy(self, spec: dict) -> Policy:
-        """Build a policy from a record ``parse_config`` checked, resolving UCB
-        radii from the criterion's certificate when not overridden."""
-        kind = spec["kind"]
-        if kind == "simple":
-            return SimplePolicy(spec["p"])
-        if kind == "bad1-oracle":
-            return Bad1OraclePolicy()
-        if kind == "bad2-oracle":
-            return Bad2OraclePolicy()
-        if kind == "ucb":
-            overrides = dict(self.certificate_overrides)
-            overrides.update({k: spec[k] for k in ("a", "b", "q") if k in spec})
-            cert = self.criterion.stability_certificate(self.arms, **overrides)
-            if cert is None:
-                raise ConfigError(
-                    f"criterion {self.criterion.tag!r} has no stability certificate "
-                    "for these arms; supply a, b, q explicitly"
-                )
-            return UcbPolicy(cert, spec.get("alpha", self.ucb_alpha))
-        raise ConfigError(f"unknown policy kind {kind!r}")
-
-    def policy_objects(self) -> list[tuple[str, Policy]]:
-        return [(_policy_label(spec), self.resolve_policy(spec)) for spec in self.policies]
-
-
-def _policy_label(spec: dict) -> str:
-    if "label" in spec:
-        return spec["label"]
-    if spec["kind"] == "simple":
-        return "simple[" + ",".join(f"{w:g}" for w in spec["p"]) + "]"
-    return spec["kind"]
+    certificate_overrides: dict
+    policies: list[tuple[str, Policy]]
+    horizons: list[int]
+    checkpoints: list[int] | None
+    replications: int
+    mixtures: list[tuple[list[float], MixtureDistribution]]
+    estimators: tuple[str, ...]
+    reference: tuple[str, Policy] | str  # "best-arm" is resolved by simulate
+    grid_resolution: float | None
+    ucb_alpha: float
+    check_options: dict
+    output: str | None
 
 
 def _file_stem(label: str) -> str:
@@ -143,17 +115,10 @@ def _pairs(value, name: str) -> list:
     return pairs
 
 
-def _ucb_alpha(value, name: str) -> float:
-    alpha = float(_number(value, name))
-    if not (math.isfinite(alpha) and alpha > 2):
-        raise ConfigError(f"{name} must be finite and exceed 2, got {value!r}")
-    return alpha
-
-
-def _check_policy(spec, name: str, n_arms: int) -> None:
-    """Refuse a policy record of an unknown kind, with a missing, unknown,
-    ill-typed or non-finite parameter, or with a weight vector ``p`` whose
-    length is not the arm count."""
+def _build_policy(spec, name: str, arms, criterion, overrides: dict, ucb_alpha: float):
+    """``(label, policy)`` from a policy record.  The record's structure and
+    types are checked here; its ranges by the policy's constructor, whose
+    ``DomainError`` (or a missing UCB certificate) names the record."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"{name} spec must be a mapping with 'kind': {spec!r}")
     kind = spec["kind"]
@@ -162,17 +127,36 @@ def _check_policy(spec, name: str, n_arms: int) -> None:
     _reject_extra(f"{kind} {name}", set(spec) - _POLICY_KEYS[kind] - {"kind", "label"})
     if not isinstance(spec.get("label", ""), str):
         raise ConfigError(f"{name} label must be a string, got {spec['label']!r}")
-    if "alpha" in spec:
-        _ucb_alpha(spec["alpha"], f"{name} alpha")
     if kind == "simple" and "p" not in spec:
         raise ConfigError(f"simple {name} is missing required key 'p'")
+    if "alpha" in spec:
+        _number(spec["alpha"], f"{name} alpha")
     values = [(f"{name} {k}", spec[k]) for k in ("a", "b", "q") if k in spec]
     values += [(f"{name} p entry", w) for w in _list(spec.get("p", []), f"{name} p")]
     for label, value in values:
         if not math.isfinite(_number(value, label)):
             raise ConfigError(f"{label} must be finite, got {value!r}")
-    if kind == "simple" and len(spec["p"]) != n_arms:
-        raise ConfigError(f"simple {name} has {len(spec['p'])} weights for {n_arms} arms")
+    if kind == "simple" and len(spec["p"]) != len(arms):
+        raise ConfigError(f"simple {name} has {len(spec['p'])} weights for {len(arms)} arms")
+    weights = "[" + ",".join(f"{w:g}" for w in spec["p"]) + "]" if kind == "simple" else ""
+    label = spec.get("label", kind + weights)
+    try:
+        if kind == "simple":
+            return label, SimplePolicy(spec["p"])
+        if kind == "bad1-oracle":
+            return label, Bad1OraclePolicy()
+        if kind == "bad2-oracle":
+            return label, Bad2OraclePolicy()
+        radii = {**overrides, **{k: spec[k] for k in ("a", "b", "q") if k in spec}}
+        cert = criterion.stability_certificate(arms, **radii)
+        if cert is None:
+            raise ConfigError(
+                f"{name} {label!r}: criterion {criterion.tag!r} has no stability "
+                "certificate for these arms; supply a, b, q explicitly"
+            )
+        return label, UcbPolicy(cert, spec.get("alpha", ucb_alpha))
+    except DomainError as exc:
+        raise ConfigError(f"{name} {label!r}: {exc}") from exc
 
 
 def parse_distribution(spec: dict) -> RewardDistribution:
@@ -304,27 +288,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if bad:
         raise ConfigError(f"unknown estimators {bad}; known: {_ESTIMATOR_NAMES}")
 
-    mixtures = [
-        list(map(float, _numbers(p, "mixture"))) for p in _list(raw.get("mixtures", []), "mixtures")
-    ]
-    for p in mixtures:
+    mixtures = []
+    for p in _list(raw.get("mixtures", []), "mixtures"):
+        p = list(map(float, _numbers(p, "mixture")))
         if len(p) != len(arms):
             raise ConfigError(f"mixture weight vector {p} does not match {len(arms)} arms")
-
-    policies = _list(raw.get("policies", []), "policies")
-    labels = {}  # file stem -> label: two policies must not write the same CSV
-    for spec in policies:
-        _check_policy(spec, "policy", len(arms))
-        label = _policy_label(spec)
-        stem = _file_stem(label)
-        if stem in labels:
-            raise ConfigError(
-                f"policies {labels[stem]!r} and {label!r} both write simulate_{stem}_T*.csv"
-            )
-        labels[stem] = label
-    reference = raw.get("reference", "best-arm")
-    if reference != "best-arm":
-        _check_policy(reference, "reference", len(arms))
+        try:
+            mixtures.append((p, MixtureDistribution(arms, p)))
+        except DomainError as exc:
+            raise ConfigError(f"mixture {p}: {exc}") from exc
 
     k = len(arms)
     horizons = _numbers(raw.get("horizons", []), "horizons", integer=True)
@@ -344,10 +316,35 @@ def parse_config(raw: dict) -> ExperimentConfig:
     replications = _number(raw.get("replications", 100), "replications", integer=True)
     if replications < 1:
         raise ConfigError(f"replications must be >= 1, got {replications}")
+    seed = _seed(raw["seed"], "seed")
+    check_options = _parse_check_options(raw.get("check", {}))
+    ucb_alpha = float(_number(raw.get("ucb_alpha", 3.0), "ucb_alpha"))
+    try:
+        check_ucb_alpha(ucb_alpha)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+    # built last: a UCB record's certificate may fit the growth constants
+    build = (arms, criterion, overrides, ucb_alpha)
+    policies = []
+    stems = {}  # file stem -> label: two policies must not write the same CSV
+    for spec in _list(raw.get("policies", []), "policies"):
+        label, policy = _build_policy(spec, "policy", *build)
+        stem = _file_stem(label)
+        if stem in stems:
+            raise ConfigError(
+                f"policies {stems[stem]!r} and {label!r} both write simulate_{stem}_T*.csv"
+            )
+        stems[stem] = label
+        policies.append((label, policy))
+    reference = raw.get("reference", "best-arm")
+    if reference != "best-arm":
+        _, policy = _build_policy(reference, "reference", *build)
+        # an unlabelled reference is named by its kind alone
+        reference = (reference.get("label", reference["kind"]), policy)
 
     return ExperimentConfig(
         version=CONFIG_VERSION,
-        seed=_seed(raw["seed"], "seed"),
+        seed=seed,
         arms=arms,
         criterion=criterion,
         certificate_overrides=overrides,
@@ -359,8 +356,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         estimators=estimators,
         reference=reference,
         grid_resolution=grid_resolution,
-        ucb_alpha=_ucb_alpha(raw.get("ucb_alpha", 3.0), "ucb_alpha"),
-        check_options=_parse_check_options(raw.get("check", {})),
+        ucb_alpha=ucb_alpha,
+        check_options=check_options,
         output=output,
     )
 

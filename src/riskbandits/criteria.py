@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from numbers import Real
 
 import numpy as np
@@ -51,6 +52,7 @@ __all__ = [
     "default_concentration_rate",
     "check_growth_condition_c4",
     "fit_c4_constants",
+    "simplex_lattice",
 ]
 
 
@@ -826,12 +828,17 @@ def fit_c4_constants(arms, alpha: float, grid_step: float = 1e-3):
     return None
 
 
+def simplex_lattice(k: int, n: int):
+    """All weight vectors with denominator n on the (k-1)-simplex."""
+    for cut in combinations_with_replacement(range(k), n):
+        counts = np.bincount(np.array(cut, dtype=int), minlength=k)
+        yield tuple(counts / n)
+
+
 def _mixture_grid(arms):
     """The arm mixtures on the simplex lattice of spacing 1/_MIXTURE_GRID_N."""
     if len(arms) == 1:
         return [arms[0]]
-    from .oracle import simplex_lattice
-
     return [MixtureDistribution(arms, p) for p in simplex_lattice(len(arms), _MIXTURE_GRID_N)]
 
 

@@ -14,11 +14,11 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .criteria import RiskCriterion, StabilityCertificate
+from .criteria import RiskCriterion, StabilityCertificate, simplex_lattice
 from .dist import MixtureDistribution
 from .errors import DomainError, UnsupportedOperationError, add_context
 from .norms import SemiNormFunctional, norm_distance
-from .policy import phi
+from .policy import check_ucb_alpha, phi
 
 __all__ = [
     "OracleReport",
@@ -60,13 +60,6 @@ def best_single_arm(criterion: RiskCriterion, arms):
     best_value = values[best]
     gaps = [best_value - v for v in values]
     return best, best_value, gaps
-
-
-def simplex_lattice(k: int, n: int):
-    """All weight vectors with denominator n on the (k-1)-simplex."""
-    for cut in combinations_with_replacement(range(k), n):
-        counts = np.bincount(np.array(cut, dtype=int), minlength=k)
-        yield tuple(counts / n)
 
 
 def simplex_grid_argmax(criterion: RiskCriterion, arms, resolution: float):
@@ -131,8 +124,7 @@ def expected_pull_bound(
     for suboptimal arms and ``None`` for the best arm, and ``regret_bound``
     is ``(L / T) * sum_i bounds[i] * ||F_best - F_i||``.
     """
-    if ucb_alpha <= 2.0:
-        raise DomainError(f"pull bound requires ucb_alpha > 2, got {ucb_alpha}")
+    check_ucb_alpha(ucb_alpha)
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
     best, _, gaps = best_single_arm(criterion, arms)
@@ -168,15 +160,14 @@ def oracle_report(
     ucb_alpha: float = 3.0,
     horizons=(),
 ) -> OracleReport:
-    """Assemble the standard oracle quantities for one experiment."""
+    """Assemble the standard oracle quantities for one experiment; pull
+    bounds and the stationary-gap constant need a ``certificate``."""
     best, value, gaps = best_single_arm(criterion, arms)
     report = OracleReport(best_arm=best, best_value=value, gaps=gaps)
     if resolution is not None and len(arms) <= _MAX_GRID_ARMS:
         report.p_star, report.p_star_value = simplex_grid_argmax(
             criterion, arms, resolution
         )
-    if certificate is None:
-        certificate = criterion.stability_certificate(arms)
     if certificate is not None:
         report.lipschitz = lipschitz_constant(certificate, arms, criterion.functionals)
         if all(g > 0 for i, g in enumerate(gaps) if i != best):

@@ -36,7 +36,14 @@ __all__ = [
     "SimplePolicy",
     "Bad1OraclePolicy",
     "Bad2OraclePolicy",
+    "check_ucb_alpha",
 ]
+
+
+def check_ucb_alpha(alpha: float) -> None:
+    """Refuse an exploration exponent that is not finite and above 2."""
+    if not (math.isfinite(alpha) and alpha > 2):
+        raise DomainError(f"ucb_alpha must be finite and exceed 2, got {alpha}")
 
 
 def phi(cert: StabilityCertificate, y: float) -> float:
@@ -143,8 +150,7 @@ class UcbPolicy(Policy):
     ucb_alpha: float = 3.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.ucb_alpha) and self.ucb_alpha > 2):
-            raise DomainError(f"ucb_alpha must be finite and exceed 2, got {self.ucb_alpha}")
+        check_ucb_alpha(self.ucb_alpha)
 
     def start(self, k, criterion):
         return _UcbSession(k, criterion, self.certificate, self.ucb_alpha)

@@ -7,6 +7,7 @@ other test exercises; a stale tracer target crashes ``perfbench/run.py
 --trace 1`` runs.
 """
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -90,3 +91,21 @@ def test_cli_import_loads_no_scipy_optimize():
         [sys.executable, "-c", probe, str(src)], capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == []
+
+
+def test_no_import_inside_a_function():
+    # a module-level import keeps the package's import graph visible, so a
+    # cycle between two modules fails at import time instead of hiding in a
+    # lazy import that runs only on the call that needs it
+    src = Path(__file__).resolve().parents[1] / "src" / "riskbandits"
+    lazy = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                lazy += [
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert lazy == []

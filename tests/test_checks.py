@@ -44,6 +44,21 @@ def test_c1_scores_each_arm_once():
     assert res.detail == f"max |value| = {worst:.6g}"
 
 
+def test_convexity_check_scores_nine_blends_per_pair():
+    # the end blends are the pair itself: 2 endpoint scores and 7 inner blends
+    class CountingCriterion(CVaRCriterion):
+        calls = 0
+
+        def evaluate(self, f):
+            CountingCriterion.calls += 1
+            return super().evaluate(f)
+
+    arms = [Gaussian(0, 1), Gaussian(0.5, 2)]
+    res = checklib.convexity_check(CountingCriterion(0.1), arms, n_pairs=5, seed=2)
+    assert res.passed and res.detail == "5 pairs x 9 blend points"
+    assert CountingCriterion.calls == 5 * 9
+
+
 def test_c2_kind_based():
     assert checklib.condition_c2([Gaussian(0, 1), PointMass(3.0), bad1_arm_wide()]).passed
 

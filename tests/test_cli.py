@@ -4,10 +4,11 @@ from pathlib import Path
 import pytest
 import yaml
 
+from riskbandits import criteria
 from riskbandits.cli import main
-from riskbandits.config import ExperimentConfig, load_config, parse_config, parse_distribution
+from riskbandits.config import load_config, parse_config, parse_distribution
 from riskbandits.errors import ConfigError
-from riskbandits.policy import SimplePolicy, UcbPolicy
+from riskbandits.policy import Bad1OraclePolicy, SimplePolicy, UcbPolicy
 from riskbandits.sim import read_report_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -94,7 +95,7 @@ def test_parse_config_estimator_and_mixture_validation():
 
 def test_policy_resolution_uses_certificate():
     cfg = parse_config({**_base_doc(), "policies": [{"kind": "ucb", "alpha": 2.5}]})
-    policy = cfg.policy_objects()[0][1]
+    policy = cfg.policies[0][1]
     assert isinstance(policy, UcbPolicy)
     cert = cfg.criterion.stability_certificate(cfg.arms)
     assert policy.certificate == cert and policy.ucb_alpha == 2.5
@@ -102,13 +103,13 @@ def test_policy_resolution_uses_certificate():
     cfg2 = parse_config(
         {**_base_doc(), "policies": [{"kind": "ucb", "a": 2.0, "b": 0.4, "q": 2.0}]}
     )
-    assert cfg2.policy_objects()[0][1].certificate.b == 0.4
+    assert cfg2.policies[0][1].certificate.b == 0.4
     cfg3 = parse_config({**_base_doc(), "policies": [{"kind": "simple", "p": [1, 0]}]})
-    assert isinstance(cfg3.policy_objects()[0][1], SimplePolicy)
+    assert isinstance(cfg3.policies[0][1], SimplePolicy)
     cfg4 = parse_config(
         {**_base_doc(), "policies": [{"kind": "bad1-oracle"}, {"kind": "bad2-oracle"}]}
     )
-    labels = [label for label, _ in cfg4.policy_objects()]
+    labels = [label for label, _ in cfg4.policies]
     assert labels == ["bad1-oracle", "bad2-oracle"]
 
 
@@ -187,11 +188,12 @@ def test_policy_labels_round_trip():
     doc = _base_doc()
     doc["policies"] = [{"kind": "simple", "p": [1.0, 0.0], "label": "always-first"}]
     cfg = parse_config(doc)
-    labels = [label for label, _ in cfg.policy_objects()]
+    labels = [label for label, _ in cfg.policies]
     assert labels == ["always-first"]
     doc["reference"] = {"kind": "bad1-oracle", "label": "oracle-schedule"}
     cfg = parse_config(doc)
-    assert cfg.resolve_policy(cfg.reference) is not None
+    label, reference = cfg.reference
+    assert label == "oracle-schedule" and isinstance(reference, Bad1OraclePolicy)
 
 
 def test_simulate_roundtrip_metadata(tmp_path):
@@ -302,13 +304,13 @@ def test_simulate_refuses_fewer_than_one_worker(tmp_path, capsys, parallel):
 
 def test_simulate_resolves_each_policy_once_for_all_horizons(tmp_path, monkeypatch):
     kinds = []
-    resolve = ExperimentConfig.resolve_policy
+    for cls, hook in ((SimplePolicy, "__init__"), (UcbPolicy, "__post_init__")):
 
-    def counting_resolve(self, spec):
-        kinds.append(spec["kind"])
-        return resolve(self, spec)
+        def counting(self, *args, _build=getattr(cls, hook), _kind=cls.__name__):
+            kinds.append(_kind)
+            return _build(self, *args)
 
-    monkeypatch.setattr(ExperimentConfig, "resolve_policy", counting_resolve)
+        monkeypatch.setattr(cls, hook, counting)
     doc = _base_doc()
     doc["policies"] = [{"kind": "simple", "p": [1.0, 0.0]}, {"kind": "ucb"}]
     doc["reference"] = {"kind": "simple", "p": [0.5, 0.5], "label": "half"}
@@ -316,7 +318,7 @@ def test_simulate_resolves_each_policy_once_for_all_horizons(tmp_path, monkeypat
     doc["replications"] = 2
     assert main(["simulate", "--config", _write(tmp_path, doc), "--out", str(tmp_path)]) == 0
     assert len(list(tmp_path.glob("simulate_*.csv"))) == 6
-    assert sorted(kinds) == ["simple", "simple", "ucb"]
+    assert sorted(kinds) == ["SimplePolicy", "SimplePolicy", "UcbPolicy"]
 
 
 def test_simulate_seed_override_changes_results(tmp_path):
@@ -503,6 +505,54 @@ def test_simple_weights_not_one_per_arm_exit_1(tmp_path, capsys, command, key):
     patch = {key: [spec] if key == "policies" else spec}
     err = _error_of(tmp_path, capsys, command, patch)
     assert "has 1 weights for 2 arms" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "oracle", "simulate", "check"])
+@pytest.mark.parametrize(
+    "patch,expect",
+    [
+        pytest.param(
+            {"policies": [{"kind": "simple", "p": [0.7, 0.7]}]},
+            "policy 'simple[0.7,0.7]': weights must be a probability vector", id="policy-p-sum",
+        ),
+        pytest.param(
+            {"policies": [{"kind": "ucb", "b": -1.0}]}, "policy 'ucb': certificate needs a>0, b>0",
+            id="policy-b-negative",
+        ),
+        pytest.param(
+            {"reference": {"kind": "simple", "p": [-0.5, 1.5]}},
+            "reference 'simple[-0.5,1.5]': weights must be a probability vector",
+            id="reference-p-negative",
+        ),
+        pytest.param(
+            {"criterion": {"kind": "bad1"}, "policies": [{"kind": "ucb"}]},
+            "policy 'ucb': criterion 'bad1' has no stability certificate", id="ucb-no-certificate",
+        ),
+        pytest.param(
+            {"mixtures": [[0.7, 0.7]]}, "mixture [0.7, 0.7]: mixture weights must sum to 1",
+            id="mixture-sum",
+        ),
+    ],
+)
+def test_out_of_range_policy_or_mixture_exits_1_at_load(tmp_path, capsys, command, patch, expect):
+    # the policy and mixture constructors are the range check, run while loading
+    err = _error_of(tmp_path, capsys, command, patch)
+    assert expect in err and err.count("\n") == 1
+
+
+def test_oracle_fits_the_growth_constants_once(monkeypatch, capsys):
+    # no certificate exists for the flat VaR arm; the report must not refit it
+    fits = []
+    fit = criteria.fit_c4_constants
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "fit_c4_constants", counting_fit)
+    assert main(["oracle", "--config", str(CONFIG_DIR / "var_flat_rate.yaml")]) == 0
+    assert "stationary-gap constant" not in capsys.readouterr().out
+    assert len(fits) == 1
 
 
 @pytest.mark.parametrize("command", ["eval", "oracle", "simulate", "check"])

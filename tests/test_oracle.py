@@ -186,10 +186,12 @@ def test_grid_never_beats_vertex_for_quasiconvex_catalog(seed):
 
 
 def test_oracle_report_assembly(bad1_arms):
+    crit, arms = MeanCriterion(), [PointMass(1.0), PointMass(0.2)]
     rep = oracle_report(
-        MeanCriterion(),
-        [PointMass(1.0), PointMass(0.2)],
+        crit,
+        arms,
         resolution=0.5,
+        certificate=crit.stability_certificate(arms),
         ucb_alpha=3.0,
         horizons=(100,),
     )
@@ -197,3 +199,6 @@ def test_oracle_report_assembly(bad1_arms):
     assert rep.p_star == (1.0, 0.0)
     assert rep.lipschitz is not None
     assert 100 in rep.pull_bounds
+    # without a certificate there are no bounds and no stationary-gap constant
+    bare = oracle_report(crit, arms, horizons=(100,))
+    assert bare.lipschitz is None and bare.pull_bounds == {}
