@@ -207,7 +207,9 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     cert = cfg.criterion.stability_certificate(cfg.arms)
     if cert is not None:
         results.append(checklib.modulus_check(cfg.criterion, cfg.arms, cert, pairs, seed))
-    radii = cfg.criterion.stability_certificate(cfg.arms, **cfg.certificate_overrides)
+    radii = cert
+    if cfg.certificate_overrides:
+        radii = cfg.criterion.stability_certificate(cfg.arms, **cfg.certificate_overrides)
     if radii is not None:
         results.append(checklib.phi_identity_check(radii))
     try:

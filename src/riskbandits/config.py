@@ -29,6 +29,7 @@ from .policy import (
     Policy,
     SimplePolicy,
     UcbPolicy,
+    check_oracle_arms,
     check_ucb_alpha,
 )
 
@@ -143,10 +144,9 @@ def _build_policy(spec, name: str, arms, criterion, overrides: dict, ucb_alpha: 
     try:
         if kind == "simple":
             return label, SimplePolicy(spec["p"])
-        if kind == "bad1-oracle":
-            return label, Bad1OraclePolicy()
-        if kind == "bad2-oracle":
-            return label, Bad2OraclePolicy()
+        if kind in ("bad1-oracle", "bad2-oracle"):
+            check_oracle_arms(len(arms))
+            return label, (Bad1OraclePolicy if kind == "bad1-oracle" else Bad2OraclePolicy)()
         radii = {**overrides, **{k: spec[k] for k in ("a", "b", "q") if k in spec}}
         cert = criterion.stability_certificate(arms, **radii)
         if cert is None:
@@ -338,9 +338,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         policies.append((label, policy))
     reference = raw.get("reference", "best-arm")
     if reference != "best-arm":
-        _, policy = _build_policy(reference, "reference", *build)
-        # an unlabelled reference is named by its kind alone
-        reference = (reference.get("label", reference["kind"]), policy)
+        reference = _build_policy(reference, "reference", *build)
 
     return ExperimentConfig(
         version=CONFIG_VERSION,

@@ -488,7 +488,7 @@ class PiecewiseLinearCDF(RewardDistribution):
                 hi = max(hi, b)
             else:
                 break  # non-decreasing CDF: level set is one component
-        if hi > lo:
+        if hi - lo > 1e-12:  # hits merged within the tolerance are one point
             return ("interval", float(lo), float(hi))
         return ("point", float(lo), float(hi))
 
@@ -661,19 +661,22 @@ def _quantile_rank(alpha: float, t: int) -> int:
 class MixtureDistribution(RewardDistribution):
     """Convex combination ``F_p = sum_i p_i F_i`` of component distributions.
 
-    The CDF takes the Gaussian components in one ``ndtr`` call (a bank of
-    their mean and stddev columns), every other component by its own
-    ``cdf``, and sums the rows in component order, so the values are those
-    of summing ``p_i F_i(y)`` component by component, bit for bit; a nested
-    mixture is one such component.  A CDF call at ``n`` points holds the
-    Gaussian rows (``n`` floats per Gaussian component) and a few
+    A zero weight adds nothing to ``F_p``, so the mixture is shaped by its
+    parts: the ``(p_i, F_i)`` pairs with ``p_i > 0``, in component order,
+    listed once on construction.  Every method but the sampler, which draws
+    over all ``components``, reads the parts.  The CDF takes the Gaussian
+    parts in one ``ndtr`` call (a bank of their mean and stddev columns),
+    every other part by its own ``cdf``, and sums the rows in part order,
+    so the values are those of summing ``p_i F_i(y)`` part by part, bit for
+    bit; a nested mixture is one such part.  A CDF call at ``n`` points
+    holds the Gaussian rows (``n`` floats per Gaussian part) and a few
     ``n``-float rows besides.  The bank is built on the first CDF call, not
     on construction: a proxy mixture is built at every checkpoint and may
     only be sampled.  A mixture of knot tables also merges into one
-    ``PiecewiseLinearCDF`` over the union of the knots, which answers its
-    quantiles and level sets; with a Gaussian component those are solved by
-    block bisection on the CDF.  Moments and tail integrals are the
-    weighted sums of the components' own exact values.
+    ``PiecewiseLinearCDF`` over the union of the parts' knots, which answers
+    its quantiles and level sets; with a Gaussian part those are solved by
+    block bisection on the CDF.  Moments and tail integrals are the weighted
+    sums of the parts' own exact values.
     """
 
     def __init__(self, components, weights):
@@ -691,38 +694,37 @@ class MixtureDistribution(RewardDistribution):
         w[top] = 1.0 - (float(w.sum()) - w[top])
         self.weights = w
         self.weights.setflags(write=False)
-        self.has_smooth_part = any(c.has_smooth_part for c in components)
-        self.has_sloped_part = any(c.has_sloped_part for c in components)
+        self._parts = [(p, c) for p, c in zip(w, self.components) if p > 0]
+        self.has_smooth_part = any(c.has_smooth_part for _, c in self._parts)
+        self.has_sloped_part = any(c.has_sloped_part for _, c in self._parts)
         self._bank = None
         self._merged = None
 
     def _evaluate(self, y, left):
         if self._bank is None:
-            idx = [i for i, c in enumerate(self.components) if isinstance(c, Gaussian)]
-            mu = np.array([self.components[i].mean_value for i in idx], dtype=float)
-            sd = np.array([self.components[i].stddev for i in idx], dtype=float)
-            self._bank = (idx, mu[:, None], sd[:, None])
-        idx, mu, sd = self._bank
+            gauss = [c for _, c in self._parts if isinstance(c, Gaussian)]
+            mu = np.array([c.mean_value for c in gauss], dtype=float)
+            sd = np.array([c.stddev for c in gauss], dtype=float)
+            self._bank = (mu[:, None], sd[:, None])
+        mu, sd = self._bank
         y = np.asarray(y, dtype=float)
         flat = y.reshape(-1)
-        gauss = dict(zip(idx, ndtr((flat - mu) / sd))) if idx else {}
+        gauss = iter(ndtr((flat - mu) / sd))
         rows = [
-            gauss[i] if i in gauss else (c.cdf_left(flat) if left else c.cdf(flat))
-            for i, c in enumerate(self.components)
+            next(gauss) if isinstance(c, Gaussian) else (c.cdf_left(flat) if left else c.cdf(flat))
+            for _, c in self._parts
         ]
-        # a sequential sum in component order, as a loop over the components;
-        # a zero weight adds +0.0, which changes no sum
-        out = self.weights[0] * rows[0]
-        for w, row in zip(self.weights[1:], rows[1:]):
+        # a sequential sum in part order, as a loop over the parts
+        out = self._parts[0][0] * rows[0]
+        for (w, _), row in zip(self._parts[1:], rows[1:]):
             out += w * row
         out = out.reshape(y.shape)
         return out if out.ndim else float(out)
 
     def _merged_piecewise(self):
-        """The mixture as one knot table, or None with a smooth component."""
+        """The mixture as one knot table, or None with a smooth part."""
         if self._merged is None and not self.has_smooth_part:
-            # over every component's knots, zero weights included
-            knots = np.unique(np.concatenate([c.breakpoints() for c in self.components]))
+            knots = self.breakpoints()
             fl = self._evaluate(knots, True)
             self._merged = PiecewiseLinearCDF(knots, fl, self._evaluate(knots, False))
         return self._merged
@@ -777,8 +779,8 @@ class MixtureDistribution(RewardDistribution):
         merged = self._merged_piecewise()
         if merged is not None:
             return merged._quantile(alpha)
-        # the mixture quantile is bracketed by the component quantiles
-        qs = [c.quantile(alpha) for w, c in zip(self.weights, self.components) if w > 0]
+        # the mixture quantile is bracketed by the parts' quantiles
+        qs = [c.quantile(alpha) for _, c in self._parts]
         lo = min(qs)
         lo -= max(1e-9, 1e-12 * abs(lo))
         return self._bisect_monotone(alpha, False, lo, max(qs))
@@ -789,7 +791,7 @@ class MixtureDistribution(RewardDistribution):
             return merged.upper_quantile(c)
         if c >= 1.0:
             return math.inf
-        qs = [d.upper_quantile(c) for w, d in zip(self.weights, self.components) if w > 0]
+        qs = [d.upper_quantile(c) for _, d in self._parts]
         lo = min(qs)
         lo -= max(1e-9, 1e-12 * abs(lo))
         hi = max(qs)
@@ -807,7 +809,7 @@ class MixtureDistribution(RewardDistribution):
         return out
 
     def _weighted(self, fn):
-        return float(sum(w * fn(c) for w, c in zip(self.weights, self.components) if w > 0))
+        return float(sum(w * fn(c) for w, c in self._parts))
 
     def mean(self):
         return self._weighted(lambda c: c.mean())
@@ -831,32 +833,20 @@ class MixtureDistribution(RewardDistribution):
         return self._weighted(lambda c: c.cdf_integral_below(v))
 
     def breakpoints(self):
-        parts = [c.breakpoints() for w, c in zip(self.weights, self.components) if w > 0]
-        parts = [p for p in parts if len(p)]
-        if not parts:
-            return np.array([])
-        return np.unique(np.concatenate(parts))
+        return np.unique(np.concatenate([c.breakpoints() for _, c in self._parts]))
 
     def smooth_probe_points(self):
-        parts = [
-            c.smooth_probe_points()
-            for w, c in zip(self.weights, self.components)
-            if w > 0
-        ]
-        parts = [p for p in parts if len(p)]
-        if not parts:
-            return np.array([])
-        return np.unique(np.concatenate(parts))
+        return np.unique(np.concatenate([c.smooth_probe_points() for _, c in self._parts]))
 
     def support_bounds(self):
-        bounds = [c.support_bounds() for w, c in zip(self.weights, self.components) if w > 0]
+        bounds = [c.support_bounds() for _, c in self._parts]
         return (min(b[0] for b in bounds), max(b[1] for b in bounds))
 
     def _level_set(self, alpha):
         merged = self._merged_piecewise()
         if merged is not None:
             return merged._level_set(alpha)
-        # a Gaussian component makes the mixture CDF strictly increasing
+        # a Gaussian part makes the mixture CDF strictly increasing
         q = self._quantile(alpha)
         if abs(float(self.cdf(q)) - alpha) <= 1e-12:
             return ("point", q, q)

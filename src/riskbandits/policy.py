@@ -37,6 +37,7 @@ __all__ = [
     "Bad1OraclePolicy",
     "Bad2OraclePolicy",
     "check_ucb_alpha",
+    "check_oracle_arms",
 ]
 
 
@@ -44,6 +45,12 @@ def check_ucb_alpha(alpha: float) -> None:
     """Refuse an exploration exponent that is not finite and above 2."""
     if not (math.isfinite(alpha) and alpha > 2):
         raise DomainError(f"ucb_alpha must be finite and exceed 2, got {alpha}")
+
+
+def check_oracle_arms(k: int) -> None:
+    """Refuse an oracle schedule on any arm count but the 2 it is defined for."""
+    if k != 2:
+        raise DomainError(f"this oracle schedule is defined for exactly 2 arms, got {k}")
 
 
 def phi(cert: StabilityCertificate, y: float) -> float:
@@ -212,8 +219,7 @@ class Bad1OraclePolicy(Policy):
     """
 
     def start(self, k, criterion):
-        if k != 2:
-            raise DomainError("this oracle schedule is defined for exactly 2 arms")
+        check_oracle_arms(k)
         return _Bad1OracleSession()
 
 
@@ -221,7 +227,6 @@ class Bad2OraclePolicy(Policy):
     """Pull arm 1 once, then arm 2 forever (the trivial optimal schedule)."""
 
     def pull_counts(self, k, checkpoints, rng):
-        if k != 2:
-            raise DomainError("this oracle schedule is defined for exactly 2 arms")
+        check_oracle_arms(k)
         return np.array([(1, c - 1) for c in checkpoints], dtype=np.int64)
 

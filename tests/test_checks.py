@@ -68,6 +68,19 @@ def test_c3_over_mixture_grid():
     flat = PiecewiseLinearCDF.from_pairs([(0, 0), (1, 0.1), (2, 0.1), (3, 1.0)])
     res = checklib.condition_c3([flat], 0.1)
     assert not res.passed and "flat stretch" in res.detail
+    # the arm of configs/var_flat_rate.yaml, flat at its level 0.3 on [1, 2]
+    var_flat = PiecewiseLinearCDF.from_pairs([(0, 0.0), (1, 0.3), (2, 0.3), (3, 1.0)])
+    # the (0, 1) vertex is var_flat alone: the zero-weight Gaussian adds nothing
+    a = PiecewiseLinearCDF([1.5, 2.0, 3.5, 4.0], [0, 0.2, 0.5, 1], [0.1, 0.2, 0.9, 1])
+    b = PiecewiseLinearCDF([1.5, 2.5, 3.0], [0, 0.7, 0.9], [0.5, 0.9, 1])
+    for arms, want in [
+        ([var_flat], "flat stretch [1, 2] at level 0.3"),
+        ([Gaussian(0, 1), var_flat], "flat stretch [1, 2] at level 0.3"),
+        # the (0.75, 0.25) mixture meets 0.3 at 2 and at 2 less one ulp: one point
+        ([a, b], "worst cardinality class: point"),
+    ]:
+        res = checklib.condition_c3(arms, 0.3)
+        assert (res.passed, res.detail) == (want.startswith("worst"), want)
 
 
 def test_c4_with_supplied_constants():

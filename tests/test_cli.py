@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from riskbandits import criteria
+from riskbandits import checks, criteria
 from riskbandits.cli import main
 from riskbandits.config import load_config, parse_config, parse_distribution
 from riskbandits.errors import ConfigError
@@ -532,6 +532,19 @@ def test_simple_weights_not_one_per_arm_exit_1(tmp_path, capsys, command, key):
             {"mixtures": [[0.7, 0.7]]}, "mixture [0.7, 0.7]: mixture weights must sum to 1",
             id="mixture-sum",
         ),
+        *[
+            pytest.param(
+                {
+                    **_arms({"kind": "point-mass", "value": 0}, {"kind": "uniform", "lo": 0, "hi": 1}),
+                    "policies": [{"kind": "simple", "p": [1.0, 0.0, 0.0]}],
+                    key: [{"kind": kind}] if key == "policies" else {"kind": kind},
+                },
+                f"{name} {kind!r}: this oracle schedule is defined for exactly 2 arms, got 3",
+                id=f"{name}-{kind}-3-arms",
+            )
+            for key, name in (("policies", "policy"), ("reference", "reference"))
+            for kind in ("bad1-oracle", "bad2-oracle")
+        ],
     ],
 )
 def test_out_of_range_policy_or_mixture_exits_1_at_load(tmp_path, capsys, command, patch, expect):
@@ -553,6 +566,35 @@ def test_oracle_fits_the_growth_constants_once(monkeypatch, capsys):
     assert main(["oracle", "--config", str(CONFIG_DIR / "var_flat_rate.yaml")]) == 0
     assert "stationary-gap constant" not in capsys.readouterr().out
     assert len(fits) == 1
+
+
+def test_check_builds_the_certificate_once(monkeypatch, capsys):
+    # without a certificate override the phi identity reuses the modulus
+    # suite's certificate; C4 fits its own constants
+    fits = []
+    fit = criteria.fit_c4_constants
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "fit_c4_constants", counting_fit)
+    monkeypatch.setattr(checks, "fit_c4_constants", counting_fit)
+    assert main(["check", "--config", str(CONFIG_DIR / "var_flat_rate.yaml")]) == 2
+    assert "[FAIL] C3: flat stretch [1, 2]" in capsys.readouterr().out
+    assert len(fits) == 2
+
+
+def test_unlabelled_reference_is_named_like_a_policy_record(tmp_path):
+    doc = _base_doc()
+    doc["policies"] = [{"kind": "simple", "p": [1.0, 0.0]}]
+    doc["reference"] = {"kind": "simple", "p": [0.5, 0.5]}
+    doc["horizons"] = [16]
+    doc["replications"] = 2
+    doc["estimators"] = ["reference-regret"]
+    assert main(["simulate", "--config", _write(tmp_path, doc), "--out", str(tmp_path)]) == 0
+    header = (tmp_path / "simulate_simple[1,0]_T16.csv").read_text().splitlines()
+    assert "# reference=simple[0.5,0.5]" in header
 
 
 @pytest.mark.parametrize("command", ["eval", "oracle", "simulate", "check"])

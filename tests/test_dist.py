@@ -785,11 +785,13 @@ def test_block_bisection_is_bit_identical_to_scalar_bisection(kinds):
 
 def test_knot_table_mixture_merges_as_the_component_loop():
     # quantiles and level sets of a knot-table mixture come from one table
-    # over every component's knots, with the component sums as its values
+    # over the knots of its positive-weight components, with the component
+    # sums as its values
     r = rng(64)
     for _ in range(100):
         m = random_mixture(r, MIXTURE_KINDS["piecewise"])
-        ys = np.unique(np.concatenate([c.breakpoints() for c in m.components]))
+        parts = [c for w, c in zip(m.weights, m.components) if w > 0]
+        ys = np.unique(np.concatenate([c.breakpoints() for c in parts]))
         want = PiecewiseLinearCDF(ys, loop_mixture_cdf(m, ys, left=True), loop_mixture_cdf(m, ys))
         got = m._merged_piecewise()
         for attr in ("ys", "fl", "fr", "_interp_fs"):
@@ -806,6 +808,11 @@ def test_level_sets():
     assert PointMass(5.0).level_set(0.3)[0] == "empty"
     kind, lo, hi = bad1_arm_wide().level_set(0.1)
     assert (kind, lo, hi) == ("interval", 1.0, 5.0)
+    # a zero-weight Gaussian adds nothing: the mixture is the flat table alone
+    flat = PiecewiseLinearCDF.from_pairs([(0, 0.0), (1, 0.3), (2, 0.3), (3, 1.0)])
+    m = MixtureDistribution([Gaussian(0, 1), flat], [0, 1])
+    assert not m.has_smooth_part
+    assert m.level_set(0.3) == ("interval", 1.0, 2.0)
 
 
 def test_piecewise_validation():
