@@ -38,6 +38,11 @@ _WEIGHT_TOL = 1e-12
 # bisection-tree levels a mixture quantile solve evaluates per CDF call
 _BISECT_DEPTH = 7
 
+# levels per block of the knot-table sampler, so a block's temporaries stay
+# in cache; and the level guide's bucket count, a power of two
+_BLOCK = 8192
+_GUIDE_BUCKETS = 256
+
 # Density of the standard normal at 0 and friends.
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -356,32 +361,83 @@ class PiecewiseLinearCDF(RewardDistribution):
     @functools.cached_property
     def _segment_table(self):
         """Per knot k, the segment from knot k-1 to k: start level, rise (1.0
-        where it does not rise), start location, run, and end level (-inf at
-        k = 0).  Built on the first draw: merged mixture tables never sample."""
+        where it does not rise), start location, run, and end level (NaN at
+        k = 0, which no level lies at or below, -inf included).  Built on the
+        first draw and pickled with the arm; merged mixture tables never
+        sample, so never build it."""
         f0 = np.r_[0.0, self.fr[:-1]]
         rise = self.fl - f0
         rise[rise <= 0.0] = 1.0
         y0 = np.r_[self.ys[0], self.ys[:-1]]
-        return f0, rise, y0, self.ys - y0, np.r_[-np.inf, self.fl[1:]]
+        return f0, rise, y0, self.ys - y0, np.r_[np.nan, self.fl[1:]]
+
+    @functools.cached_property
+    def _guide(self):
+        """Level guide over the ``_GUIDE_BUCKETS`` equal buckets of [0, 1):
+        slot b holds the count of ``fr`` below ``b / _GUIDE_BUCKETS`` (exact,
+        as the bucket edges are dyadic), or -1 where the bucket holds an
+        ``fr`` value.  Slot ``_GUIDE_BUCKETS`` takes the levels at or above 1
+        and slot -1 those below 0 and NaN; both hold -1.  Built on the first
+        draw and pickled with the arm (about 2 KB); merged mixture tables
+        never sample, so never build it."""
+        below = np.searchsorted(self.fr, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS)
+        guide = np.append(below[:-1], [-1, -1])
+        guide[:-2][below[1:] > below[:-1]] = -1
+        return guide
+
+    def _quantile_block(self, u, out):
+        """Write the quantiles of the 1-d levels ``u`` into ``out``.
+
+        Each level's knot k has fr[k-1] < u <= fr[k], as in ``_quantile``:
+        the guide gives it, and ``searchsorted`` finds it for the levels in
+        the guide's -1 slots.  ``out`` holds the bucket index first, then the
+        interpolated value, computed by the operations of the masked gather
+        in its order, so every level keeps its bits."""
+        f0, rise, y0, run, top = self._segment_table
+        # a huge level overflows here on its way to the end slot; the lanes
+        # the mask below discards can overflow too (a subnormal rise) or make
+        # inf * 0 (a level at +-inf).  No kept lane can.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # floor, then clamp to the end slots; fmax sends NaN to slot -1
+            np.multiply(u, _GUIDE_BUCKETS, out=out)
+            np.floor(out, out=out)
+            np.fmax(out, -1.0, out=out)
+            np.fmin(out, _GUIDE_BUCKETS, out=out)
+            k = self._guide.take(out.astype(np.intp))
+            searched = k < 0
+            if searched.any():
+                k[searched] = np.searchsorted(self.fr, u[searched])
+
+            def at(table):  # the clip sends levels above 1 to the last knot, where top < u
+                return table.take(k, mode="clip")
+
+            # interpolate where fr[k-1] < u <= fl[k]; there the rise is positive
+            np.subtract(u, at(f0), out=out)
+            np.divide(out, at(rise), out=out)
+            np.multiply(out, at(run), out=out)
+            np.add(at(y0), out, out=out)
+        # the knot itself where not (top >= u): in the knot's jump, at k = 0,
+        # above 1 and at NaN
+        np.copyto(out, at(self.ys), where=~(at(top) >= u))
 
     def quantile_array(self, u):
         u = np.asarray(u, dtype=float)
-        # searchsorted gives fr[k-1] < u <= fr[k], as in _quantile; the clip
-        # sends levels above 1 to the last knot, where top < u
-        k = np.searchsorted(self.fr, u)
-        f0, rise, y0, run, top = self._segment_table
-
-        def at(table):  # gathered inline, so few n-float temporaries live at once
-            return table.take(k, mode="clip")
-
-        # interpolate where fr[k-1] < u <= fl[k]; there the rise is positive.
-        # A subnormal rise can overflow the lanes np.where discards.
-        with np.errstate(over="ignore"):
-            val = at(y0) + (u - at(f0)) / at(rise) * at(run)
-        return np.where(at(top) >= u, val, at(self.ys))
+        out = np.empty(u.shape)
+        levels, flat = u.reshape(-1), out.reshape(-1)
+        for s in range(0, levels.size, _BLOCK):
+            self._quantile_block(levels[s : s + _BLOCK], flat[s : s + _BLOCK])
+        return out
 
     def _sample(self, rng, n):
-        return self.quantile_array(rng.random(n))
+        # each block's levels go into one reused buffer; drawn block by block,
+        # the generator gives the same stream as one rng.random(n) call
+        out = np.empty(n)
+        levels = np.empty(min(n, _BLOCK))
+        for s in range(0, n, _BLOCK):
+            block = levels[: n - s]
+            rng.random(out=block)
+            self._quantile_block(block, out[s : s + _BLOCK])
+        return out
 
     # exact segment/jump integrals ---------------------------------------
     # Each sloped segment contributes its mass times the average of the

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from riskbandits.dist import (
+    _BLOCK,
+    _GUIDE_BUCKETS,
     EmpiricalDistribution,
     Gaussian,
     MixtureDistribution,
@@ -287,23 +289,42 @@ def assert_same_bits(got, want):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def crowded_knot_table():
+    """A table whose knot values crowd into one guide bucket, 1e-6 apart."""
+    crowd = 0.3 + 1e-6 * np.arange(1, 9)
+    return PiecewiseLinearCDF(np.arange(10.0), np.r_[0.0, crowd, 1.0], np.r_[0.0, crowd, 1.0])
+
+
 def test_quantile_array_matches_mask_oracle_bit_for_bit():
     r = rng(41)
     tables = [oracle_knot_table(r) for _ in range(300)]
     tables += [bad1_arm_wide(), bad2_arm_step(), PointMass(-2.0), Uniform(-1e-3, 1e3), TwoPoint(0.3, -5.0, 5.0)]
     # a subnormal rise: levels above it overflow in lanes quantile_array discards
     tables.append(PiecewiseLinearCDF([0.0, 1.0, 2.0], [0.0, 1e-320, 0.5], [0.0, 0.5, 1.0]))
+    tables.append(crowded_knot_table())
     sizes = {len(d.ys) for d in tables}
     assert {1, 8} <= sizes
     assert any(d.fr[0] > 0.0 and len(d.ys) > 1 for d in tables)  # jump at the first knot
     assert any(d.fl[-1] < 1.0 for d in tables)  # jump at the last knot
     assert any(np.any(d.fl[1:] == d.fr[:-1]) for d in tables)  # flat stretch
+    # every guide bucket start b / 2^m, with both float neighbours, and the
+    # levels the end slots take: below 0, at or above 1, and NaN
+    starts = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    edges = np.r_[starts, np.nextafter(starts, -np.inf), np.nextafter(starts, np.inf), -0.5, 1.5, np.inf, -np.inf, np.nan]
     for d in tables:
         knots = np.r_[d.fl, d.fr]
-        levels = np.r_[0.0, r.random(200), knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)]
+        levels = np.r_[0.0, r.random(200), knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf), edges]
         # the level just above 0 (5e-324) underflows in both methods
         with np.errstate(all="raise", under="ignore"):
             assert_same_bits(d.quantile_array(levels), mask_quantile_array(d, levels))
+    # block edges: sizes around the block, a strided view over four blocks
+    # and a 2-d array over two blocks
+    u = r.random(6 * _BLOCK + 14)
+    shapes = [u[:_BLOCK - 1], u[:_BLOCK], u[:_BLOCK + 1], u[: 3 * _BLOCK + 7], u[::2], u[: _BLOCK + 6].reshape(2, -1)]
+    for d in tables[-4:]:
+        for levels in shapes:
+            with np.errstate(all="raise", under="ignore"):
+                assert_same_bits(d.quantile_array(levels), mask_quantile_array(d, levels))
 
 
 def test_quantile_array_keeps_the_input_shape():
@@ -317,12 +338,26 @@ def test_quantile_array_keeps_the_input_shape():
 
 @pytest.mark.parametrize(
     "d",
-    [PiecewiseLinearCDF.from_pairs([(0, 0.0), (1, 0.3), (2, 0.3), (3, 1.0)]), bad1_arm_wide()],
-    ids=["var-flat", "bad1-wide"],
+    [PiecewiseLinearCDF.from_pairs([(0, 0.0), (1, 0.3), (2, 0.3), (3, 1.0)]), bad1_arm_wide(), crowded_knot_table()],
+    ids=["var-flat", "bad1-wide", "crowded"],
 )
 def test_seeded_draws_match_mask_oracle(d):
-    for n in (1, 64, 100_000):
+    # sizes around the block: drawn block by block, the stream is one call's
+    for n in (1, 64, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, 100_000):
         assert_same_bits(d.sample(rng(9), n), mask_quantile_array(d, rng(9).random(n)))
+
+
+def test_knot_table_draws_hold_the_output_and_a_few_blocks():
+    # 1e6 draws take 8 MB; the blocks add cache-sized temporaries only
+    d = PiecewiseLinearCDF.from_pairs([(0, 0.0), (1, 0.3), (2, 0.3), (3, 1.0)])
+    n = 10**6
+    tracemalloc.start()
+    try:
+        d.sample(rng(3), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n + 16 * 8 * _BLOCK
 
 
 @given(alpha=st.floats(min_value=1e-6, max_value=1 - 1e-6))

@@ -15,6 +15,7 @@ from riskbandits.criteria import (
     NegVarianceCriterion,
     RiskCriterion,
     StabilityCertificate,
+    VaRCriterion,
 )
 from riskbandits.dist import (
     EmpiricalDistribution,
@@ -228,12 +229,26 @@ def test_replication_failures_name_the_replication(parallel):
         )
 
 
-def test_replications_parallel_bit_identical():
+def _ucb_gaussians():
     arms = [Gaussian(0, 1), Gaussian(-0.4, 1)]
-    policy = UcbPolicy(StabilityCertificate(0.77, 0.5, 2.0), 3.0)
-    serial = run_replications(arms, policy, MeanCriterion(), 200, reps=6, seed=11)
+    return arms, UcbPolicy(StabilityCertificate(0.77, 0.5, 2.0), 3.0), MeanCriterion(), 200
+
+
+def _sampled_var_flat():
+    # one draw here builds the arm's knot tables, so the workers get them pickled
+    arm = PiecewiseLinearCDF.from_pairs([(0, 0.0), (1, 0.3), (2, 0.3), (3, 1.0)])
+    arm.sample(np.random.default_rng(0), 1)
+    assert {"_segment_table", "_guide"} <= vars(arm).keys()
+    assert arm._guide.nbytes <= 4096
+    return [arm], SimplePolicy([1.0]), VaRCriterion(0.3), 20_000
+
+
+@pytest.mark.parametrize("case", [_ucb_gaussians, _sampled_var_flat], ids=["ucb-gaussians", "sampled-var-flat"])
+def test_replications_parallel_bit_identical(case):
+    arms, policy, criterion, horizon = case()
+    serial = run_replications(arms, policy, criterion, horizon, reps=6, seed=11)
     parallel = run_replications(
-        arms, policy, MeanCriterion(), 200, reps=6, seed=11, parallel=3
+        arms, policy, criterion, horizon, reps=6, seed=11, parallel=3
     )
     for a, b in zip(serial, parallel):
         assert a.rep == b.rep
