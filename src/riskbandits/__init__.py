@@ -41,7 +41,7 @@ from .oracle import (
     best_single_arm,
     expected_pull_bound,
     lipschitz_constant,
-    oracle_report,
+    proxy_regret_bound,
     simplex_grid_argmax,
 )
 from .policy import (

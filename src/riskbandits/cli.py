@@ -21,10 +21,16 @@ import numpy as np
 from . import checks as checklib
 from .config import ExperimentConfig, _file_stem, _seed, load_config
 from .errors import ConfigError, DomainError
-from .oracle import _MAX_GRID_ARMS, best_single_arm, oracle_report, simplex_grid_argmax
+from .oracle import (
+    _MAX_GRID_ARMS,
+    best_single_arm,
+    expected_pull_bound,
+    lipschitz_constant,
+    proxy_regret_bound,
+    simplex_grid_argmax,
+)
 from .policy import SimplePolicy
 from .sim import (
-    RegretReport,
     estimate_horizon_gap,
     estimate_performance,
     estimate_proxy_regret,
@@ -71,43 +77,54 @@ def cmd_eval(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     return 0
 
 
+def _grid_sweep(cfg: ExperimentConfig):
+    """The simplex sweep's ``(p, value)``, or None without a resolution or
+    with more arms than the sweep takes."""
+    if cfg.grid_resolution is None or len(cfg.arms) > _MAX_GRID_ARMS:
+        return None
+    return simplex_grid_argmax(cfg.criterion, cfg.arms, cfg.grid_resolution)
+
+
 def cmd_oracle(cfg: ExperimentConfig, out_dir: Path | None) -> int:
-    cert = cfg.criterion.stability_certificate(cfg.arms, **cfg.certificate_overrides)
-    report = oracle_report(
-        cfg.criterion,
-        cfg.arms,
-        resolution=cfg.grid_resolution,
-        certificate=cert,
-        ucb_alpha=cfg.ucb_alpha,
-        horizons=cfg.horizons,
-    )
+    crit, arms = cfg.criterion, cfg.arms
+    cert = crit.stability_certificate(arms, **cfg.certificate_overrides)
+    best, best_value, gaps = best_single_arm(crit, arms)
+    sweep = _grid_sweep(cfg)
+    # pull bounds and the stationary-gap constant need a certificate
+    lipschitz = None
+    pull_bounds = regret_bounds = {}
+    if cert is not None:
+        lipschitz = lipschitz_constant(cert, arms, crit.functionals)
+        if all(g > 0 for i, g in enumerate(gaps) if i != best):
+            pull_bounds = expected_pull_bound(crit, arms, cert, cfg.ucb_alpha, cfg.horizons)
+            regret_bounds = proxy_regret_bound(crit, arms, lipschitz, pull_bounds)
     print(f"criterion: {_criterion_label(cfg)}")
-    print(f"best arm: arm{report.best_arm + 1}  value {report.best_value:.12g}")
-    for i, gap in enumerate(report.gaps):
+    print(f"best arm: arm{best + 1}  value {best_value:.12g}")
+    for i, gap in enumerate(gaps):
         print(f"  arm{i + 1} gap {gap:.12g}")
-    if report.p_star is not None:
-        p = ",".join(f"{w:g}" for w in report.p_star)
-        print(f"simplex sweep argmax: p=({p})  value {report.p_star_value:.12g}")
-    if report.lipschitz is not None:
-        print(f"stationary-gap constant L: {report.lipschitz:.6g}")
-    for horizon, (bounds, regret_bound) in report.pull_bounds.items():
+    if sweep is not None:
+        p = ",".join(f"{w:g}" for w in sweep[0])
+        print(f"simplex sweep argmax: p=({p})  value {sweep[1]:.12g}")
+    if lipschitz is not None:
+        print(f"stationary-gap constant L: {lipschitz:.6g}")
+    for horizon, bounds in pull_bounds.items():
         parts = [
             f"arm{i + 1}<={u:.6g}" for i, u in enumerate(bounds) if u is not None
         ]
         print(f"T={horizon}: expected pulls {'; '.join(parts)}; "
-              f"proxy-regret bound {regret_bound:.6g}")
+              f"proxy-regret bound {regret_bounds[horizon]:.6g}")
     if out_dir is not None:
-        rows = [("best-arm", report.best_arm + 1, "", repr(report.best_value))]
-        rows += [("gap", i + 1, "", repr(gap)) for i, gap in enumerate(report.gaps)]
-        if report.p_star is not None:
-            p = "|".join(f"{w:g}" for w in report.p_star)
-            rows.append((f"simplex-argmax[{p}]", "", "", repr(report.p_star_value)))
-        if report.lipschitz is not None:
-            rows.append(("lipschitz", "", "", repr(report.lipschitz)))
-        for horizon, (bounds, regret_bound) in report.pull_bounds.items():
+        rows = [("best-arm", best + 1, "", repr(best_value))]
+        rows += [("gap", i + 1, "", repr(gap)) for i, gap in enumerate(gaps)]
+        if sweep is not None:
+            p = "|".join(f"{w:g}" for w in sweep[0])
+            rows.append((f"simplex-argmax[{p}]", "", "", repr(sweep[1])))
+        if lipschitz is not None:
+            rows.append(("lipschitz", "", "", repr(lipschitz)))
+        for horizon, bounds in pull_bounds.items():
             pulls = [(i + 1, u) for i, u in enumerate(bounds) if u is not None]
             rows += [("pull-bound", arm, horizon, repr(u)) for arm, u in pulls]
-            rows.append(("proxy-regret-bound", "", horizon, repr(regret_bound)))
+            rows.append(("proxy-regret-bound", "", horizon, repr(regret_bounds[horizon])))
         path = out_dir / "oracle.csv"
         write_csv(path, _base_meta(cfg), ("record", "arm", "horizon", "value"), rows)
         print(f"wrote {path}")
@@ -119,9 +136,8 @@ def _stationary_optimum(cfg: ExperimentConfig) -> float | None:
     otherwise (when a resolution is configured)."""
     if cfg.criterion.convexity in ("linear", "convex", "quasiconvex"):
         return best_single_arm(cfg.criterion, cfg.arms)[1]
-    if cfg.grid_resolution is not None and len(cfg.arms) <= _MAX_GRID_ARMS:
-        return simplex_grid_argmax(cfg.criterion, cfg.arms, cfg.grid_resolution)[1]
-    return None
+    sweep = _grid_sweep(cfg)
+    return None if sweep is None else sweep[1]
 
 
 def _reference_policy(cfg: ExperimentConfig):
@@ -171,9 +187,8 @@ def cmd_simulate(
                 meta["reference"] = ref_label
             if p_star_value is not None:
                 meta["stationary-optimum"] = repr(float(p_star_value))
-            report = RegretReport(rows, meta)
             path = out_dir / f"simulate_{_file_stem(label)}_T{horizon}.csv"
-            write_report_csv(path, report)
+            write_report_csv(path, meta, rows)
             print(f"wrote {path} ({len(rows)} rows)")
     return 0
 

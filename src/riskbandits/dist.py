@@ -618,6 +618,8 @@ class EmpiricalDistribution(RewardDistribution):
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 1 or len(samples) == 0:
             raise DomainError("empirical distribution needs at least one sample")
+        if not np.all(np.isfinite(samples)):
+            raise DomainError(f"empirical samples must be finite, got {samples}")
         self.samples = np.sort(samples)
         self.samples.setflags(write=False)
         self.t = len(self.samples)
@@ -847,6 +849,8 @@ class MixtureDistribution(RewardDistribution):
             return merged.upper_quantile(c)
         if c >= 1.0:
             return math.inf
+        if c <= 0.0:  # a Gaussian part puts mass below every y
+            return -math.inf
         qs = [d.upper_quantile(c) for _, d in self._parts]
         lo = min(qs)
         lo -= max(1e-9, 1e-12 * abs(lo))

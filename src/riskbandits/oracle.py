@@ -9,8 +9,7 @@ stationary performance has no maximizer inside the simplex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations
 
 import numpy as np
 
@@ -21,27 +20,15 @@ from .norms import SemiNormFunctional, norm_distance
 from .policy import check_ucb_alpha, phi
 
 __all__ = [
-    "OracleReport",
     "best_single_arm",
     "simplex_lattice",
     "simplex_grid_argmax",
     "lipschitz_constant",
     "expected_pull_bound",
-    "oracle_report",
+    "proxy_regret_bound",
 ]
 
 _MAX_GRID_ARMS = 4
-
-
-@dataclass
-class OracleReport:
-    best_arm: int
-    best_value: float
-    gaps: list[float]
-    p_star: tuple[float, ...] | None = None
-    p_star_value: float | None = None
-    lipschitz: float | None = None
-    pull_bounds: dict = field(default_factory=dict)
 
 
 def best_single_arm(criterion: RiskCriterion, arms):
@@ -96,9 +83,7 @@ def lipschitz_constant(
     if len(arms) == 1:
         return certificate.b
     dmax = 0.0
-    for i, j in combinations_with_replacement(range(len(arms)), 2):
-        if i == j:
-            continue
+    for i, j in combinations(range(len(arms)), 2):
         d = norm_distance(arms[i], arms[j], functionals)
         if not math.isfinite(d):
             raise DomainError(
@@ -114,66 +99,59 @@ def expected_pull_bound(
     arms,
     certificate: StabilityCertificate,
     ucb_alpha: float,
-    horizon: int,
-):
-    """Per-arm expected-pull bounds for the optimism policy, plus the
-    matching stationary-proxy regret bound.
+    horizons,
+) -> dict:
+    """Per-arm expected-pull bounds of the optimism policy at each horizon.
 
-    Returns ``(bounds, regret_bound)`` where ``bounds[i]`` is
+    Returns ``{T: bounds}`` where ``bounds[i]`` is
     ``ucb_alpha * log T / phi(gap_i / 2) + (ucb_alpha + 6)/(ucb_alpha - 2)``
-    for suboptimal arms and ``None`` for the best arm, and ``regret_bound``
-    is ``(L / T) * sum_i bounds[i] * ||F_best - F_i||``.
+    for suboptimal arms and ``None`` for the best arm: a function of the
+    gaps and the certificate alone, so no norm distance is taken.
     """
     check_ucb_alpha(ucb_alpha)
-    if horizon < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
+    for horizon in horizons:
+        if horizon < 1:
+            raise DomainError(f"horizon must be >= 1, got {horizon}")
     best, _, gaps = best_single_arm(criterion, arms)
-    tail = (ucb_alpha + 6.0) / (ucb_alpha - 2.0)
-    bounds: list[float | None] = []
     for i, gap in enumerate(gaps):
-        if i == best:
-            bounds.append(None)
-            continue
-        if gap <= 0.0:
+        if i != best and gap <= 0.0:
             raise DomainError(
                 f"arm {i} has non-positive gap {gap}; bounds need strictly "
                 "suboptimal arms"
             )
-        bounds.append(
-            ucb_alpha * math.log(horizon) / phi(certificate, gap / 2.0) + tail
-        )
-    L = lipschitz_constant(certificate, arms, criterion.functionals)
-    regret_bound = 0.0
-    for i, u in enumerate(bounds):
-        if u is None:
-            continue
-        regret_bound += u * norm_distance(arms[best], arms[i], criterion.functionals)
-    regret_bound *= L / horizon
-    return bounds, regret_bound
+    tail = (ucb_alpha + 6.0) / (ucb_alpha - 2.0)
+    return {
+        horizon: [
+            None if i == best
+            else ucb_alpha * math.log(horizon) / phi(certificate, gap / 2.0) + tail
+            for i, gap in enumerate(gaps)
+        ]
+        for horizon in horizons
+    }
 
 
-def oracle_report(
-    criterion: RiskCriterion,
-    arms,
-    resolution: float | None = None,
-    certificate: StabilityCertificate | None = None,
-    ucb_alpha: float = 3.0,
-    horizons=(),
-) -> OracleReport:
-    """Assemble the standard oracle quantities for one experiment; pull
-    bounds and the stationary-gap constant need a ``certificate``."""
-    best, value, gaps = best_single_arm(criterion, arms)
-    report = OracleReport(best_arm=best, best_value=value, gaps=gaps)
-    if resolution is not None and len(arms) <= _MAX_GRID_ARMS:
-        report.p_star, report.p_star_value = simplex_grid_argmax(
-            criterion, arms, resolution
-        )
-    if certificate is not None:
-        report.lipschitz = lipschitz_constant(certificate, arms, criterion.functionals)
-        if all(g > 0 for i, g in enumerate(gaps) if i != best):
-            for T in horizons:
-                bounds, regret_bound = expected_pull_bound(
-                    criterion, arms, certificate, ucb_alpha, T
-                )
-                report.pull_bounds[T] = (bounds, regret_bound)
-    return report
+def proxy_regret_bound(criterion: RiskCriterion, arms, lipschitz: float, pull_bounds: dict) -> dict:
+    """Stationary-proxy regret bound for each horizon of ``pull_bounds``.
+
+    ``pull_bounds`` is ``expected_pull_bound``'s ``{T: bounds}``, one best
+    arm (the ``None`` entry) for every horizon; the result is
+    ``{T: (L / T) * sum_i bounds[i] * ||F_best - F_i||}`` with ``L`` the
+    ``lipschitz_constant``.  Each best-to-arm distance is taken once.
+    """
+    if not pull_bounds:
+        return {}
+    first = next(iter(pull_bounds.values()))
+    best = first.index(None)
+    distances = [
+        None if u is None else norm_distance(arms[best], arm, criterion.functionals)
+        for u, arm in zip(first, arms)
+    ]
+    out = {}
+    for horizon, bounds in pull_bounds.items():
+        regret_bound = 0.0
+        for u, d in zip(bounds, distances):
+            if u is not None:
+                regret_bound += u * d
+        regret_bound *= lipschitz / horizon
+        out[horizon] = regret_bound
+    return out

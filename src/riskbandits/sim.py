@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .policy import Policy
 __all__ = [
     "Episode",
     "EstimateRow",
-    "RegretReport",
     "geometric_checkpoints",
     "run_episode",
     "run_replications",
@@ -77,12 +76,6 @@ class EstimateRow:
     stderr: float
     reps: int
     flagged: int = 0
-
-
-@dataclass
-class RegretReport:
-    rows: list[EstimateRow]
-    meta: dict = field(default_factory=dict)
 
 
 def geometric_checkpoints(k: int, horizon: int) -> tuple[int, ...]:
@@ -373,16 +366,17 @@ def write_csv(path, meta: dict, columns, rows) -> None:
             fh.write(",".join(map(str, row)) + "\n")
 
 
-def write_report_csv(path, report: RegretReport) -> None:
+def write_report_csv(path, meta: dict, rows) -> None:
     """One row per (checkpoint, estimator)."""
-    rows = (
+    cells = (
         (r.checkpoint, r.estimator, repr(float(r.value)), repr(float(r.stderr)), r.reps, r.flagged)
-        for r in report.rows
+        for r in rows
     )
-    write_csv(path, report.meta, _CSV_COLUMNS, rows)
+    write_csv(path, meta, _CSV_COLUMNS, cells)
 
 
-def read_report_csv(path) -> RegretReport:
+def read_report_csv(path) -> tuple[dict, list[EstimateRow]]:
+    """The ``(meta, rows)`` of a CSV that ``write_report_csv`` wrote."""
     meta = {}
     rows = []
     with open(path, encoding="utf-8") as fh:
@@ -404,4 +398,4 @@ def read_report_csv(path) -> RegretReport:
             rows.append(
                 EstimateRow(int(cp), est, float(value), float(stderr), int(reps), int(flagged))
             )
-    return RegretReport(rows, meta)
+    return meta, rows

@@ -172,7 +172,7 @@ def test_acceptance_6_pull_bounds_and_rate():
             _C6_ARMS, policy, crit, horizon, 200, 314159, checkpoints=[horizon]
         )
         mean_tau = np.stack([e.tau[-1] for e in eps]).mean(axis=0)
-        bounds, _ = expected_pull_bound(crit, _C6_ARMS, _C6_CERT, 3.0, horizon)
+        bounds = expected_pull_bound(crit, _C6_ARMS, _C6_CERT, 3.0, [horizon])[horizon]
         for i, bound in enumerate(bounds):
             if bound is not None and mean_tau[i] > bound:
                 tau_ok = False

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from riskbandits import checks, criteria
+from riskbandits import checks, criteria, norms
 from riskbandits.cli import main
 from riskbandits.config import load_config, parse_config, parse_distribution
 from riskbandits.errors import ConfigError
@@ -184,6 +184,47 @@ def test_oracle_command(tmp_path, capsys):
     assert (tmp_path / "oracle.csv").exists()
 
 
+def test_oracle_prints_the_best_arm_sweep_and_bounds(tmp_path, capsys):
+    doc = {
+        **_base_doc(),
+        "arms": [{"kind": "point-mass", "value": 1.0}, {"kind": "point-mass", "value": 0.2}],
+        "criterion": {"kind": "mean"},
+        "grid_resolution": 0.5,
+        "horizons": [100],
+    }
+    assert main(["oracle", "--config", _write(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "best arm: arm1  value 1"
+    assert "simplex sweep argmax: p=(1,0)  value 1" in out
+    assert any(line.startswith("stationary-gap constant L: ") for line in out)
+    assert any(line.startswith("T=100: expected pulls arm2<=") for line in out)
+
+
+def test_oracle_without_a_certificate_prints_no_constant_and_no_bounds(capsys):
+    # the Bad1 criterion has no stability certificate
+    assert main(["oracle", "--config", str(CONFIG_DIR / "bad1_counterexample.yaml")]) == 0
+    out = capsys.readouterr().out
+    assert "simplex sweep argmax: p=(" in out
+    assert "stationary-gap constant" not in out
+    assert "expected pulls" not in out
+
+
+def test_oracle_takes_each_norm_distance_once(monkeypatch, capsys):
+    # three pairwise distances for L, then one per suboptimal arm for the
+    # proxy-regret bounds of both horizons
+    calls = []
+    sup_distance = norms.sup_distance
+
+    def counting_sup_distance(*args, **kwargs):
+        calls.append(args)
+        return sup_distance(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "sup_distance", counting_sup_distance)
+    assert main(["oracle", "--config", str(CONFIG_DIR / "cvar_gaussians.yaml")]) == 0
+    assert capsys.readouterr().out.count("expected pulls") == 2
+    assert len(calls) <= 5
+
+
 def test_policy_labels_round_trip():
     doc = _base_doc()
     doc["policies"] = [{"kind": "simple", "p": [1.0, 0.0], "label": "always-first"}]
@@ -208,13 +249,13 @@ def test_simulate_roundtrip_metadata(tmp_path):
     assert code == 0
     files = list(tmp_path.glob("simulate_*.csv"))
     assert len(files) == 1
-    report = read_report_csv(files[0])
-    assert report.meta["seed"] == "7"
-    assert report.meta["version"] == "1"
-    assert report.meta["criterion"] == "cvar(alpha=0.1)"
-    assert report.meta["replications"] == "4"
-    assert all(r.reps == 4 for r in report.rows)
-    assert {r.estimator for r in report.rows} == {"performance", "horizon-gap"}
+    meta, rows = read_report_csv(files[0])
+    assert meta["seed"] == "7"
+    assert meta["version"] == "1"
+    assert meta["criterion"] == "cvar(alpha=0.1)"
+    assert meta["replications"] == "4"
+    assert all(r.reps == 4 for r in rows)
+    assert {r.estimator for r in rows} == {"performance", "horizon-gap"}
 
 
 @pytest.mark.parametrize(
@@ -331,8 +372,8 @@ def test_simulate_seed_override_changes_results(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     main(["simulate", "--config", cfg_path, "--out", str(out_a)])
     main(["simulate", "--config", cfg_path, "--out", str(out_b), "--seed", "8"])
-    rows_a = read_report_csv(next(out_a.glob("*.csv"))).rows
-    rows_b = read_report_csv(next(out_b.glob("*.csv"))).rows
+    _, rows_a = read_report_csv(next(out_a.glob("*.csv")))
+    _, rows_b = read_report_csv(next(out_b.glob("*.csv")))
     assert any(a.value != b.value for a, b in zip(rows_a, rows_b))
 
 

@@ -617,6 +617,12 @@ def test_empirical_rejects_empty():
         EmpiricalDistribution([])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_empirical_rejects_non_finite_samples(bad):
+    with pytest.raises(DomainError, match="must be finite"):
+        EmpiricalDistribution([1.0, bad])
+
+
 # ---------------------------------------------------------------------------
 # Mixtures and the proxy construction
 # ---------------------------------------------------------------------------
@@ -816,6 +822,24 @@ def test_block_bisection_is_bit_identical_to_scalar_bisection(kinds):
             assert type(got) is float
             assert got == reference_quantile(m, level)
             assert m.upper_quantile(level) == reference_upper_quantile(m, level)
+
+
+@pytest.mark.parametrize(
+    "parts,at_zero",
+    [
+        ([Gaussian(0, 1), Gaussian(1, 1)], -math.inf),
+        ([Uniform(0, 1), Uniform(2, 3)], 0.0),
+        ([Gaussian(0, 1), Uniform(2, 3)], -math.inf),
+    ],
+    ids=["gaussian", "knot-table", "mixed"],
+)
+def test_mixture_upper_quantile_at_and_beyond_the_unit_levels(parts, at_zero):
+    # a Gaussian part puts mass below every y, as Gaussian.upper_quantile says
+    m = MixtureDistribution(parts, [0.5, 0.5])
+    assert m.upper_quantile(-0.1) == -math.inf
+    assert m.upper_quantile(0.0) == at_zero
+    assert m.upper_quantile(1.0) == math.inf
+    assert m.upper_quantile(1.5) == math.inf
 
 
 def test_knot_table_mixture_merges_as_the_component_loop():

@@ -11,15 +11,18 @@ from riskbandits.criteria import (
 )
 from riskbandits.dist import Gaussian, PointMass, Uniform
 from riskbandits.errors import CriterionDomainError, DomainError, UnsupportedOperationError
-from riskbandits.norms import SemiNormFunctional
+from riskbandits import norms
+from riskbandits.norms import SemiNormFunctional, norm_distance
 from riskbandits.oracle import (
     best_single_arm,
     expected_pull_bound,
     lipschitz_constant,
-    oracle_report,
+    proxy_regret_bound,
     simplex_grid_argmax,
     simplex_lattice,
 )
+
+from riskbandits.policy import phi
 
 from conftest import RefusingCriterion
 
@@ -128,7 +131,7 @@ def test_expected_pull_bound_hand_arithmetic():
     # gap 2, a=b=1, q=2, exploration exponent 3, log T = 1
     cert = StabilityCertificate(1.0, 1.0, 2.0)
     arms = [PointMass(3.0), PointMass(1.0)]
-    bounds, _ = expected_pull_bound(MeanCriterion(), arms, cert, 3.0, math.e)
+    bounds = expected_pull_bound(MeanCriterion(), arms, cert, 3.0, [math.e])[math.e]
     assert bounds[0] is None
     assert bounds[1] == pytest.approx(3.0 * 1.0 / 0.25 + 9.0, rel=1e-9)  # 21
 
@@ -136,24 +139,23 @@ def test_expected_pull_bound_hand_arithmetic():
 def test_expected_pull_bound_t1_and_poles():
     cert = StabilityCertificate(1.0, 1.0, 2.0)
     arms = [PointMass(3.0), PointMass(1.0)]
-    bounds, _ = expected_pull_bound(MeanCriterion(), arms, cert, 3.0, 1)
+    bounds = expected_pull_bound(MeanCriterion(), arms, cert, 3.0, [1])[1]
     assert bounds[1] == pytest.approx(9.0)  # log 1 = 0 leaves only the tail term
-    near2, _ = expected_pull_bound(MeanCriterion(), arms, cert, 2.0 + 1e-9, 1)
+    near2 = expected_pull_bound(MeanCriterion(), arms, cert, 2.0 + 1e-9, [1])[1]
     assert near2[1] > 1e9 and math.isfinite(near2[1])
     with pytest.raises(DomainError):
-        expected_pull_bound(MeanCriterion(), arms, cert, 2.0, 10)
+        expected_pull_bound(MeanCriterion(), arms, cert, 2.0, [10])
     with pytest.raises(DomainError):
-        expected_pull_bound(MeanCriterion(), [PointMass(1.0), PointMass(1.0)], cert, 3.0, 10)
+        expected_pull_bound(MeanCriterion(), [PointMass(1.0), PointMass(1.0)], cert, 3.0, [10])
 
 
 def test_pull_bound_regret_side():
     cert = StabilityCertificate(1.0, 1.0, 2.0)
     arms = [Uniform(2.5, 3.5), Uniform(0.5, 1.5)]
-    bounds, regret_bound = expected_pull_bound(MeanCriterion(), arms, cert, 3.0, 100)
+    bounds = expected_pull_bound(MeanCriterion(), arms, cert, 3.0, [100])[100]
     spec = MeanCriterion().functionals
-    from riskbandits.norms import norm_distance
-
     L = lipschitz_constant(cert, arms, spec)
+    regret_bound = proxy_regret_bound(MeanCriterion(), arms, L, {100: bounds})[100]
     want = L / 100 * bounds[1] * norm_distance(arms[0], arms[1], spec)
     assert regret_bound == pytest.approx(want, rel=1e-12)
 
@@ -185,20 +187,67 @@ def test_grid_never_beats_vertex_for_quasiconvex_catalog(seed):
         assert grid_value <= best_value + 1e-9, crit.tag
 
 
-def test_oracle_report_assembly(bad1_arms):
-    crit, arms = MeanCriterion(), [PointMass(1.0), PointMass(0.2)]
-    rep = oracle_report(
-        crit,
-        arms,
-        resolution=0.5,
-        certificate=crit.stability_certificate(arms),
-        ucb_alpha=3.0,
-        horizons=(100,),
-    )
-    assert rep.best_arm == 0
-    assert rep.p_star == (1.0, 0.0)
-    assert rep.lipschitz is not None
-    assert 100 in rep.pull_bounds
-    # without a certificate there are no bounds and no stationary-gap constant
-    bare = oracle_report(crit, arms, horizons=(100,))
-    assert bare.lipschitz is None and bare.pull_bounds == {}
+def one_horizon_reference(criterion, arms, certificate, ucb_alpha, horizon):
+    # the bounds and proxy-regret bound of one horizon, every quantity
+    # rebuilt for it, in a loop over the arms
+    best, _, gaps = best_single_arm(criterion, arms)
+    tail = (ucb_alpha + 6.0) / (ucb_alpha - 2.0)
+    bounds = [
+        None if i == best else ucb_alpha * math.log(horizon) / phi(certificate, gap / 2.0) + tail
+        for i, gap in enumerate(gaps)
+    ]
+    L = lipschitz_constant(certificate, arms, criterion.functionals)
+    regret_bound = 0.0
+    for i, u in enumerate(bounds):
+        if u is None:
+            continue
+        regret_bound += u * norm_distance(arms[best], arms[i], criterion.functionals)
+    regret_bound *= L / horizon
+    return bounds, regret_bound
+
+
+BOUND_CASES = {
+    "cvar-gaussians": (
+        CVaRCriterion(0.1),
+        [Gaussian(0.0, 1.0), Gaussian(-0.75, 1.0), Gaussian(-1.5, 1.0)],
+        StabilityCertificate(2.0, 0.45, 2.0),
+    ),
+    "mean-uniforms": (
+        MeanCriterion(),
+        [Uniform(0.5, 1.5), Uniform(2.5, 3.5), Uniform(0.0, 2.0)],
+        StabilityCertificate(1.0, 1.0, 2.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BOUND_CASES.values(), ids=BOUND_CASES.keys())
+def test_bounds_of_several_horizons_match_one_horizon_at_a_time(case):
+    crit, arms, cert = case
+    horizons = [1, 7, 1000, 10_000, 10**6]
+    pull_bounds = expected_pull_bound(crit, arms, cert, 3.0, horizons)
+    L = lipschitz_constant(cert, arms, crit.functionals)
+    regret_bounds = proxy_regret_bound(crit, arms, L, pull_bounds)
+    assert list(pull_bounds) == list(regret_bounds) == horizons
+    for horizon in horizons:
+        bounds, regret_bound = one_horizon_reference(crit, arms, cert, 3.0, horizon)
+        assert pull_bounds[horizon] == bounds  # bit for bit
+        assert regret_bounds[horizon] == regret_bound
+
+
+def test_pull_bounds_take_no_norm_distance(monkeypatch):
+    calls = []
+    sup_distance = norms.sup_distance
+
+    def counting_sup_distance(*args, **kwargs):
+        calls.append(args)
+        return sup_distance(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "sup_distance", counting_sup_distance)
+    crit, arms, cert = BOUND_CASES["cvar-gaussians"]
+    pull_bounds = expected_pull_bound(crit, arms, cert, 3.0, [1000, 10_000])
+    assert calls == []
+    # the regret side takes each best-to-arm distance once for all horizons
+    proxy_regret_bound(crit, arms, 1.0, pull_bounds)
+    assert len(calls) == 2
+    assert proxy_regret_bound(crit, arms, 1.0, {}) == {}
+    assert len(calls) == 2

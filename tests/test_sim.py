@@ -36,7 +36,6 @@ from riskbandits.policy import (
     UcbPolicy,
 )
 from riskbandits.sim import (
-    RegretReport,
     dkw_exceedance,
     dkw_sup_distances,
     estimate_horizon_gap,
@@ -564,14 +563,13 @@ def test_report_csv_roundtrip(tmp_path):
     arms = [Gaussian(0, 1), Gaussian(0.5, 1)]
     eps = run_replications(arms, SimplePolicy([1, 0]), MeanCriterion(), 64, reps=4, seed=3)
     rows = estimate_performance(eps) + estimate_horizon_gap(eps)
-    report = RegretReport(rows, {"seed": 3, "criterion": "mean", "version": 1})
     path = tmp_path / "report.csv"
-    write_report_csv(path, report)
-    back = read_report_csv(path)
-    assert back.meta["seed"] == "3"
-    assert back.meta["criterion"] == "mean"
-    assert len(back.rows) == len(rows)
-    for a, b in zip(back.rows, rows):
+    write_report_csv(path, {"seed": 3, "criterion": "mean", "version": 1}, rows)
+    meta, back = read_report_csv(path)
+    assert meta["seed"] == "3"
+    assert meta["criterion"] == "mean"
+    assert len(back) == len(rows)
+    for a, b in zip(back, rows):
         assert (a.checkpoint, a.estimator, a.reps, a.flagged) == (
             b.checkpoint, b.estimator, b.reps, b.flagged,
         )
