@@ -56,7 +56,6 @@ from .policy import (
 )
 from .sim import (
     Episode,
-    dkw_exceedance,
     estimate_horizon_gap,
     estimate_performance,
     estimate_proxy_regret,

@@ -162,15 +162,17 @@ def cmd_simulate(
     if "reference-regret" in want:
         ref_label, ref_policy = _reference_policy(cfg)
     for horizon in cfg.horizons:
+        # each horizon's rows end at that horizon (None: the default doubling)
+        checkpoints = None if cfg.checkpoints is None else sorted({*cfg.checkpoints, horizon})
         if "reference-regret" in want:
             ref_episodes = run_replications(
                 cfg.arms, ref_policy, cfg.criterion, horizon, reps,
-                cfg.seed, cfg.checkpoints, parallel,
+                cfg.seed, checkpoints, parallel,
             )
         for label, policy in cfg.policies:
             episodes = run_replications(
                 cfg.arms, policy, cfg.criterion, horizon, reps,
-                cfg.seed, cfg.checkpoints, parallel,
+                cfg.seed, checkpoints, parallel,
             )
             rows = []
             if "performance" in want:

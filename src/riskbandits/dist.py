@@ -362,9 +362,9 @@ class PiecewiseLinearCDF(RewardDistribution):
     def _segment_table(self):
         """Per knot k, the segment from knot k-1 to k: start level, rise (1.0
         where it does not rise), start location, run, and end level (NaN at
-        k = 0, which no level lies at or below, -inf included).  Built on the
-        first draw and pickled with the arm; merged mixture tables never
-        sample, so never build it."""
+        k = 0, which no level lies at or below).  Built on the first draw and
+        pickled with the arm; merged mixture tables never sample, so never
+        build it."""
         f0 = np.r_[0.0, self.fr[:-1]]
         rise = self.fl - f0
         rise[rise <= 0.0] = 1.0
@@ -376,17 +376,16 @@ class PiecewiseLinearCDF(RewardDistribution):
         """Level guide over the ``_GUIDE_BUCKETS`` equal buckets of [0, 1):
         slot b holds the count of ``fr`` below ``b / _GUIDE_BUCKETS`` (exact,
         as the bucket edges are dyadic), or -1 where the bucket holds an
-        ``fr`` value.  Slot ``_GUIDE_BUCKETS`` takes the levels at or above 1
-        and slot -1 those below 0 and NaN; both hold -1.  Built on the first
-        draw and pickled with the arm (about 2 KB); merged mixture tables
-        never sample, so never build it."""
+        ``fr`` value.  Built on the first draw and pickled with the arm
+        (2 KB); merged mixture tables never sample, so never build it."""
         below = np.searchsorted(self.fr, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS)
-        guide = np.append(below[:-1], [-1, -1])
-        guide[:-2][below[1:] > below[:-1]] = -1
+        guide = below[:-1].copy()
+        guide[below[1:] > below[:-1]] = -1
         return guide
 
     def _quantile_block(self, u, out):
-        """Write the quantiles of the 1-d levels ``u`` into ``out``.
+        """Write the quantiles of the 1-d levels ``u``, which lie in [0, 1),
+        into ``out``.
 
         Each level's knot k has fr[k-1] < u <= fr[k], as in ``_quantile``:
         the guide gives it, and ``searchsorted`` finds it for the levels in
@@ -394,39 +393,21 @@ class PiecewiseLinearCDF(RewardDistribution):
         interpolated value, computed by the operations of the masked gather
         in its order, so every level keeps its bits."""
         f0, rise, y0, run, top = self._segment_table
-        # a huge level overflows here on its way to the end slot; the lanes
-        # the mask below discards can overflow too (a subnormal rise) or make
-        # inf * 0 (a level at +-inf).  No kept lane can.
-        with np.errstate(over="ignore", invalid="ignore"):
-            # floor, then clamp to the end slots; fmax sends NaN to slot -1
-            np.multiply(u, _GUIDE_BUCKETS, out=out)
-            np.floor(out, out=out)
-            np.fmax(out, -1.0, out=out)
-            np.fmin(out, _GUIDE_BUCKETS, out=out)
-            k = self._guide.take(out.astype(np.intp))
-            searched = k < 0
-            if searched.any():
-                k[searched] = np.searchsorted(self.fr, u[searched])
-
-            def at(table):  # the clip sends levels above 1 to the last knot, where top < u
-                return table.take(k, mode="clip")
-
-            # interpolate where fr[k-1] < u <= fl[k]; there the rise is positive
-            np.subtract(u, at(f0), out=out)
-            np.divide(out, at(rise), out=out)
-            np.multiply(out, at(run), out=out)
-            np.add(at(y0), out, out=out)
-        # the knot itself where not (top >= u): in the knot's jump, at k = 0,
-        # above 1 and at NaN
-        np.copyto(out, at(self.ys), where=~(at(top) >= u))
-
-    def quantile_array(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.empty(u.shape)
-        levels, flat = u.reshape(-1), out.reshape(-1)
-        for s in range(0, levels.size, _BLOCK):
-            self._quantile_block(levels[s : s + _BLOCK], flat[s : s + _BLOCK])
-        return out
+        # u * 2^8 is exact and not negative, so truncation is its floor
+        np.multiply(u, _GUIDE_BUCKETS, out=out)
+        k = self._guide.take(out.astype(np.intp))
+        searched = k < 0
+        if searched.any():
+            k[searched] = np.searchsorted(self.fr, u[searched])
+        # interpolate where fr[k-1] < u <= fl[k]; there the rise is positive.
+        # A subnormal rise can overflow in the lanes the mask below discards.
+        with np.errstate(over="ignore"):
+            np.subtract(u, f0.take(k), out=out)
+            np.divide(out, rise.take(k), out=out)
+            np.multiply(out, run.take(k), out=out)
+            np.add(y0.take(k), out, out=out)
+        # the knot itself where not (top >= u): in the knot's jump and at k = 0
+        np.copyto(out, self.ys.take(k), where=~(top.take(k) >= u))
 
     def _sample(self, rng, n):
         # each block's levels go into one reused buffer; drawn block by block,
@@ -722,15 +703,10 @@ class MixtureDistribution(RewardDistribution):
     A zero weight adds nothing to ``F_p``, so the mixture is shaped by its
     parts: the ``(p_i, F_i)`` pairs with ``p_i > 0``, in component order,
     listed once on construction.  Every method but the sampler, which draws
-    over all ``components``, reads the parts.  The CDF takes the Gaussian
-    parts in one ``ndtr`` call (a bank of their mean and stddev columns),
-    every other part by its own ``cdf``, and sums the rows in part order,
-    so the values are those of summing ``p_i F_i(y)`` part by part, bit for
-    bit; a nested mixture is one such part.  A CDF call at ``n`` points
-    holds the Gaussian rows (``n`` floats per Gaussian part) and a few
-    ``n``-float rows besides.  The bank is built on the first CDF call, not
-    on construction: a proxy mixture is built at every checkpoint and may
-    only be sampled.  A mixture of knot tables also merges into one
+    over all ``components``, reads the parts.  The CDF takes each part's
+    own ``cdf`` (or ``cdf_left``) and sums ``p_i F_i(y)`` in part order; a
+    nested mixture is one such part.  A CDF call at ``n`` points holds a
+    few ``n``-float rows.  A mixture of knot tables also merges into one
     ``PiecewiseLinearCDF`` over the union of the parts' knots, which answers
     its quantiles and level sets; with a Gaussian part those are solved by
     block bisection on the CDF.  Moments and tail integrals are the weighted
@@ -755,26 +731,16 @@ class MixtureDistribution(RewardDistribution):
         self._parts = [(p, c) for p, c in zip(w, self.components) if p > 0]
         self.has_smooth_part = any(c.has_smooth_part for _, c in self._parts)
         self.has_sloped_part = any(c.has_sloped_part for _, c in self._parts)
-        self._bank = None
         self._merged = None
 
     def _evaluate(self, y, left):
-        if self._bank is None:
-            gauss = [c for _, c in self._parts if isinstance(c, Gaussian)]
-            mu = np.array([c.mean_value for c in gauss], dtype=float)
-            sd = np.array([c.stddev for c in gauss], dtype=float)
-            self._bank = (mu[:, None], sd[:, None])
-        mu, sd = self._bank
         y = np.asarray(y, dtype=float)
         flat = y.reshape(-1)
-        gauss = iter(ndtr((flat - mu) / sd))
-        rows = [
-            next(gauss) if isinstance(c, Gaussian) else (c.cdf_left(flat) if left else c.cdf(flat))
-            for _, c in self._parts
-        ]
-        # a sequential sum in part order, as a loop over the parts
-        out = self._parts[0][0] * rows[0]
-        for (w, _), row in zip(self._parts[1:], rows[1:]):
+        # the weighted part rows, summed in part order
+        rows = ((w, c.cdf_left(flat) if left else c.cdf(flat)) for w, c in self._parts)
+        w, row = next(rows)
+        out = w * row
+        for w, row in rows:
             out += w * row
         out = out.reshape(y.shape)
         return out if out.ndim else float(out)

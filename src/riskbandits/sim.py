@@ -39,7 +39,6 @@ __all__ = [
     "estimate_proxy_regret",
     "estimate_horizon_gap",
     "estimate_reference_regret",
-    "dkw_exceedance",
     "dkw_sup_distances",
     "write_csv",
     "write_report_csv",
@@ -298,11 +297,6 @@ def estimate_reference_regret(episodes, reference_episodes) -> list[EstimateRow]
 _DKW_BLOCK_DRAWS = 1 << 16
 
 
-def _check_reps(reps: int) -> None:
-    if reps < 100:
-        raise DomainError(f"need at least 100 replications, got {reps}")
-
-
 def dkw_sup_distances(dist, t: int, reps: int, seed: int = 0) -> np.ndarray:
     """``sup |F_hat_t - F|`` of each of ``reps`` samples of size ``t``.
 
@@ -314,7 +308,8 @@ def dkw_sup_distances(dist, t: int, reps: int, seed: int = 0) -> np.ndarray:
     Every step is elementwise, an exact maximum or an integer count, so the
     distances do not depend on the block size.
     """
-    _check_reps(reps)
+    if reps < 100:
+        raise DomainError(f"need at least 100 replications, got {reps}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     draws = dist.sample(rng, reps * t).reshape(reps, t)
     grid = np.arange(1, t + 1) / t
@@ -335,16 +330,6 @@ def dkw_sup_distances(dist, t: int, reps: int, seed: int = 0) -> np.ndarray:
             s = np.maximum(s, np.abs(np.sum(block < b, axis=1) / t - fb_left))
         sup[lo : lo + rows] = s
     return sup
-
-
-def dkw_exceedance(dist, t: int, x: float, reps: int, seed: int = 0) -> float:
-    """Fraction of replications with ``sup |F_hat_t - F| >= x``: the
-    distances of ``dkw_sup_distances``, or 1.0 without drawing when
-    ``x <= 0``."""
-    _check_reps(reps)
-    if x <= 0.0:
-        return 1.0
-    return float(np.mean(dkw_sup_distances(dist, t, reps, seed) >= x))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Every name a module lists in ``__all__`` resolves, and so does every
 private or foreign name the benchmark's layer tracer wraps; the closed-loop
-sessions and the mixture keep the method names the tracer matches.
+sessions and the mixture keep the method names the tracer matches.  Every
+function the package defines is called from the package itself.
 
 A stale entry breaks only ``from riskbandits.<module> import *``, which no
 other test exercises; a stale tracer target crashes ``perfbench/run.py
@@ -109,3 +110,43 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert lazy == []
+
+
+# read by the tests alone, and kept as the reader of the CSV format
+_REACHED_BY_TESTS_ALONE = {"read_report_csv"}
+
+
+def _referenced_names(tree):
+    """Names read, or read as attributes, outside the functions of that name."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in inside:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_function_is_reached_from_the_package():
+    # a function that only tests call is product code no command runs; the
+    # package's __init__ and every __all__ only list names, so neither counts
+    src = Path(__file__).resolve().parents[1] / "src" / "riskbandits"
+    defined = {}
+    referenced = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+        if path.name != "__init__.py":
+            referenced |= _referenced_names(tree)
+    unreached = {name: where for name, where in defined.items() if name not in referenced}
+    assert unreached.keys() == _REACHED_BY_TESTS_ALONE, unreached

@@ -362,6 +362,21 @@ def test_simulate_resolves_each_policy_once_for_all_horizons(tmp_path, monkeypat
     assert sorted(kinds) == ["SimplePolicy", "SimplePolicy", "UcbPolicy"]
 
 
+def test_simulate_rows_end_at_each_horizon_with_configured_checkpoints(tmp_path):
+    doc = _base_doc()
+    doc["policies"] = [{"kind": "simple", "p": [0.5, 0.5]}]
+    doc["horizons"] = [64, 128]
+    doc["checkpoints"] = [2, 32]
+    doc["replications"] = 3
+    doc["estimators"] = ["performance"]
+    assert main(["simulate", "--config", _write(tmp_path, doc), "--out", str(tmp_path)]) == 0
+    for horizon in (64, 128):
+        (path,) = tmp_path.glob(f"simulate_*_T{horizon}.csv")
+        meta, rows = read_report_csv(path)
+        assert meta["horizon"] == str(horizon)
+        assert [r.checkpoint for r in rows] == [2, 32, horizon]
+
+
 def test_simulate_seed_override_changes_results(tmp_path):
     doc = _base_doc()
     doc["policies"] = [{"kind": "simple", "p": [1.0, 0.0]}]

@@ -242,20 +242,33 @@ def test_galois_connection(d):
         assert (d.quantile(alpha) <= y) == (alpha <= float(d.cdf(y)))
 
 
-def test_scalar_and_array_quantiles_agree_on_random_tables():
+def block_quantiles(d, u):
+    """The block kernel's quantiles of the levels ``u`` in [0, 1)."""
+    u = np.array(u, dtype=float)
+    out = np.empty_like(u)
+    d._quantile_block(u, out)
+    return out
+
+
+def sampler_levels(levels):
+    """The levels among ``levels`` that a sampler can draw: those in [0, 1)."""
+    return levels[(levels >= 0.0) & (levels < 1.0)]
+
+
+def test_scalar_and_block_quantiles_agree_on_random_tables():
     # both interpolate on the segment searchsorted finds, which rises: the
     # level lies strictly above its start value; probed at every knot value
     r = rng(37)
     for _ in range(1000):
         d = random_knot_table(r)
-        levels = np.r_[r.random(10), d.fl, d.fr]
+        levels = sampler_levels(np.r_[r.random(10), d.fl, d.fr])
         want = [d._quantile(float(a)) for a in levels]
-        assert np.array_equal(d.quantile_array(levels), want)
+        assert np.array_equal(block_quantiles(d, levels), want)
 
 
 def mask_quantile_array(d, u):
     """The gather/mask/scatter inverse CDF that the per-segment tables
-    replaced: the oracle for ``PiecewiseLinearCDF.quantile_array``."""
+    replaced: the oracle for the knot-table sampler's block kernel."""
     u = np.asarray(u, dtype=float)
     ks = np.searchsorted(d.fr, u, side="left")
     ks = np.minimum(ks, len(d.ys) - 1)
@@ -295,45 +308,58 @@ def crowded_knot_table():
     return PiecewiseLinearCDF(np.arange(10.0), np.r_[0.0, crowd, 1.0], np.r_[0.0, crowd, 1.0])
 
 
-def test_quantile_array_matches_mask_oracle_bit_for_bit():
+def subnormal_rise_table():
+    """A segment rising by 1e-320: levels above it overflow in the lanes
+    the block kernel discards."""
+    return PiecewiseLinearCDF([0.0, 1.0, 2.0], [0.0, 1e-320, 0.5], [0.0, 0.5, 1.0])
+
+
+def test_block_quantiles_match_mask_oracle_bit_for_bit():
     r = rng(41)
     tables = [oracle_knot_table(r) for _ in range(300)]
     tables += [bad1_arm_wide(), bad2_arm_step(), PointMass(-2.0), Uniform(-1e-3, 1e3), TwoPoint(0.3, -5.0, 5.0)]
-    # a subnormal rise: levels above it overflow in lanes quantile_array discards
-    tables.append(PiecewiseLinearCDF([0.0, 1.0, 2.0], [0.0, 1e-320, 0.5], [0.0, 0.5, 1.0]))
-    tables.append(crowded_knot_table())
+    tables += [subnormal_rise_table(), crowded_knot_table()]
     sizes = {len(d.ys) for d in tables}
     assert {1, 8} <= sizes
     assert any(d.fr[0] > 0.0 and len(d.ys) > 1 for d in tables)  # jump at the first knot
     assert any(d.fl[-1] < 1.0 for d in tables)  # jump at the last knot
     assert any(np.any(d.fl[1:] == d.fr[:-1]) for d in tables)  # flat stretch
-    # every guide bucket start b / 2^m, with both float neighbours, and the
-    # levels the end slots take: below 0, at or above 1, and NaN
+    # every guide bucket start b / 2^m, with both float neighbours in [0, 1)
     starts = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
-    edges = np.r_[starts, np.nextafter(starts, -np.inf), np.nextafter(starts, np.inf), -0.5, 1.5, np.inf, -np.inf, np.nan]
+    edges = np.r_[starts, np.nextafter(starts, -np.inf), np.nextafter(starts, np.inf)]
     for d in tables:
         knots = np.r_[d.fl, d.fr]
         levels = np.r_[0.0, r.random(200), knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf), edges]
+        levels = sampler_levels(levels)
+        assert levels.max() == np.nextafter(1.0, 0.0)
         # the level just above 0 (5e-324) underflows in both methods
         with np.errstate(all="raise", under="ignore"):
-            assert_same_bits(d.quantile_array(levels), mask_quantile_array(d, levels))
-    # block edges: sizes around the block, a strided view over four blocks
-    # and a 2-d array over two blocks
-    u = r.random(6 * _BLOCK + 14)
-    shapes = [u[:_BLOCK - 1], u[:_BLOCK], u[:_BLOCK + 1], u[: 3 * _BLOCK + 7], u[::2], u[: _BLOCK + 6].reshape(2, -1)]
-    for d in tables[-4:]:
-        for levels in shapes:
-            with np.errstate(all="raise", under="ignore"):
-                assert_same_bits(d.quantile_array(levels), mask_quantile_array(d, levels))
+            assert_same_bits(block_quantiles(d, levels), mask_quantile_array(d, levels))
 
 
-def test_quantile_array_keeps_the_input_shape():
-    u = Uniform(0, 2).quantile_array(0.3)
-    assert u.shape == () and u == 0.6
+def test_block_kernel_writes_only_its_slice():
+    # the sampler hands the kernel one block's slice of the output
+    out = np.full(5, -1.0)
+    Uniform(0, 2)._quantile_block(np.array([0.3]), out[2:3])
+    assert out.tolist() == [-1.0, -1.0, 0.6, -1.0, -1.0]
     d = bad1_arm_wide()
-    levels = rng(2).random((3, 4))
-    got = d.quantile_array(levels)
-    assert_same_bits(got, mask_quantile_array(d, levels.ravel()).reshape(3, 4))
+    levels = rng(2).random(12)
+    out = np.zeros(16)
+    d._quantile_block(levels, out[2:14])
+    assert_same_bits(out[2:14], mask_quantile_array(d, levels))
+    assert not out[:2].any() and not out[14:].any()
+
+
+@pytest.mark.parametrize(
+    "d", [Uniform(-1e-3, 1e3), subnormal_rise_table()], ids=["uniform", "subnormal-rise"]
+)
+def test_sampler_block_edges_match_mask_oracle(d):
+    # sizes around the block and a short last block, drawn through sample;
+    # the kernel's discarded lanes may overflow, and nothing else may raise
+    for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+        with np.errstate(all="raise", under="ignore"):
+            got = d.sample(rng(12), n)
+        assert_same_bits(got, mask_quantile_array(d, rng(12).random(n)))
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,6 @@ from riskbandits.policy import (
     UcbPolicy,
 )
 from riskbandits.sim import (
-    dkw_exceedance,
     dkw_sup_distances,
     estimate_horizon_gap,
     estimate_performance,
@@ -416,17 +415,17 @@ def test_bad1_oracle_outperforms_safe_vertex(bad1_arms):
 
 
 def test_dkw_exceedance_edges():
-    assert dkw_exceedance(Gaussian(0, 1), 50, 0.0, reps=100) == 1.0
+    assert np.mean(dkw_sup_distances(Gaussian(0, 1), 50, reps=100) >= 0.0) == 1.0
     with pytest.raises(DomainError):
-        dkw_exceedance(Gaussian(0, 1), 50, 0.1, reps=10)
+        dkw_sup_distances(Gaussian(0, 1), 50, reps=10)
     # t=100, x=0.2: bound 6.7e-4, so exceedances are a rare event
-    assert dkw_exceedance(Gaussian(0, 1), 100, 0.2, reps=2000, seed=1) <= 0.002
+    assert np.mean(dkw_sup_distances(Gaussian(0, 1), 100, reps=2000, seed=1) >= 0.2) <= 0.002
 
 
 def test_dkw_exceedance_respects_bound_grid():
     d = Gaussian(0, 1)
     for t, x in [(25, 0.15), (25, 0.25), (100, 0.1), (400, 0.05)]:
-        emp = dkw_exceedance(d, t, x, reps=4000, seed=13)
+        emp = np.mean(dkw_sup_distances(d, t, reps=4000, seed=13) >= x)
         bound = 2 * math.exp(-2 * t * x * x)
         assert emp <= 1.2 * bound + 1e-12
 
@@ -434,7 +433,7 @@ def test_dkw_exceedance_respects_bound_grid():
 def test_dkw_exceedance_discrete_distribution():
     # atoms force the supremum onto jump points; bound must still hold
     d = PointMass(0.0)
-    assert dkw_exceedance(d, 50, 0.1, reps=500, seed=2) == 0.0
+    assert np.mean(dkw_sup_distances(d, 50, reps=500, seed=2) >= 0.1) == 0.0
 
 
 def one_shot_dkw_sup_distances(dist, t, reps, seed=0):
@@ -491,11 +490,6 @@ def test_dkw_blocked_scoring_is_bit_identical_to_one_shot(monkeypatch, kind, t, 
     d = _DKW_KINDS[kind]
     sups = dkw_sup_distances(d, t, reps, seed=6)
     np.testing.assert_array_equal(sups, one_shot_dkw_sup_distances(d, t, reps, seed=6))
-    # a threshold at a sup distance itself counts that replication
-    for x in (float(np.median(sups)), float(sups.max()), 0.1):
-        assert dkw_exceedance(d, t, x, reps, seed=6) == one_shot_dkw_exceedance(
-            d, t, x, reps, seed=6
-        )
 
 
 def _per_pair_dkw_line(dist, pairs, reps, seed, slack=1.2):
@@ -543,11 +537,16 @@ def test_dkw_grid_check_draws_each_horizon_once(monkeypatch):
         checks.dkw_grid_check(Gaussian(0, 1), [(25, 0.0), (25, 0.2)], reps=10)
 
 
+def test_dkw_grid_check_refuses_few_reps_on_a_grid_that_draws_nothing():
+    with pytest.raises(DomainError, match="at least 100 replications"):
+        checks.dkw_grid_check(Gaussian(0, 1), [(25, 0.0), (100, -0.5)], reps=10)
+
+
 def test_dkw_exceedance_holds_one_draw_array():
     # the 4e6 draws take 32 MB; scoring them adds block-sized temporaries only
     tracemalloc.start()
     try:
-        dkw_exceedance(Gaussian(0, 1), 400, 0.05, 10_000)
+        dkw_sup_distances(Gaussian(0, 1), 400, 10_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
