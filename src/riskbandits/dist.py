@@ -35,8 +35,11 @@ __all__ = [
 
 _WEIGHT_TOL = 1e-12
 
-# bisection-tree levels a mixture quantile solve evaluates per CDF call
+# bisection-tree levels a mixture quantile solve's CDF call takes when behind
 _BISECT_DEPTH = 7
+# floats on each side of a solve's first path end that its call also takes:
+# rounding in a part's quantile leaves a one-part root within a few of them
+_END_ULPS = 8
 
 # levels per block of the knot-table sampler, so a block's temporaries stay
 # in cache; and the level guide's bucket count, a power of two
@@ -49,6 +52,33 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def _norm_pdf(z):
     return _INV_SQRT_2PI * np.exp(-0.5 * np.square(z))
+
+
+def _tree_midpoints(lo, hi, depth):
+    """The midpoints ``0.5 * (a + b)`` of ``depth`` levels of bisection of (lo, hi)."""
+    n = 1 << depth
+    edges = np.empty(n + 1)
+    edges[0], edges[n] = lo, hi
+    step = n
+    while step > 1:
+        half = step >> 1
+        edges[half::step] = 0.5 * (edges[:-1:step] + edges[step::step])
+        step = half
+    return edges[1:-1].tolist()
+
+
+def _interpolate(t, a, fa, b, fb, c, fc):
+    """Where F reaches t, from F at a < b and at a third point c: the inverse
+    quadratic through all three if it lands in (a, b), else the secant."""
+    if fa == fb:
+        return a
+    if fc != fa and fc != fb:
+        x = (a * (t - fb) / (fa - fb) * (t - fc) / (fa - fc)
+             + b * (t - fa) / (fb - fa) * (t - fc) / (fb - fc)
+             + c * (t - fa) / (fc - fa) * (t - fb) / (fc - fb))
+        if a < x < b:
+            return x
+    return a + (t - fa) / (fb - fa) * (b - a)
 
 
 def _exp(y: float) -> float:
@@ -68,6 +98,9 @@ class RewardDistribution:
 
     #: True when the CDF has linear pieces with positive slope.
     has_sloped_part = False
+
+    #: True when ``breakpoints`` may be non-empty (every kind but Gaussian).
+    has_breakpoints = True
 
     # -- CDF surface ----------------------------------------------------
 
@@ -169,6 +202,7 @@ class Gaussian(RewardDistribution):
     stddev: float
 
     has_smooth_part = True
+    has_breakpoints = False
 
     def __post_init__(self):
         if not (math.isfinite(self.mean_value) and math.isfinite(self.stddev)):
@@ -638,9 +672,8 @@ class EmpiricalDistribution(RewardDistribution):
             return math.inf
         if c < 0.0:
             return -math.inf
-        j = int(math.floor(c * self.t + 1e-9)) + 1
-        if j > self.t:
-            return math.inf
+        # below level 1 the top sample's F of 1 exceeds c: rank t at most
+        j = min(int(math.floor(c * self.t + 1e-9)) + 1, self.t)
         return float(self.samples[j - 1])
 
     def _sample(self, rng, n):
@@ -709,8 +742,8 @@ class MixtureDistribution(RewardDistribution):
     few ``n``-float rows.  A mixture of knot tables also merges into one
     ``PiecewiseLinearCDF`` over the union of the parts' knots, which answers
     its quantiles and level sets; with a Gaussian part those are solved by
-    block bisection on the CDF.  Moments and tail integrals are the weighted
-    sums of the parts' own exact values.
+    bisection on the CDF along guessed roots.  Moments and tail integrals
+    are the weighted sums of the parts' own exact values.
     """
 
     def __init__(self, components, weights):
@@ -731,6 +764,7 @@ class MixtureDistribution(RewardDistribution):
         self._parts = [(p, c) for p, c in zip(w, self.components) if p > 0]
         self.has_smooth_part = any(c.has_smooth_part for _, c in self._parts)
         self.has_sloped_part = any(c.has_sloped_part for _, c in self._parts)
+        self.has_breakpoints = any(c.has_breakpoints for _, c in self._parts)
         self._merged = None
 
     def _evaluate(self, y, left):
@@ -759,45 +793,73 @@ class MixtureDistribution(RewardDistribution):
     def cdf_left(self, y):
         return self._evaluate(y, True)
 
-    def _bisect_monotone(self, target, strict, lo, hi):
+    def _bisect_monotone(self, target, strict, lo, hi, guess):
         """inf{y | F(y) >= target} (or > target when strict) by bisection.
 
         Requires F(lo) below the threshold and F(hi) at-or-above it; exact
-        to float resolution, jumps included.  Each round lays out the next
-        ``_BISECT_DEPTH`` levels of the bisection tree under (lo, hi), every
-        node the midpoint ``0.5 * (lo + hi)`` its path would compute, takes
-        the CDF at all of them in one call, and walks them one decision per
-        level: the midpoints, decisions and result of one midpoint per call,
-        at 200 steps at most.
+        to float resolution, jumps included.  The walk decides one midpoint
+        ``0.5 * (lo + hi)`` at a time, at 200 steps at most, and calls F
+        only at the first midpoint it has no value for.  A call takes F on
+        the path the walk would follow to a guessed root, so no guess moves
+        a decision: first ``guess``, to float resolution, with lo, hi and
+        the ``_END_ULPS`` floats on each side of the path's end; then the
+        one breakpoint in (lo, hi] if there is one, else the inverse
+        quadratic (or secant) through the bracket and the end last moved,
+        twice as deep as the walk has come.  A call more than one call
+        behind ``_BISECT_DEPTH`` decisions per call also takes the next
+        ``_BISECT_DEPTH`` tree levels: one call more than the tree at most.
         """
-        n = 1 << _BISECT_DEPTH
-        steps = 0
+        known = {}
+        knots = None
+        calls = steps = 0
         while True:
-            # the tree in sorted order: level by level, each node is the
-            # midpoint of its two neighbours of the levels above
-            edges = np.empty(n + 1)
-            edges[0], edges[n] = lo, hi
-            step = n
-            while step > 1:
-                half = step >> 1
-                edges[half::step] = 0.5 * (edges[:-1:step] + edges[step::step])
-                step = half
-            nodes = edges.tolist()
-            values = [math.nan, *self.cdf(edges[1:-1]).tolist()]
-            i = half = n >> 1  # the root
-            while half:
-                mid = nodes[i]
-                if mid <= lo or mid >= hi or steps == 200:
-                    return hi
-                steps += 1
-                half >>= 1
-                v = values[i]
-                if (v > target) if strict else (v >= target):
-                    hi = mid
-                    i -= half
-                else:
-                    lo = mid
-                    i += half
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi or steps == 200:  # a NaN mid decides nothing
+                return hi
+            v = known.get(mid)
+            if v is None:
+                depth = 200 - steps
+                if calls:
+                    guess = _interpolate(target, lo, flo, hi, fhi, far, ffar)
+                    if self.has_breakpoints:
+                        if knots is None:
+                            knots = self.breakpoints()
+                        i, j = knots.searchsorted((lo, hi), side="right")
+                        if j == i + 1:
+                            guess = float(knots[i])
+                    # each interpolation about doubles the levels it gets right
+                    depth = min(depth, 2 * steps + _BISECT_DEPTH)
+                xs = []
+                a, b = lo, hi
+                for _ in range(depth):
+                    m = 0.5 * (a + b)
+                    if not a < m < b:
+                        break
+                    xs.append(m)
+                    if m >= guess:
+                        b = m
+                    else:
+                        a = m
+                if not calls:
+                    u = math.ulp(m)
+                    xs += [m + k * u for k in range(-_END_ULPS, _END_ULPS + 1)]
+                    xs += (lo, hi)
+                elif steps < _BISECT_DEPTH * calls - 1:  # a guess keeps failing early
+                    xs += _tree_midpoints(lo, hi, _BISECT_DEPTH)
+                known.update(zip(xs, self.cdf(xs).tolist()))
+                if not calls:
+                    flo, fhi = known[lo], known[hi]
+                calls += 1
+                v = known[mid]
+            steps += 1
+            if (v > target) if strict else (v >= target):
+                far, ffar, hi, fhi = hi, fhi, mid, v
+            else:
+                far, ffar, lo, flo = lo, flo, mid, v
+
+    def _root_guess(self, qs):
+        """The parts' bracket quantiles, weighted: the root guess, exact for one part."""
+        return sum(p * q for (p, _), q in zip(self._parts, qs))
 
     def _quantile(self, alpha):
         merged = self._merged_piecewise()
@@ -807,7 +869,7 @@ class MixtureDistribution(RewardDistribution):
         qs = [c.quantile(alpha) for _, c in self._parts]
         lo = min(qs)
         lo -= max(1e-9, 1e-12 * abs(lo))
-        return self._bisect_monotone(alpha, False, lo, max(qs))
+        return self._bisect_monotone(alpha, False, lo, max(qs), self._root_guess(qs))
 
     def upper_quantile(self, c):
         merged = self._merged_piecewise()
@@ -822,7 +884,7 @@ class MixtureDistribution(RewardDistribution):
         lo -= max(1e-9, 1e-12 * abs(lo))
         hi = max(qs)
         hi += max(1e-9, 1e-12 * abs(hi))
-        return self._bisect_monotone(c, True, lo, hi)
+        return self._bisect_monotone(c, True, lo, hi, self._root_guess(qs))
 
     def _sample(self, rng, n):
         idx = rng.choice(len(self.components), size=n, p=self.weights)

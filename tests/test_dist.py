@@ -401,6 +401,18 @@ def test_upper_quantile_flat_edges():
     assert Gaussian(0, 1).upper_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_empirical_upper_quantile_just_below_level_one_is_the_top_sample():
+    # the rank floor(c t + 1e-9) + 1 passes t for c in (1 - 1e-9 / t, 1)
+    e = EmpiricalDistribution([0.0, 1.0, 2.0])
+    for c in (1 - 2e-10, 1 - 1e-16, 2 / 3 + 1e-10):
+        assert e.upper_quantile(c) == 2.0
+    assert e.upper_quantile(1.0) == math.inf
+    # a mixture takes its parts' upper quantiles as its bracket
+    m = MixtureDistribution([Gaussian(0, 1), e], [0.5, 0.5])
+    got = m.upper_quantile(1 - 2e-10)
+    assert got < 7.0 and float(m.cdf(got)) > 1 - 2e-10
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
@@ -727,16 +739,23 @@ def loop_mixture_cdf(m, y, left=False):
 
 def scalar_bisect(m, target, strict, lo, hi):
     """Bisection with one scalar CDF call per midpoint."""
-    for _ in range(200):
+    return scalar_bisect_steps(m, target, strict, lo, hi)[0]
+
+
+def scalar_bisect_steps(m, target, strict, lo, hi):
+    """``scalar_bisect``'s result and the number of midpoints it decides."""
+    steps = 0
+    while steps < 200:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
+        steps += 1
         v = loop_mixture_cdf(m, mid)
         if (v > target) if strict else (v >= target):
             hi = mid
         else:
             lo = mid
-    return hi
+    return hi, steps
 
 
 def reference_quantile(m, alpha):
@@ -754,10 +773,23 @@ def reference_upper_quantile(m, c):
     return scalar_bisect(m, c, True, lo, hi)
 
 
+def reference_bracket(m, level, strict):
+    """The bracket that ``quantile`` (or ``upper_quantile`` when strict) solves in."""
+    parts = [c for w, c in zip(m.weights, m.components) if w > 0]
+    qs = [c.upper_quantile(level) if strict else c.quantile(level) for c in parts]
+    lo, hi = min(qs), max(qs)
+    lo -= max(1e-9, 1e-12 * abs(lo))
+    if strict:
+        hi += max(1e-9, 1e-12 * abs(hi))
+    return lo, hi
+
+
 def random_component(r, kinds):
     kind = kinds[int(r.integers(len(kinds)))]
     if kind == "gaussian":
         return Gaussian(float(r.normal(0.0, 2.0)), float(r.uniform(0.2, 3.0)))
+    if kind == "point":  # on the integers, so that roots sit on its jump
+        return PointMass(float(r.integers(-3, 4)))
     if kind == "empirical":
         return EmpiricalDistribution(r.normal(0.0, 2.0, size=int(r.integers(1, 40))))
     return distribution_catalog()[int(r.integers(2, 9))]  # the knot-table kinds
@@ -848,6 +880,132 @@ def test_block_bisection_is_bit_identical_to_scalar_bisection(kinds):
             assert type(got) is float
             assert got == reference_quantile(m, level)
             assert m.upper_quantile(level) == reference_upper_quantile(m, level)
+
+
+def guided_corpus(seed):
+    """(mixture, level) solves on Gaussian mixtures with atoms, as in ``random_mixture``,
+    and one-part Gaussian mixtures, at the extreme levels and random ones."""
+    r = rng(seed)
+    for i in range(60):
+        if i % 3 == 0:
+            m = MixtureDistribution([random_component(r, ["gaussian"])], [1.0])
+        else:
+            m = random_mixture(r, ["gaussian", "point"] if i % 3 == 1 else ["gaussian"])
+        if not m.has_smooth_part:
+            continue  # the merged knot table answers
+        for level in (1e-12, 1 - 1e-12, *r.uniform(0.0, 1.0, size=3).tolist()):
+            yield m, level
+
+
+def test_guided_bisection_is_bit_identical_on_atoms_one_part_and_extreme_levels():
+    on_atom = 0
+    for m, level in guided_corpus(65):
+        got = m.quantile(level)
+        assert got == reference_quantile(m, level)
+        assert m.upper_quantile(level) == reference_upper_quantile(m, level)
+        on_atom += float(m.cdf_left(got)) < level <= float(m.cdf(got))
+    assert on_atom >= 10  # roots on jumps: 19 of the 290 quantiles
+
+
+def step_cap_mixture():
+    """A root on an atom at 0, bracketed from below: bisection halves toward
+    0 through the subnormals and stops at its 200-step cap."""
+    return MixtureDistribution([PointMass(0.0), Gaussian(-5.0, 1.0)], [0.5, 0.5])
+
+
+def test_bisection_that_reaches_the_step_cap_is_bit_identical():
+    m = step_cap_mixture()
+    lo, hi = reference_bracket(m, 0.7, False)
+    assert scalar_bisect_steps(m, 0.7, False, lo, hi)[1] == 200
+    assert m.quantile(0.7) == reference_quantile(m, 0.7)
+    for guess in (hi, lo, 0.5 * (lo + hi), math.nan, -math.inf):
+        assert m._bisect_monotone(0.7, False, lo, hi, guess) == scalar_bisect(m, 0.7, False, lo, hi)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["quantile", "upper-quantile"])
+def test_bisection_result_does_not_depend_on_the_guess(strict):
+    # the guess only picks which midpoints a CDF call takes ahead of the walk
+    for k, (m, level) in enumerate(guided_corpus(66)):
+        if k % 2:
+            continue
+        lo, hi = reference_bracket(m, level, strict)
+        want = scalar_bisect(m, level, strict, lo, hi)
+        guesses = [lo, hi, math.nan, math.inf, -math.inf, lo - 1e6, hi + 1e6,
+                   want, math.nextafter(want, -math.inf), math.nextafter(want, math.inf)]
+        for guess in guesses:
+            assert m._bisect_monotone(level, strict, lo, hi, guess) == want, guess
+    # brackets whose midpoint is NaN decide nothing and return hi, as bisection does
+    m = MixtureDistribution([Gaussian(0.0, 1.0), Gaussian(1.0, 1.0)], [0.5, 0.5])
+    for lo, hi in ((math.nan, 1.0), (-math.inf, math.inf), (0.0, math.nan)):
+        want = scalar_bisect(m, 0.3, strict, lo, hi)
+        got = m._bisect_monotone(0.3, strict, lo, hi, 0.5)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def count_cdf_calls(m):
+    """Count the mixture's CDF calls: a one-element list that each call bumps."""
+    calls = [0]
+    cdf = m.cdf
+
+    def counted(y):
+        calls[0] += 1
+        return cdf(y)
+
+    m.cdf = counted
+    return calls
+
+
+def solve_calls(m, level, strict):
+    """CDF calls of one solve, and the most the budget allows: one call more
+    than a 7-level tree per call, ``floor(S / 7) + 1`` for S decided midpoints."""
+    calls = count_cdf_calls(m)
+    got = m.upper_quantile(level) if strict else m.quantile(level)
+    del m.cdf
+    want, steps = scalar_bisect_steps(m, level, strict, *reference_bracket(m, level, strict))
+    assert got == want
+    return calls[0], steps // 7 + 2
+
+
+def test_one_part_gaussian_proxy_quantile_takes_one_cdf_call():
+    # the vertex proxies of the shipped CVaR configs, at their level 0.1; the
+    # 7-level tree took 4 calls for the ~22 midpoints of (q - 1e-9, q)
+    for mean in (0.0, 0.1, -0.75, -1.5):
+        m = proxy_distribution([Gaussian(mean, 1.0), Gaussian(5.0, 1.0)], [7, 0], 7)
+        assert solve_calls(m, 0.1, False)[0] == 1
+    # at random levels the part's own quantile is mostly the root to the bit
+    r = rng(69)
+    calls = [solve_calls(MixtureDistribution([random_component(r, ["gaussian"])], [1.0]),
+                         float(r.uniform(0.001, 0.999)), False)[0] for _ in range(200)]
+    assert np.mean(calls) <= 1.25  # measured 1.165 here; the 7-level tree took 4
+
+
+@pytest.mark.parametrize("kinds,mean_cap", [(["gaussian"], 5.0),
+                                            (["gaussian", "table", "empirical"], 9.05)],
+                         ids=["gaussian", "mixed"])
+def test_guided_bisection_call_budget(kinds, mean_cap):
+    # the corpus of test_block_bisection_is_bit_identical_to_scalar_bisection;
+    # the 7-level tree took 7.52 (gaussian) and 9.05 (mixed) calls per solve,
+    # the guided walk 4.47 and 4.52
+    r = rng(63)
+    calls = []
+    for _ in range(100):
+        m = random_mixture(r, kinds)
+        if not m.has_smooth_part:
+            continue
+        for level in r.uniform(0.0, 1.0, size=4):
+            for strict in (False, True):
+                n, budget = solve_calls(m, float(level), strict)
+                assert n <= budget
+                calls.append(n)
+    assert np.mean(calls) <= mean_cap
+
+
+def test_guided_bisection_call_budget_on_atoms_extreme_levels_and_the_cap():
+    solves = [(m, level, strict) for m, level in guided_corpus(65) for strict in (False, True)]
+    solves += [(step_cap_mixture(), 0.7, False)]
+    for m, level, strict in solves:
+        n, budget = solve_calls(m, level, strict)
+        assert n <= budget
 
 
 @pytest.mark.parametrize(
