@@ -343,8 +343,19 @@ def galois_check(dists, n_points: int = 400, seed: int = 0) -> CheckResult:
     return CheckResult("galois-connection", True, f"{n_points} points per distribution")
 
 
+def _bernoulli_kl(p: float, q: float) -> float:
+    """``KL(Bernoulli(p) || Bernoulli(q))`` for ``0 <= q < p <= 1``."""
+    if q == 0.0:
+        return math.inf
+    kl = p * math.log(p / q)
+    return kl if p == 1.0 else kl + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
+
+
 def dkw_grid_check(dist, pairs, reps: int = 10_000, seed: int = 0, slack: float = 1.2) -> CheckResult:
     """Empirical sup-distance exceedance stays within slack x the bound.
+
+    A rate above ``cap = min(1, slack x bound)`` FAILs only if it is also
+    improbable under the cap: ``reps KL(emp || cap) > log 1e4`` (Chernoff).
 
     Every pair draws from the same stream, so the pairs of one horizon share
     its sup distances: they are computed once per distinct t, at the first
@@ -364,7 +375,7 @@ def dkw_grid_check(dist, pairs, reps: int = 10_000, seed: int = 0, slack: float 
             emp = float(np.mean(sups[t] >= x))
         bound = 2.0 * math.exp(-2.0 * t * x * x)
         cap = min(1.0, slack * bound)
-        if emp > cap:
+        if emp > cap and reps * _bernoulli_kl(emp, cap) > math.log(1e4):
             return CheckResult(
                 "dkw-concentration",
                 False,

@@ -20,15 +20,15 @@ learner scores an arm after each pull without re-reading its sample.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from heapq import heappush, heappushpop, heapreplace
 from itertools import combinations_with_replacement
 from numbers import Real
 
 import numpy as np
 
-from .dist import EmpiricalDistribution, MixtureDistribution, RewardDistribution, _quantile_rank
+from .dist import EmpiricalDistribution, MixtureDistribution, RewardDistribution
 from .errors import CriterionDomainError, DomainError, UnsupportedOperationError
 from .norms import SemiNormFunctional, norm_distance, norm_value, seminorm_value
 
@@ -217,15 +217,15 @@ class _SortedSample(EmpiricalDistribution):
 
     def push(self, x: float) -> None:
         n = self.t
-        if n == len(self._data):
-            grown = np.empty(2 * n, dtype=float)
-            grown[:n] = self._data
-            self._data = grown
-        i = int(np.searchsorted(self._data[:n], x))
-        self._data[i + 1 : n + 1] = self._data[i:n]
-        self._data[i] = x
+        i = int(self.samples.searchsorted(x))
+        data = self._data
+        if n == len(data):
+            data = self._data = np.empty(2 * n, dtype=float)
+            data[:n] = self.samples
+        data[i + 1 : n + 1] = data[i:n]
+        data[i] = x
         self.t = n + 1
-        self.samples = self._data[: n + 1]
+        self.samples = data[: n + 1]
 
 
 class _LowerOrderStatistics:
@@ -234,6 +234,8 @@ class _LowerOrderStatistics:
     A max-heap holds them, with their compensated sum; a min-heap holds the
     rest.  O(log t) per push.  Answers the empirical alpha-quantile and the
     CDF integral below it, the two calls the VaR and CVaR criteria make.
+    The rank ``dist._quantile_rank`` rises by at most one per push (alpha <
+    1): to 1 at the first, then whenever ``alpha t - 1e-9`` passes it.
     """
 
     __slots__ = ("alpha", "t", "_low", "_high", "_sum", "_err")
@@ -241,29 +243,29 @@ class _LowerOrderStatistics:
     def __init__(self, alpha: float):
         self.alpha = alpha
         self.t = 0
-        self._low = []   # negated lowest k rewards
+        self._low = []   # negated lowest k rewards; k is their count
         self._high = []
         self._sum = 0.0
         self._err = 0.0
 
     def push(self, x: float) -> None:
-        self.t += 1
-        k = _quantile_rank(self.alpha, self.t)  # grows by at most one per push
+        t = self.t = self.t + 1
         low = self._low
+        grow = not low or self.alpha * t - 1e-9 > len(low)
         if low and x < -low[0]:
-            if len(low) == k:  # x displaces the largest of the low part
-                y = -heapq.heapreplace(low, -x)
-                heapq.heappush(self._high, y)
+            if grow:
+                heappush(low, -x)
+            else:  # x displaces the largest of the low part
+                y = -heapreplace(low, -x)
+                heappush(self._high, y)
                 self._sum, self._err = _neumaier_add(self._sum, self._err, -y)
-            else:
-                heapq.heappush(low, -x)
-            self._sum, self._err = _neumaier_add(self._sum, self._err, x)
-        elif len(low) < k:
-            y = heapq.heappushpop(self._high, x)
-            heapq.heappush(low, -y)
-            self._sum, self._err = _neumaier_add(self._sum, self._err, y)
+        elif grow:
+            x = heappushpop(self._high, x)
+            heappush(low, -x)
         else:
-            heapq.heappush(self._high, x)
+            heappush(self._high, x)
+            return
+        self._sum, self._err = _neumaier_add(self._sum, self._err, x)  # x joined the low part
 
     def quantile(self, alpha: float) -> float:
         if alpha != self.alpha:
@@ -296,7 +298,10 @@ class _RunningSums:
     def push(self, x: float) -> None:
         self.t += 1
         for integrand, param, acc in self._terms:
-            acc[0], acc[1] = _neumaier_add(acc[0], acc[1], integrand(x, param))
+            v = integrand(x, param)  # one _neumaier_add step, inlined
+            s = acc[0]
+            acc[0] = total = s + v
+            acc[1] += (s - total) + v if abs(s) >= abs(v) else (v - total) + s
 
     def _value(self, kind: str, param: float = 0.0) -> float:
         acc = self._sums.get((kind, param))

@@ -780,11 +780,16 @@ class MixtureDistribution(RewardDistribution):
         return out if out.ndim else float(out)
 
     def _merged_piecewise(self):
-        """The mixture as one knot table, or None with a smooth part."""
+        """The mixture as one knot table, or None with a smooth part.  A
+        lone knot-table part, of weight exactly 1, is its own table."""
         if self._merged is None and not self.has_smooth_part:
-            knots = self.breakpoints()
-            fl = self._evaluate(knots, True)
-            self._merged = PiecewiseLinearCDF(knots, fl, self._evaluate(knots, False))
+            part = self._parts[0][1]
+            if len(self._parts) == 1 and isinstance(part, PiecewiseLinearCDF):
+                self._merged = part
+            else:
+                knots = self.breakpoints()
+                fl = self._evaluate(knots, True)
+                self._merged = PiecewiseLinearCDF(knots, fl, self._evaluate(knots, False))
         return self._merged
 
     def cdf(self, y):

@@ -116,32 +116,38 @@ class _UcbSession(PolicyState):
     def __init__(self, k, criterion, certificate, ucb_alpha):
         super().__init__(k)
         self.criterion = criterion
-        self.certificate = certificate
         self.ucb_alpha = ucb_alpha
         self._summaries = [criterion.accumulator() for _ in range(k)]
         self._values = [0.0] * k
         self._stale = []  # arms updated since their last score
+        # phi_inv's constants: the radius at n pulls is 2b max(z^(1/2), z^(q/2))
+        # with z = ucb_alpha log(t + 1) / n / a, the same floats phi_inv gives
+        self._radius = (certificate.a, 2.0 * certificate.b, certificate.q / 2.0)
 
     def _observe(self, arm, reward):
         self._summaries[arm].push(reward)
         self._stale.append(arm)
 
     def select(self) -> int:
+        values = self._values
         for i in self._stale:
             try:
-                self._values[i] = self.criterion.evaluate(self._summaries[i])
+                values[i] = self.criterion.evaluate(self._summaries[i])
             except Exception as exc:
                 add_context(exc, f"criterion failed on arm {i}")
                 raise
         self._stale.clear()
-        if self.t < self.k:
-            return self.t  # one initialization pull per arm
-        cert, alpha = self.certificate, self.ucb_alpha
-        log_t = math.log(self.t + 1)
+        t = self.t
+        if t < self.k:
+            return t  # one initialization pull per arm
+        a, two_b, half_q = self._radius
+        x = self.ucb_alpha * math.log(t + 1)
         best_arm = 0
         best_index = -math.inf
         for i, n in enumerate(self.pull_counts):
-            index = self._values[i] + phi_inv(cert, alpha * log_t / n)
+            z = x / n / a
+            root, power = z**0.5, z**half_q
+            index = values[i] + two_b * (power if power > root else root)
             if index > best_index:
                 best_index = index
                 best_arm = i

@@ -156,14 +156,16 @@ def _play_closed_loop(arms, policy, criterion, checkpoints, arm_rngs):
     tau = np.zeros((len(checkpoints), k), dtype=np.int64)
     draws = [np.empty(0) for _ in range(k)]
     counts = session.pull_counts
+    select, update = session.select, session.update
     for idx, c in enumerate(checkpoints):
-        while session.t < c:
-            arm = session.select()
+        for _ in range(session.t, c):  # each update is one step
+            arm = select()
             n = counts[arm]
-            if n == len(draws[arm]):
+            d = draws[arm]
+            if n == len(d):
                 block = arms[arm].sample(arm_rngs[arm], max(n, 64))
-                draws[arm] = np.concatenate([draws[arm], block])
-            session.update(arm, draws[arm].item(n))
+                d = draws[arm] = np.concatenate([d, block])
+            update(arm, d.item(n))
         tau[idx] = counts
     return tau, draws
 

@@ -115,6 +115,31 @@ def test_dkw_grid_check_trivial_and_failing():
     assert not bad.passed
 
 
+# the `check` command's default dkw_grid (its default dkw_reps is 2000)
+_DEFAULT_DKW_GRID = [(25, 0.2), (100, 0.1), (100, 0.14), (400, 0.05), (400, 0.07)]
+
+
+def test_dkw_grid_check_passes_where_the_bound_is_nearly_tight():
+    # at t=400, x=0.07 and t=100, x=0.14 the bound is nearly tight: on these
+    # seeds 2000 replications put the exceedance above 1.2x the bound (0.055
+    # against 0.0476 on seed 170), which is not improbable under that cap
+    for seed in (170, 227, 247, 252):
+        res = checklib.dkw_grid_check(Gaussian(0, 1), _DEFAULT_DKW_GRID, reps=2000, seed=seed)
+        assert res.passed, (seed, res.detail)
+
+
+class _ShiftedSampler(Gaussian):
+    """Draws from N(mean + stddev / 10, stddev) but reports the CDF of N(mean, stddev)."""
+
+    def _sample(self, rng, n):
+        return rng.normal(self.mean_value + 0.1 * self.stddev, self.stddev, size=n)
+
+
+def test_dkw_grid_check_fails_a_sampler_shifted_from_its_cdf():
+    res = checklib.dkw_grid_check(_ShiftedSampler(0, 1), _DEFAULT_DKW_GRID, reps=10_000, seed=0)
+    assert not res.passed, res.detail
+
+
 def test_galois_check_runs_on_catalog():
     res = checklib.galois_check([Gaussian(0, 1), bad1_arm_wide()], n_points=50, seed=1)
     assert res.passed

@@ -34,6 +34,7 @@ from riskbandits.dist import (
     PointMass,
     TwoPoint,
     Uniform,
+    _quantile_rank,
 )
 from riskbandits.errors import CriterionDomainError, DomainError, UnsupportedOperationError
 
@@ -583,6 +584,20 @@ def test_order_statistic_accumulator_answers_only_its_own_level():
         acc.quantile(0.5)
     with pytest.raises(UnsupportedOperationError):
         acc.cdf_integral_below(1.0)
+
+
+@pytest.mark.parametrize("alpha", [1e-10, 1e-3, 0.1, 1 / 3, 0.5, 0.9, 1 - 1e-9])
+def test_order_statistic_rank_steps_to_the_recomputed_rank(alpha):
+    # the accumulator steps its rank k (the size of its low part) by at most
+    # one per push; at every t it must be the rank the empirical quantile uses
+    acc = VaRCriterion(alpha).accumulator()
+    rewards = rng(5).random(200_000).tolist()
+    bad = []
+    for t, x in enumerate(rewards, start=1):
+        acc.push(x)
+        if len(acc._low) != _quantile_rank(alpha, t):
+            bad.append(t)
+    assert not bad, f"first wrong rank at t={bad[0]} ({len(bad)} in all)"
 
 
 def test_running_sums_refuse_an_overflowing_exp_moment_like_the_full_sample():

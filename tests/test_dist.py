@@ -1041,6 +1041,43 @@ def test_knot_table_mixture_merges_as_the_component_loop():
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
+_ONE_PART_TABLES = {
+    "point-mass": PointMass(0.8),
+    "uniform": Uniform(-1.0, 2.0),
+    "two-point": TwoPoint(0.3, -2.0, 1.0),
+    "two-point-certain": TwoPoint(1.0, 0.0, 1.0),
+    "var-flat-rate": PiecewiseLinearCDF.from_pairs([(0, 0.0), (1, 0.3), (2, 0.3), (3, 1.0)]),
+    "bad1-wide": bad1_arm_wide(),
+    "bad2-step": bad2_arm_step(),
+    "jumps-and-slopes": PiecewiseLinearCDF.from_pairs(
+        [(-1, 0.0), (-1, 0.2), (0.5, 0.35), (0.5, 0.6), (0.7, 0.6), (2, 0.9), (2, 1.0)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_ONE_PART_TABLES))
+def test_one_part_knot_table_mixture_is_its_own_merged_table(name):
+    # the merge over a lone part's knots rebuilds the part's own arrays, so
+    # the mixture answers with the part itself, zero-weight parts or not
+    part = _ONE_PART_TABLES[name]
+    levels = np.concatenate([np.linspace(0.0, 1.0, 201), [0.1, 0.3, 0.35, 0.6, 0.7, 0.9]])
+    for m in (
+        MixtureDistribution([part], [1.0]),
+        MixtureDistribution([Gaussian(0, 1), part, PointMass(9.0)], [0.0, 1.0, 0.0]),
+    ):
+        knots = m.breakpoints()
+        rebuilt = PiecewiseLinearCDF(knots, m._evaluate(knots, True), m._evaluate(knots, False))
+        got = m._merged_piecewise()
+        assert got is part
+        for attr in ("ys", "fl", "fr", "_interp_ys", "_interp_fs"):
+            assert getattr(got, attr).tobytes() == getattr(rebuilt, attr).tobytes(), attr
+        for c in levels:
+            assert m.upper_quantile(c) == rebuilt.upper_quantile(c)
+            if 0.0 < c < 1.0:
+                assert m.quantile(c) == rebuilt.quantile(c)
+                assert m.level_set(c) == rebuilt.level_set(c)
+
+
 # ---------------------------------------------------------------------------
 # Level sets and structure
 # ---------------------------------------------------------------------------

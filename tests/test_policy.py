@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -16,8 +17,11 @@ from riskbandits.criteria import (
     SortinoCriterion,
     StabilityCertificate,
     VaRCriterion,
+    _LowerOrderStatistics,
+    _neumaier_add,
+    _RunningSums,
 )
-from riskbandits.dist import EmpiricalDistribution, Gaussian, PointMass, TwoPoint
+from riskbandits.dist import EmpiricalDistribution, Gaussian, PointMass, TwoPoint, _quantile_rank
 from riskbandits.errors import CriterionDomainError, DomainError, add_context
 from riskbandits.policy import (
     Bad1OraclePolicy,
@@ -433,3 +437,110 @@ def test_ucb_session_matches_functional_rule_over_seeds(crit, arms):
                 index = _indices(st, crit, ucb)
                 assert index[got] == pytest.approx(index[want], rel=1e-12, abs=0.0)
             _feed([(got, float(streams[got][st.pull_counts[got]]))], st, session)
+
+
+# ---------------------------------------------------------------------------
+# Step oracle: the optimism session and the summaries as first written, with
+# phi_inv called per arm, the rank recomputed and the sums added by call
+# ---------------------------------------------------------------------------
+
+
+class _OracleLowerOrderStatistics(_LowerOrderStatistics):
+    def push(self, x):
+        self.t += 1
+        k = _quantile_rank(self.alpha, self.t)
+        low = self._low
+        if low and x < -low[0]:
+            if len(low) == k:
+                y = -heapq.heapreplace(low, -x)
+                heapq.heappush(self._high, y)
+                self._sum, self._err = _neumaier_add(self._sum, self._err, -y)
+            else:
+                heapq.heappush(low, -x)
+            self._sum, self._err = _neumaier_add(self._sum, self._err, x)
+        elif len(low) < k:
+            y = heapq.heappushpop(self._high, x)
+            heapq.heappush(low, -y)
+            self._sum, self._err = _neumaier_add(self._sum, self._err, y)
+        else:
+            heapq.heappush(self._high, x)
+
+
+class _OracleRunningSums(_RunningSums):
+    def push(self, x):
+        self.t += 1
+        for integrand, param, acc in self._terms:
+            acc[0], acc[1] = _neumaier_add(acc[0], acc[1], integrand(x, param))
+
+
+def _oracle_accumulator(criterion):
+    summary = criterion.accumulator()
+    if type(summary) is _LowerOrderStatistics:
+        return _OracleLowerOrderStatistics(criterion.alpha)
+    if type(summary) is _RunningSums:
+        return _OracleRunningSums(criterion.functionals)
+    return summary
+
+
+class _OracleUcbSession(PolicyState):
+    def __init__(self, k, criterion, certificate, ucb_alpha):
+        super().__init__(k)
+        self.criterion = criterion
+        self.certificate = certificate
+        self.ucb_alpha = ucb_alpha
+        self._summaries = [_oracle_accumulator(criterion) for _ in range(k)]
+        self._values = [0.0] * k
+        self._stale = []
+
+    def _observe(self, arm, reward):
+        self._summaries[arm].push(reward)
+        self._stale.append(arm)
+
+    def select(self):
+        for i in self._stale:
+            self._values[i] = self.criterion.evaluate(self._summaries[i])
+        self._stale.clear()
+        if self.t < self.k:
+            return self.t
+        cert, alpha = self.certificate, self.ucb_alpha
+        log_t = math.log(self.t + 1)
+        best_arm = 0
+        best_index = -math.inf
+        for i, n in enumerate(self.pull_counts):
+            index = self._values[i] + phi_inv(cert, alpha * log_t / n)
+            if index > best_index:
+                best_index = index
+                best_arm = i
+        return best_arm
+
+
+def _play_against_oracle(ucb, crit, streams, steps):
+    """Play the session and the oracle on the same rewards; both must pick
+    the same arm and hold the same arm scores, to the bit, at every step."""
+    session = ucb.start(len(streams), crit)
+    oracle = _OracleUcbSession(len(streams), crit, ucb.certificate, ucb.ucb_alpha)
+    for _ in range(steps):
+        arm = session.select()
+        assert oracle.select() == arm
+        assert np.array(session._values).tobytes() == np.array(oracle._values).tobytes()
+        _feed([(arm, float(streams[arm][session.pull_counts[arm]]))], session, oracle)
+    return session
+
+
+@pytest.mark.parametrize("arms", list(_SESSION_ARMS))
+@pytest.mark.parametrize("crit", _SESSION_CRITERIA, ids=lambda c: c.tag)
+def test_ucb_session_is_bit_identical_to_the_step_oracle(crit, arms):
+    arm_set = _SESSION_ARMS[arms]
+    ucb = UcbPolicy(StabilityCertificate(0.77, 0.6, 2.0), 3.0)
+    for seed in range(20):
+        streams = [d.sample(rng(1000 * seed + i), 120) for i, d in enumerate(arm_set)]
+        _play_against_oracle(ucb, crit, streams, 120)
+
+
+def test_ucb_session_is_bit_identical_to_the_step_oracle_on_a_long_cvar_episode():
+    # the arms and certificate of the pull-bound acceptance test, T = 1e4
+    arm_set = [Gaussian(0.0, 1.0), Gaussian(-0.75, 1.0), Gaussian(-1.5, 1.0)]
+    ucb = UcbPolicy(StabilityCertificate(2.0, 0.45, 2.0), 3.0)
+    streams = [d.sample(rng(31 + i), 10_000) for i, d in enumerate(arm_set)]
+    session = _play_against_oracle(ucb, CVaRCriterion(0.1), streams, 10_000)
+    assert min(session.pull_counts) < 1000 < max(session.pull_counts)
