@@ -31,10 +31,12 @@ from .oracle import (
 )
 from .policy import SimplePolicy
 from .sim import (
+    cut_episode,
     estimate_horizon_gap,
     estimate_performance,
     estimate_proxy_regret,
     estimate_reference_regret,
+    geometric_checkpoints,
     run_replications,
     write_csv,
     write_report_csv,
@@ -161,19 +163,29 @@ def cmd_simulate(
     want = set(cfg.estimators)
     if "reference-regret" in want:
         ref_label, ref_policy = _reference_policy(cfg)
+    # each horizon's rows end at that horizon (the default: the doubling grid)
+    grids = {
+        horizon: geometric_checkpoints(len(cfg.arms), horizon) if cfg.checkpoints is None
+        else tuple(sorted({*cfg.checkpoints, horizon}))
+        for horizon in cfg.horizons
+    }
+    longest, union = max(cfg.horizons), sorted(set().union(*grids.values()))
+    played = []  # (policy, episodes): each distinct policy plays once, to the longest horizon
+
+    def episodes_of(policy, horizon):
+        full = next((e for p, e in played if p == policy), None)
+        if full is None:
+            full = run_replications(
+                cfg.arms, policy, cfg.criterion, longest, reps, cfg.seed, union, parallel,
+            )
+            played.append((policy, full))
+        return [cut_episode(e, horizon, grids[horizon]) for e in full]
+
     for horizon in cfg.horizons:
-        # each horizon's rows end at that horizon (None: the default doubling)
-        checkpoints = None if cfg.checkpoints is None else sorted({*cfg.checkpoints, horizon})
         if "reference-regret" in want:
-            ref_episodes = run_replications(
-                cfg.arms, ref_policy, cfg.criterion, horizon, reps,
-                cfg.seed, checkpoints, parallel,
-            )
+            ref_episodes = episodes_of(ref_policy, horizon)
         for label, policy in cfg.policies:
-            episodes = run_replications(
-                cfg.arms, policy, cfg.criterion, horizon, reps,
-                cfg.seed, checkpoints, parallel,
-            )
+            episodes = episodes_of(policy, horizon)
             rows = []
             if "performance" in want:
                 rows += estimate_performance(episodes)

@@ -302,6 +302,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     horizons = _numbers(raw.get("horizons", []), "horizons", integer=True)
     if any(h < k for h in horizons):
         raise ConfigError(f"every horizon must be >= the arm count {k}, got {horizons}")
+    if len(set(horizons)) < len(horizons):
+        raise ConfigError(f"horizons must not repeat, got {horizons}")
     checkpoints = raw.get("checkpoints")
     if checkpoints is not None:
         checkpoints = _numbers(checkpoints, "checkpoints", integer=True) or None
@@ -363,7 +365,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            # libyaml's parser where built: the same safe constructor and resolver
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as exc:
             raise ConfigError(f"could not parse {path}: {exc}") from exc
     return parse_config(raw)

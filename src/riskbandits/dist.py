@@ -127,7 +127,13 @@ class RewardDistribution:
     # -- sampling --------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n i.i.d. draws; deterministic given the generator state."""
+        """n i.i.d. draws; deterministic given the generator state.
+
+        Every kind but ``MixtureDistribution`` (which draws its labels
+        first) is prefix-stable: the first m of n draws are the m draws from
+        the same state.  The closed loop's block refills and ``simulate``'s
+        shorter horizons, cut from the longest run, rest on it.
+        """
         if n < 1:
             raise DomainError(f"sample size must be >= 1, got {n}")
         return self._sample(rng, n)

@@ -2,7 +2,8 @@
 confidence radii, and the hand-built oracle schedules for the pathological
 demonstration criteria.
 
-A ``Policy`` is an immutable configuration.  Open-loop policies (stationary
+A ``Policy`` is an immutable configuration, and equal configurations play
+equal episodes on equal streams.  Open-loop policies (stationary
 play, the Bad2 schedule) ignore rewards, so ``pull_counts`` hands over the
 pull counts at every checkpoint in one call.  Closed-loop policies (optimism,
 the Bad1 schedule) return ``None`` there; their ``start`` produces a
@@ -183,6 +184,12 @@ class SimplePolicy(Policy):
         self.p = p / float(np.sum(p))
         self.p.setflags(write=False)
 
+    def __eq__(self, other):
+        # equal weights play equal episodes; dataclass equality fails on arrays
+        if not isinstance(other, SimplePolicy):
+            return NotImplemented
+        return np.array_equal(self.p, other.p)
+
     def pull_counts(self, k, checkpoints, rng):
         """Cumulative counts of one categorical draw per step; a vertex
         (``p[j] == 1.0``) draws nothing, as every draw would give arm j."""
@@ -216,6 +223,7 @@ class _Bad1OracleSession(PolicyState):
         return 1 if worst_case >= self.LEVEL else 0
 
 
+@dataclass(frozen=True)
 class Bad1OraclePolicy(Policy):
     """Non-stationary oracle schedule for the two-quantile-sum criterion.
 
@@ -229,6 +237,7 @@ class Bad1OraclePolicy(Policy):
         return _Bad1OracleSession()
 
 
+@dataclass(frozen=True)
 class Bad2OraclePolicy(Policy):
     """Pull arm 1 once, then arm 2 forever (the trivial optimal schedule)."""
 

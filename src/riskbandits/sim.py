@@ -35,6 +35,7 @@ __all__ = [
     "geometric_checkpoints",
     "run_episode",
     "run_replications",
+    "cut_episode",
     "estimate_performance",
     "estimate_proxy_regret",
     "estimate_horizon_gap",
@@ -207,6 +208,17 @@ def run_replications(
             episodes = list(pool.map(_run_one, jobs, chunksize=max(1, reps // (4 * workers))))
     episodes.sort(key=lambda e: e.rep)
     return episodes
+
+
+def cut_episode(episode: Episode, horizon: int, checkpoints) -> Episode:
+    """The episode's rows at ``checkpoints`` (each one of its own) as an
+    episode of ``horizon``: a row at t depends only on the first t steps, so
+    these are the rows of the same replication played to ``horizon``."""
+    rows = [episode.checkpoints.index(c) for c in checkpoints]
+    return Episode(
+        episode.seed, episode.rep, horizon, tuple(checkpoints), episode.tau[rows],
+        episode.pooled_values[rows], episode.proxy_values[rows], episode.flagged[rows],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from riskbandits import checks, criteria, norms
+from riskbandits import checks, cli, criteria, norms, sim
 from riskbandits.cli import main
-from riskbandits.config import load_config, parse_config, parse_distribution
+from riskbandits.config import _file_stem, load_config, parse_config, parse_distribution
 from riskbandits.errors import ConfigError
 from riskbandits.policy import Bad1OraclePolicy, SimplePolicy, UcbPolicy
 from riskbandits.sim import read_report_csv
@@ -170,6 +170,25 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert main(["eval", "--config", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
     assert main(["eval", "--config", str(tmp_path / "missing.yaml")]) == 1
+
+
+@pytest.mark.parametrize(
+    "config",
+    sorted(CONFIG_DIR.glob("*.yaml")) + [CONFIG_DIR.parent / "perfbench" / "close_gaussians.yaml"],
+    ids=lambda p: p.stem,
+)
+def test_libyaml_and_python_loaders_read_the_same_document(config):
+    text = config.read_text(encoding="utf-8")
+    fast = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    slow = yaml.load(text, Loader=yaml.SafeLoader)
+    assert fast == slow and repr(fast) == repr(slow)
+
+
+def test_malformed_yaml_exits_1_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("version: 1\narms: [{kind: gaussian, mean: 0\n")
+    assert main(["eval", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: could not parse {path}:")
 
 
 def test_oracle_command(tmp_path, capsys):
@@ -360,6 +379,114 @@ def test_simulate_resolves_each_policy_once_for_all_horizons(tmp_path, monkeypat
     assert main(["simulate", "--config", _write(tmp_path, doc), "--out", str(tmp_path)]) == 0
     assert len(list(tmp_path.glob("simulate_*.csv"))) == 6
     assert sorted(kinds) == ["SimplePolicy", "SimplePolicy", "UcbPolicy"]
+
+
+def _oracle_simulate(cfg, out_dir, reps, parallel):
+    """The per-(policy, horizon) loop that played every episode afresh at
+    each horizon, the reference first: the oracle of the shared episodes."""
+    p_star_value = cli._stationary_optimum(cfg)
+    want = set(cfg.estimators)
+    if "reference-regret" in want:
+        ref_label, ref_policy = cli._reference_policy(cfg)
+    for horizon in cfg.horizons:
+        checkpoints = None if cfg.checkpoints is None else sorted({*cfg.checkpoints, horizon})
+        if "reference-regret" in want:
+            ref_episodes = sim.run_replications(
+                cfg.arms, ref_policy, cfg.criterion, horizon, reps, cfg.seed, checkpoints, parallel
+            )
+        for label, policy in cfg.policies:
+            episodes = sim.run_replications(
+                cfg.arms, policy, cfg.criterion, horizon, reps, cfg.seed, checkpoints, parallel
+            )
+            rows = []
+            if "performance" in want:
+                rows += sim.estimate_performance(episodes)
+            if "proxy-regret" in want and p_star_value is not None:
+                rows += sim.estimate_proxy_regret(episodes, p_star_value)
+            if "horizon-gap" in want and reps >= 2:
+                rows += sim.estimate_horizon_gap(episodes)
+            if "reference-regret" in want:
+                rows += sim.estimate_reference_regret(episodes, ref_episodes)
+            meta = cli._base_meta(cfg)
+            meta.update({"policy": label, "horizon": horizon, "replications": reps})
+            if "reference-regret" in want:
+                meta["reference"] = ref_label
+            if p_star_value is not None:
+                meta["stationary-optimum"] = repr(float(p_star_value))
+            path = out_dir / f"simulate_{_file_stem(label)}_T{horizon}.csv"
+            sim.write_report_csv(path, meta, rows)
+            print(f"wrote {path} ({len(rows)} rows)")
+
+
+_BAD1_ARMS = [
+    {"kind": "piecewise-linear-cdf", "knots": [[0, 0.0], [1, 0.1], [5, 0.1], [50, 1.0]]},
+    {"kind": "point-mass", "value": 5.0},
+]
+
+# (config patch, distinct policies among the records and the reference)
+_SHARED_CASES = {
+    "ucb-reference-equal": (
+        {"policies": [{"kind": "ucb"}, {"kind": "simple", "p": [0.5, 0.5]},
+                      {"kind": "simple", "p": [0.0, 1.0]}]},
+        3,
+    ),
+    "ucb-reference-new": (
+        {"policies": [{"kind": "ucb"}, {"kind": "simple", "p": [0.0, 1.0]}],
+         "reference": {"kind": "simple", "p": [0.3, 0.7]}},
+        3,
+    ),
+    "bad1-reference-equal": (
+        {"arms": _BAD1_ARMS, "criterion": {"kind": "bad1"}, "grid_resolution": 0.25,
+         "policies": [{"kind": "bad1-oracle"}, {"kind": "simple", "p": [0.5, 0.5]}],
+         "reference": {"kind": "bad1-oracle", "label": "schedule"}},
+        2,
+    ),
+    "bad1-reference-new": (
+        {"arms": _BAD1_ARMS, "criterion": {"kind": "bad1"},
+         "policies": [{"kind": "bad1-oracle"}, {"kind": "simple", "p": [0.5, 0.5]}],
+         "reference": {"kind": "bad2-oracle"}},
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "horizons,parallel",
+    [([64, 16, 40], 1), ([64, 16, 40], 2), ([40, 64, 16], 1)],
+    ids=["longest-first-serial", "longest-first-parallel", "longest-second-serial"],
+)
+@pytest.mark.parametrize("checkpoints", [None, [2, 10]], ids=["doubling", "configured"])
+@pytest.mark.parametrize("case", list(_SHARED_CASES))
+def test_shared_episodes_write_the_per_horizon_loop_bytes(
+    tmp_path, capsys, monkeypatch, case, checkpoints, horizons, parallel
+):
+    # unsorted horizons off the doubling grid; every distinct policy plays
+    # once, and every CSV and stdout line is the per-horizon loop's
+    patch, distinct = _SHARED_CASES[case]
+    doc = {**_base_doc(), "horizons": horizons, "replications": 3, **patch}
+    if checkpoints is not None:
+        doc["checkpoints"] = checkpoints
+    path = _write(tmp_path, doc)
+    (tmp_path / "old").mkdir()
+    _oracle_simulate(load_config(path), tmp_path / "old", 3, parallel)
+    want_out = capsys.readouterr().out.replace(str(tmp_path / "old"), "DIR")
+    played = []
+
+    def counting(arms, policy, *args):
+        played.append(policy)
+        return sim.run_replications(arms, policy, *args)
+
+    monkeypatch.setattr(cli, "run_replications", counting)
+    argv = ["simulate", "--config", path, "--out", str(tmp_path / "new"), "--parallel", str(parallel)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.replace(str(tmp_path / "new"), "DIR") == want_out
+    assert len(played) == distinct
+    assert all(a != b for i, a in enumerate(played) for b in played[:i])
+    names = sorted(p.name for p in (tmp_path / "old").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "new").iterdir())
+    assert len(names) == 3 * len(doc["policies"])
+    for name in names:
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
 
 
 def test_simulate_rows_end_at_each_horizon_with_configured_checkpoints(tmp_path):
@@ -720,6 +847,7 @@ def test_negative_seed_flag_exits_1(tmp_path, capsys, command):
             {"horizons": [128, 64], "checkpoints": [2, 100]}, "must lie in [2, 64]",
             id="checkpoint-above-smallest-horizon",
         ),
+        pytest.param({"horizons": [200, 200]}, "horizons must not repeat", id="horizon-repeated"),
     ],
 )
 def test_horizon_below_arm_count_or_checkpoint_outside_horizon_exits_1_at_load(

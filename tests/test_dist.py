@@ -373,6 +373,28 @@ def test_seeded_draws_match_mask_oracle(d):
         assert_same_bits(d.sample(rng(9), n), mask_quantile_array(d, rng(9).random(n)))
 
 
+@pytest.mark.parametrize(
+    "d",
+    [
+        Gaussian(0.0, 1.0),
+        PointMass(5.0),
+        Uniform(-1.0, 2.0),
+        TwoPoint(0.3, -2.0, 1.0),
+        bad1_arm_wide(),
+        EmpiricalDistribution(np.linspace(-3, 3, 17)),
+    ],
+    ids=["gaussian", "point-mass", "uniform", "two-point", "knot-table", "empirical"],
+)
+def test_samplers_are_prefix_stable(d):
+    # sample(rng(s), m) == sample(rng(s), n)[:m] for every m <= n of the
+    # sizes: each size's draws are the prefix of the largest size's draws
+    sizes = (1, 63, 64, 1000, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 7)
+    for seed in (0, 9):
+        longest = d.sample(rng(seed), max(sizes))
+        for n in sizes:
+            assert_same_bits(d.sample(rng(seed), n), longest[:n])
+
+
 def test_knot_table_draws_hold_the_output_and_a_few_blocks():
     # 1e6 draws take 8 MB; the blocks add cache-sized temporaries only
     d = PiecewiseLinearCDF.from_pairs([(0, 0.0), (1, 0.3), (2, 0.3), (3, 1.0)])

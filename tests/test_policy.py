@@ -387,6 +387,20 @@ def test_oracle_schedules_need_two_arms():
         Bad2OraclePolicy().pull_counts(1, (1,), rng(0))
 
 
+def test_equal_configurations_compare_equal():
+    # simulate plays each distinct policy once, so equality is by value
+    cert = StabilityCertificate(0.77, 0.5, 2.0)
+    assert SimplePolicy([1, 0, 0]) == SimplePolicy(np.array([1.0, 0.0, 0.0]))
+    assert SimplePolicy([0.5, 0.5]) != SimplePolicy([0.4, 0.6])
+    assert SimplePolicy([1.0]) != SimplePolicy([1.0, 0.0])
+    assert Bad1OraclePolicy() == Bad1OraclePolicy() != Bad2OraclePolicy()
+    assert Bad2OraclePolicy() == Bad2OraclePolicy()
+    assert UcbPolicy(cert, 3.0) == UcbPolicy(StabilityCertificate(0.77, 0.5, 2.0), 3.0)
+    assert UcbPolicy(cert, 3.0) != UcbPolicy(cert, 4.0)
+    assert SimplePolicy([1.0, 0.0]) != Bad2OraclePolicy()
+    assert Bad2OraclePolicy() != SimplePolicy([1.0, 0.0])
+
+
 _SESSION_CRITERIA = [
     CVaRCriterion(0.1),
     VaRCriterion(0.2),

@@ -139,6 +139,30 @@ def test_engine_matches_step_loop(case):
                 assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
 
 
+@pytest.mark.parametrize("case", list(ENGINE_CASES))
+def test_cut_episode_is_the_episode_played_to_that_horizon(case):
+    # a row at t depends only on the first t steps: the longest run, cut down
+    # to a shorter horizon's grid, is that horizon's own episode
+    arms, policy, crit, horizon = ENGINE_CASES[case]
+    k, short = len(arms), horizon // 3 + 1  # off the long run's doubling grid
+    grids = [geometric_checkpoints(k, short), (k, 37, short), geometric_checkpoints(k, horizon)]
+    union = sorted(set().union(*grids))
+    for rep in (0, 1):
+        full = run_episode(arms, policy, crit, horizon, union, seed=6, rep=rep)
+        for grid in grids:
+            got = sim.cut_episode(full, grid[-1], grid)
+            want = run_episode(arms, policy, crit, grid[-1], grid, seed=6, rep=rep)
+            assert (got.seed, got.rep, got.horizon, got.checkpoints) == (
+                want.seed, want.rep, want.horizon, want.checkpoints
+            )
+            for a, b in zip(
+                (got.tau, got.pooled_values, got.proxy_values, got.flagged),
+                (want.tau, want.pooled_values, want.proxy_values, want.flagged),
+            ):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+
+
 def test_geometric_checkpoints():
     assert geometric_checkpoints(3, 2048) == (3, 6, 12, 24, 48, 96, 192, 384, 768, 1536, 2048)
     assert geometric_checkpoints(2, 2) == (2,)
