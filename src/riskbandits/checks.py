@@ -357,22 +357,20 @@ def dkw_grid_check(dist, pairs, reps: int = 10_000, seed: int = 0, slack: float 
     A rate above ``cap = min(1, slack x bound)`` FAILs only if it is also
     improbable under the cap: ``reps KL(emp || cap) > log 1e4`` (Chernoff).
 
-    Every pair draws from the same stream, so the pairs of one horizon share
-    its sup distances: they are computed once per distinct t, at the first
-    pair of that t with x > 0.  A pair with x <= 0 draws nothing: every
-    distance is at least 0, so its exceedance is 1.
+    The sup distances of every horizon with a pair x > 0 come from one
+    ``dkw_sup_distances`` pass over one stream, and each pair of a horizon
+    is scored on that horizon's distances.  A pair with x <= 0 needs no
+    draws: every distance is at least 0, so its exceedance is 1.
     """
     if reps < 100:
         raise DomainError(f"need at least 100 replications, got {reps}")
+    if not pairs:
+        raise DomainError("a concentration grid needs at least one (t, x) point")
+    drawn = [t for t, x in pairs if x > 0.0]
+    sups = dkw_sup_distances(dist, drawn, reps, seed) if drawn else {}
     worst = 0.0
-    sups = {}
     for t, x in pairs:
-        if x <= 0.0:
-            emp = 1.0
-        else:
-            if t not in sups:
-                sups[t] = dkw_sup_distances(dist, t, reps, seed)
-            emp = float(np.mean(sups[t] >= x))
+        emp = float(np.mean(sups[t] >= x)) if x > 0.0 else 1.0
         bound = 2.0 * math.exp(-2.0 * t * x * x)
         cap = min(1.0, slack * bound)
         if emp > cap and reps * _bernoulli_kl(emp, cap) > math.log(1e4):

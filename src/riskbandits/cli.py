@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -231,14 +232,18 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path | None) -> int:
         results.append(checklib.condition_c5(cfg.arms, alpha))
 
     results.append(checklib.convexity_check(cfg.criterion, cfg.arms, pairs, seed))
-    # the modulus suite validates the criterion's own certificate; radii
-    # overrides are policy-exploration knobs, not stability claims
+    # the modulus suite validates the criterion's own certificate and, on a
+    # line of its own, the config's override, which the UCB radii and the
+    # pull bounds are built on
     cert = cfg.criterion.stability_certificate(cfg.arms)
     if cert is not None:
         results.append(checklib.modulus_check(cfg.criterion, cfg.arms, cert, pairs, seed))
     radii = cert
     if cfg.certificate_overrides:
         radii = cfg.criterion.stability_certificate(cfg.arms, **cfg.certificate_overrides)
+        if radii is not None:
+            res = checklib.modulus_check(cfg.criterion, cfg.arms, radii, pairs, seed)
+            results.append(replace(res, name=f"modulus-override[{cfg.criterion.tag}]"))
     if radii is not None:
         results.append(checklib.phi_identity_check(radii))
     try:

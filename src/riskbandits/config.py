@@ -234,8 +234,8 @@ def _seed(value, name: str) -> int:
 
 def _parse_check_options(raw) -> dict:
     """The ``check:`` knobs: integers pairs >= 1, seed >= 0 and dkw_reps;
-    finite positive reals b_alpha, m_alpha and grid_step; dkw_grid, a list
-    of [t, x] points with t >= 1 and a finite x >= 0."""
+    finite positive reals b_alpha, m_alpha and grid_step; dkw_grid, a
+    non-empty list of [t, x] points with t >= 1 and a finite x >= 0."""
     if not isinstance(raw, dict):
         raise ConfigError(f"check options must be a mapping, got {raw!r}")
     opts = {}
@@ -251,6 +251,8 @@ def _parse_check_options(raw) -> dict:
         elif key == "dkw_grid":
             grid = _pairs(value, "check dkw_grid")
             opts[key] = [(_number(t, "check dkw_grid t", integer=True), x) for t, x in grid]
+            if not opts[key]:
+                raise ConfigError("check dkw_grid needs at least one [t, x] point, got []")
             if not all(t >= 1 and math.isfinite(x) and x >= 0 for t, x in opts[key]):
                 raise ConfigError(f"check dkw_grid needs t >= 1 and finite x >= 0, got {value!r}")
         else:

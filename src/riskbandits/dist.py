@@ -129,10 +129,19 @@ class RewardDistribution:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n i.i.d. draws; deterministic given the generator state.
 
-        Every kind but ``MixtureDistribution`` (which draws its labels
-        first) is prefix-stable: the first m of n draws are the m draws from
-        the same state.  The closed loop's block refills and ``simulate``'s
-        shorter horizons, cut from the longest run, rest on it.
+        Two contracts, kept by every kind but ``MixtureDistribution``,
+        which draws all its labels first:
+
+        - prefix-stable: the first m of n draws are the m draws from the
+          same state.  ``simulate``'s shorter horizons, cut from the longest
+          run, and the shorter horizons of ``sim.dkw_sup_distances`` rest
+          on it.
+        - block-invariant: draws of m then of n - m are the n draws from
+          the same state.  The closed loop's block refills and the blocks
+          of ``sim.dkw_sup_distances`` rest on it.  ``EmpiricalDistribution``
+          keeps it because the default generator (PCG64) holds the spare
+          half of a 64-bit word, which its bounded integers use, in its own
+          state.
         """
         if n < 1:
             raise DomainError(f"sample size must be >= 1, got {n}")

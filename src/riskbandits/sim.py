@@ -306,44 +306,76 @@ def estimate_reference_regret(episodes, reference_episodes) -> list[EstimateRow]
 # ---------------------------------------------------------------------------
 
 
-#: Draws scored per block of rows in ``dkw_sup_distances``: the CDF values,
-#: left limits and grid differences of one block are temporaries of this size.
+#: Draws per block of ``dkw_sup_distances``: whole rows of the largest
+#: horizon (one row if that horizon is longer), so the block, each shorter
+#: horizon's copy of it and the CDF values scored from it are of this size.
 _DKW_BLOCK_DRAWS = 1 << 16
 
 
-def dkw_sup_distances(dist, t: int, reps: int, seed: int = 0) -> np.ndarray:
-    """``sup |F_hat_t - F|`` of each of ``reps`` samples of size ``t``.
+def dkw_sup_distances(dist, horizons, reps: int, seed: int = 0) -> dict[int, np.ndarray]:
+    """``{t: sup |F_hat_t - F| of each of reps samples of size t}`` for every
+    distinct t in ``horizons``, in one pass over one stream.
+
+    Replication r of horizon t is draws ``r t, ..., (r + 1) t - 1`` of stream
+    ``SeedSequence(seed, spawn_key=(0,))``, so every horizon reads a prefix
+    of the largest one's ``reps * max(t)`` draws.  The pass draws them in
+    blocks of whole rows of the largest horizon, about ``_DKW_BLOCK_DRAWS``
+    draws each, with one ``sample`` call a block; the largest horizon sorts
+    and scores each block in place, and a shorter one scores a sorted copy
+    of its part of the block, carrying its partial row (under t draws) into
+    the next.  Memory is a few blocks, the largest t and the distances,
+    whatever ``reps * t``.
 
     The sup is exact: over sample points (both sides) and the distribution's
-    own jump points (both sides).  The ``reps * t`` draws come from stream
-    ``SeedSequence(seed, spawn_key=(0,))`` in one ``sample`` call and are
-    held once; the rows are sorted in place and scored in blocks of about
-    ``_DKW_BLOCK_DRAWS`` draws, so the other temporaries are block-sized.
-    Every step is elementwise, an exact maximum or an integer count, so the
-    distances do not depend on the block size.
+    own jump points (both sides).  Every step is elementwise, an exact
+    maximum or an integer count, so the distances do not depend on the block
+    size; for a block-invariant sampler (``RewardDistribution.sample``) they
+    are those of one ``sample(rng, reps * t)`` call per horizon, bit for bit.
     """
     if reps < 100:
         raise DomainError(f"need at least 100 replications, got {reps}")
+    horizons = sorted({int(t) for t in horizons})
+    if not horizons or horizons[0] < 1:
+        raise DomainError(f"need horizons t >= 1, got {horizons}")
+    longest = horizons[-1]
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    draws = dist.sample(rng, reps * t).reshape(reps, t)
-    grid = np.arange(1, t + 1) / t
     jumps = [(b, float(dist.cdf(b)), float(dist.cdf_left(b))) for b in dist.breakpoints()]
-    sup = np.empty(reps)
-    rows = max(1, _DKW_BLOCK_DRAWS // t)
-    for lo in range(0, reps, rows):
-        block = draws[lo : lo + rows]
-        block.sort(axis=1)
-        f_right = np.asarray(dist.cdf(block))
-        # without breakpoints the CDF has no jumps: its left limits are its values
-        f_left = np.asarray(dist.cdf_left(block)) if jumps else f_right
-        s = np.maximum(
-            np.max(grid - f_right, axis=1), np.max(f_left - grid + 1.0 / t, axis=1)
-        )
-        for b, fb, fb_left in jumps:
-            s = np.maximum(s, np.abs(np.sum(block <= b, axis=1) / t - fb))
-            s = np.maximum(s, np.abs(np.sum(block < b, axis=1) / t - fb_left))
-        sup[lo : lo + rows] = s
-    return sup
+    sups = {t: np.empty(reps) for t in horizons}
+    carry = {t: np.empty(0) for t in horizons}
+    total = reps * longest
+    step = max(1, _DKW_BLOCK_DRAWS // longest) * longest
+    for start in range(0, total, step):
+        block = dist.sample(rng, min(step, total - start))
+        for t in horizons:  # ascending: the largest horizon sorts the block itself, last
+            unread = reps * t - start
+            if unread <= 0:
+                continue
+            data = block if t == longest else np.concatenate((carry[t], block[:unread]))
+            done = (start - len(carry[t])) // t
+            n = len(data) // t
+            carry[t] = data[n * t :].copy()
+            rows = data[: n * t].reshape(n, t)
+            rows.sort(axis=1)
+            sups[t][done : done + n] = _sup_rows(dist, rows, jumps)
+    return sups
+
+
+def _sup_rows(dist, rows, jumps) -> np.ndarray:
+    """``sup |F_hat - F|`` of each sorted row.  With ``d = grid - F`` the
+    sample-point sides are ``max(d)`` and ``1/t - min(d at F's left
+    limits)``: ``-(g - f)`` is ``f - g`` exactly, and ``1/t + m`` does not
+    fall as m rises, so this is the maximum of ``F_left - grid + 1/t``
+    bit for bit."""
+    t = rows.shape[1]
+    grid = np.arange(1, t + 1) / t
+    d_right = grid - dist.cdf(rows)
+    # without breakpoints the CDF has no jumps: its left limits are its values
+    d_left = grid - dist.cdf_left(rows) if jumps else d_right
+    s = np.maximum(np.max(d_right, axis=1), 1.0 / t - np.min(d_left, axis=1))
+    for b, fb, fb_left in jumps:
+        s = np.maximum(s, np.abs(np.sum(rows <= b, axis=1) / t - fb))
+        s = np.maximum(s, np.abs(np.sum(rows < b, axis=1) / t - fb_left))
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -538,7 +538,7 @@ def test_check_command_passes_on_good_config(tmp_path, capsys):
     assert (tmp_path / "check.csv").exists()
 
 
-def test_check_validates_shipped_certificate_not_override(tmp_path, capsys):
+def test_check_validates_shipped_certificate_and_override(tmp_path, capsys):
     doc = {
         "version": 1,
         "seed": 3,
@@ -549,14 +549,29 @@ def test_check_validates_shipped_certificate_not_override(tmp_path, capsys):
         "criterion": {
             "kind": "cvar",
             "alpha": 0.1,
-            "certificate": {"a": 2.0, "b": 0.01, "q": 2.0},  # policy knob, not a claim
+            "certificate": {"a": 2.0, "b": 0.01, "q": 2.0},  # far below the default b
         },
         "check": {"pairs": 30, "dkw_reps": 500},
     }
     code = main(["check", "--config", _write(tmp_path, doc)])
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == 2
     assert "[PASS] modulus[cvar]" in out
+    assert "[FAIL] modulus-override[cvar]" in out
+
+
+def test_check_fails_the_shipped_cvar_override(tmp_path, capsys):
+    # the UCB radii and pull bounds of cvar_gaussians.yaml use this certificate
+    path = CONFIG_DIR / "cvar_gaussians.yaml"
+    assert main(["check", "--config", str(path), "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert "[PASS] modulus[cvar]: worst ratio 0.0143 over 120 pairs" in lines
+    assert (
+        "[FAIL] modulus-override[cvar]: |dR|=0.373803 exceeds psi(||.||)=0.18881"
+        " at distance 0.318277"
+    ) in lines
+    rows = (tmp_path / "check.csv").read_text(encoding="utf-8").splitlines()
+    assert sum(r.startswith("modulus-override[cvar],0,") for r in rows) == 1
 
 
 def test_check_command_fails_on_flat_level_set(tmp_path, capsys):
@@ -819,6 +834,9 @@ def test_ucb_alpha_at_or_below_2_or_non_finite_exits_1(tmp_path, capsys, command
         pytest.param({"check": {"dkw_grid": [[100, -0.5]]}}, "check dkw_grid", id="dkw-x-negative"),
         pytest.param({"check": {"dkw_grid": [[0, 0.1]]}}, "check dkw_grid", id="dkw-t-0"),
         pytest.param({"check": {"dkw_grid": [[-6000, 0.1]]}}, "check dkw_grid", id="dkw-t-negative"),
+        pytest.param(
+            {"check": {"dkw_grid": []}}, "check dkw_grid needs at least one", id="dkw-grid-empty"
+        ),
     ],
 )
 def test_out_of_range_seed_grid_and_check_knobs_exit_1_at_load(

@@ -473,7 +473,14 @@ def test_sampling_deterministic(d):
 
 @pytest.mark.parametrize(
     "d",
-    [Gaussian(0.3, 1.2), PointMass(5.0), Uniform(-1, 2), TwoPoint(0.3, -2, 1), bad1_arm_wide()],
+    [
+        Gaussian(0.3, 1.2),
+        PointMass(5.0),
+        Uniform(-1, 2),
+        TwoPoint(0.3, -2, 1),
+        bad1_arm_wide(),
+        EmpiricalDistribution(np.linspace(-3, 3, 17)),
+    ],
     ids=repr,
 )
 def test_sampling_is_block_invariant(d):
