@@ -9,6 +9,7 @@ violated condition at once.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from .dist import (
     RewardDistribution,
 )
 from .errors import DomainError
-from .norms import norm_distance, norm_value
+from .norms import norm_distances, norm_value
 from .policy import phi, phi_inv
 from .sim import dkw_sup_distances
 
@@ -193,30 +194,47 @@ def condition_c5(arms, alpha: float) -> CheckResult:
 def modulus_check(
     criterion: RiskCriterion,
     arms,
-    certificate: StabilityCertificate,
+    certificate: StabilityCertificate | Mapping[str, StabilityCertificate],
     n_pairs: int = 500,
     seed: int = 0,
-) -> CheckResult:
-    """``|R(F) - R(G)| <= b(||F-G|| + ||F-G||^q)`` on sampled pairs."""
+):
+    """``|R(F) - R(G)| <= b(||F-G|| + ||F-G||^q)`` on sampled pairs.
+
+    ``certificate`` is one certificate, on the line ``modulus[<tag>]``, or
+    a mapping from line names to certificates, all scored on the same pairs
+    (a list of results).  The pairs are drawn first and solved together;
+    each is scored in draw order while a certificate still holds.
+    """
+    single = isinstance(certificate, StabilityCertificate)
+    named = {f"modulus[{criterion.tag}]": certificate} if single else dict(certificate)
     rng = _rng(seed)
-    worst = 0.0
+    pairs = []
     for _ in range(n_pairs):
         f = _random_mixture(rng, arms)
         g = _random_mixture(rng, arms) if rng.random() < 0.4 else _random_empirical(rng, arms)
+        pairs.append((f, g))
+    MixtureDistribution.stack([d for pair in pairs for d in pair])
+    worst = dict.fromkeys(named, 0.0)
+    failed = {}
+    for (f, g), dist in zip(pairs, norm_distances(pairs, criterion.functionals)):
+        if len(failed) == len(named):
+            break
         lhs = abs(criterion.evaluate(f) - criterion.evaluate(g))
-        dist = norm_distance(f, g, criterion.functionals)
-        rhs = certificate.modulus(dist)
-        if lhs > rhs * (1.0 + _MODULUS_REL_SLACK) + 1e-15:
-            return CheckResult(
-                f"modulus[{criterion.tag}]",
-                False,
-                f"|dR|={lhs:.6g} exceeds psi(||.||)={rhs:.6g} at distance {dist:.6g}",
-            )
-        if rhs > 0:
-            worst = max(worst, lhs / rhs)
-    return CheckResult(
-        f"modulus[{criterion.tag}]", True, f"worst ratio {worst:.4f} over {n_pairs} pairs"
-    )
+        for name, cert in named.items():
+            if name in failed:
+                continue
+            rhs = cert.modulus(dist)
+            if lhs > rhs * (1.0 + _MODULUS_REL_SLACK) + 1e-15:
+                detail = f"|dR|={lhs:.6g} exceeds psi(||.||)={rhs:.6g} at distance {dist:.6g}"
+                failed[name] = CheckResult(name, False, detail)
+            elif rhs > 0:
+                worst[name] = max(worst[name], lhs / rhs)
+    results = [
+        failed.get(name)
+        or CheckResult(name, True, f"worst ratio {worst[name]:.4f} over {n_pairs} pairs")
+        for name in named
+    ]
+    return results[0] if single else results
 
 
 def convexity_check(
@@ -225,15 +243,19 @@ def convexity_check(
     n_pairs: int = 500,
     seed: int = 0,
 ) -> CheckResult:
-    """Quasiconvexity / convexity / linearity along mixture segments."""
+    """Quasiconvexity / convexity / linearity along mixture segments.
+
+    The admissible pairs are drawn first (the domain guards take no draws),
+    and all their mixtures and blends are stacked before any is scored.
+    """
     rng = _rng(seed)
     kind = criterion.convexity
     if kind == "none":
         return CheckResult(f"convexity[{criterion.tag}]", True, "no convexity class declared")
     lambdas = np.linspace(0.0, 1.0, 9)
-    checked = 0
+    pairs = []
     attempts = 0
-    while checked < n_pairs and attempts < 20 * n_pairs:
+    while len(pairs) < n_pairs and attempts < 20 * n_pairs:
         attempts += 1
         wf = _random_simplex(rng, len(arms)) if len(arms) > 1 else np.array([1.0])
         wg = _random_simplex(rng, len(arms)) if len(arms) > 1 else np.array([1.0])
@@ -241,10 +263,13 @@ def convexity_check(
         g = MixtureDistribution(arms, wg)
         if criterion.domain_flags(f) or criterion.domain_flags(g):
             continue
-        rf, rg = criterion.evaluate(f), criterion.evaluate(g)
         # the end blends are g and f themselves, scored as rg and rf
-        for lam in lambdas[1:-1]:
-            mix = MixtureDistribution(arms, lam * wf + (1 - lam) * wg)
+        blends = [MixtureDistribution(arms, lam * wf + (1 - lam) * wg) for lam in lambdas[1:-1]]
+        pairs.append((f, g, blends))
+    MixtureDistribution.stack([m for f, g, blends in pairs for m in (f, g, *blends)])
+    for f, g, blends in pairs:
+        rf, rg = criterion.evaluate(f), criterion.evaluate(g)
+        for lam, mix in zip(lambdas[1:-1], blends):
             rm = criterion.evaluate(mix)
             if kind in ("linear", "convex") and rm > lam * rf + (1 - lam) * rg + _CONVEXITY_TOL:
                 return CheckResult(
@@ -264,9 +289,8 @@ def convexity_check(
                     False,
                     f"quasiconvexity violated by {rm - max(rf, rg):.3g}",
                 )
-        checked += 1
     return CheckResult(
-        f"convexity[{criterion.tag}]", True, f"{checked} pairs x {len(lambdas)} blend points"
+        f"convexity[{criterion.tag}]", True, f"{len(pairs)} pairs x {len(lambdas)} blend points"
     )
 
 
@@ -277,32 +301,41 @@ def residual_check(
     n_pairs: int = 200,
     seed: int = 0,
 ) -> CheckResult:
-    """``|Res(G, F)| <= d2/2 ||G-F||^2`` within the certificate radius."""
+    """``|Res(G, F)| <= d2/2 ||G-F||^2`` within the certificate radius.
+
+    Pairs are drawn in chunks of as many attempts as admissible pairs are
+    still missing, so no attempt is drawn that a pair-by-pair loop would
+    not draw; each chunk is solved together and scored in draw order.
+    """
     rng = _rng(seed)
     checked = 0
     attempts = 0
     worst = 0.0
     while checked < n_pairs and attempts < 50 * n_pairs:
-        attempts += 1
-        f = _random_mixture(rng, arms)
-        if rng.random() < 0.5:
-            g: RewardDistribution = _random_mixture(rng, arms)
-        else:
-            g = EmpiricalDistribution(f.sample(rng, _RESIDUAL_EMPIRICAL_T))
-        d = norm_distance(f, g, criterion.functionals)
-        if not (0 < d <= certificate.m0):
-            continue
-        res = criterion.residual(g, f)
-        bound = 0.5 * certificate.d2 * d * d + _RESIDUAL_ABS_TOL
-        if abs(res) > bound:
-            return CheckResult(
-                f"residual[{criterion.tag}]",
-                False,
-                f"|Res|={abs(res):.6g} exceeds d2/2 * d^2 = {bound:.6g} at d={d:.6g}",
-            )
-        if bound > 0:
-            worst = max(worst, abs(res) / bound)
-        checked += 1
+        pairs = []
+        for _ in range(min(n_pairs - checked, 50 * n_pairs - attempts)):
+            attempts += 1
+            f = _random_mixture(rng, arms)
+            if rng.random() < 0.5:
+                g: RewardDistribution = _random_mixture(rng, arms)
+            else:
+                g = EmpiricalDistribution(f.sample(rng, _RESIDUAL_EMPIRICAL_T))
+            pairs.append((f, g))
+        MixtureDistribution.stack([d for pair in pairs for d in pair])
+        for (f, g), d in zip(pairs, norm_distances(pairs, criterion.functionals)):
+            if not (0 < d <= certificate.m0):
+                continue
+            res = criterion.residual(g, f)
+            bound = 0.5 * certificate.d2 * d * d + _RESIDUAL_ABS_TOL
+            if abs(res) > bound:
+                return CheckResult(
+                    f"residual[{criterion.tag}]",
+                    False,
+                    f"|Res|={abs(res):.6g} exceeds d2/2 * d^2 = {bound:.6g} at d={d:.6g}",
+                )
+            if bound > 0:
+                worst = max(worst, abs(res) / bound)
+            checked += 1
     if checked < n_pairs:
         return CheckResult(
             f"residual[{criterion.tag}]",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from .oracle import (
     proxy_regret_bound,
     simplex_grid_argmax,
 )
-from .policy import SimplePolicy
+from .policy import SimplePolicy, UcbPolicy
 from .sim import (
     cut_episode,
     estimate_horizon_gap,
@@ -232,18 +231,24 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path | None) -> int:
         results.append(checklib.condition_c5(cfg.arms, alpha))
 
     results.append(checklib.convexity_check(cfg.criterion, cfg.arms, pairs, seed))
-    # the modulus suite validates the criterion's own certificate and, on a
-    # line of its own, the config's override, which the UCB radii and the
-    # pull bounds are built on
+    # one modulus pass scores every certificate a command builds on, a line
+    # each: the criterion's own, the config's override (which the UCB radii
+    # and the pull bounds use) and each UCB record's own radii
+    tag = cfg.criterion.tag
     cert = cfg.criterion.stability_certificate(cfg.arms)
-    if cert is not None:
-        results.append(checklib.modulus_check(cfg.criterion, cfg.arms, cert, pairs, seed))
+    named = {} if cert is None else {f"modulus[{tag}]": cert}
     radii = cert
     if cfg.certificate_overrides:
         radii = cfg.criterion.stability_certificate(cfg.arms, **cfg.certificate_overrides)
         if radii is not None:
-            res = checklib.modulus_check(cfg.criterion, cfg.arms, radii, pairs, seed)
-            results.append(replace(res, name=f"modulus-override[{cfg.criterion.tag}]"))
+            named[f"modulus-override[{tag}]"] = radii
+    records = [*cfg.policies, *([cfg.reference] if isinstance(cfg.reference, tuple) else [])]
+    for i, (label, policy) in enumerate(records):
+        if isinstance(policy, UcbPolicy) and policy.certificate not in named.values():
+            name = f"modulus-ucb[{label}]"
+            named[f"modulus-ucb[{label}#{i + 1}]" if name in named else name] = policy.certificate
+    if named:
+        results += checklib.modulus_check(cfg.criterion, cfg.arms, named, pairs, seed)
     if radii is not None:
         results.append(checklib.phi_identity_check(radii))
     try:
@@ -268,7 +273,9 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     print(f"{len(results) - n_fail}/{len(results)} checks passed")
     if out_dir is not None:
         path = out_dir / "check.csv"
-        rows = ((r.name, int(r.passed), r.detail.replace(",", ";")) for r in results)
+        rows = (
+            (r.name.replace(",", ";"), int(r.passed), r.detail.replace(",", ";")) for r in results
+        )
         write_csv(path, _base_meta(cfg), ("check", "passed", "detail"), rows)
         print(f"wrote {path}")
     return 2 if n_fail else 0

@@ -46,6 +46,13 @@ _END_ULPS = 8
 _BLOCK = 8192
 _GUIDE_BUCKETS = 256
 
+# rows per stack of mixtures: a lockstep step's arrays, and the weights of up
+# to eight components, hold at most 2^16 floats
+_STACK_ROWS = 1 << 13
+
+# a Gaussian's smooth probe points, in standard deviations from its mean
+_PROBE_STEPS = np.linspace(-8.0, 8.0, 33)
+
 # Density of the standard normal at 0 and friends.
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -228,7 +235,10 @@ class Gaussian(RewardDistribution):
             raise DomainError(f"stddev must be positive, got {self.stddev}")
 
     def cdf(self, y):
-        return ndtr((np.asarray(y, dtype=float) - self.mean_value) / self.stddev)
+        # standardised in place: one temporary the size of y
+        z = np.asarray(y, dtype=float) - self.mean_value
+        z /= self.stddev
+        return ndtr(z, out=z) if z.ndim else ndtr(z)
 
     def cdf_left(self, y):
         return self.cdf(y)
@@ -283,7 +293,7 @@ class Gaussian(RewardDistribution):
         return np.array([])
 
     def smooth_probe_points(self):
-        return self.mean_value + self.stddev * np.linspace(-8.0, 8.0, 33)
+        return self.mean_value + self.stddev * _PROBE_STEPS
 
     def support_bounds(self):
         return (self.mean_value - 9 * self.stddev, self.mean_value + 9 * self.stddev)
@@ -757,8 +767,18 @@ class MixtureDistribution(RewardDistribution):
     few ``n``-float rows.  A mixture of knot tables also merges into one
     ``PiecewiseLinearCDF`` over the union of the parts' knots, which answers
     its quantiles and level sets; with a Gaussian part those are solved by
-    bisection on the CDF along guessed roots.  Moments and tail integrals
-    are the weighted sums of the parts' own exact values.
+    bisection on the CDF.  Moments and tail integrals are the weighted sums
+    of the parts' own exact values.
+
+    Many mixtures over the same components solve as rows of one weight
+    matrix (``_rows``): the same CDF, each component's ``cdf`` taken once
+    over the points of every row, with a weight per row (or per point).  A
+    zero weight adds an exact +0.0 to a finite CDF value, so a row over all
+    components is its mixture's parts, bit for bit.  The bisection walk is
+    chosen by row count: a lone mixture walks along guessed roots
+    (``_bisect_monotone``), while the mixtures that ``stack`` joins solve a
+    level together, every row in lockstep (``_bisect_rows``), the first
+    time one of them needs it.
     """
 
     def __init__(self, components, weights):
@@ -781,17 +801,49 @@ class MixtureDistribution(RewardDistribution):
         self.has_sloped_part = any(c.has_sloped_part for _, c in self._parts)
         self.has_breakpoints = any(c.has_breakpoints for _, c in self._parts)
         self._merged = None
+        self._stack = None  # (rows, r) once ``stack`` joins it: row r solves its quantiles
+
+    @classmethod
+    def _rows(cls, components, weights):
+        """Mixtures over ``components`` as one: ``weights[..., i]`` weighs
+        component i, already normalised, and broadcasts against the points,
+        so row r of ``cdf(y)`` is row r's CDF at ``y[r]``.  It answers the
+        CDF and the quantile only."""
+        rows = cls.__new__(cls)
+        rows.components = tuple(components)
+        rows.weights = weights
+        rows._parts = [(weights[..., i], c) for i, c in enumerate(rows.components)]
+        rows._solved = {}  # level -> each row's quantile
+        return rows
+
+    @classmethod
+    def stack(cls, dists):
+        """Join the mixtures among ``dists``, all over the same components,
+        ``_STACK_ROWS`` at a time, so that each level's quantile is solved
+        for all rows of a stack at once, when one of them first needs it.
+        A lone mixture keeps its own walk."""
+        mixtures = [d for d in dists if isinstance(d, cls)]
+        for start in range(0, len(mixtures) - 1, _STACK_ROWS):
+            part = mixtures[start : start + _STACK_ROWS]
+            components = part[0].components
+            if any(m.components != components for m in part):
+                raise DomainError("stacked mixtures need the same components")
+            rows = cls._rows(components, np.stack([m.weights for m in part]))
+            for r, m in enumerate(part):
+                m._stack = (rows, r)
 
     def _evaluate(self, y, left):
         y = np.asarray(y, dtype=float)
         flat = y.reshape(-1)
         # the weighted part rows, summed in part order
-        rows = ((w, c.cdf_left(flat) if left else c.cdf(flat)) for w, c in self._parts)
+        rows = (
+            (w, (c.cdf_left(flat) if left else c.cdf(flat)).reshape(y.shape))
+            for w, c in self._parts
+        )
         w, row = next(rows)
         out = w * row
         for w, row in rows:
             out += w * row
-        out = out.reshape(y.shape)
         return out if out.ndim else float(out)
 
     def _merged_piecewise(self):
@@ -881,10 +933,45 @@ class MixtureDistribution(RewardDistribution):
         """The parts' bracket quantiles, weighted: the root guess, exact for one part."""
         return sum(p * q for (p, _), q in zip(self._parts, qs))
 
+    def _bisect_rows(self, target, lo, hi):
+        """``_bisect_monotone`` (not strict) of every row at once, as plain
+        bisection: each step decides the midpoint ``0.5 * (lo + hi)`` of
+        every row still open, from one CDF call over those rows.  A row
+        closes when its midpoint is not strictly inside its bracket, or
+        after 200 steps, and answers its ``hi``."""
+        out = hi.copy()
+        live = np.arange(len(hi))
+        rows = self
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            inside = (lo < mid) & (mid < hi)  # a NaN mid decides nothing
+            if not inside.all():
+                out[live[~inside]] = hi[~inside]
+                live, lo, hi, mid = live[inside], lo[inside], hi[inside], mid[inside]
+                if not len(live):
+                    return out
+                rows = self._rows(self.components, self.weights[live])
+            up = rows.cdf(mid) >= target
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid)
+        out[live] = hi
+        return out
+
     def _quantile(self, alpha):
+        if self.weights.ndim > 1:  # rows of a stack, in lockstep
+            qs = np.array([c.quantile(alpha) for c in self.components])
+            held = self.weights > 0
+            lo = np.where(held, qs, np.inf).min(axis=1)
+            lo -= np.maximum(1e-9, 1e-12 * np.abs(lo))
+            return self._bisect_rows(alpha, lo, np.where(held, qs, -np.inf).max(axis=1))
         merged = self._merged_piecewise()
         if merged is not None:
             return merged._quantile(alpha)
+        if self._stack is not None:
+            rows, r = self._stack
+            if alpha not in rows._solved:
+                rows._solved[alpha] = rows._quantile(alpha).tolist()
+            return rows._solved[alpha][r]
         # the mixture quantile is bracketed by the parts' quantiles
         qs = [c.quantile(alpha) for _, c in self._parts]
         lo = min(qs)

@@ -10,6 +10,7 @@ other test exercises; a stale tracer target crashes ``perfbench/run.py
 
 import ast
 import importlib
+import json
 import importlib.util
 import pkgutil
 import subprocess
@@ -150,3 +151,61 @@ def test_every_function_is_reached_from_the_package():
             referenced |= _referenced_names(tree)
     unreached = {name: where for name, where in defined.items() if name not in referenced}
     assert unreached.keys() == _REACHED_BY_TESTS_ALONE, unreached
+
+
+# run in a fresh interpreter with the benchmark's tracer installed: a check
+# command, or the three batched suites alone; prints the boundary totals
+_TRACED_RUN = """
+import json, sys
+root, mode, config = sys.argv[1:]
+sys.path[:0] = [root + "/src", root + "/perfbench"]
+import run, tracer
+from riskbandits import checks, cli
+from riskbandits.criteria import CVaRCriterion
+from riskbandits.dist import Gaussian
+arms, crit = [Gaussian(0.0, 1.0), Gaussian(0.1, 1.0)], CVaRCriterion(0.1)
+certificates = crit.stability_certificate(arms), crit.smoothness_certificate(arms)
+t = tracer.Tracer()
+t.install()
+if mode == "check":
+    cli.main(["check", "--config", config, "--seed", "7"])
+else:
+    checks.convexity_check(crit, arms, 4, 7)
+    checks.modulus_check(crit, arms, certificates[0], 6, 7)
+    checks.residual_check(crit, arms, certificates[1], 4, 7)
+stats = t.stats()
+bad = run.tracer_self_check(run.WORKLOADS["check-close-gaussians"], stats)
+calls = {b: row[0] for b, row in run.boundary_totals(stats).items()}
+print(json.dumps({"bad": bad, "calls": calls}))
+"""
+
+
+def _traced(mode, config=""):
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, str(root), mode, str(config)],
+        capture_output=True, text=True, check=True, cwd=root,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_check_keeps_every_traced_boundary_of_the_benchmark(tmp_path):
+    # the check-close-gaussians workload's expectations (perfbench/run.py),
+    # on a smaller instance of its config
+    config = tmp_path / "close.yaml"
+    config.write_text(
+        "version: 1\nseed: 2024\n"
+        "arms:\n  - {kind: gaussian, mean: 0.0, stddev: 1.0}\n"
+        "  - {kind: gaussian, mean: 0.1, stddev: 1.0}\n"
+        "criterion: {kind: cvar, alpha: 0.1}\n"
+        "check: {pairs: 8, dkw_reps: 200, dkw_grid: [[25, 0.2]]}\n",
+        encoding="utf-8",
+    )
+    result = _traced("check", config)
+    assert result["bad"] == []
+    # the batched suites alone still solve mixture quantiles through the
+    # traced CDF and polish sup distances through the traced search
+    calls = _traced("suites")["calls"]
+    for boundary in ("dist.mixture_quantile", "dist.mixture_cdf_in_quantile", "norms.refine",
+                     "checks.modulus", "checks.convexity", "checks.residual"):
+        assert calls[boundary] > 0, boundary

@@ -7,6 +7,8 @@ import yaml
 from riskbandits import checks, cli, criteria, norms, sim
 from riskbandits.cli import main
 from riskbandits.config import _file_stem, load_config, parse_config, parse_distribution
+from riskbandits.criteria import CVaRCriterion, StabilityCertificate
+from riskbandits.dist import Gaussian
 from riskbandits.errors import ConfigError
 from riskbandits.policy import Bad1OraclePolicy, SimplePolicy, UcbPolicy
 from riskbandits.sim import read_report_csv
@@ -572,6 +574,38 @@ def test_check_fails_the_shipped_cvar_override(tmp_path, capsys):
     ) in lines
     rows = (tmp_path / "check.csv").read_text(encoding="utf-8").splitlines()
     assert sum(r.startswith("modulus-override[cvar],0,") for r in rows) == 1
+
+
+def test_check_scores_each_distinct_ucb_certificate_on_a_line_of_its_own(tmp_path, capsys):
+    doc = {
+        "version": 1,
+        "seed": 314159,
+        "arms": [
+            {"kind": "gaussian", "mean": 0.0, "stddev": 1.0},
+            {"kind": "gaussian", "mean": -0.75, "stddev": 1.0},
+        ],
+        "criterion": {"kind": "cvar", "alpha": 0.1},
+        "policies": [
+            {"kind": "ucb", "alpha": 6.0, "a": 2.0, "b": 0.45, "q": 2.0},
+            {"kind": "ucb", "label": "plain"},  # the default certificate: no line
+        ],
+        "reference": {"kind": "ucb", "b": 40.0, "label": "ucb"},
+        "check": {"pairs": 30, "dkw_reps": 200},
+    }
+    assert main(["check", "--config", _write(tmp_path, doc), "--out", str(tmp_path)]) == 2
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if "modulus" in ln]
+    assert lines == [
+        "[PASS] modulus[cvar]: worst ratio 0.0134 over 30 pairs",
+        "[FAIL] modulus-ucb[ucb]: |dR|=2.38562 exceeds psi(||.||)=2.35444 at distance 1.84139",
+        # a second record under the same label is named by its position
+        "[PASS] modulus-ucb[ucb#3]: worst ratio 0.1042 over 30 pairs",
+    ]
+    # each line is scored on the pairs of the default line
+    crit, arms = CVaRCriterion(0.1), [Gaussian(0.0, 1.0), Gaussian(-0.75, 1.0)]
+    own = checks.modulus_check(crit, arms, StabilityCertificate(2.0, 0.45, 2.0), 30, 314159)
+    assert own.line() == lines[1].replace("modulus-ucb[ucb]", "modulus[cvar]")
+    rows = (tmp_path / "check.csv").read_text(encoding="utf-8").splitlines()
+    assert sum(r.startswith("modulus-ucb[ucb],0,") for r in rows) == 1
 
 
 def test_check_command_fails_on_flat_level_set(tmp_path, capsys):

@@ -20,6 +20,7 @@ from riskbandits.dist import (
     Uniform,
     proxy_distribution,
 )
+from riskbandits import dist
 from riskbandits.errors import DomainError
 
 from conftest import bad1_arm_wide, bad2_arm_step, distribution_catalog, rng
@@ -949,6 +950,94 @@ def test_bisection_that_reaches_the_step_cap_is_bit_identical():
     assert m.quantile(0.7) == reference_quantile(m, 0.7)
     for guess in (hi, lo, 0.5 * (lo + hi), math.nan, -math.inf):
         assert m._bisect_monotone(0.7, False, lo, hi, guess) == scalar_bisect(m, 0.7, False, lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# Mixtures as rows of one weight matrix, quantiles in lockstep
+# ---------------------------------------------------------------------------
+
+ACCEPTANCE_8_MIXED = [Gaussian(0.5, 1.0), Uniform(-1.0, 2.0), TwoPoint(0.3, -1.0, 3.0)]
+
+
+def weight_rows(r, k, n):
+    """n raw weight rows over k components: Dirichlet draws, some with zero
+    entries, some with entries a little below zero, as rounding leaves them."""
+    w = r.dirichlet(np.ones(k), size=n)
+    for row in w[: n // 3]:
+        row[int(r.integers(k))] = 0.0
+        row /= row.sum()
+    for row in w[n // 3 : n // 2]:
+        row[0] = -1e-13
+        row[1:] /= row[1:].sum()
+    return w
+
+
+def mixtures(components, raw):
+    return [MixtureDistribution(components, w) for w in raw]
+
+
+@pytest.mark.parametrize(
+    "components",
+    [
+        ACCEPTANCE_8_MIXED,
+        [Gaussian(0.0, 1.0), Gaussian(0.1, 1.0)],
+        [Gaussian(-1.0, 0.5), PointMass(0.0), distribution_catalog()[3], Gaussian(2.0, 3.0)],
+    ],
+    ids=["acceptance-8-mixed", "close-gaussians", "atoms-and-tables"],
+)
+def test_lockstep_quantiles_equal_the_walk_and_plain_bisection(components, monkeypatch):
+    r = rng(92)
+    k = len(components)
+    raw = weight_rows(r, k, 60)
+    rows = mixtures(components, raw)
+    MixtureDistribution.stack(rows)
+    stack = rows[0]._stack[0]
+    # stacks of a few rows each, the last of one row (which keeps its walk)
+    few = mixtures(components, raw[:57])
+    monkeypatch.setattr(dist, "_STACK_ROWS", 7)
+    MixtureDistribution.stack(few)
+    assert few[-1]._stack is None and few[-2]._stack[1] == 6
+    for level in (1e-12, 0.1, 0.25, *r.uniform(0.0, 1.0, size=3).tolist(), 1 - 1e-12):
+        singles = mixtures(components, raw)  # not stacked: each walks alone
+        assert [m.quantile(level) for m in rows] == [m.quantile(level) for m in singles]
+        assert [m.quantile(level) for m in few] == [m.quantile(level) for m in singles[:57]]
+        # every row of the lockstep, knot-table rows too, is plain bisection on its bracket
+        lockstep = stack._quantile(level)
+        for got, m in zip(lockstep.tolist(), singles):
+            assert got == scalar_bisect(m, level, False, *reference_bracket(m, level, False))
+        assert all(type(m.quantile(level)) is float for m in rows)
+
+
+def test_lockstep_bisection_at_the_step_cap_and_with_one_row():
+    # the step-cap root (an atom at 0 approached through the subnormals)
+    # beside rows that close in ~50 steps
+    comps = step_cap_mixture().components
+    raw = np.array([[0.5, 0.5], [0.3, 0.7], [0.9, 0.1], [0.0, 1.0]])
+    rows = mixtures(comps, raw)
+    MixtureDistribution.stack(rows)
+    for m, single in zip(rows, mixtures(comps, raw)):
+        assert m.quantile(0.7) == single.quantile(0.7) == reference_quantile(single, 0.7)
+    lo, hi = reference_bracket(rows[0], 0.7, False)
+    assert scalar_bisect_steps(rows[0], 0.7, False, lo, hi)[1] == 200
+    # a lone mixture is not stacked: it keeps its own walk
+    lone = mixtures(comps, raw[:1])
+    MixtureDistribution.stack(lone)
+    assert lone[0]._stack is None
+    with pytest.raises(DomainError):
+        MixtureDistribution.stack([rows[0], MixtureDistribution([Gaussian(0, 1)], [1.0])])
+
+
+def test_stacked_cdf_rows_are_each_mixtures_cdf():
+    r = rng(93)
+    comps = [Gaussian(0.5, 1.0), Uniform(-1.0, 2.0), EmpiricalDistribution(r.normal(size=30))]
+    raw = weight_rows(r, 3, 12)
+    singles = mixtures(comps, raw)
+    stack = MixtureDistribution._rows(comps, np.stack([m.weights for m in singles])[:, None, :])
+    y = r.normal(0.0, 2.0, size=(12, 17))
+    for left in (False, True):
+        got = stack.cdf_left(y) if left else stack.cdf(y)
+        want = [m.cdf_left(row) if left else m.cdf(row) for m, row in zip(singles, y)]
+        assert np.array_equal(got, np.stack(want))
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["quantile", "upper-quantile"])

@@ -215,6 +215,62 @@ def brent_loop_sup_distance(f, g):
     return best
 
 
+def run_search(fun, lo, hi, xatol=1e-11):
+    """Drive the ``norms.minimize_scalar`` generator with ``fun``."""
+    search = norms.minimize_scalar(lo, hi, xatol)
+    x = next(search)
+    while True:
+        try:
+            x = search.send(fun(x))
+        except StopIteration as stop:
+            return stop.value
+
+
+def pair_sup_distance(f, g):
+    """``sup_distance`` one pair at a time, as it was before pairs were
+    batched: candidates, the coarse pass and the zoom rounds on this pair's
+    CDFs alone, then one Brent search after another."""
+    pts = norms._candidate_points(f, g)
+    d_right = np.abs(np.asarray(f.cdf(pts)) - np.asarray(g.cdf(pts)))
+    d_left = np.abs(np.asarray(f.cdf_left(pts)) - np.asarray(g.cdf_left(pts)))
+    best = float(max(d_right.max(), d_left.max()))
+    if not (norms._needs_refine(f, g) and len(pts) > 1):
+        return best
+
+    def abs_diff(y):
+        flat = y.ravel()
+        return np.abs(np.asarray(f.cdf(flat)) - np.asarray(g.cdf(flat))).reshape(y.shape)
+
+    a, b = pts[:-1], pts[1:]
+    keep = b - a > 1e-12
+    a, b = a[keep], b[keep]
+    grid = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 33)[None, :]
+    coarse = abs_diff(grid)
+    per_interval = coarse.max(axis=1)
+    best = max(best, float(per_interval.max()))
+    sel = np.flatnonzero(per_interval >= best - 1e-2)
+    a, b = a[sel], b[sel]
+    rows = np.arange(len(sel))
+    centre = grid[sel, coarse[sel].argmax(axis=1)]
+    top = per_interval[sel]
+    offsets = np.linspace(-1.0, 1.0, 33)
+    half_width = (b - a) / 32
+    for _ in range(12):
+        zoom = np.clip(centre[:, None] + half_width[:, None] * offsets, a[:, None], b[:, None])
+        values = abs_diff(zoom)
+        arg = values.argmax(axis=1)
+        centre = zoom[rows, arg]
+        top = np.maximum(top, values[rows, arg])
+        half_width /= 16
+    best = max(best, float(top.max(initial=best)))
+    for i in np.flatnonzero(top == best):
+        _, low, _ = run_search(
+            lambda y: -abs(float(f.cdf(y)) - float(g.cdf(y))), float(a[i]), float(b[i])
+        )
+        best = max(best, -low)
+    return best
+
+
 ACCEPTANCE_8_ARMS = {
     "mixed": [Gaussian(0.5, 1.0), Uniform(-1.0, 2.0), TwoPoint(0.3, -1.0, 3.0)],
     "positive": [Gaussian(1.0, 1.0), Uniform(0.5, 2.0), TwoPoint(0.5, 0.2, 3.0)],
@@ -257,6 +313,19 @@ def test_sup_distance_never_falls_below_the_brent_loop(monkeypatch):
     assert len(calls) <= len(pairs)
 
 
+def test_batched_sup_distances_equal_one_pair_at_a_time(monkeypatch):
+    pairs = sup_corpus()
+    want = [pair_sup_distance(f, g) for f, g in pairs]
+    assert bit_pattern(norms.sup_distances(pairs)) == bit_pattern(want)
+    # reversed, and in chunks of a few probe points, each pair still gets its own value
+    monkeypatch.setattr(norms, "_BATCH_POINTS", 200)
+    assert bit_pattern(norms.sup_distances(pairs[::-1])) == bit_pattern(want[::-1])
+    assert [sup_distance(f, g) for f, g in pairs[::9]] == want[::9]
+    spec = (*BOTH_TAILS, SemiNormFunctional("mean"))
+    some = pairs[::5]
+    assert norms.norm_distances(some, spec) == [norm_distance(f, g, spec) for f, g in some]
+
+
 # ---------------------------------------------------------------------------
 # The bounded Brent search against scipy's, bit for bit
 # ---------------------------------------------------------------------------
@@ -280,7 +349,7 @@ def port_and_scipy(fun, lo, hi):
             return fun(y)
 
         if search == "port":
-            x, fx, nfev = norms.minimize_scalar(counted, lo, hi, xatol=1e-11)
+            x, fx, nfev = run_search(counted, lo, hi)
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # the parabola may overflow
                 res = minimize_scalar(counted, bounds=(lo, hi), method="bounded",
@@ -294,15 +363,21 @@ def port_and_scipy(fun, lo, hi):
 def test_bounded_brent_matches_scipy_on_every_sup_polish(monkeypatch):
     polished = []
     brent = norms.minimize_scalar
+    for f, g in sup_corpus():
+        bounds = []
 
-    def record(fun, lo, hi, xatol):
-        polished.append((fun, lo, hi))
-        return brent(fun, lo, hi, xatol)
+        def record(lo, hi, xatol):
+            bounds.append((lo, hi))
+            return brent(lo, hi, xatol)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(norms, "minimize_scalar", record)
-        for f, g in sup_corpus():
+        with monkeypatch.context() as patch:
+            patch.setattr(norms, "minimize_scalar", record)
             sup_distance(f, g)
+
+        def fun(y, f=f, g=g):
+            return -abs(float(f.cdf(y)) - float(g.cdf(y)))
+
+        polished += [(fun, lo, hi) for lo, hi in bounds]
     assert len(polished) > 50
     for fun, lo, hi in polished:
         port, reference = port_and_scipy(fun, lo, hi)
@@ -339,7 +414,7 @@ def test_bounded_brent_degenerate_interval_and_bad_bounds():
     assert port[1] == 1  # one evaluation, at the single point
     for lo, hi in ((1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)):
         with pytest.raises(ValueError):
-            norms.minimize_scalar(lambda y: y, lo, hi, xatol=1e-11)
+            next(norms.minimize_scalar(lo, hi, xatol=1e-11))
 
 
 def test_bounded_brent_matches_scipy_at_the_evaluation_cap():
