@@ -1,9 +1,12 @@
 """Admissibility conditions and invariant suites.
 
 These checkers power the CLI ``check`` subcommand and the acceptance
-tests.  Each returns a :class:`CheckResult` with a one-line detail string;
-nothing raises on a mathematical failure, so a report can list every
-violated condition at once.
+tests.  Each returns a :class:`CheckResult` with a one-line detail string
+(``modulus_check`` one per named certificate); nothing raises on a
+mathematical failure, so a report can list every violated condition at
+once.  The concentration pass lives here with its suite,
+``dkw_grid_check``: it samples an arm at every horizon of the grid and
+scores the exceedance of the sup distance against DKW's bound.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .criteria import (
     SmoothnessCertificate,
     _mixture_grid,
     check_growth_condition_c4,
+    default_concentration_rate,
     fit_c4_constants,
 )
 from .dist import (
@@ -32,7 +36,6 @@ from .dist import (
 from .errors import DomainError
 from .norms import norm_distances, norm_value
 from .policy import phi, phi_inv
-from .sim import dkw_sup_distances
 
 __all__ = [
     "CheckResult",
@@ -194,19 +197,16 @@ def condition_c5(arms, alpha: float) -> CheckResult:
 def modulus_check(
     criterion: RiskCriterion,
     arms,
-    certificate: StabilityCertificate | Mapping[str, StabilityCertificate],
+    named: Mapping[str, StabilityCertificate],
     n_pairs: int = 500,
     seed: int = 0,
-):
+) -> list[CheckResult]:
     """``|R(F) - R(G)| <= b(||F-G|| + ||F-G||^q)`` on sampled pairs.
 
-    ``certificate`` is one certificate, on the line ``modulus[<tag>]``, or
-    a mapping from line names to certificates, all scored on the same pairs
-    (a list of results).  The pairs are drawn first and solved together;
-    each is scored in draw order while a certificate still holds.
+    ``named`` maps line names to certificates, all scored on the same pairs:
+    one result each, in its order.  The pairs are drawn first and solved
+    together; each is scored in draw order while a certificate still holds.
     """
-    single = isinstance(certificate, StabilityCertificate)
-    named = {f"modulus[{criterion.tag}]": certificate} if single else dict(certificate)
     rng = _rng(seed)
     pairs = []
     for _ in range(n_pairs):
@@ -229,12 +229,11 @@ def modulus_check(
                 failed[name] = CheckResult(name, False, detail)
             elif rhs > 0:
                 worst[name] = max(worst[name], lhs / rhs)
-    results = [
+    return [
         failed.get(name)
         or CheckResult(name, True, f"worst ratio {worst[name]:.4f} over {n_pairs} pairs")
         for name in named
     ]
-    return results[0] if single else results
 
 
 def convexity_check(
@@ -384,14 +383,22 @@ def _bernoulli_kl(p: float, q: float) -> float:
     return kl if p == 1.0 else kl + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
 
 
+#: Draws per block of the concentration pass: whole rows of the largest
+#: horizon (one row if that horizon is longer), so the block, each shorter
+#: horizon's copy of it and the CDF values scored from it are of this size.
+_DKW_BLOCK_DRAWS = 1 << 16
+
+
 def dkw_grid_check(dist, pairs, reps: int = 10_000, seed: int = 0, slack: float = 1.2) -> CheckResult:
-    """Empirical sup-distance exceedance stays within slack x the bound.
+    """Empirical sup-distance exceedance stays within slack x the DKW bound
+    ``2 exp(-a t x^2)`` at the sup norm's rate ``a = 2`` (Massart, Ann.
+    Probab. 1990), which the default certificates share across their norm.
 
     A rate above ``cap = min(1, slack x bound)`` FAILs only if it is also
     improbable under the cap: ``reps KL(emp || cap) > log 1e4`` (Chernoff).
 
     The sup distances of every horizon with a pair x > 0 come from one
-    ``dkw_sup_distances`` pass over one stream, and each pair of a horizon
+    ``_dkw_sup_distances`` pass over one stream, and each pair of a horizon
     is scored on that horizon's distances.  A pair with x <= 0 needs no
     draws: every distance is at least 0, so its exceedance is 1.
     """
@@ -399,12 +406,15 @@ def dkw_grid_check(dist, pairs, reps: int = 10_000, seed: int = 0, slack: float 
         raise DomainError(f"need at least 100 replications, got {reps}")
     if not pairs:
         raise DomainError("a concentration grid needs at least one (t, x) point")
-    drawn = [t for t, x in pairs if x > 0.0]
-    sups = dkw_sup_distances(dist, drawn, reps, seed) if drawn else {}
+    drawn = sorted({int(t) for t, x in pairs if x > 0.0})
+    if drawn and drawn[0] < 1:
+        raise DomainError(f"need horizons t >= 1, got {drawn}")
+    sups = _dkw_sup_distances(dist, drawn, reps, seed) if drawn else {}
+    rate = default_concentration_rate(0)
     worst = 0.0
     for t, x in pairs:
         emp = float(np.mean(sups[t] >= x)) if x > 0.0 else 1.0
-        bound = 2.0 * math.exp(-2.0 * t * x * x)
+        bound = 2.0 * math.exp(-rate * t * x * x)
         cap = min(1.0, slack * bound)
         if emp > cap and reps * _bernoulli_kl(emp, cap) > math.log(1e4):
             return CheckResult(
@@ -417,6 +427,80 @@ def dkw_grid_check(dist, pairs, reps: int = 10_000, seed: int = 0, slack: float 
     return CheckResult(
         "dkw-concentration", True, f"worst empirical/bound ratio {worst:.3f}"
     )
+
+
+def _dkw_sup_distances(dist, horizons, reps: int, seed: int = 0) -> dict[int, np.ndarray]:
+    """``{t: sup |F_hat_t - F| of each of reps samples of size t}`` for every
+    t in ``horizons`` (distinct, ascending, at least 1), in one pass over one
+    stream.
+
+    Replication r of horizon t is draws ``r t, ..., (r + 1) t - 1`` of stream
+    ``SeedSequence(seed, spawn_key=(0,))``, so every horizon reads a prefix
+    of the largest one's ``reps * max(t)`` draws.  The pass draws them in
+    blocks of whole rows of the largest horizon, about ``_DKW_BLOCK_DRAWS``
+    draws each, with one ``sample`` and one ``cdf`` call a block (and one
+    ``cdf_left`` with jumps); the largest horizon sorts and scores the
+    block's CDF values in place, and a shorter one scores a sorted copy of
+    its part of them, carrying its partial row (under t draws) into the
+    next.  Memory is a few blocks, the largest t and the distances,
+    whatever ``reps * t``.
+
+    The sup is exact: over sample points (both sides) and the distribution's
+    own jump points (both sides).  Every step is elementwise, an exact
+    maximum or an integer count, so the distances do not depend on the block
+    size; for a block-invariant sampler (``RewardDistribution.sample``) they
+    are those of one ``sample(rng, reps * t)`` call per horizon, bit for bit.
+    """
+    longest = horizons[-1]
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    jumps = [(b, float(dist.cdf(b)), float(dist.cdf_left(b))) for b in dist.breakpoints()]
+    sups = {t: np.empty(reps) for t in horizons}
+    # per horizon, its partial row: CDF values, and with jumps left limits and draws
+    carry = {t: [np.empty(0)] * (3 if jumps else 1) for t in horizons}
+    total = reps * longest
+    step = max(1, _DKW_BLOCK_DRAWS // longest) * longest
+    for start in range(0, total, step):
+        draws = dist.sample(rng, min(step, total - start))
+        columns = [dist.cdf(draws)] + ([dist.cdf_left(draws), draws] if jumps else [])
+        del draws  # held by the columns only where jumps are counted
+        for t in horizons:  # ascending: the largest horizon sorts the block's values, last
+            unread = reps * t - start
+            if unread <= 0:
+                continue
+            if t < longest:
+                columns_t = [np.concatenate((c, col[:unread])) for c, col in zip(carry[t], columns)]
+            else:
+                columns_t = columns
+            done = (start - len(carry[t][0])) // t
+            n = len(columns_t[0]) // t
+            carry[t] = [col[n * t :].copy() for col in columns_t]
+            rows = [col[: n * t].reshape(n, t) for col in columns_t]
+            sups[t][done : done + n] = _sup_rows(rows, jumps)
+    return sups
+
+
+def _sup_rows(rows, jumps) -> np.ndarray:
+    """``sup |F_hat - F|`` of each row of draws, from their CDF values and,
+    with jumps, their left limits and the draws.  F and F_left do not fall,
+    so a row's sorted values are its sorted draws' values: each value row
+    is sorted in place and then overwritten by its ``d``.  With
+    ``d = grid - F`` the sample-point sides are
+    ``max(d)`` and ``1/t - min(d at F's left limits)``: ``-(g - f)`` is
+    ``f - g`` exactly, and ``1/t + m`` does not fall as m rises, so this is
+    the maximum of ``F_left - grid + 1/t`` bit for bit.  The jump crossings
+    are counts, taken on the draws in draw order."""
+    for values in rows[:2]:
+        values.sort(axis=1)
+    t = rows[0].shape[1]
+    grid = np.arange(1, t + 1) / t
+    d_right = np.subtract(grid, rows[0], out=rows[0])
+    # without breakpoints the CDF has no jumps: its left limits are its values
+    d_left = np.subtract(grid, rows[1], out=rows[1]) if jumps else d_right
+    s = np.maximum(np.max(d_right, axis=1), 1.0 / t - np.min(d_left, axis=1))
+    for b, fb, fb_left in jumps:
+        s = np.maximum(s, np.abs(np.sum(rows[2] <= b, axis=1) / t - fb))
+        s = np.maximum(s, np.abs(np.sum(rows[2] < b, axis=1) / t - fb_left))
+    return s
 
 
 def cvar_order_statistic_check(seed: int = 0) -> CheckResult:

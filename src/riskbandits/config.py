@@ -234,8 +234,9 @@ def _seed(value, name: str) -> int:
 
 def _parse_check_options(raw) -> dict:
     """The ``check:`` knobs: integers pairs >= 1, seed >= 0 and dkw_reps;
-    finite positive reals b_alpha, m_alpha and grid_step; dkw_grid, a
-    non-empty list of [t, x] points with t >= 1 and a finite x >= 0."""
+    finite positive reals b_alpha and m_alpha (both or neither) and
+    grid_step; dkw_grid, a non-empty list of [t, x] points with t >= 1 and
+    a finite x >= 0."""
     if not isinstance(raw, dict):
         raise ConfigError(f"check options must be a mapping, got {raw!r}")
     opts = {}
@@ -260,6 +261,8 @@ def _parse_check_options(raw) -> dict:
     for key, least in (("pairs", 1), ("dkw_reps", 100)):
         if opts.get(key, least) < least:
             raise ConfigError(f"check {key} must be >= {least}, got {opts[key]}")
+    if ("b_alpha" in opts) != ("m_alpha" in opts):
+        raise ConfigError("check b_alpha and m_alpha go together: give both or neither")
     return opts
 
 

@@ -10,7 +10,9 @@ approximation map that makes residuals computable.
 
 Certificate constants are computed from the configured arm set (extreme
 means, norm bounds, quantile bounds); every shipped constant is validated
-by the invariant suite in ``checks``.
+by the invariant suite in ``checks``.  One method builds every stability
+certificate, ``RiskCriterion.stability_certificate``; a kind gives only
+its default ``modulus_q`` and its arm-set scale ``_default_b``.
 
 ``accumulator()`` gives a per-arm running summary of a growing sample:
 ``push(x)`` adds one reward, ``t`` counts them, and the summary answers
@@ -143,6 +145,8 @@ class RiskCriterion:
     convexity: str = "none"  # linear | convex | quasiconvex | none
     # the bound norm's linear functionals; () is the bare sup norm
     functionals: tuple[SemiNormFunctional, ...] = ()
+    # the default modulus exponent q; None where there are no default constants
+    modulus_q: float | None = None
 
     def evaluate(self, f: RewardDistribution) -> float:
         raise NotImplementedError
@@ -156,17 +160,21 @@ class RiskCriterion:
         return []
 
     def stability_certificate(self, arms, a=None, b=None, q=None):
-        """Certificate with arm-set defaults; None when no constants exist."""
-        base = self._default_stability(arms)
-        if base is None and (a is None or b is None or q is None):
+        """The certificate with each constant not given at its default, or
+        None without one.  The default rate ``a`` shares DKW's sup-norm rate
+        across the bound norm's functionals; ``q`` is ``modulus_q`` and ``b``
+        is ``_default_b(arms)``, computed only when ``b`` is not given.  A
+        kind without ``modulus_q`` has no defaults."""
+        if self.modulus_q is not None:
+            a = default_concentration_rate(len(self.functionals)) if a is None else a
+            b = self._default_b(arms) if b is None else b
+            q = self.modulus_q if q is None else q
+        if a is None or b is None or q is None:
             return None
-        return StabilityCertificate(
-            a if a is not None else base.a,
-            b if b is not None else base.b,
-            q if q is not None else base.q,
-        )
+        return StabilityCertificate(a, b, q)
 
-    def _default_stability(self, arms):
+    def _default_b(self, arms):
+        """The modulus scale ``b`` on this arm set; None when none is known."""
         return None
 
     def smoothness_certificate(self, arms):
@@ -362,6 +370,7 @@ class _LinearCriterion(_CompositeCriterion):
 
     convexity = "linear"
     sign = 1.0
+    modulus_q = 1.0
 
     def h(self, x):
         return self.sign * float(x[0])
@@ -369,8 +378,8 @@ class _LinearCriterion(_CompositeCriterion):
     def grad_h(self, x):
         return np.array([self.sign])
 
-    def _default_stability(self, arms):
-        return StabilityCertificate(default_concentration_rate(len(self.functionals)), 0.5, 1.0)
+    def _default_b(self, arms):
+        return 0.5
 
     def smoothness_certificate(self, arms):
         return SmoothnessCertificate(1.0, 0.0, math.inf)
@@ -447,6 +456,7 @@ class EntropicCriterion(_CompositeCriterion):
 class NegVarianceCriterion(_CompositeCriterion):
     tag = "neg-variance"
     convexity = "convex"
+    modulus_q = 2.0
     functionals = (
         SemiNormFunctional("mean"),
         SemiNormFunctional("second-moment"),
@@ -458,9 +468,8 @@ class NegVarianceCriterion(_CompositeCriterion):
     def grad_h(self, x):
         return np.array([2.0 * float(x[0]), -1.0])
 
-    def _default_stability(self, arms):
-        b = 1.0 + 2.0 * _abs_mean_bound(arms)
-        return StabilityCertificate(default_concentration_rate(len(self.functionals)), b, 2.0)
+    def _default_b(self, arms):
+        return 1.0 + 2.0 * _abs_mean_bound(arms)
 
     def smoothness_certificate(self, arms):
         d1 = 1.0 + 2.0 * _abs_mean_bound(arms)
@@ -472,6 +481,7 @@ class MeanVarianceCriterion(_CompositeCriterion):
 
     tag = "mean-variance"
     convexity = "convex"
+    modulus_q = 2.0
     functionals = (
         SemiNormFunctional("mean"),
         SemiNormFunctional("second-moment"),
@@ -492,13 +502,12 @@ class MeanVarianceCriterion(_CompositeCriterion):
     def grad_h(self, x):
         return np.array([1.0 + 2.0 * self.rho * float(x[0]), -self.rho])
 
-    def _default_stability(self, arms):
+    def _default_b(self, arms):
         lo, hi = _mean_range(arms)
-        b = self.rho + max(abs(1.0 + 2.0 * self.rho * hi), abs(1.0 + 2.0 * self.rho * lo))
-        return StabilityCertificate(default_concentration_rate(len(self.functionals)), b, 2.0)
+        return self.rho + max(abs(1.0 + 2.0 * self.rho * hi), abs(1.0 + 2.0 * self.rho * lo))
 
     def smoothness_certificate(self, arms):
-        return SmoothnessCertificate(self._default_stability(arms).b, 2.0 * self.rho, math.inf)
+        return SmoothnessCertificate(self._default_b(arms), 2.0 * self.rho, math.inf)
 
 
 class _RatioCriterion(_CompositeCriterion):
@@ -523,6 +532,7 @@ class SharpeCriterion(_RatioCriterion):
 
     tag = "sharpe"
     convexity = "quasiconvex"
+    modulus_q = 3.0  # the cubic term comes from the x1^2 part
 
     def __init__(self, r: float, eps_sigma: float):
         super().__init__(r, eps_sigma)
@@ -556,17 +566,16 @@ class SharpeCriterion(_RatioCriterion):
             flags.append("x2 >= x1^2")
         return flags
 
-    def _default_stability(self, arms):
+    def _default_b(self, arms):
         # modulus derived on the feasible half-space {x2 >= x1^2}, where the
-        # denominator stays >= sqrt(eps); cubic term comes from the x1^2 part
+        # denominator stays >= sqrt(eps)
         amax = _abs_mean_bound(arms)
         spread = self._target_spread(arms)
         e = self.eps
         c1 = 1.0 / math.sqrt(e) + spread * (1.0 + 2.0 * amax) / (2.0 * e**1.5)
         c2 = (1.0 + 2.0 * amax + spread) / (2.0 * e**1.5)
         c3 = 1.0 / (2.0 * e**1.5)
-        b = max(c1 + 0.5 * c2, c3 + 0.5 * c2)
-        return StabilityCertificate(default_concentration_rate(len(self.functionals)), b, 3.0)
+        return max(c1 + 0.5 * c2, c3 + 0.5 * c2)
 
     def smoothness_certificate(self, arms):
         m0 = _RATIO_RADIUS
@@ -587,6 +596,7 @@ class SortinoCriterion(_RatioCriterion):
 
     tag = "sortino"
     convexity = "quasiconvex"
+    modulus_q = 2.0
 
     def __init__(self, r: float, eps_sigma: float):
         super().__init__(r, eps_sigma)
@@ -606,15 +616,14 @@ class SortinoCriterion(_RatioCriterion):
     def domain_flags(self, f):
         return ["x1 >= r"] if f.mean() < self.r else []
 
-    def _default_stability(self, arms):
-        b = max(1.0, 2.0 * self.eps + self._target_spread(arms)) / (2.0 * self.eps**1.5)
-        return StabilityCertificate(default_concentration_rate(len(self.functionals)), b, 2.0)
+    def _default_b(self, arms):
+        return max(1.0, 2.0 * self.eps + self._target_spread(arms)) / (2.0 * self.eps**1.5)
 
     def smoothness_certificate(self, arms):
         m0 = _RATIO_RADIUS
         e = self.eps
         d2 = abs(self.r) / e**1.5 + 3.0 * (self._target_spread(arms) + m0) / (4.0 * e**2.5)
-        return SmoothnessCertificate(self._default_stability(arms).b, d2, m0)
+        return SmoothnessCertificate(self._default_b(arms), d2, m0)
 
 
 # ---------------------------------------------------------------------------
@@ -647,27 +656,19 @@ class VaRCriterion(_PercentileCriterion):
 
     tag = "var"
     convexity = "quasiconvex"
+    modulus_q = 1.0
 
     def evaluate(self, f):
         return f.quantile(self.alpha)
 
-    def stability_certificate(self, arms, a=None, b=None, q=None):
-        if b is None:
-            fitted = fit_c4_constants(arms, self.alpha)
-            if fitted is None:
-                return None
-            b_alpha, m_alpha = fitted
-            c_star = _c_star(arms, self.functionals)
-            b = max(
-                b_alpha,
-                (m_alpha + 2.0 * c_star)
-                / (min(self.alpha, 1.0 - self.alpha) * m_alpha),
-            )
-        return StabilityCertificate(
-            a if a is not None else default_concentration_rate(len(self.functionals)),
-            b,
-            q if q is not None else 1.0,
-        )
+    def _default_b(self, arms):
+        fitted = fit_c4_constants(arms, self.alpha)
+        if fitted is None:
+            return None
+        b_alpha, m_alpha = fitted
+        c_star = _c_star(arms, self.functionals)
+        scale = (m_alpha + 2.0 * c_star) / (min(self.alpha, 1.0 - self.alpha) * m_alpha)
+        return max(b_alpha, scale)
 
     # No smoothness certificate: the percentile map has no known linear
     # approximation with a quadratically bounded remainder.
@@ -678,6 +679,7 @@ class CVaRCriterion(_PercentileCriterion):
 
     tag = "cvar"
     convexity = "convex"
+    modulus_q = 2.0
 
     def evaluate(self, f):
         v = f.quantile(self.alpha)
@@ -688,12 +690,11 @@ class CVaRCriterion(_PercentileCriterion):
             )
         return v - integral / self.alpha
 
-    def _default_stability(self, arms):
+    def _default_b(self, arms):
         c_star = _c_star(arms, self.functionals)
-        b = (1.0 / self.alpha) * (
+        return (1.0 / self.alpha) * (
             1.0 + max(1.0, 3.0 * c_star) / min(self.alpha, 1.0 - self.alpha)
         )
-        return StabilityCertificate(default_concentration_rate(len(self.functionals)), b, 2.0)
 
     def smoothness_certificate(self, arms):
         fitted = fit_c4_constants(arms, self.alpha)

@@ -141,11 +141,11 @@ class RewardDistribution:
 
         - prefix-stable: the first m of n draws are the m draws from the
           same state.  ``simulate``'s shorter horizons, cut from the longest
-          run, and the shorter horizons of ``sim.dkw_sup_distances`` rest
-          on it.
+          run, and the shorter horizons of ``checks.dkw_grid_check``'s pass
+          rest on it.
         - block-invariant: draws of m then of n - m are the n draws from
           the same state.  The closed loop's block refills and the blocks
-          of ``sim.dkw_sup_distances`` rest on it.  ``EmpiricalDistribution``
+          of ``checks.dkw_grid_check``'s pass rest on it.  ``EmpiricalDistribution``
           keeps it because the default generator (PCG64) holds the spare
           half of a 64-bit word, which its bounded integers use, in its own
           state.

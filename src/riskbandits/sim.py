@@ -1,4 +1,4 @@
-"""Episode runner and Monte Carlo estimators.
+"""Episode runner, its Monte Carlo estimators and the CSV contract.
 
 Open-loop policies hand over the pull counts at every checkpoint
 (``Policy.pull_counts``) and each arm then draws its rewards in one call;
@@ -40,7 +40,6 @@ __all__ = [
     "estimate_proxy_regret",
     "estimate_horizon_gap",
     "estimate_reference_regret",
-    "dkw_sup_distances",
     "write_csv",
     "write_report_csv",
     "read_report_csv",
@@ -299,95 +298,6 @@ def estimate_reference_regret(episodes, reference_episodes) -> list[EstimateRow]
                     min(n_c, n_r), fl_c + fl_r)
         for cp, (m_c, se_c, n_c, fl_c), (m_r, se_r, n_r, fl_r) in zip(cps, cand, ref)
     ]
-
-
-# ---------------------------------------------------------------------------
-# Empirical concentration
-# ---------------------------------------------------------------------------
-
-
-#: Draws per block of ``dkw_sup_distances``: whole rows of the largest
-#: horizon (one row if that horizon is longer), so the block, each shorter
-#: horizon's copy of it and the CDF values scored from it are of this size.
-_DKW_BLOCK_DRAWS = 1 << 16
-
-
-def dkw_sup_distances(dist, horizons, reps: int, seed: int = 0) -> dict[int, np.ndarray]:
-    """``{t: sup |F_hat_t - F| of each of reps samples of size t}`` for every
-    distinct t in ``horizons``, in one pass over one stream.
-
-    Replication r of horizon t is draws ``r t, ..., (r + 1) t - 1`` of stream
-    ``SeedSequence(seed, spawn_key=(0,))``, so every horizon reads a prefix
-    of the largest one's ``reps * max(t)`` draws.  The pass draws them in
-    blocks of whole rows of the largest horizon, about ``_DKW_BLOCK_DRAWS``
-    draws each, with one ``sample`` and one ``cdf`` call a block (and one
-    ``cdf_left`` with jumps); the largest horizon sorts and scores the
-    block's CDF values in place, and a shorter one scores a sorted copy of
-    its part of them, carrying its partial row (under t draws) into the
-    next.  Memory is a few blocks, the largest t and the distances,
-    whatever ``reps * t``.
-
-    The sup is exact: over sample points (both sides) and the distribution's
-    own jump points (both sides).  Every step is elementwise, an exact
-    maximum or an integer count, so the distances do not depend on the block
-    size; for a block-invariant sampler (``RewardDistribution.sample``) they
-    are those of one ``sample(rng, reps * t)`` call per horizon, bit for bit.
-    """
-    if reps < 100:
-        raise DomainError(f"need at least 100 replications, got {reps}")
-    horizons = sorted({int(t) for t in horizons})
-    if not horizons or horizons[0] < 1:
-        raise DomainError(f"need horizons t >= 1, got {horizons}")
-    longest = horizons[-1]
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    jumps = [(b, float(dist.cdf(b)), float(dist.cdf_left(b))) for b in dist.breakpoints()]
-    sups = {t: np.empty(reps) for t in horizons}
-    # per horizon, its partial row: CDF values, and with jumps left limits and draws
-    carry = {t: [np.empty(0)] * (3 if jumps else 1) for t in horizons}
-    total = reps * longest
-    step = max(1, _DKW_BLOCK_DRAWS // longest) * longest
-    for start in range(0, total, step):
-        draws = dist.sample(rng, min(step, total - start))
-        columns = [dist.cdf(draws)] + ([dist.cdf_left(draws), draws] if jumps else [])
-        del draws  # held by the columns only where jumps are counted
-        for t in horizons:  # ascending: the largest horizon sorts the block's values, last
-            unread = reps * t - start
-            if unread <= 0:
-                continue
-            if t < longest:
-                columns_t = [np.concatenate((c, col[:unread])) for c, col in zip(carry[t], columns)]
-            else:
-                columns_t = columns
-            done = (start - len(carry[t][0])) // t
-            n = len(columns_t[0]) // t
-            carry[t] = [col[n * t :].copy() for col in columns_t]
-            rows = [col[: n * t].reshape(n, t) for col in columns_t]
-            sups[t][done : done + n] = _sup_rows(rows, jumps)
-    return sups
-
-
-def _sup_rows(rows, jumps) -> np.ndarray:
-    """``sup |F_hat - F|`` of each row of draws, from their CDF values and,
-    with jumps, their left limits and the draws.  F and F_left do not fall,
-    so a row's sorted values are its sorted draws' values: each value row
-    is sorted in place and then overwritten by its ``d``.  With
-    ``d = grid - F`` the sample-point sides are
-    ``max(d)`` and ``1/t - min(d at F's left limits)``: ``-(g - f)`` is
-    ``f - g`` exactly, and ``1/t + m`` does not fall as m rises, so this is
-    the maximum of ``F_left - grid + 1/t`` bit for bit.  The jump crossings
-    are counts, taken on the draws in draw order."""
-    for values in rows[:2]:
-        values.sort(axis=1)
-    t = rows[0].shape[1]
-    grid = np.arange(1, t + 1) / t
-    d_right = np.subtract(grid, rows[0], out=rows[0])
-    # without breakpoints the CDF has no jumps: its left limits are its values
-    d_left = np.subtract(grid, rows[1], out=rows[1]) if jumps else d_right
-    s = np.maximum(np.max(d_right, axis=1), 1.0 / t - np.min(d_left, axis=1))
-    for b, fb, fb_left in jumps:
-        s = np.maximum(s, np.abs(np.sum(rows[2] <= b, axis=1) / t - fb))
-        s = np.maximum(s, np.abs(np.sum(rows[2] < b, axis=1) / t - fb_left))
-    return s
 
 
 # ---------------------------------------------------------------------------

@@ -281,7 +281,7 @@ def _modulus_suite():
             assert cert.q == 2.0
         if crit.tag == "var":
             assert cert.q == 1.0
-        yield checklib.modulus_check(crit, arms, cert, n_pairs=500, seed=10)
+        yield checklib.modulus_check(crit, arms, {f"modulus[{crit.tag}]": cert}, 500, 10)[0]
 
 
 def _residual_suite():

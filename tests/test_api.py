@@ -171,7 +171,7 @@ if mode == "check":
     cli.main(["check", "--config", config, "--seed", "7"])
 else:
     checks.convexity_check(crit, arms, 4, 7)
-    checks.modulus_check(crit, arms, certificates[0], 6, 7)
+    checks.modulus_check(crit, arms, {f"modulus[{crit.tag}]": certificates[0]}, 6, 7)
     checks.residual_check(crit, arms, certificates[1], 4, 7)
 stats = t.stats()
 bad = run.tracer_self_check(run.WORKLOADS["check-close-gaussians"], stats)
@@ -209,3 +209,45 @@ def test_check_keeps_every_traced_boundary_of_the_benchmark(tmp_path):
     for boundary in ("dist.mixture_quantile", "dist.mixture_cdf_in_quantile", "norms.refine",
                      "checks.modulus", "checks.convexity", "checks.residual"):
         assert calls[boundary] > 0, boundary
+
+
+# the three simulate workloads in one fresh interpreter with the benchmark's
+# tracer installed, each on a copy of its config that keeps every key but
+# the horizons and checkpoints, cut to 400 steps; prints each self-check
+_TRACED_SIMULATE = """
+import json, sys
+root, tmp = sys.argv[1:]
+sys.path[:0] = [root + "/src", root + "/perfbench"]
+import run, tracer, yaml
+from riskbandits import cli
+t = tracer.Tracer()
+t.install()
+bad = {}
+for name in ("ucb-cvar", "bad1-oracle", "var-flat-vertex"):
+    w = run.WORKLOADS[name]
+    doc = run.load_cfg(w)
+    longest = max(doc["horizons"])
+    for key in ("horizons", "checkpoints"):
+        if key in doc:
+            doc[key] = [v * 400 // longest for v in doc[key]]
+    config = f"{tmp}/{name}.yaml"
+    with open(config, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(doc, fh)
+    t._stats.clear()
+    argv = [w.command, "--config", config, "--out", f"{tmp}/{name}", "--reps", "2"]
+    assert cli.main(argv + ["--parallel", "1"]) == 0, name
+    bad[name] = run.tracer_self_check(w, t.stats())
+print(json.dumps(bad))
+"""
+
+
+def test_simulate_keeps_every_traced_boundary_of_the_benchmark(tmp_path):
+    # the simulate workloads' expectations (perfbench/run.py) on their own,
+    # shortened configs
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", _TRACED_SIMULATE, str(root), str(tmp_path)],
+        capture_output=True, text=True, check=True, cwd=root,
+    )
+    bad = json.loads(out.stdout.splitlines()[-1])
+    assert bad == {"ucb-cvar": [], "bad1-oracle": [], "var-flat-vertex": []}

@@ -602,7 +602,8 @@ def test_check_scores_each_distinct_ucb_certificate_on_a_line_of_its_own(tmp_pat
     ]
     # each line is scored on the pairs of the default line
     crit, arms = CVaRCriterion(0.1), [Gaussian(0.0, 1.0), Gaussian(-0.75, 1.0)]
-    own = checks.modulus_check(crit, arms, StabilityCertificate(2.0, 0.45, 2.0), 30, 314159)
+    cert = StabilityCertificate(2.0, 0.45, 2.0)
+    own = checks.modulus_check(crit, arms, {f"modulus[{crit.tag}]": cert}, 30, 314159)[0]
     assert own.line() == lines[1].replace("modulus-ucb[ucb]", "modulus[cvar]")
     rows = (tmp_path / "check.csv").read_text(encoding="utf-8").splitlines()
     assert sum(r.startswith("modulus-ucb[ucb],0,") for r in rows) == 1
@@ -864,6 +865,13 @@ def test_ucb_alpha_at_or_below_2_or_non_finite_exits_1(tmp_path, capsys, command
         pytest.param({"check": {"b_alpha": NAN}}, "check b_alpha", id="b-alpha-nan"),
         pytest.param({"check": {"b_alpha": 0.0}}, "check b_alpha", id="b-alpha-0"),
         pytest.param({"check": {"m_alpha": INF}}, "check m_alpha", id="m-alpha-inf"),
+        # a lone C4 constant would be dropped for a fitted pair
+        pytest.param(
+            {"check": {"b_alpha": 1000.0}}, "check b_alpha and m_alpha", id="b-alpha-alone"
+        ),
+        pytest.param(
+            {"check": {"m_alpha": 0.05}}, "check b_alpha and m_alpha", id="m-alpha-alone"
+        ),
         pytest.param({"check": {"dkw_grid": [[100, NAN]]}}, "check dkw_grid", id="dkw-x-nan"),
         pytest.param({"check": {"dkw_grid": [[100, -0.5]]}}, "check dkw_grid", id="dkw-x-negative"),
         pytest.param({"check": {"dkw_grid": [[0, 0.1]]}}, "check dkw_grid", id="dkw-t-0"),

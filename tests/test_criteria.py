@@ -1,4 +1,6 @@
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,9 +38,10 @@ from riskbandits.dist import (
     Uniform,
     _quantile_rank,
 )
+from riskbandits.config import load_config
 from riskbandits.errors import CriterionDomainError, DomainError, UnsupportedOperationError
 
-from conftest import bad1_arm_wide, distribution_catalog, rng
+from conftest import bad1_arm_wide, bad2_arm_steep, bad2_arm_step, distribution_catalog, rng
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +383,105 @@ def test_var_certificate_needs_growth_constants():
     assert cert is not None and cert.q == 1.0
 
 
+def _parent_default_stability(crit, arms):
+    """The per-kind default certificates that each criterion once built
+    itself, copied as the oracle of the one certificate method."""
+    rate = default_concentration_rate(len(crit.functionals))
+    if isinstance(crit, (MeanCriterion, SecondMomentCriterion, NegTSVCriterion)):
+        return StabilityCertificate(rate, 0.5, 1.0)
+    if isinstance(crit, NegVarianceCriterion):
+        b = 1.0 + 2.0 * criteria_module._abs_mean_bound(arms)
+        return StabilityCertificate(rate, b, 2.0)
+    if isinstance(crit, MeanVarianceCriterion):
+        lo, hi = criteria_module._mean_range(arms)
+        b = crit.rho + max(abs(1.0 + 2.0 * crit.rho * hi), abs(1.0 + 2.0 * crit.rho * lo))
+        return StabilityCertificate(rate, b, 2.0)
+    if isinstance(crit, SharpeCriterion):
+        amax = criteria_module._abs_mean_bound(arms)
+        spread = crit._target_spread(arms)
+        e = crit.eps
+        c1 = 1.0 / math.sqrt(e) + spread * (1.0 + 2.0 * amax) / (2.0 * e**1.5)
+        c2 = (1.0 + 2.0 * amax + spread) / (2.0 * e**1.5)
+        c3 = 1.0 / (2.0 * e**1.5)
+        b = max(c1 + 0.5 * c2, c3 + 0.5 * c2)
+        return StabilityCertificate(rate, b, 3.0)
+    if isinstance(crit, SortinoCriterion):
+        b = max(1.0, 2.0 * crit.eps + crit._target_spread(arms)) / (2.0 * crit.eps**1.5)
+        return StabilityCertificate(rate, b, 2.0)
+    if isinstance(crit, CVaRCriterion):
+        c_star = criteria_module._c_star(arms, crit.functionals)
+        b = (1.0 / crit.alpha) * (
+            1.0 + max(1.0, 3.0 * c_star) / min(crit.alpha, 1.0 - crit.alpha)
+        )
+        return StabilityCertificate(rate, b, 2.0)
+    return None
+
+
+def parent_stability_certificate(crit, arms, a=None, b=None, q=None):
+    """The certificate merge with VaR's own override, as they were before one
+    method built every certificate."""
+    if isinstance(crit, VaRCriterion):
+        if b is None:
+            fitted = fit_c4_constants(arms, crit.alpha)
+            if fitted is None:
+                return None
+            b_alpha, m_alpha = fitted
+            c_star = criteria_module._c_star(arms, crit.functionals)
+            b = max(
+                b_alpha,
+                (m_alpha + 2.0 * c_star) / (min(crit.alpha, 1.0 - crit.alpha) * m_alpha),
+            )
+        return StabilityCertificate(
+            a if a is not None else default_concentration_rate(len(crit.functionals)),
+            b,
+            q if q is not None else 1.0,
+        )
+    base = _parent_default_stability(crit, arms)
+    if base is None and (a is None or b is None or q is None):
+        return None
+    return StabilityCertificate(
+        a if a is not None else base.a,
+        b if b is not None else base.b,
+        q if q is not None else base.q,
+    )
+
+
+_VAR_FLAT = load_config(Path(__file__).resolve().parents[1] / "configs" / "var_flat_rate.yaml")
+_CERTIFICATE_ARM_SETS = {
+    "unit-gaussians": [Gaussian(0.0, 1.0), Gaussian(0.1, 1.0)],
+    "knot-tables": [bad1_arm_wide(), bad2_arm_steep(), bad2_arm_step()],
+    "var-flat": _VAR_FLAT.arms,
+}
+_OVERRIDES = {"a": 1.5, "b": 0.7, "q": 2.5}
+
+
+@pytest.mark.parametrize("arm_set", sorted(_CERTIFICATE_ARM_SETS))
+@pytest.mark.parametrize("kind", [*sorted(criteria_module._FACTORIES), "var-flat-config"])
+def test_stability_certificate_matches_the_per_kind_merge(kind, arm_set):
+    if kind == "var-flat-config":
+        crit = _VAR_FLAT.criterion
+    else:
+        names = criteria_module._FACTORIES[kind][1]
+        crit = build_criterion(kind, **{n: _EVERY_KIND_PARAMS[n] for n in names})
+    arms = _CERTIFICATE_ARM_SETS[arm_set]
+    for k in range(len(_OVERRIDES) + 1):
+        for keys in itertools.combinations(_OVERRIDES, k):
+            given = {key: _OVERRIDES[key] for key in keys}
+            want = parent_stability_certificate(crit, arms, **given)
+            assert crit.stability_certificate(arms, **given) == want, given
+
+
+def test_var_certificate_on_the_flat_config_arm_needs_b():
+    # the growth-constant fit fails on the arm, so only a given b certifies it
+    crit, arms = _VAR_FLAT.criterion, _VAR_FLAT.arms
+    assert fit_c4_constants(arms, crit.alpha) is None
+    assert crit.stability_certificate(arms) is None
+    assert parent_stability_certificate(crit, arms) is None
+    cert = crit.stability_certificate(arms, b=0.7)
+    assert cert == parent_stability_certificate(crit, arms, b=0.7)
+    assert (cert.a, cert.b, cert.q) == (default_concentration_rate(2), 0.7, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Conditions C3 / C4
 # ---------------------------------------------------------------------------
@@ -435,7 +537,7 @@ _MODULUS_CASES = [
 def test_modulus_inequality(crit, arms):
     cert = crit.stability_certificate(arms)
     assert cert is not None
-    result = checklib.modulus_check(crit, arms, cert, n_pairs=80, seed=21)
+    result = checklib.modulus_check(crit, arms, {f"modulus[{crit.tag}]": cert}, 80, 21)[0]
     assert result.passed, result.detail
 
 

@@ -1,12 +1,11 @@
 import bisect
 import math
-import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from riskbandits import checks, sim
+from riskbandits import sim
 from riskbandits.criteria import (
     Bad1Criterion,
     Bad2Criterion,
@@ -20,7 +19,6 @@ from riskbandits.criteria import (
 from riskbandits.dist import (
     EmpiricalDistribution,
     Gaussian,
-    MixtureDistribution,
     PiecewiseLinearCDF,
     PointMass,
     TwoPoint,
@@ -36,7 +34,6 @@ from riskbandits.policy import (
     UcbPolicy,
 )
 from riskbandits.sim import (
-    dkw_sup_distances,
     estimate_horizon_gap,
     estimate_performance,
     estimate_proxy_regret,
@@ -431,201 +428,6 @@ def test_bad1_oracle_outperforms_safe_vertex(bad1_arms):
     )
     rows = estimate_reference_regret(vertex_eps, oracle_eps)
     assert rows[0].value > 30  # oracle near 50, safe vertex at 10
-
-
-# ---------------------------------------------------------------------------
-# Rates and concentration
-# ---------------------------------------------------------------------------
-
-
-def test_dkw_exceedance_edges():
-    assert np.mean(dkw_sup_distances(Gaussian(0, 1), [50], reps=100)[50] >= 0.0) == 1.0
-    with pytest.raises(DomainError):
-        dkw_sup_distances(Gaussian(0, 1), [50], reps=10)
-    with pytest.raises(DomainError, match="horizons"):
-        dkw_sup_distances(Gaussian(0, 1), [], reps=100)
-    # t=100, x=0.2: bound 6.7e-4, so exceedances are a rare event
-    sups = dkw_sup_distances(Gaussian(0, 1), [100], reps=2000, seed=1)
-    assert np.mean(sups[100] >= 0.2) <= 0.002
-
-
-def test_dkw_exceedance_respects_bound_grid():
-    d = Gaussian(0, 1)
-    grid = [(25, 0.15), (25, 0.25), (100, 0.1), (400, 0.05)]
-    sups = dkw_sup_distances(d, [t for t, _ in grid], reps=4000, seed=13)
-    assert sorted(sups) == [25, 100, 400]
-    for t, x in grid:
-        emp = np.mean(sups[t] >= x)
-        bound = 2 * math.exp(-2 * t * x * x)
-        assert emp <= 1.2 * bound + 1e-12
-
-
-def test_dkw_exceedance_discrete_distribution():
-    # atoms force the supremum onto jump points; bound must still hold
-    d = PointMass(0.0)
-    assert np.mean(dkw_sup_distances(d, [50], reps=500, seed=2)[50] >= 0.1) == 0.0
-
-
-def one_shot_dkw_sup_distances(dist, t, reps, seed=0, stream=None):
-    """Reference: the one-shot scoring the blocked pass replaced.  It draws
-    ``stream`` values (default ``reps * t``) in one ``sample`` call, sorts a
-    copy of the first ``reps * t`` as ``reps`` rows and scores them in
-    full-size arrays."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    draws = dist.sample(rng, stream or reps * t)[: reps * t]
-    draws = np.sort(draws.reshape(reps, t), axis=1)
-    grid = np.arange(1, t + 1) / t
-    breakpoints = dist.breakpoints()
-    f_right = np.asarray(dist.cdf(draws))
-    f_left = np.asarray(dist.cdf_left(draws)) if len(breakpoints) else f_right
-    sup = np.maximum(
-        np.max(grid[None, :] - f_right, axis=1),
-        np.max(f_left - grid[None, :] + 1.0 / t, axis=1),
-    )
-    for b in breakpoints:
-        fb = float(dist.cdf(b))
-        fb_left = float(dist.cdf_left(b))
-        emp_right = np.sum(draws <= b, axis=1) / t
-        emp_left = np.sum(draws < b, axis=1) / t
-        sup = np.maximum(sup, np.abs(emp_right - fb))
-        sup = np.maximum(sup, np.abs(emp_left - fb_left))
-    return sup
-
-
-def one_shot_dkw_exceedance(dist, t, x, reps, seed=0):
-    if reps < 100:
-        raise DomainError(f"need at least 100 replications, got {reps}")
-    if x <= 0.0:
-        return 1.0
-    return float(np.mean(one_shot_dkw_sup_distances(dist, t, reps, seed) >= x))
-
-
-# block-invariant samplers: every config arm kind and a sample multiset
-_DKW_KINDS = {
-    "gaussian": Gaussian(0.3, 2.0),
-    "point-mass": PointMass(0.5),
-    "uniform": Uniform(-1.0, 2.0),
-    "bernoulli-scaled": TwoPoint(0.3, -2.0, 1.0),
-    "bad1-wide": bad1_arm_wide(),  # jumps and a flat part
-    "var-flat": PiecewiseLinearCDF.from_pairs([(0, 0.0), (1, 0.3), (2, 0.3), (3, 1.0)]),
-    "empirical-50": EmpiricalDistribution(np.random.default_rng(8).normal(size=50)),
-}
-
-# a mixture is neither block-invariant nor prefix-stable; the multiset is
-# both, and also scored here as one draw
-_DKW_STREAM_KINDS = {
-    "gaussian+point-mass": MixtureDistribution([Gaussian(0, 1), PointMass(0.25)], [0.6, 0.4]),
-    "empirical-50": EmpiricalDistribution(np.random.default_rng(8).normal(size=50)),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(_DKW_KINDS))
-@pytest.mark.parametrize("horizons", [(25, 100, 400), (97, 101, 400), (1, 7, 300)], ids=str)
-# a block of 256 draws holds one row of the largest horizon, which is longer
-@pytest.mark.parametrize("block", [None, 256])
-def test_dkw_pass_is_bit_identical_to_one_shot_per_horizon(monkeypatch, kind, horizons, block):
-    if block is not None:
-        monkeypatch.setattr(sim, "_DKW_BLOCK_DRAWS", block)
-    d = _DKW_KINDS[kind]
-    reps = 300
-    sups = dkw_sup_distances(d, horizons, reps, seed=6)
-    assert sorted(sups) == sorted(horizons)
-    for t in horizons:
-        np.testing.assert_array_equal(sups[t], one_shot_dkw_sup_distances(d, t, reps, seed=6))
-
-
-@pytest.mark.parametrize("kind", sorted(_DKW_STREAM_KINDS))
-def test_dkw_pass_in_one_block_scores_prefixes_of_one_draw(monkeypatch, kind):
-    # a block that holds the whole stream takes one sample call; each
-    # horizon's rows are the prefix of those draws
-    d = _DKW_STREAM_KINDS[kind]
-    horizons, reps = (25, 100, 400), 200
-    monkeypatch.setattr(sim, "_DKW_BLOCK_DRAWS", reps * max(horizons))
-    calls = []
-    sample = type(d).sample
-
-    def counting(self, rng, n):
-        calls.append(n)
-        return sample(self, rng, n)
-
-    monkeypatch.setattr(type(d), "sample", counting)
-    sups = dkw_sup_distances(d, horizons, reps, seed=6)
-    assert calls == [reps * max(horizons)]
-    for t in horizons:
-        np.testing.assert_array_equal(
-            sups[t], one_shot_dkw_sup_distances(d, t, reps, seed=6, stream=reps * max(horizons))
-        )
-
-
-def _per_pair_dkw_line(dist, pairs, reps, seed, slack=1.2):
-    """The concentration line of a loop that scores every pair afresh."""
-    worst = 0.0
-    for t, x in pairs:
-        emp = one_shot_dkw_exceedance(dist, t, x, reps, seed)
-        bound = 2.0 * math.exp(-2.0 * t * x * x)
-        if emp > min(1.0, slack * bound):
-            detail = f"t={t}, x={x}: empirical {emp:.4g} > {slack} x bound {bound:.4g}"
-            return checks.CheckResult("dkw-concentration", False, detail).line()
-        if bound > 0:
-            worst = max(worst, emp / bound)
-    return checks.CheckResult(
-        "dkw-concentration", True, f"worst empirical/bound ratio {worst:.3f}"
-    ).line()
-
-
-_CLI_DKW_GRID = [(25, 0.2), (100, 0.1), (100, 0.14), (400, 0.05), (400, 0.07)]
-
-
-@pytest.mark.parametrize("slack", [1.2, 0.1])
-def test_dkw_grid_check_line_matches_per_pair_scoring(slack):
-    d = Gaussian(0, 1)
-    got = checks.dkw_grid_check(d, _CLI_DKW_GRID, reps=2000, seed=14, slack=slack)
-    assert got.passed == (slack > 1)
-    assert got.line() == _per_pair_dkw_line(d, _CLI_DKW_GRID, 2000, 14, slack)
-
-
-def test_dkw_grid_check_draws_one_stream_once(monkeypatch):
-    calls = []
-    sample = Gaussian.sample
-
-    def counting(self, rng, n):
-        calls.append(n)
-        return sample(self, rng, n)
-
-    monkeypatch.setattr(Gaussian, "sample", counting)
-    # a pair with x <= 0 scores 1.0 without drawing
-    grid = _CLI_DKW_GRID + [(500, 0.0)]
-    assert checks.dkw_grid_check(Gaussian(0, 1), grid, reps=2000, seed=14).passed
-    # the largest drawn horizon's stream, in blocks of its whole rows
-    rows = sim._DKW_BLOCK_DRAWS // 400
-    assert calls == [400 * min(rows, 2000 - lo) for lo in range(0, 2000, rows)]
-    # too few replications raise at the first pair, drawn or not
-    with pytest.raises(DomainError):
-        checks.dkw_grid_check(Gaussian(0, 1), [(25, 0.0), (25, 0.2)], reps=10)
-
-
-def test_dkw_grid_check_refuses_few_reps_on_a_grid_that_draws_nothing():
-    with pytest.raises(DomainError, match="at least 100 replications"):
-        checks.dkw_grid_check(Gaussian(0, 1), [(25, 0.0), (100, -0.5)], reps=10)
-
-
-def test_dkw_grid_check_refuses_an_empty_grid():
-    # a grid with no points would PASS having checked nothing
-    with pytest.raises(DomainError, match="at least one"):
-        checks.dkw_grid_check(Gaussian(0, 1), [], reps=2000)
-
-
-def test_dkw_pass_memory_is_bounded_by_the_block():
-    # 4e6 draws would take 32 MB; the pass holds a few blocks, the largest
-    # horizon's rows and the distances
-    reps, horizons = 10_000, (25, 100, 400)
-    tracemalloc.start()
-    try:
-        dkw_sup_distances(Gaussian(0, 1), horizons, reps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * (8 * (sim._DKW_BLOCK_DRAWS + max(horizons)) + len(horizons) * reps)
 
 
 # ---------------------------------------------------------------------------
