@@ -158,7 +158,9 @@ def condition_c4(
     grid_step: float = 1e-3,
 ) -> CheckResult:
     """Quantile growth condition, fitted when constants are not supplied."""
-    if b_alpha is None or m_alpha is None:
+    if (b_alpha is None) != (m_alpha is None):
+        raise DomainError("b_alpha and m_alpha go together: give both or neither")
+    if b_alpha is None:
         fitted = fit_c4_constants(arms, alpha, grid_step=grid_step)
         if fitted is None:
             return CheckResult("C4", False, "no growth constants found (condition violated)")

@@ -97,7 +97,9 @@ def _exp(y: float) -> float:
 
 
 class RewardDistribution:
-    """Common interface for all reward distribution kinds."""
+    """Common interface for all reward distribution kinds: each defines its
+    CDF and left limit, both generalized inverses, sampler and integrals;
+    ``level_set`` and (unless a kind sums its own) ``upper_tail`` follow."""
 
     #: True when the CDF has an absolutely continuous non-linear part
     #: (currently: a Gaussian component).  Drives sup-distance refinement.
@@ -178,8 +180,8 @@ class RewardDistribution:
         raise NotImplementedError
 
     def upper_tail(self) -> float:
-        """Signed ``int_0^inf x dF`` (>= 0)."""
-        raise NotImplementedError
+        """Signed ``int_0^inf x dF`` (>= 0): the mean less the lower tail."""
+        return self.mean() - self.lower_tail()
 
     def cdf_integral_below(self, v: float) -> float:
         """``int_{-inf}^v F(y) dy`` (finite whenever the lower tail is)."""
@@ -200,12 +202,32 @@ class RewardDistribution:
         raise NotImplementedError
 
     def level_set(self, alpha: float):
-        """Classify ``{y | F(y) = alpha}`` as ('empty'|'point'|'interval', lo, hi)."""
-        _check_alpha(alpha)
-        return self._level_set(alpha)
+        """Classify ``{y | F(y) = alpha}`` as ('empty'|'point'|'interval', lo, hi).
 
-    def _level_set(self, alpha: float):
-        raise NotImplementedError
+        The set runs from ``quantile(alpha)`` to ``upper_quantile(alpha)``
+        (one point with a smooth part, which makes F strictly increasing) and
+        is empty unless F or its left limit meets alpha there.  Levels within
+        1e-12 of alpha count as alpha, so a flat stretch that rounding moved
+        off alpha (0.5 * 0.2 + 0.5 * 0.4 is not 0.3) joins the set.  It is an
+        interval when wider than 1e-12, else the point at its start.
+        """
+        _check_alpha(alpha)
+        lo = hi = self._quantile(alpha)
+        levels = []
+        if not self.has_smooth_part:
+            hi = self.upper_quantile(alpha)
+            # a flat stretch starts at a breakpoint, at the level F takes there
+            levels = self.cdf(self.breakpoints()).tolist()
+        met = min(abs(self.cdf(lo) - alpha), *np.abs(self.cdf_left([lo, hi]) - alpha)) <= 1e-12
+        for c in {c for c in levels if c != alpha and 0.0 < c < 1.0 and abs(c - alpha) <= 1e-12}:
+            start, end = self._quantile(c), self.upper_quantile(c)
+            if end - start > 1e-12:
+                lo, hi, met = min(lo, start), max(hi, end), True
+        if not met:
+            return ("empty", math.nan, math.nan)
+        if hi - lo > 1e-12:
+            return ("interval", float(lo), float(hi))
+        return ("point", float(lo), float(lo))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -282,9 +304,6 @@ class Gaussian(RewardDistribution):
     def lower_tail(self):
         return self._partial_mean(0.0)
 
-    def upper_tail(self):
-        return self.mean_value - self._partial_mean(0.0)
-
     def cdf_integral_below(self, v):
         beta = (v - self.mean_value) / self.stddev
         return self.stddev * (beta * float(ndtr(beta)) + float(_norm_pdf(beta)))
@@ -297,10 +316,6 @@ class Gaussian(RewardDistribution):
 
     def support_bounds(self):
         return (self.mean_value - 9 * self.stddev, self.mean_value + 9 * self.stddev)
-
-    def _level_set(self, alpha):
-        q = self._quantile(alpha)
-        return ("point", q, q)
 
 
 class PiecewiseLinearCDF(RewardDistribution):
@@ -535,9 +550,6 @@ class PiecewiseLinearCDF(RewardDistribution):
     def lower_tail(self):
         return self._fixed_integrals[2]
 
-    def upper_tail(self):
-        return self.mean() - self.lower_tail()
-
     def cdf_integral_below(self, v):
         if v <= self.ys[0]:
             return 0.0
@@ -559,34 +571,6 @@ class PiecewiseLinearCDF(RewardDistribution):
 
     def support_bounds(self):
         return (float(self.ys[0]), float(self.ys[-1]))
-
-    def _level_set(self, alpha):
-        hits = []  # list of (lo, hi) closed intervals where F == alpha
-        for k in range(len(self.ys)):
-            if abs(self.fr[k] - alpha) <= 1e-12:
-                hits.append((self.ys[k], self.ys[k]))
-            if k + 1 < len(self.ys):
-                f0, f1 = self.fr[k], self.fl[k + 1]
-                a, b = self.ys[k], self.ys[k + 1]
-                if abs(f0 - alpha) <= 1e-12 and abs(f1 - alpha) <= 1e-12:
-                    hits.append((a, b))
-                elif min(f0, f1) - 1e-12 < alpha < max(f0, f1) + 1e-12 and f1 > f0:
-                    if f0 <= alpha <= f1:
-                        t = (alpha - f0) / (f1 - f0)
-                        y = a + t * (b - a)
-                        hits.append((y, y))
-        if not hits:
-            return ("empty", math.nan, math.nan)
-        hits.sort()
-        lo, hi = hits[0]
-        for a, b in hits[1:]:
-            if a <= hi + 1e-12:
-                hi = max(hi, b)
-            else:
-                break  # non-decreasing CDF: level set is one component
-        if hi - lo > 1e-12:  # hits merged within the tolerance are one point
-            return ("interval", float(lo), float(hi))
-        return ("point", float(lo), float(hi))
 
     def __repr__(self):
         return f"PiecewiseLinearCDF({len(self.ys)} knots on [{self.ys[0]}, {self.ys[-1]}])"
@@ -734,12 +718,6 @@ class EmpiricalDistribution(RewardDistribution):
 
     def support_bounds(self):
         return (float(self.samples[0]), float(self.samples[-1]))
-
-    def _level_set(self, alpha):
-        vals, counts = np.unique(self.samples, return_counts=True)
-        cum = np.cumsum(counts) / self.t
-        fl = np.concatenate([[0.0], cum[:-1]])
-        return PiecewiseLinearCDF(vals, fl, cum)._level_set(alpha)
 
     def __repr__(self):
         return f"EmpiricalDistribution(t={self.t})"
@@ -1036,16 +1014,6 @@ class MixtureDistribution(RewardDistribution):
     def support_bounds(self):
         bounds = [c.support_bounds() for _, c in self._parts]
         return (min(b[0] for b in bounds), max(b[1] for b in bounds))
-
-    def _level_set(self, alpha):
-        merged = self._merged_piecewise()
-        if merged is not None:
-            return merged._level_set(alpha)
-        # a Gaussian part makes the mixture CDF strictly increasing
-        q = self._quantile(alpha)
-        if abs(float(self.cdf(q)) - alpha) <= 1e-12:
-            return ("point", q, q)
-        return ("empty", math.nan, math.nan)
 
     def __repr__(self):
         w = ", ".join(f"{x:.4g}" for x in self.weights)

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import riskbandits
-from riskbandits import policy
+from riskbandits import dist, policy
 from riskbandits.criteria import MeanCriterion, StabilityCertificate
 from riskbandits.dist import MixtureDistribution
 
@@ -64,6 +64,17 @@ def test_mixture_tracer_boundaries_stay_defined():
     # mixture class must define each itself and not inherit it
     for attr in ("cdf", "cdf_left", "_quantile", "upper_quantile"):
         assert callable(vars(MixtureDistribution).get(attr)), attr
+
+
+def test_level_set_has_one_definition():
+    # every kind's level set comes from its two generalized inverses, so no
+    # kind defines its own
+    classes = [
+        c for c in vars(dist).values() if isinstance(c, type) and c.__module__ == dist.__name__
+    ]
+    assert dist.RewardDistribution in classes and dist.MixtureDistribution in classes
+    assert [c.__name__ for c in classes if "_level_set" in vars(c)] == []
+    assert [c.__name__ for c in classes if "level_set" in vars(c)] == ["RewardDistribution"]
 
 
 def test_closed_loop_tracer_boundaries_stay_defined():

@@ -113,6 +113,14 @@ def test_c4_with_supplied_constants():
     assert not too_tight.passed
 
 
+@pytest.mark.parametrize("given", [{"b_alpha": 1000.0}, {"m_alpha": 0.05}])
+def test_c4_refuses_one_constant_without_the_other(given):
+    # the growth condition needs both constants: one alone is not a partial fit
+    arms = [Gaussian(0.0, 1.0), Gaussian(0.1, 1.0)]
+    with pytest.raises(DomainError, match="b_alpha and m_alpha go together: give both or neither"):
+        checklib.condition_c4(arms, 0.1, **given)
+
+
 def test_c5_breakpoint_detection():
     # percentile of a point mass lands on its jump: not differentiable there
     res = checklib.condition_c5([PointMass(1.0)], 0.3)

@@ -1207,10 +1207,201 @@ def test_level_sets():
     kind, lo, hi = bad1_arm_wide().level_set(0.1)
     assert (kind, lo, hi) == ("interval", 1.0, 5.0)
     # a zero-weight Gaussian adds nothing: the mixture is the flat table alone
-    flat = PiecewiseLinearCDF.from_pairs([(0, 0.0), (1, 0.3), (2, 0.3), (3, 1.0)])
+    flat = PiecewiseLinearCDF.from_pairs([(0, 0), (1, 0.3), (2, 0.3), (3, 1.0)])
     m = MixtureDistribution([Gaussian(0, 1), flat], [0, 1])
     assert not m.has_smooth_part
     assert m.level_set(0.3) == ("interval", 1.0, 2.0)
+
+
+def knot_table_level_set(d, alpha):
+    """A knot table's level set by the tolerance loop over its knots and
+    segments that ``level_set`` replaced."""
+    hits = []  # list of (lo, hi) closed intervals where F == alpha
+    for k in range(len(d.ys)):
+        if abs(d.fr[k] - alpha) <= 1e-12:
+            hits.append((d.ys[k], d.ys[k]))
+        if k + 1 < len(d.ys):
+            f0, f1 = d.fr[k], d.fl[k + 1]
+            a, b = d.ys[k], d.ys[k + 1]
+            if abs(f0 - alpha) <= 1e-12 and abs(f1 - alpha) <= 1e-12:
+                hits.append((a, b))
+            elif min(f0, f1) - 1e-12 < alpha < max(f0, f1) + 1e-12 and f1 > f0:
+                if f0 <= alpha <= f1:
+                    t = (alpha - f0) / (f1 - f0)
+                    y = a + t * (b - a)
+                    hits.append((y, y))
+    if not hits:
+        return ("empty", math.nan, math.nan)
+    hits.sort()
+    lo, hi = hits[0]
+    for a, b in hits[1:]:
+        if a <= hi + 1e-12:
+            hi = max(hi, b)
+        else:
+            break  # non-decreasing CDF: level set is one component
+    if hi - lo > 1e-12:  # hits merged within the tolerance are one point
+        return ("interval", float(lo), float(hi))
+    return ("point", float(lo), float(hi))
+
+
+def per_kind_level_set(d, alpha):
+    """The four per-kind level sets that ``RewardDistribution.level_set``
+    replaced, kept as its oracle."""
+    if isinstance(d, Gaussian):
+        q = d._quantile(alpha)
+        return ("point", q, q)
+    if isinstance(d, EmpiricalDistribution):
+        vals, counts = np.unique(d.samples, return_counts=True)
+        cum = np.cumsum(counts) / d.t
+        return knot_table_level_set(PiecewiseLinearCDF(vals, np.r_[0.0, cum[:-1]], cum), alpha)
+    if isinstance(d, MixtureDistribution):
+        merged = d._merged_piecewise()
+        if merged is not None:
+            return knot_table_level_set(merged, alpha)
+        # a Gaussian part makes the mixture CDF strictly increasing
+        q = d._quantile(alpha)
+        if abs(float(d.cdf(q)) - alpha) <= 1e-12:
+            return ("point", q, q)
+        return ("empty", math.nan, math.nan)
+    return knot_table_level_set(d, alpha)
+
+
+def knot_levels(d):
+    """The levels in (0, 1) that d's knot tables take at their knots (F and
+    its left limit): its own, or a mixture's merged table and its parts'; and
+    k/t for an empirical CDF of t samples."""
+    tables = [d]
+    if isinstance(d, MixtureDistribution):
+        tables = [d._merged_piecewise(), *(c for _, c in d._parts)]
+    levels = set()
+    for t in tables:
+        if isinstance(t, PiecewiseLinearCDF):
+            levels.update(t.fl.tolist() + t.fr.tolist())
+    if isinstance(d, EmpiricalDistribution):
+        levels.update((np.arange(d.t + 1) / d.t).tolist())
+    return {c for c in levels if 0.0 < c < 1.0}
+
+
+def level_set_corpus():
+    """(distribution, levels) pairs: the catalog; 300 mixtures of 1-3 random
+    knot tables, half on lattice weights; 200 mixtures of N(0, 1), N(0.1, 1),
+    a point mass at 0.5 and the Bad1 wide arm; 100 empirical CDFs of small
+    integers, so with ties.  The levels are a 57-point grid and every knot
+    level.  The Gaussian mixtures are stacked, so each level is solved once
+    for all of them: a stacked quantile is the lone walk's float."""
+    r = rng(25)
+    dists = distribution_catalog()
+    for _ in range(300):
+        k = int(r.integers(1, 4))
+        w = np.round(4 * r.random(k)) + (r.random() < 0.5) * r.random(k)
+        w[0] += not w.any()
+        dists.append(MixtureDistribution([oracle_knot_table(r) for _ in range(k)], w / w.sum()))
+    arms = [Gaussian(0.0, 1.0), Gaussian(0.1, 1.0), PointMass(0.5), bad1_arm_wide()]
+    smooth = []
+    for _ in range(200):
+        w = r.random(4) * (r.random(4) < 0.7)
+        w[int(r.integers(4))] += 0.1
+        smooth.append(MixtureDistribution(arms, w / w.sum()))
+    MixtureDistribution.stack(smooth)
+    dists += smooth
+    for _ in range(100):
+        samples = r.integers(0, 5, size=int(r.integers(1, 12)))
+        dists.append(EmpiricalDistribution(samples.astype(float)))
+    grid = set(np.linspace(0.0, 1.0, 59)[1:-1].tolist())
+    return [(d, sorted(grid | knot_levels(d))) for d in dists]
+
+
+def level_set_bits(t):
+    return (t[0], float(t[1]).hex(), float(t[2]).hex())
+
+
+def assert_near_one_level_set(got, want):
+    # within 1e-12 of 1, the loop took F at 1 (between a part's last knot
+    # and the table's) for alpha; only levels in (0, 1) count now
+    assert got[0] == want[0] or (want[0], got[0]) == ("interval", "point"), (got, want)
+    assert math.isclose(got[1], want[1], rel_tol=1e-12, abs_tol=1e-12), (got, want)
+
+
+def test_level_set_matches_the_per_kind_oracle():
+    kinds = {"empty": 0, "point": 0, "interval": 0}
+    cases = 0
+    for d, levels in level_set_corpus():
+        for alpha in levels:
+            got, want = d.level_set(alpha), per_kind_level_set(d, alpha)
+            kinds[got[0]] += 1
+            cases += 1
+            if level_set_bits(got) == level_set_bits(want):
+                continue
+            if 1.0 - alpha <= 1e-12:
+                assert_near_one_level_set(got, want)
+                continue
+            # the loop gave a point the spread of its hits merged within 1e-12,
+            # and an interval its lowest hit: the inverses agree to 1e-12
+            assert got[0] == want[0], (d, alpha, got, want)
+            assert np.allclose(got[1:], want[1:], rtol=1e-12, atol=1e-12), (d, alpha, got, want)
+    assert cases > 37_000 and min(kinds.values()) > 500, kinds
+
+
+def test_level_set_one_ulp_off_a_knot_level():
+    # the corpus's knot tables, one ulp either side of each level: the
+    # oracle's kind, but where 1e-12 now reaches what the loop left out
+    for d, _ in level_set_corpus():
+        if d.has_smooth_part:
+            continue
+        knots = d.breakpoints()
+        for level in knot_levels(d):
+            for alpha in {math.nextafter(level, 0.0), math.nextafter(level, 1.0)} - {1.0}:
+                got, want = d.level_set(alpha), per_kind_level_set(d, alpha)
+                if got[0] == want[0]:
+                    continue
+                if 1.0 - alpha <= 1e-12:
+                    assert_near_one_level_set(got, want)
+                elif want[0] == "empty":
+                    # a jump whose left limit is within 1e-12 of alpha: the
+                    # loop matched left limits exactly, values within 1e-12
+                    assert got[0] == "point", (d, alpha, got, want)
+                    k = knots[np.argmin(np.abs(knots - got[1]))]
+                    assert abs(k - got[1]) <= 1e-12 * max(1.0, abs(k)), (d, alpha, got, want)
+                    assert abs(float(d.cdf_left(k)) - alpha) <= 1e-12, (d, alpha, got, want)
+                else:
+                    # a flat stretch at a level within 1e-12 of alpha, more than
+                    # 1e-12 past the crossing: the loop's chain of hits stopped short
+                    assert (want[0], got[0]) == ("point", "interval"), (d, alpha, got, want)
+                    assert got[1] == want[1], (d, alpha, got, want)
+                    assert abs(float(d.cdf_left(got[2])) - alpha) <= 1e-12, (d, alpha, got, want)
+
+
+def test_level_set_of_a_segment_rising_to_a_jumps_left_limit_is_a_point():
+    # F rises to 0.3 at 1 and jumps to 0.6 there: F(1) is 0.6, its left limit 0.3
+    d = PiecewiseLinearCDF.from_pairs([(0, 0.0), (1, 0.3), (1, 0.6), (2, 1.0)])
+    assert d.quantile(0.3) == 1.0 and d.cdf(1.0) == 0.6 and d.cdf_left(1.0) == 0.3
+    assert d.level_set(0.3) == per_kind_level_set(d, 0.3) == ("point", 1.0, 1.0)
+    # one ulp above the left limit is within 1e-12 of it too (the loop said empty)
+    assert d.level_set(math.nextafter(0.3, 1.0)) == ("point", 1.0, 1.0)
+    assert d.level_set(0.3 + 2e-12)[0] == "empty"
+
+
+def test_level_set_keeps_a_flat_stretch_that_rounding_moved_off_the_level():
+    # flats at 0.2 and 0.4 on [1, 2], mixed half and half: the flat is at
+    # 0.5 * 0.2 + 0.5 * 0.4 = 0.30000000000000004, not at 0.3
+    a = PiecewiseLinearCDF.from_pairs([(0, 0.0), (1, 0.2), (2, 0.2), (3, 1.0)])
+    b = PiecewiseLinearCDF.from_pairs([(0, 0.0), (1, 0.4), (2, 0.4), (3, 1.0)])
+    m = MixtureDistribution([a, b], [0.5, 0.5])
+    assert float(m.cdf(1.5)) == 0.30000000000000004
+    assert m.upper_quantile(0.3) - m.quantile(0.3) <= 1e-12  # exact inverses see no stretch
+    got = m.level_set(0.3)
+    assert got == per_kind_level_set(m, 0.3)
+    assert got[0] == "interval" and got[2] == 2.0 and abs(got[1] - 1.0) <= 1e-12
+
+
+def test_level_set_with_a_smooth_part_is_at_most_one_point():
+    # a Gaussian tail under a flat arm: F rises by less than its own ulp over
+    # more than 1e-12, so its two inverses part, yet F is strictly increasing
+    m = MixtureDistribution([Gaussian(0.0, 1.0), bad1_arm_wide()], [0.3, 0.7])
+    alpha = float(m.cdf(4.5))
+    assert m.upper_quantile(alpha) - m.quantile(alpha) > 1e-12
+    q = m.quantile(alpha)
+    assert m.level_set(alpha) == per_kind_level_set(m, alpha) == ("point", q, q)
 
 
 def test_piecewise_validation():
