@@ -302,6 +302,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             mixtures.append((p, MixtureDistribution(arms, p)))
         except DomainError as exc:
             raise ConfigError(f"mixture {p}: {exc}") from exc
+    MixtureDistribution.stack([m for _, m in mixtures])
 
     k = len(arms)
     horizons = _numbers(raw.get("horizons", []), "horizons", integer=True)

@@ -842,10 +842,13 @@ def simplex_lattice(k: int, n: int):
 
 
 def _mixture_grid(arms):
-    """The arm mixtures on the simplex lattice of spacing 1/_MIXTURE_GRID_N."""
+    """The arm mixtures on the simplex lattice of spacing 1/_MIXTURE_GRID_N,
+    stacked."""
     if len(arms) == 1:
         return [arms[0]]
-    return [MixtureDistribution(arms, p) for p in simplex_lattice(len(arms), _MIXTURE_GRID_N)]
+    grid = [MixtureDistribution(arms, p) for p in simplex_lattice(len(arms), _MIXTURE_GRID_N)]
+    MixtureDistribution.stack(grid)
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -35,12 +35,6 @@ __all__ = [
 
 _WEIGHT_TOL = 1e-12
 
-# bisection-tree levels a mixture quantile solve's CDF call takes when behind
-_BISECT_DEPTH = 7
-# floats on each side of a solve's first path end that its call also takes:
-# rounding in a part's quantile leaves a one-part root within a few of them
-_END_ULPS = 8
-
 # levels per block of the knot-table sampler, so a block's temporaries stay
 # in cache; and the level guide's bucket count, a power of two
 _BLOCK = 8192
@@ -59,33 +53,6 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def _norm_pdf(z):
     return _INV_SQRT_2PI * np.exp(-0.5 * np.square(z))
-
-
-def _tree_midpoints(lo, hi, depth):
-    """The midpoints ``0.5 * (a + b)`` of ``depth`` levels of bisection of (lo, hi)."""
-    n = 1 << depth
-    edges = np.empty(n + 1)
-    edges[0], edges[n] = lo, hi
-    step = n
-    while step > 1:
-        half = step >> 1
-        edges[half::step] = 0.5 * (edges[:-1:step] + edges[step::step])
-        step = half
-    return edges[1:-1].tolist()
-
-
-def _interpolate(t, a, fa, b, fb, c, fc):
-    """Where F reaches t, from F at a < b and at a third point c: the inverse
-    quadratic through all three if it lands in (a, b), else the secant."""
-    if fa == fb:
-        return a
-    if fc != fa and fc != fb:
-        x = (a * (t - fb) / (fa - fb) * (t - fc) / (fa - fc)
-             + b * (t - fa) / (fb - fa) * (t - fc) / (fb - fc)
-             + c * (t - fa) / (fc - fa) * (t - fb) / (fc - fb))
-        if a < x < b:
-            return x
-    return a + (t - fa) / (fb - fa) * (b - a)
 
 
 def _exp(y: float) -> float:
@@ -107,9 +74,6 @@ class RewardDistribution:
 
     #: True when the CDF has linear pieces with positive slope.
     has_sloped_part = False
-
-    #: True when ``breakpoints`` may be non-empty (every kind but Gaussian).
-    has_breakpoints = True
 
     # -- CDF surface ----------------------------------------------------
 
@@ -246,7 +210,6 @@ class Gaussian(RewardDistribution):
     stddev: float
 
     has_smooth_part = True
-    has_breakpoints = False
 
     def __post_init__(self):
         if not (math.isfinite(self.mean_value) and math.isfinite(self.stddev)):
@@ -752,11 +715,10 @@ class MixtureDistribution(RewardDistribution):
     matrix (``_rows``): the same CDF, each component's ``cdf`` taken once
     over the points of every row, with a weight per row (or per point).  A
     zero weight adds an exact +0.0 to a finite CDF value, so a row over all
-    components is its mixture's parts, bit for bit.  The bisection walk is
-    chosen by row count: a lone mixture walks along guessed roots
-    (``_bisect_monotone``), while the mixtures that ``stack`` joins solve a
-    level together, every row in lockstep (``_bisect_rows``), the first
-    time one of them needs it.
+    components is its mixture's parts, bit for bit.  The mixtures that
+    ``stack`` joins solve a level together, every row in lockstep
+    (``_bisect_rows``), the first time one of them needs it; a mixture that
+    no stack joined is stacked alone, a stack of one row.
     """
 
     def __init__(self, components, weights):
@@ -777,7 +739,6 @@ class MixtureDistribution(RewardDistribution):
         self._parts = [(p, c) for p, c in zip(w, self.components) if p > 0]
         self.has_smooth_part = any(c.has_smooth_part for _, c in self._parts)
         self.has_sloped_part = any(c.has_sloped_part for _, c in self._parts)
-        self.has_breakpoints = any(c.has_breakpoints for _, c in self._parts)
         self._merged = None
         self._stack = None  # (rows, r) once ``stack`` joins it: row r solves its quantiles
 
@@ -785,12 +746,14 @@ class MixtureDistribution(RewardDistribution):
     def _rows(cls, components, weights):
         """Mixtures over ``components`` as one: ``weights[..., i]`` weighs
         component i, already normalised, and broadcasts against the points,
-        so row r of ``cdf(y)`` is row r's CDF at ``y[r]``.  It answers the
-        CDF and the quantile only."""
+        so row r of ``cdf(y)`` is row r's CDF at ``y[r]``; a component that
+        no row weighs is left out.  It answers the CDF, and ``_solve`` for
+        both quantiles, only."""
         rows = cls.__new__(cls)
         rows.components = tuple(components)
         rows.weights = weights
-        rows._parts = [(weights[..., i], c) for i, c in enumerate(rows.components)]
+        rows._parts = [(weights[..., i], c) for i, c in enumerate(rows.components)
+                       if weights[..., i].any()]
         rows._solved = {}  # level -> each row's quantile
         return rows
 
@@ -798,10 +761,9 @@ class MixtureDistribution(RewardDistribution):
     def stack(cls, dists):
         """Join the mixtures among ``dists``, all over the same components,
         ``_STACK_ROWS`` at a time, so that each level's quantile is solved
-        for all rows of a stack at once, when one of them first needs it.
-        A lone mixture keeps its own walk."""
+        for all rows of a stack at once, when one of them first needs it."""
         mixtures = [d for d in dists if isinstance(d, cls)]
-        for start in range(0, len(mixtures) - 1, _STACK_ROWS):
+        for start in range(0, len(mixtures), _STACK_ROWS):
             part = mixtures[start : start + _STACK_ROWS]
             components = part[0].components
             if any(m.components != components for m in part):
@@ -843,118 +805,60 @@ class MixtureDistribution(RewardDistribution):
     def cdf_left(self, y):
         return self._evaluate(y, True)
 
-    def _bisect_monotone(self, target, strict, lo, hi, guess):
-        """inf{y | F(y) >= target} (or > target when strict) by bisection.
-
-        Requires F(lo) below the threshold and F(hi) at-or-above it; exact
-        to float resolution, jumps included.  The walk decides one midpoint
-        ``0.5 * (lo + hi)`` at a time, at 200 steps at most, and calls F
-        only at the first midpoint it has no value for.  A call takes F on
-        the path the walk would follow to a guessed root, so no guess moves
-        a decision: first ``guess``, to float resolution, with lo, hi and
-        the ``_END_ULPS`` floats on each side of the path's end; then the
-        one breakpoint in (lo, hi] if there is one, else the inverse
-        quadratic (or secant) through the bracket and the end last moved,
-        twice as deep as the walk has come.  A call more than one call
-        behind ``_BISECT_DEPTH`` decisions per call also takes the next
-        ``_BISECT_DEPTH`` tree levels: one call more than the tree at most.
-        """
-        known = {}
-        knots = None
-        calls = steps = 0
-        while True:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi or steps == 200:  # a NaN mid decides nothing
-                return hi
-            v = known.get(mid)
-            if v is None:
-                depth = 200 - steps
-                if calls:
-                    guess = _interpolate(target, lo, flo, hi, fhi, far, ffar)
-                    if self.has_breakpoints:
-                        if knots is None:
-                            knots = self.breakpoints()
-                        i, j = knots.searchsorted((lo, hi), side="right")
-                        if j == i + 1:
-                            guess = float(knots[i])
-                    # each interpolation about doubles the levels it gets right
-                    depth = min(depth, 2 * steps + _BISECT_DEPTH)
-                xs = []
-                a, b = lo, hi
-                for _ in range(depth):
-                    m = 0.5 * (a + b)
-                    if not a < m < b:
-                        break
-                    xs.append(m)
-                    if m >= guess:
-                        b = m
-                    else:
-                        a = m
-                if not calls:
-                    u = math.ulp(m)
-                    xs += [m + k * u for k in range(-_END_ULPS, _END_ULPS + 1)]
-                    xs += (lo, hi)
-                elif steps < _BISECT_DEPTH * calls - 1:  # a guess keeps failing early
-                    xs += _tree_midpoints(lo, hi, _BISECT_DEPTH)
-                known.update(zip(xs, self.cdf(xs).tolist()))
-                if not calls:
-                    flo, fhi = known[lo], known[hi]
-                calls += 1
-                v = known[mid]
-            steps += 1
-            if (v > target) if strict else (v >= target):
-                far, ffar, hi, fhi = hi, fhi, mid, v
-            else:
-                far, ffar, lo, flo = lo, flo, mid, v
-
-    def _root_guess(self, qs):
-        """The parts' bracket quantiles, weighted: the root guess, exact for one part."""
-        return sum(p * q for (p, _), q in zip(self._parts, qs))
-
-    def _bisect_rows(self, target, lo, hi):
-        """``_bisect_monotone`` (not strict) of every row at once, as plain
-        bisection: each step decides the midpoint ``0.5 * (lo + hi)`` of
-        every row still open, from one CDF call over those rows.  A row
+    def _bisect_rows(self, target, strict, lo, hi):
+        """``inf{y | F(y) >= target}`` (``> target`` when strict) of every
+        row at once, by plain bisection from each row's F(lo) below the
+        threshold and F(hi) at or above it: each step decides the midpoint
+        ``0.5 * (lo + hi)`` of every row still open, from one CDF call over
+        those rows.  Exact to float resolution, jumps included.  A row
         closes when its midpoint is not strictly inside its bracket, or
         after 200 steps, and answers its ``hi``."""
         out = hi.copy()
         live = np.arange(len(hi))
         rows = self
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            inside = (lo < mid) & (mid < hi)  # a NaN mid decides nothing
-            if not inside.all():
-                out[live[~inside]] = hi[~inside]
-                live, lo, hi, mid = live[inside], lo[inside], hi[inside], mid[inside]
-                if not len(live):
-                    return out
-                rows = self._rows(self.components, self.weights[live])
-            up = rows.cdf(mid) >= target
-            hi = np.where(up, mid, hi)
-            lo = np.where(up, lo, mid)
+        # -inf + inf is a NaN mid, and an infinite end closes its row at once
+        with np.errstate(invalid="ignore"):
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                inside = (lo < mid) & (mid < hi)  # a NaN mid decides nothing
+                if not inside.all():
+                    out[live[~inside]] = hi[~inside]
+                    live, lo, hi, mid = live[inside], lo[inside], hi[inside], mid[inside]
+                    if not len(live):
+                        return out
+                    rows = self._rows(self.components, self.weights[live])
+                f = rows.cdf(mid)
+                up = f > target if strict else f >= target
+                hi = np.where(up, mid, hi)
+                lo = np.where(up, lo, mid)
         out[live] = hi
         return out
 
+    def _solve(self, level, strict):
+        """Each row's quantile at ``level`` (its upper quantile when strict),
+        bracketed by its parts' own: the mixture's lies between their least
+        and greatest.  The least moves down, so F starts below the level; when
+        strict the greatest moves up, where F may still equal the level."""
+        qs = np.array([c.upper_quantile(level) if strict else c.quantile(level)
+                       for c in self.components])
+        held = self.weights > 0
+        lo = np.where(held, qs, np.inf).min(axis=1)
+        lo -= np.maximum(1e-9, 1e-12 * np.abs(lo))
+        hi = np.where(held, qs, -np.inf).max(axis=1)
+        if strict:
+            hi += np.maximum(1e-9, 1e-12 * np.abs(hi))
+        return self._bisect_rows(level, strict, lo, hi)
+
     def _quantile(self, alpha):
-        if self.weights.ndim > 1:  # rows of a stack, in lockstep
-            qs = np.array([c.quantile(alpha) for c in self.components])
-            held = self.weights > 0
-            lo = np.where(held, qs, np.inf).min(axis=1)
-            lo -= np.maximum(1e-9, 1e-12 * np.abs(lo))
-            return self._bisect_rows(alpha, lo, np.where(held, qs, -np.inf).max(axis=1))
         merged = self._merged_piecewise()
         if merged is not None:
             return merged._quantile(alpha)
-        if self._stack is not None:
-            rows, r = self._stack
-            if alpha not in rows._solved:
-                rows._solved[alpha] = rows._quantile(alpha).tolist()
-            return rows._solved[alpha][r]
-        # the mixture quantile is bracketed by the parts' quantiles
-        qs = [c.quantile(alpha) for _, c in self._parts]
-        lo = min(qs)
-        lo -= max(1e-9, 1e-12 * abs(lo))
-        return self._bisect_monotone(alpha, False, lo, max(qs), self._root_guess(qs))
+        if self._stack is None:
+            self.stack([self])
+        rows, r = self._stack
+        if alpha not in rows._solved:
+            rows._solved[alpha] = rows._solve(alpha, False).tolist()
+        return rows._solved[alpha][r]
 
     def upper_quantile(self, c):
         merged = self._merged_piecewise()
@@ -964,12 +868,9 @@ class MixtureDistribution(RewardDistribution):
             return math.inf
         if c <= 0.0:  # a Gaussian part puts mass below every y
             return -math.inf
-        qs = [d.upper_quantile(c) for _, d in self._parts]
-        lo = min(qs)
-        lo -= max(1e-9, 1e-12 * abs(lo))
-        hi = max(qs)
-        hi += max(1e-9, 1e-12 * abs(hi))
-        return self._bisect_monotone(c, True, lo, hi, self._root_guess(qs))
+        # a level of this mixture's own (Bad2 asks each mixture its own
+        # flat edge), so a one-row solve
+        return float(self._rows(self.components, self.weights[None])._solve(c, True)[0])
 
     def _sample(self, rng, n):
         idx = rng.choice(len(self.components), size=n, p=self.weights)

@@ -9,12 +9,12 @@ stationary performance has no maximizer inside the simplex.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from .criteria import RiskCriterion, StabilityCertificate, simplex_lattice
-from .dist import MixtureDistribution
+from .dist import _STACK_ROWS, MixtureDistribution
 from .errors import DomainError, UnsupportedOperationError, add_context
 from .norms import SemiNormFunctional, norm_distance
 from .policy import check_ucb_alpha, phi
@@ -53,7 +53,8 @@ def simplex_grid_argmax(criterion: RiskCriterion, arms, resolution: float):
     """Exhaustive criterion sweep over the simplex lattice of given spacing.
 
     Deterministic: lattice points are enumerated in a fixed order and only
-    strict improvements move the argmax.
+    strict improvements move the argmax.  Each stack's worth of lattice
+    points is built and stacked before any of them is scored.
     """
     if len(arms) > _MAX_GRID_ARMS:
         raise UnsupportedOperationError(
@@ -64,11 +65,15 @@ def simplex_grid_argmax(criterion: RiskCriterion, arms, resolution: float):
     n = max(1, int(round(1.0 / resolution)))
     best_p = None
     best_value = -math.inf
-    for p in simplex_lattice(len(arms), n):
-        value = criterion.evaluate(MixtureDistribution(arms, p))
-        if value > best_value:
-            best_value = value
-            best_p = p
+    lattice = simplex_lattice(len(arms), n)
+    while chunk := list(islice(lattice, _STACK_ROWS)):
+        mixtures = [MixtureDistribution(arms, p) for p in chunk]
+        MixtureDistribution.stack(mixtures)
+        for p, mixture in zip(chunk, mixtures):
+            value = criterion.evaluate(mixture)
+            if value > best_value:
+                best_value = value
+                best_p = p
     return best_p, best_value
 
 

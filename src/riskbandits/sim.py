@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import RiskCriterion
-from .dist import EmpiricalDistribution, proxy_distribution
+from .dist import EmpiricalDistribution, MixtureDistribution, proxy_distribution
 from .errors import DomainError, add_context
 from .policy import Policy
 
@@ -131,11 +131,13 @@ def run_episode(
     pooled_values = np.full(n_cp, np.nan)
     proxy_values = np.full(n_cp, np.nan)
     flagged = np.zeros(n_cp, dtype=bool)
-    for idx, c in enumerate(checkpoints):
+    # the checkpoints' proxies solve each level together
+    proxies = [proxy_distribution(arms, tau[idx], c) for idx, c in enumerate(checkpoints)]
+    MixtureDistribution.stack(proxies)
+    for idx, proxy in enumerate(proxies):
         pool = np.concatenate([d[:n] for d, n in zip(draws, tau[idx])])
         pool.sort()  # in place: np.sort would sort a second copy
         pooled = EmpiricalDistribution.from_sorted(pool)
-        proxy = proxy_distribution(arms, tau[idx], c)
         try:
             pooled_values[idx] = criterion.evaluate(pooled)
             proxy_values[idx] = criterion.evaluate(proxy)

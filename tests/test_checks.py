@@ -197,6 +197,7 @@ def loop_modulus_check(criterion, arms, certificate, n_pairs, seed):
             if rng.random() < 0.4
             else checklib._random_empirical(rng, arms)
         )
+        MixtureDistribution.stack([f, g])  # the pair's own family, one stack
         lhs = abs(criterion.evaluate(f) - criterion.evaluate(g))
         dist = norm_distance(f, g, criterion.functionals)
         rhs = certificate.modulus(dist)
@@ -226,9 +227,12 @@ def loop_convexity_check(criterion, arms, n_pairs, seed):
         f, g = MixtureDistribution(arms, wf), MixtureDistribution(arms, wg)
         if criterion.domain_flags(f) or criterion.domain_flags(g):
             continue
+        # the pair's own family, one stack
+        blends = [MixtureDistribution(arms, lam * wf + (1 - lam) * wg) for lam in lambdas[1:-1]]
+        MixtureDistribution.stack([f, g, *blends])
         rf, rg = criterion.evaluate(f), criterion.evaluate(g)
-        for lam in lambdas[1:-1]:
-            rm = criterion.evaluate(MixtureDistribution(arms, lam * wf + (1 - lam) * wg))
+        for lam, blend in zip(lambdas[1:-1], blends):
+            rm = criterion.evaluate(blend)
             chord = lam * rf + (1 - lam) * rg
             if kind in ("linear", "convex") and rm > chord + 1e-9:
                 return checklib.CheckResult(
@@ -256,6 +260,7 @@ def loop_residual_check(criterion, arms, certificate, n_pairs, seed):
             g = checklib._random_mixture(rng, arms)
         else:
             g = EmpiricalDistribution(f.sample(rng, 4096))
+        MixtureDistribution.stack([f, g])  # the pair's own family, one stack
         d = norm_distance(f, g, criterion.functionals)
         if not (0 < d <= certificate.m0):
             continue

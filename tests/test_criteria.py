@@ -571,6 +571,7 @@ def test_var_quasiconvexity_on_mixture_segments():
         g = MixtureDistribution(arms, [1 - w, w])
         blend = MixtureDistribution(arms, [lam * w + (1 - lam) * (1 - w),
                                            lam * (1 - w) + (1 - lam) * w])
+        MixtureDistribution.stack([f, g, blend])
         assert crit.evaluate(blend) <= max(crit.evaluate(f), crit.evaluate(g)) + 1e-9
 
 

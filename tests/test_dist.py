@@ -1,9 +1,11 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
@@ -21,9 +23,16 @@ from riskbandits.dist import (
     proxy_distribution,
 )
 from riskbandits import dist
+from riskbandits.checks import condition_c5
+from riskbandits.config import parse_config
 from riskbandits.errors import DomainError
+from riskbandits.oracle import simplex_grid_argmax
+from riskbandits.policy import UcbPolicy
+from riskbandits.sim import geometric_checkpoints, run_episode
 
 from conftest import bad1_arm_wide, bad2_arm_step, distribution_catalog, rng
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -899,6 +908,8 @@ def test_mixture_of_large_empirical_components_holds_memory_linear_in_the_knots(
 @pytest.mark.parametrize("kinds", [["gaussian"], ["gaussian", "table", "empirical"]],
                          ids=["gaussian", "mixed"])
 def test_block_bisection_is_bit_identical_to_scalar_bisection(kinds):
+    # each mixture on its own: a one-row stack for the quantile, and a
+    # one-row solve for the upper quantile
     r = rng(63)
     for _ in range(100):
         m = random_mixture(r, kinds)
@@ -912,7 +923,7 @@ def test_block_bisection_is_bit_identical_to_scalar_bisection(kinds):
             assert m.upper_quantile(level) == reference_upper_quantile(m, level)
 
 
-def guided_corpus(seed):
+def atoms_corpus(seed):
     """(mixture, level) solves on Gaussian mixtures with atoms, as in ``random_mixture``,
     and one-part Gaussian mixtures, at the extreme levels and random ones."""
     r = rng(seed)
@@ -927,9 +938,9 @@ def guided_corpus(seed):
             yield m, level
 
 
-def test_guided_bisection_is_bit_identical_on_atoms_one_part_and_extreme_levels():
+def test_lockstep_bisection_is_bit_identical_on_atoms_one_part_and_extreme_levels():
     on_atom = 0
-    for m, level in guided_corpus(65):
+    for m, level in atoms_corpus(65):
         got = m.quantile(level)
         assert got == reference_quantile(m, level)
         assert m.upper_quantile(level) == reference_upper_quantile(m, level)
@@ -948,8 +959,30 @@ def test_bisection_that_reaches_the_step_cap_is_bit_identical():
     lo, hi = reference_bracket(m, 0.7, False)
     assert scalar_bisect_steps(m, 0.7, False, lo, hi)[1] == 200
     assert m.quantile(0.7) == reference_quantile(m, 0.7)
-    for guess in (hi, lo, 0.5 * (lo + hi), math.nan, -math.inf):
-        assert m._bisect_monotone(0.7, False, lo, hi, guess) == scalar_bisect(m, 0.7, False, lo, hi)
+    assert m.upper_quantile(0.7) == reference_upper_quantile(m, 0.7)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["quantile", "upper-quantile"])
+def test_lockstep_bisection_of_nan_and_step_cap_brackets_is_scalar_bisection(strict):
+    # brackets whose midpoint is NaN decide nothing and answer hi, as
+    # bisection does, beside a bracket that closes in ~50 steps
+    m = MixtureDistribution([Gaussian(0.0, 1.0), Gaussian(1.0, 1.0)], [0.5, 0.5])
+    lo = np.array([math.nan, -math.inf, 0.0, -3.0])
+    hi = np.array([1.0, math.inf, math.nan, 3.0])
+    rows = MixtureDistribution._rows(m.components, np.stack([m.weights] * 4))
+    got = rows._bisect_rows(0.3, strict, lo, hi)
+    for g, a, b in zip(got.tolist(), lo.tolist(), hi.tolist()):
+        want = scalar_bisect(m, 0.3, strict, a, b)
+        assert g == want or (math.isnan(g) and math.isnan(want))
+    # the step-cap bracket alone, and beside itself
+    cap = step_cap_mixture()
+    lo, hi = reference_bracket(cap, 0.7, strict)
+    want, steps = scalar_bisect_steps(cap, 0.7, strict, lo, hi)
+    assert steps == 200  # lo halves up to the atom at 0, or hi down to it when strict
+    for n in (1, 3):
+        rows = MixtureDistribution._rows(cap.components, np.stack([cap.weights] * n))
+        got = rows._bisect_rows(0.7, strict, np.full(n, lo), np.full(n, hi))
+        assert got.tolist() == [want] * n
 
 
 # ---------------------------------------------------------------------------
@@ -985,27 +1018,30 @@ def mixtures(components, raw):
     ],
     ids=["acceptance-8-mixed", "close-gaussians", "atoms-and-tables"],
 )
-def test_lockstep_quantiles_equal_the_walk_and_plain_bisection(components, monkeypatch):
+def test_stacked_quantiles_equal_plain_bisection(components, monkeypatch):
     r = rng(92)
     k = len(components)
     raw = weight_rows(r, k, 60)
     rows = mixtures(components, raw)
     MixtureDistribution.stack(rows)
     stack = rows[0]._stack[0]
-    # stacks of a few rows each, the last of one row (which keeps its walk)
+    # stacks of a few rows each, the last of one row
     few = mixtures(components, raw[:57])
     monkeypatch.setattr(dist, "_STACK_ROWS", 7)
     MixtureDistribution.stack(few)
-    assert few[-1]._stack is None and few[-2]._stack[1] == 6
+    assert few[-1]._stack[0].weights.shape == (1, k) and few[-2]._stack[1] == 6
     for level in (1e-12, 0.1, 0.25, *r.uniform(0.0, 1.0, size=3).tolist(), 1 - 1e-12):
-        singles = mixtures(components, raw)  # not stacked: each walks alone
-        assert [m.quantile(level) for m in rows] == [m.quantile(level) for m in singles]
-        assert [m.quantile(level) for m in few] == [m.quantile(level) for m in singles[:57]]
-        # every row of the lockstep, knot-table rows too, is plain bisection on its bracket
-        lockstep = stack._quantile(level)
-        for got, m in zip(lockstep.tolist(), singles):
-            assert got == scalar_bisect(m, level, False, *reference_bracket(m, level, False))
-        assert all(type(m.quantile(level)) is float for m in rows)
+        # every row of the lockstep, knot-table rows too, is plain bisection
+        # on its bracket, for both inverses
+        for strict in (True, False):
+            want = [scalar_bisect(m, level, strict, *reference_bracket(m, level, strict))
+                    for m in rows]
+            assert stack._solve(level, strict).tolist() == want
+        smooth = [m.has_smooth_part for m in rows]  # the others answer from their table
+        got = [m.quantile(level) for m in rows]
+        assert [g for g, s in zip(got, smooth) if s] == [w for w, s in zip(want, smooth) if s]
+        assert [m.quantile(level) for m in few] == got[:57]
+        assert all(type(g) is float for g in got)
 
 
 def test_lockstep_bisection_at_the_step_cap_and_with_one_row():
@@ -1019,12 +1055,79 @@ def test_lockstep_bisection_at_the_step_cap_and_with_one_row():
         assert m.quantile(0.7) == single.quantile(0.7) == reference_quantile(single, 0.7)
     lo, hi = reference_bracket(rows[0], 0.7, False)
     assert scalar_bisect_steps(rows[0], 0.7, False, lo, hi)[1] == 200
-    # a lone mixture is not stacked: it keeps its own walk
-    lone = mixtures(comps, raw[:1])
-    MixtureDistribution.stack(lone)
-    assert lone[0]._stack is None
+    # a lone mixture is a one-row stack, whether stacked or first solved alone
+    lone, unstacked = mixtures(comps, raw[:2])
+    MixtureDistribution.stack([lone])
+    assert lone._stack[1] == 0 and lone._stack[0].weights.shape == (1, 2)
+    assert unstacked._stack is None
+    assert unstacked.quantile(0.7) == rows[1].quantile(0.7)
+    assert unstacked._stack[1] == 0 and unstacked._stack[0].weights.shape == (1, 2)
     with pytest.raises(DomainError):
         MixtureDistribution.stack([rows[0], MixtureDistribution([Gaussian(0, 1)], [1.0])])
+
+
+def reweighted_stack(r, m):
+    """``m`` and another mixture of its components, without one of them
+    when it has more than one, stacked as rows 0 and 1."""
+    k = len(m.components)
+    w = r.dirichlet(np.ones(k))
+    if k > 1:
+        w[int(r.integers(k))] = 0.0
+        w /= w.sum()
+    ms = [m, MixtureDistribution(m.components, w)]
+    MixtureDistribution.stack(ms)
+    return ms
+
+
+def check_stacked_solve(monkeypatch, ms, level, strict):
+    """The stack of ``ms`` solves ``level`` as each row's plain bisection, in
+    as many CDF calls as its slowest row takes steps."""
+    calls = [0]
+    cdf = vars(MixtureDistribution)["cdf"]
+
+    def counted_cdf(self, y):
+        calls[0] += 1
+        return cdf(self, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MixtureDistribution, "cdf", counted_cdf)
+        got = ms[0]._stack[0]._solve(level, strict).tolist()
+    want = [scalar_bisect_steps(m, level, strict, *reference_bracket(m, level, strict))
+            for m in ms]
+    assert got == [w for w, _ in want]
+    assert calls[0] == max(steps for _, steps in want)
+
+
+@pytest.mark.parametrize("kinds", [["gaussian"], ["gaussian", "table", "empirical"]],
+                         ids=["gaussian", "mixed"])
+def test_lockstep_takes_one_cdf_call_per_step_of_its_slowest_row(kinds, monkeypatch):
+    # the first mixtures of the block-bisection corpus, each stacked beside
+    # a reweighting of its components, for both inverses
+    r = rng(63)
+    solved = 0
+    while solved < 25:
+        m = random_mixture(r, kinds)
+        if not m.has_smooth_part:
+            continue
+        ms = reweighted_stack(r, m)
+        for level in r.uniform(0.0, 1.0, size=2).tolist():
+            for strict in (False, True):
+                check_stacked_solve(monkeypatch, ms, level, strict)
+        solved += 1
+
+
+def test_stacked_rows_are_bit_identical_on_atoms_one_part_and_extreme_levels(monkeypatch):
+    # the atoms corpus, each mixture stacked beside a reweighting of its
+    # components: the quantile and the upper quantile of every row
+    r = rng(66)
+    stacks = {}
+    for m, level in atoms_corpus(65):
+        if id(m) not in stacks:
+            stacks[id(m)] = reweighted_stack(r, m)
+        ms = stacks[id(m)]
+        for strict in (False, True):
+            check_stacked_solve(monkeypatch, ms, level, strict)
+    assert len(stacks) >= 50
 
 
 def test_stacked_cdf_rows_are_each_mixtures_cdf():
@@ -1040,90 +1143,57 @@ def test_stacked_cdf_rows_are_each_mixtures_cdf():
         assert np.array_equal(got, np.stack(want))
 
 
-@pytest.mark.parametrize("strict", [False, True], ids=["quantile", "upper-quantile"])
-def test_bisection_result_does_not_depend_on_the_guess(strict):
-    # the guess only picks which midpoints a CDF call takes ahead of the walk
-    for k, (m, level) in enumerate(guided_corpus(66)):
-        if k % 2:
-            continue
-        lo, hi = reference_bracket(m, level, strict)
-        want = scalar_bisect(m, level, strict, lo, hi)
-        guesses = [lo, hi, math.nan, math.inf, -math.inf, lo - 1e6, hi + 1e6,
-                   want, math.nextafter(want, -math.inf), math.nextafter(want, math.inf)]
-        for guess in guesses:
-            assert m._bisect_monotone(level, strict, lo, hi, guess) == want, guess
-    # brackets whose midpoint is NaN decide nothing and return hi, as bisection does
-    m = MixtureDistribution([Gaussian(0.0, 1.0), Gaussian(1.0, 1.0)], [0.5, 0.5])
-    for lo, hi in ((math.nan, 1.0), (-math.inf, math.inf), (0.0, math.nan)):
-        want = scalar_bisect(m, 0.3, strict, lo, hi)
-        got = m._bisect_monotone(0.3, strict, lo, hi, 0.5)
-        assert got == want or (math.isnan(got) and math.isnan(want))
+def lockstep_counter(monkeypatch):
+    """From here on, the row count of each lockstep solve and the mixture
+    CDF calls made under ``_quantile``."""
+    rows, calls, depth = [], [0], [0]
+    quantile, solve, cdf = (vars(MixtureDistribution)[a] for a in ("_quantile", "_solve", "cdf"))
+
+    def counted_quantile(self, alpha):
+        depth[0] += 1
+        try:
+            return quantile(self, alpha)
+        finally:
+            depth[0] -= 1
+
+    def counted_solve(self, level, strict):
+        rows.append(len(self.weights))
+        return solve(self, level, strict)
+
+    def counted_cdf(self, y):
+        calls[0] += depth[0] > 0
+        return cdf(self, y)
+
+    monkeypatch.setattr(MixtureDistribution, "_quantile", counted_quantile)
+    monkeypatch.setattr(MixtureDistribution, "_solve", counted_solve)
+    monkeypatch.setattr(MixtureDistribution, "cdf", counted_cdf)
+    return rows, calls
 
 
-def count_cdf_calls(m):
-    """Count the mixture's CDF calls: a one-element list that each call bumps."""
-    calls = [0]
-    cdf = m.cdf
-
-    def counted(y):
-        calls[0] += 1
-        return cdf(y)
-
-    m.cdf = counted
-    return calls
-
-
-def solve_calls(m, level, strict):
-    """CDF calls of one solve, and the most the budget allows: one call more
-    than a 7-level tree per call, ``floor(S / 7) + 1`` for S decided midpoints."""
-    calls = count_cdf_calls(m)
-    got = m.upper_quantile(level) if strict else m.quantile(level)
-    del m.cdf
-    want, steps = scalar_bisect_steps(m, level, strict, *reference_bracket(m, level, strict))
-    assert got == want
-    return calls[0], steps // 7 + 2
-
-
-def test_one_part_gaussian_proxy_quantile_takes_one_cdf_call():
-    # the vertex proxies of the shipped CVaR configs, at their level 0.1; the
-    # 7-level tree took 4 calls for the ~22 midpoints of (q - 1e-9, q)
-    for mean in (0.0, 0.1, -0.75, -1.5):
-        m = proxy_distribution([Gaussian(mean, 1.0), Gaussian(5.0, 1.0)], [7, 0], 7)
-        assert solve_calls(m, 0.1, False)[0] == 1
-    # at random levels the part's own quantile is mostly the root to the bit
-    r = rng(69)
-    calls = [solve_calls(MixtureDistribution([random_component(r, ["gaussian"])], [1.0]),
-                         float(r.uniform(0.001, 0.999)), False)[0] for _ in range(200)]
-    assert np.mean(calls) <= 1.25  # measured 1.165 here; the 7-level tree took 4
-
-
-@pytest.mark.parametrize("kinds,mean_cap", [(["gaussian"], 5.0),
-                                            (["gaussian", "table", "empirical"], 9.05)],
-                         ids=["gaussian", "mixed"])
-def test_guided_bisection_call_budget(kinds, mean_cap):
-    # the corpus of test_block_bisection_is_bit_identical_to_scalar_bisection;
-    # the 7-level tree took 7.52 (gaussian) and 9.05 (mixed) calls per solve,
-    # the guided walk 4.47 and 4.52
-    r = rng(63)
-    calls = []
-    for _ in range(100):
-        m = random_mixture(r, kinds)
-        if not m.has_smooth_part:
-            continue
-        for level in r.uniform(0.0, 1.0, size=4):
-            for strict in (False, True):
-                n, budget = solve_calls(m, float(level), strict)
-                assert n <= budget
-                calls.append(n)
-    assert np.mean(calls) <= mean_cap
-
-
-def test_guided_bisection_call_budget_on_atoms_extreme_levels_and_the_cap():
-    solves = [(m, level, strict) for m, level in guided_corpus(65) for strict in (False, True)]
-    solves += [(step_cap_mixture(), 0.7, False)]
-    for m, level, strict in solves:
-        n, budget = solve_calls(m, level, strict)
-        assert n <= budget
+def test_every_family_of_mixtures_solves_a_level_in_one_lockstep(monkeypatch):
+    # each family of the package on the arms of cvar_gaussians.yaml: the
+    # checkpoint proxies of a UCB episode, the mixtures of eval, the lattice
+    # of C3-C5 and the fit, and the simplex sweep.  A solve per mixture would
+    # take ~50 CDF calls each, about 8x the time of one lockstep of them all.
+    raw = yaml.safe_load((CONFIG_DIR / "cvar_gaussians.yaml").read_text(encoding="utf-8"))
+    raw["mixtures"] = [[0.34, 0.33, 0.33], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]
+    cfg = parse_config(raw)
+    arms, crit = cfg.arms, cfg.criterion
+    ucb = next(p for _, p in cfg.policies if isinstance(p, UcbPolicy))
+    families = {
+        "episode": (lambda: run_episode(arms, ucb, crit, 1000, seed=cfg.seed),
+                    len(geometric_checkpoints(3, 1000))),
+        "eval": (lambda: [crit.evaluate(m) for _, m in cfg.mixtures], 3),
+        "lattice": (lambda: condition_c5(arms, crit.alpha), 45),
+        "sweep": (lambda: simplex_grid_argmax(crit, arms, 0.1), 66),
+    }
+    rows, calls = lockstep_counter(monkeypatch)
+    for name, (run, size) in families.items():
+        rows.clear()
+        calls[0] = 0
+        run()
+        assert rows == [size], name
+        assert 0 < calls[0] <= 200, name  # one lockstep's step cap
 
 
 @pytest.mark.parametrize(
@@ -1288,7 +1358,7 @@ def level_set_corpus():
     a point mass at 0.5 and the Bad1 wide arm; 100 empirical CDFs of small
     integers, so with ties.  The levels are a 57-point grid and every knot
     level.  The Gaussian mixtures are stacked, so each level is solved once
-    for all of them: a stacked quantile is the lone walk's float."""
+    for all of them: a stacked quantile is plain bisection's float."""
     r = rng(25)
     dists = distribution_catalog()
     for _ in range(300):
