@@ -109,7 +109,7 @@ def condition_c1(criterion: RiskCriterion, arms) -> CheckResult:
     for i, arm in enumerate(arms):
         try:
             value = criterion.evaluate(arm)
-        except Exception as exc:
+        except (DomainError, ArithmeticError) as exc:
             return CheckResult("C1", False, f"arm {i}: evaluation failed ({exc})")
         if not math.isfinite(value):
             return CheckResult("C1", False, f"arm {i}: criterion value {value}")
@@ -360,7 +360,8 @@ def phi_identity_check(cert: StabilityCertificate) -> CheckResult:
 
 
 def galois_check(dists, n_points: int = 400, seed: int = 0) -> CheckResult:
-    """``quantile(F, a) <= y  <=>  a <= F(y)`` on random (a, y) pairs."""
+    """``quantile(F, a) <= y  <=>  a <= F(y)`` and ``upper_quantile(F, a) <= y
+    <=>  a < F(y)`` on random (a, y) pairs."""
     rng = _rng(seed)
     for d in dists:
         lo, hi = d.support_bounds()
@@ -368,9 +369,8 @@ def galois_check(dists, n_points: int = 400, seed: int = 0) -> CheckResult:
         for _ in range(n_points):
             a = float(rng.uniform(1e-6, 1 - 1e-6))
             y = float(rng.uniform(lo - pad, hi + pad))
-            left = d.quantile(a) <= y
-            right = a <= float(d.cdf(y))
-            if left != right:
+            f = float(d.cdf(y))
+            if (d.quantile(a) <= y) != (a <= f) or (d.upper_quantile(a) <= y) != (a < f):
                 return CheckResult(
                     "galois-connection", False, f"{d!r}: alpha={a:.6g}, y={y:.6g}"
                 )

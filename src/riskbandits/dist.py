@@ -1,7 +1,8 @@
 """Reward distributions: analytic arm models, empirical CDFs, and mixtures.
 
 Every distribution exposes the same small surface: a right-continuous CDF
-with first-class left limits, the generalized inverse (quantile), exact
+with first-class left limits, the two generalized inverses (``quantile``
+and ``upper_quantile``, one ``_inverse(c, strict)`` per kind), exact
 moment/tail integrals, a seeded sampler, and the CDF integral
 ``int_{-inf}^{v} F(y) dy`` used by the low-tail-average criterion.
 
@@ -65,8 +66,10 @@ def _exp(y: float) -> float:
 
 class RewardDistribution:
     """Common interface for all reward distribution kinds: each defines its
-    CDF and left limit, both generalized inverses, sampler and integrals;
-    ``level_set`` and (unless a kind sums its own) ``upper_tail`` follow."""
+    CDF and left limit, one generalized inverse ``_inverse(c, strict)``,
+    sampler and integrals; ``quantile``, ``upper_quantile``, ``level_set``
+    and (unless a kind sums its own) ``upper_tail`` follow.  A mixture
+    answers both inverses itself, by its merged table or by bisection."""
 
     #: True when the CDF has an absolutely continuous non-linear part
     #: (currently: a Gaussian component).  Drives sup-distance refinement.
@@ -92,9 +95,18 @@ class RewardDistribution:
 
     def upper_quantile(self, c: float) -> float:
         """``inf{y | F(y) > c}``: the right edge of the level-c stretch."""
-        raise NotImplementedError
+        if c >= 1.0:
+            return math.inf
+        if c < 0.0:
+            return -math.inf
+        return self._inverse(c, True)
 
     def _quantile(self, alpha: float) -> float:
+        return self._inverse(alpha, False)
+
+    def _inverse(self, c: float, strict: bool) -> float:
+        """``inf{y | F(y) >= c}``, or ``inf{y | F(y) > c}`` when strict, for
+        c in [0, 1): a kind's one generalized inverse."""
         raise NotImplementedError
 
     # -- sampling --------------------------------------------------------
@@ -170,7 +182,7 @@ class RewardDistribution:
 
         The set runs from ``quantile(alpha)`` to ``upper_quantile(alpha)``
         (one point with a smooth part, which makes F strictly increasing) and
-        is empty unless F or its left limit meets alpha there.  Levels within
+        is empty unless F or its left limit meets alpha at its start.  Levels within
         1e-12 of alpha count as alpha, so a flat stretch that rounding moved
         off alpha (0.5 * 0.2 + 0.5 * 0.4 is not 0.3) joins the set.  It is an
         interval when wider than 1e-12, else the point at its start.
@@ -182,7 +194,7 @@ class RewardDistribution:
             hi = self.upper_quantile(alpha)
             # a flat stretch starts at a breakpoint, at the level F takes there
             levels = self.cdf(self.breakpoints()).tolist()
-        met = min(abs(self.cdf(lo) - alpha), *np.abs(self.cdf_left([lo, hi]) - alpha)) <= 1e-12
+        met = min(abs(self.cdf(lo) - alpha), abs(self.cdf_left(lo) - alpha)) <= 1e-12
         for c in {c for c in levels if c != alpha and 0.0 < c < 1.0 and abs(c - alpha) <= 1e-12}:
             start, end = self._quantile(c), self.upper_quantile(c)
             if end - start > 1e-12:
@@ -228,15 +240,9 @@ class Gaussian(RewardDistribution):
     def cdf_left(self, y):
         return self.cdf(y)
 
-    def _quantile(self, alpha):
-        return self.mean_value + self.stddev * float(ndtri(alpha))
-
-    def upper_quantile(self, c):
-        if c <= 0.0:
-            return -math.inf
-        if c >= 1.0:
-            return math.inf
-        return self._quantile(c)
+    def _inverse(self, c, strict):
+        # F is strictly increasing, so both inverses are one; ndtri(0) is -inf
+        return self.mean_value + self.stddev * float(ndtri(c))
 
     def _sample(self, rng, n):
         return rng.normal(self.mean_value, self.stddev, size=n)
@@ -367,30 +373,15 @@ class PiecewiseLinearCDF(RewardDistribution):
         out = np.where(self.ys[k] == y, self.fl[k], self.cdf(y))
         return out if out.ndim else float(out)
 
-    def _quantile(self, alpha):
-        k = int(np.searchsorted(self.fr, alpha, side="left"))
-        if k >= len(self.ys):
-            return float(self.ys[-1])
-        if self.fl[k] >= alpha and k > 0:
-            # searchsorted gives fr[k-1] < alpha <= fl[k]: a rising segment
-            f0, f1 = self.fr[k - 1], self.fl[k]
-            t = (alpha - f0) / (f1 - f0)
-            return float(self.ys[k - 1] + t * (self.ys[k] - self.ys[k - 1]))
-        return float(self.ys[k])
-
-    def upper_quantile(self, c):
-        if c >= 1.0:
-            return math.inf
-        if c < 0.0:
-            return -math.inf
-        # first knot whose right-continuous value exceeds c
-        k = int(np.searchsorted(self.fr, c, side="right"))
+    def _inverse(self, c, strict):
+        # the first knot whose value reaches c (exceeds it when strict); F
+        # rises to it along a segment where its left limit exceeds c, and a
+        # level equal to the segment's end value is met at the knot itself
+        k = int(np.searchsorted(self.fr, c, side="right" if strict else "left"))
         if k >= len(self.ys):
             return float(self.ys[-1])
         if k > 0 and self.fl[k] > c:
             f0, f1 = self.fr[k - 1], self.fl[k]
-            if abs(f0 - c) <= 1e-12:
-                return float(self.ys[k - 1])  # rises immediately after the knot
             t = (c - f0) / (f1 - f0)
             return float(self.ys[k - 1] + t * (self.ys[k] - self.ys[k - 1]))
         return float(self.ys[k])
@@ -399,7 +390,7 @@ class PiecewiseLinearCDF(RewardDistribution):
     def _segment_table(self):
         """Per knot k, the segment from knot k-1 to k: start level, rise (1.0
         where it does not rise), start location, run, and end level (NaN at
-        k = 0, which no level lies at or below).  Built on the first draw and
+        k = 0, which no level lies below).  Built on the first draw and
         pickled with the arm; merged mixture tables never sample, so never
         build it."""
         f0 = np.r_[0.0, self.fr[:-1]]
@@ -424,7 +415,7 @@ class PiecewiseLinearCDF(RewardDistribution):
         """Write the quantiles of the 1-d levels ``u``, which lie in [0, 1),
         into ``out``.
 
-        Each level's knot k has fr[k-1] < u <= fr[k], as in ``_quantile``:
+        Each level's knot k has fr[k-1] < u <= fr[k], as in ``_inverse``:
         the guide gives it, and ``searchsorted`` finds it for the levels in
         the guide's -1 slots.  ``out`` holds the bucket index first, then the
         interpolated value, computed by the operations of the masked gather
@@ -436,15 +427,16 @@ class PiecewiseLinearCDF(RewardDistribution):
         searched = k < 0
         if searched.any():
             k[searched] = np.searchsorted(self.fr, u[searched])
-        # interpolate where fr[k-1] < u <= fl[k]; there the rise is positive.
+        # interpolate where fr[k-1] < u < fl[k]; there the rise is positive.
         # A subnormal rise can overflow in the lanes the mask below discards.
         with np.errstate(over="ignore"):
             np.subtract(u, f0.take(k), out=out)
             np.divide(out, rise.take(k), out=out)
             np.multiply(out, run.take(k), out=out)
             np.add(y0.take(k), out, out=out)
-        # the knot itself where not (top >= u): in the knot's jump and at k = 0
-        np.copyto(out, self.ys.take(k), where=~(top.take(k) >= u))
+        # the knot itself where not (top > u): at the segment's end value, in
+        # the knot's jump and at k = 0
+        np.copyto(out, self.ys.take(k), where=~(top.take(k) > u))
 
     def _sample(self, rng, n):
         # each block's levels go into one reused buffer; drawn block by block,
@@ -636,17 +628,10 @@ class EmpiricalDistribution(RewardDistribution):
         out = np.where(np.isnan(y), np.nan, out)
         return out if out.ndim else float(out)
 
-    def _quantile(self, alpha):
-        return float(self.samples[_quantile_rank(alpha, self.t) - 1])
-
-    def upper_quantile(self, c):
-        if c >= 1.0:
-            return math.inf
-        if c < 0.0:
-            return -math.inf
+    def _inverse(self, c, strict):
         # below level 1 the top sample's F of 1 exceeds c: rank t at most
-        j = min(int(math.floor(c * self.t + 1e-9)) + 1, self.t)
-        return float(self.samples[j - 1])
+        j = math.floor(c * self.t + 1e-9) + 1 if strict else _quantile_rank(c, self.t)
+        return float(self.samples[min(j, self.t) - 1])
 
     def _sample(self, rng, n):
         return rng.choice(self.samples, size=n, replace=True)

@@ -66,15 +66,31 @@ def test_mixture_tracer_boundaries_stay_defined():
         assert callable(vars(MixtureDistribution).get(attr)), attr
 
 
-def test_level_set_has_one_definition():
-    # every kind's level set comes from its two generalized inverses, so no
-    # kind defines its own
+def _dist_classes():
     classes = [
         c for c in vars(dist).values() if isinstance(c, type) and c.__module__ == dist.__name__
     ]
     assert dist.RewardDistribution in classes and dist.MixtureDistribution in classes
+    return classes
+
+
+def test_level_set_has_one_definition():
+    # every kind's level set comes from its two generalized inverses, so no
+    # kind defines its own
+    classes = _dist_classes()
     assert [c.__name__ for c in classes if "_level_set" in vars(c)] == []
     assert [c.__name__ for c in classes if "level_set" in vars(c)] == ["RewardDistribution"]
+
+
+def test_generalized_inverses_have_one_definition_per_kind():
+    # both inverses of a kind come from its one _inverse(c, strict); the
+    # mixture answers them itself, under the names the tracer matches
+    classes = _dist_classes()
+    own = [c.__name__ for c in classes if {"_quantile", "upper_quantile"} & vars(c).keys()]
+    assert own == ["RewardDistribution", "MixtureDistribution"]
+    assert [c.__name__ for c in classes if "_inverse" in vars(c)] == [
+        "RewardDistribution", "Gaussian", "PiecewiseLinearCDF", "EmpiricalDistribution",
+    ]
 
 
 def test_closed_loop_tracer_boundaries_stay_defined():

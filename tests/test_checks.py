@@ -46,6 +46,16 @@ def test_c1_fails_on_divergent_tail():
     assert not res.passed
 
 
+def test_c1_lets_a_bug_in_a_criterion_surface():
+    # a TypeError is a fault in the code, not an arm outside the domain
+    class BrokenCriterion(CVaRCriterion):
+        def evaluate(self, f):
+            raise TypeError("unsupported operand")
+
+    with pytest.raises(TypeError):
+        checklib.condition_c1(BrokenCriterion(0.1), [Gaussian(0, 1)])
+
+
 def test_c1_passes_on_catalog():
     res = checklib.condition_c1(CVaRCriterion(0.1), [Gaussian(0, 1), Uniform(-1, 1)])
     assert res.passed
@@ -175,6 +185,18 @@ def test_dkw_grid_check_fails_a_sampler_shifted_from_its_cdf():
 def test_galois_check_runs_on_catalog():
     res = checklib.galois_check([Gaussian(0, 1), bad1_arm_wide()], n_points=50, seed=1)
     assert res.passed
+
+
+class _EarlyUpperQuantile(Uniform):
+    """A strict inverse that answers a quarter below the first y past the level."""
+
+    def upper_quantile(self, c):
+        return super().upper_quantile(c) - 0.25
+
+
+def test_galois_check_fails_a_wrong_strict_inverse():
+    res = checklib.galois_check([_EarlyUpperQuantile(0.0, 1.0)], n_points=50, seed=1)
+    assert not res.passed and res.detail.startswith("Uniform(lo=0.0, hi=1.0): alpha=")
 
 
 # ---------------------------------------------------------------------------

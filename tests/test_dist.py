@@ -283,9 +283,9 @@ def mask_quantile_array(d, u):
     ks = np.searchsorted(d.fr, u, side="left")
     ks = np.minimum(ks, len(d.ys) - 1)
     out = d.ys[ks].copy()
-    interp = (ks > 0) & (d.fl[ks] >= u)
+    interp = (ks > 0) & (d.fl[ks] > u)
     k = ks[interp]
-    f0 = d.fr[k - 1]  # fr[k-1] < u <= fl[k], as in _quantile
+    f0 = d.fr[k - 1]  # fr[k-1] < u < fl[k], as in _inverse
     t = (u[interp] - f0) / (d.fl[k] - f0)
     out[interp] = d.ys[k - 1] + t * (d.ys[k] - d.ys[k - 1])
     return out
@@ -431,6 +431,31 @@ def test_upper_quantile_flat_edges():
     assert f.upper_quantile(0.5) == pytest.approx(25.0)
     assert bad2_arm_step().upper_quantile(0.1) == pytest.approx(10.0)
     assert Gaussian(0, 1).upper_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_knot_table_quantile_at_a_segments_end_level_is_the_knot():
+    # F rises to 0.3 at -7.7 and jumps to 0.6 there: interpolating to the
+    # segment's end (t = 1) landed one ulp past the knot
+    d = PiecewiseLinearCDF([-20.0, -7.7, -6.7], [0, 0.3, 1], [0, 0.6, 1])
+    assert d.quantile(0.3) == -7.7
+    assert d.level_set(0.3) == ("point", -7.7, -7.7)
+
+
+def test_upper_quantile_just_above_a_knot_level_is_on_the_segment():
+    # F is 0.5 at 1 and rises by 1e-5 over the next 1000: a level 1e-13 above
+    # 0.5 is met on that segment, by both inverses, not at the knot
+    d = PiecewiseLinearCDF.from_pairs([(0, 0), (1, 0.5), (1001, 0.50001), (1002, 1)])
+    c = 0.5 + 1e-13
+    assert d.upper_quantile(c) == d.quantile(c) == 1.0000100031094519
+
+
+def test_inverses_at_the_unit_levels():
+    assert Gaussian(1, 2).upper_quantile(0.0) == -math.inf
+    e = EmpiricalDistribution([2.0, 0.0, 1.0])
+    assert [e.upper_quantile(c) for c in (-1.0, 0.0, 1.0)] == [-math.inf, 0.0, math.inf]
+    for c in (-1.0, 0.0, 1.0):
+        with pytest.raises(DomainError):
+            e.quantile(c)
 
 
 def test_empirical_upper_quantile_just_below_level_one_is_the_top_sample():
@@ -1410,6 +1435,19 @@ def test_level_set_matches_the_per_kind_oracle():
             assert got[0] == want[0], (d, alpha, got, want)
             assert np.allclose(got[1:], want[1:], rtol=1e-12, atol=1e-12), (d, alpha, got, want)
     assert cases > 37_000 and min(kinds.values()) > 500, kinds
+
+
+def test_upper_quantile_is_at_least_the_quantile_on_the_level_set_corpus():
+    # every kind's closed-form inverses; a mixture with a Gaussian part
+    # bisects its float CDF, which is not monotone to the last ulp
+    cases = 0
+    for d, levels in level_set_corpus():
+        if isinstance(d, MixtureDistribution) and d.has_smooth_part:
+            continue
+        for c in levels:
+            assert d.upper_quantile(c) >= d.quantile(c), (d, c)
+            cases += 1
+    assert cases > 25_000
 
 
 def test_level_set_one_ulp_off_a_knot_level():
