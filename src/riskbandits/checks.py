@@ -456,6 +456,8 @@ def _dkw_sup_distances(dist, horizons, reps: int, seed: int = 0) -> dict[int, np
     longest = horizons[-1]
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     jumps = [(b, float(dist.cdf(b)), float(dist.cdf_left(b))) for b in dist.breakpoints()]
+    # a kink where F is continuous is no jump: its counts never pass the sample points'
+    jumps = [j for j in jumps if j[1] != j[2]]
     sups = {t: np.empty(reps) for t in horizons}
     # per horizon, its partial row: CDF values, and with jumps left limits and draws
     carry = {t: [np.empty(0)] * (3 if jumps else 1) for t in horizons}
@@ -496,7 +498,7 @@ def _sup_rows(rows, jumps) -> np.ndarray:
     t = rows[0].shape[1]
     grid = np.arange(1, t + 1) / t
     d_right = np.subtract(grid, rows[0], out=rows[0])
-    # without breakpoints the CDF has no jumps: its left limits are its values
+    # without jumps the CDF's left limits are its values
     d_left = np.subtract(grid, rows[1], out=rows[1]) if jumps else d_right
     s = np.maximum(np.max(d_right, axis=1), 1.0 / t - np.min(d_left, axis=1))
     for b, fb, fb_left in jumps:

@@ -472,8 +472,7 @@ class NegVarianceCriterion(_CompositeCriterion):
         return 1.0 + 2.0 * _abs_mean_bound(arms)
 
     def smoothness_certificate(self, arms):
-        d1 = 1.0 + 2.0 * _abs_mean_bound(arms)
-        return SmoothnessCertificate(d1, 2.0, math.inf)
+        return SmoothnessCertificate(self._default_b(arms), 2.0, math.inf)
 
 
 class MeanVarianceCriterion(_CompositeCriterion):
@@ -739,7 +738,8 @@ class Bad2Criterion(RiskCriterion):
     The percentile part rides to the far edge of any flat CDF stretch at
     the 0.1 level; the bonus pays 5 when mass exists strictly inside
     (1, 10) or strictly below 1.  Its best stationary mixture is not a
-    global optimum.
+    global optimum.  A Gaussian part leaves F no flat stretch: a flat edge
+    is then the quantile at F's level.
     """
 
     tag = "bad2"

@@ -71,8 +71,9 @@ class RewardDistribution:
     and (unless a kind sums its own) ``upper_tail`` follow.  A mixture
     answers both inverses itself, by its merged table or by bisection."""
 
-    #: True when the CDF has an absolutely continuous non-linear part
-    #: (currently: a Gaussian component).  Drives sup-distance refinement.
+    #: True when the CDF has an absolutely continuous non-linear part (a
+    #: Gaussian component), which makes F strictly increasing, so its two
+    #: generalized inverses are one.  Drives sup-distance refinement.
     has_smooth_part = False
 
     #: True when the CDF has linear pieces with positive slope.
@@ -692,9 +693,9 @@ class MixtureDistribution(RewardDistribution):
     nested mixture is one such part.  A CDF call at ``n`` points holds a
     few ``n``-float rows.  A mixture of knot tables also merges into one
     ``PiecewiseLinearCDF`` over the union of the parts' knots, which answers
-    its quantiles and level sets; with a Gaussian part those are solved by
-    bisection on the CDF.  Moments and tail integrals are the weighted sums
-    of the parts' own exact values.
+    its quantiles and level sets; with a Gaussian part F rises strictly, and
+    bisection on the CDF solves its one inverse.  Moments and tail integrals
+    are the weighted sums of the parts' own exact values.
 
     Many mixtures over the same components solve as rows of one weight
     matrix (``_rows``): the same CDF, each component's ``cdf`` taken once
@@ -732,8 +733,7 @@ class MixtureDistribution(RewardDistribution):
         """Mixtures over ``components`` as one: ``weights[..., i]`` weighs
         component i, already normalised, and broadcasts against the points,
         so row r of ``cdf(y)`` is row r's CDF at ``y[r]``; a component that
-        no row weighs is left out.  It answers the CDF, and ``_solve`` for
-        both quantiles, only."""
+        no row weighs is left out.  It answers the CDF and ``_solve`` only."""
         rows = cls.__new__(cls)
         rows.components = tuple(components)
         rows.weights = weights
@@ -790,14 +790,14 @@ class MixtureDistribution(RewardDistribution):
     def cdf_left(self, y):
         return self._evaluate(y, True)
 
-    def _bisect_rows(self, target, strict, lo, hi):
-        """``inf{y | F(y) >= target}`` (``> target`` when strict) of every
-        row at once, by plain bisection from each row's F(lo) below the
-        threshold and F(hi) at or above it: each step decides the midpoint
-        ``0.5 * (lo + hi)`` of every row still open, from one CDF call over
-        those rows.  Exact to float resolution, jumps included.  A row
-        closes when its midpoint is not strictly inside its bracket, or
-        after 200 steps, and answers its ``hi``."""
+    def _bisect_rows(self, target, lo, hi):
+        """``inf{y | F(y) >= target}`` of every row at once, by plain
+        bisection from each row's F(lo) below the target and F(hi) at or
+        above it: each step decides the midpoint ``0.5 * (lo + hi)`` of
+        every row still open, from one CDF call over those rows.  Exact to
+        float resolution, jumps included.  A row closes when its midpoint
+        is not strictly inside its bracket, or after 200 steps, and answers
+        its ``hi``."""
         out = hi.copy()
         live = np.arange(len(hi))
         rows = self
@@ -812,27 +812,22 @@ class MixtureDistribution(RewardDistribution):
                     if not len(live):
                         return out
                     rows = self._rows(self.components, self.weights[live])
-                f = rows.cdf(mid)
-                up = f > target if strict else f >= target
+                up = rows.cdf(mid) >= target
                 hi = np.where(up, mid, hi)
                 lo = np.where(up, lo, mid)
         out[live] = hi
         return out
 
-    def _solve(self, level, strict):
-        """Each row's quantile at ``level`` (its upper quantile when strict),
-        bracketed by its parts' own: the mixture's lies between their least
-        and greatest.  The least moves down, so F starts below the level; when
-        strict the greatest moves up, where F may still equal the level."""
-        qs = np.array([c.upper_quantile(level) if strict else c.quantile(level)
-                       for c in self.components])
+    def _solve(self, level):
+        """Each row's quantile at ``level``, bracketed by its parts' own: the
+        mixture's lies between their least and greatest.  The least moves
+        down, so F starts below the level; F at the greatest reaches it."""
+        qs = np.array([c.quantile(level) for c in self.components])
         held = self.weights > 0
         lo = np.where(held, qs, np.inf).min(axis=1)
         lo -= np.maximum(1e-9, 1e-12 * np.abs(lo))
         hi = np.where(held, qs, -np.inf).max(axis=1)
-        if strict:
-            hi += np.maximum(1e-9, 1e-12 * np.abs(hi))
-        return self._bisect_rows(level, strict, lo, hi)
+        return self._bisect_rows(level, lo, hi)
 
     def _quantile(self, alpha):
         merged = self._merged_piecewise()
@@ -842,7 +837,7 @@ class MixtureDistribution(RewardDistribution):
             self.stack([self])
         rows, r = self._stack
         if alpha not in rows._solved:
-            rows._solved[alpha] = rows._solve(alpha, False).tolist()
+            rows._solved[alpha] = rows._solve(alpha).tolist()
         return rows._solved[alpha][r]
 
     def upper_quantile(self, c):
@@ -853,9 +848,10 @@ class MixtureDistribution(RewardDistribution):
             return math.inf
         if c <= 0.0:  # a Gaussian part puts mass below every y
             return -math.inf
-        # a level of this mixture's own (Bad2 asks each mixture its own
+        # a Gaussian part makes F strictly increasing, so both inverses are
+        # one; a level of this mixture's own (Bad2 asks each mixture its own
         # flat edge), so a one-row solve
-        return float(self._rows(self.components, self.weights[None])._solve(c, True)[0])
+        return float(self._rows(self.components, self.weights[None])._solve(c)[0])
 
     def _sample(self, rng, n):
         idx = rng.choice(len(self.components), size=n, p=self.weights)

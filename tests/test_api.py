@@ -12,6 +12,7 @@ import ast
 import importlib
 import json
 import importlib.util
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -91,6 +92,13 @@ def test_generalized_inverses_have_one_definition_per_kind():
     assert [c.__name__ for c in classes if "_inverse" in vars(c)] == [
         "RewardDistribution", "Gaussian", "PiecewiseLinearCDF", "EmpiricalDistribution",
     ]
+
+
+def test_mixture_solver_asks_one_question():
+    # a Gaussian part makes a mixture's F strictly increasing, so its solver
+    # decides only F >= level, for both inverses
+    for solver in (MixtureDistribution._solve, MixtureDistribution._bisect_rows):
+        assert "strict" not in inspect.signature(solver).parameters, solver.__name__
 
 
 def test_closed_loop_tracer_boundaries_stay_defined():

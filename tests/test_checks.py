@@ -461,6 +461,8 @@ _DKW_KINDS = {
     "bad1-wide": bad1_arm_wide(),  # jumps and a flat part
     "var-flat": PiecewiseLinearCDF.from_pairs([(0, 0.0), (1, 0.3), (2, 0.3), (3, 1.0)]),
     "empirical-50": EmpiricalDistribution(np.random.default_rng(8).normal(size=50)),
+    # 50 kinks and no jump: the pass counts at none of them, the reference at all
+    "continuous-50": PiecewiseLinearCDF.from_pairs([(k, (k / 49) ** 2) for k in range(50)]),
 }
 
 # a mixture is neither block-invariant nor prefix-stable; the multiset is

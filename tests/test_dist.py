@@ -464,10 +464,10 @@ def test_empirical_upper_quantile_just_below_level_one_is_the_top_sample():
     for c in (1 - 2e-10, 1 - 1e-16, 2 / 3 + 1e-10):
         assert e.upper_quantile(c) == 2.0
     assert e.upper_quantile(1.0) == math.inf
-    # a mixture takes its parts' upper quantiles as its bracket
+    # a mixture with a Gaussian part answers its quantile for both inverses
     m = MixtureDistribution([Gaussian(0, 1), e], [0.5, 0.5])
     got = m.upper_quantile(1 - 2e-10)
-    assert got < 7.0 and float(m.cdf(got)) > 1 - 2e-10
+    assert got < 7.0 and got == m.quantile(1 - 2e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -801,12 +801,12 @@ def loop_mixture_cdf(m, y, left=False):
     return out if out.ndim else float(out)
 
 
-def scalar_bisect(m, target, strict, lo, hi):
+def scalar_bisect(m, target, lo, hi):
     """Bisection with one scalar CDF call per midpoint."""
-    return scalar_bisect_steps(m, target, strict, lo, hi)[0]
+    return scalar_bisect_steps(m, target, lo, hi)[0]
 
 
-def scalar_bisect_steps(m, target, strict, lo, hi):
+def scalar_bisect_steps(m, target, lo, hi):
     """``scalar_bisect``'s result and the number of midpoints it decides."""
     steps = 0
     while steps < 200:
@@ -815,37 +815,22 @@ def scalar_bisect_steps(m, target, strict, lo, hi):
             break
         steps += 1
         v = loop_mixture_cdf(m, mid)
-        if (v > target) if strict else (v >= target):
+        if v >= target:
             hi = mid
         else:
             lo = mid
     return hi, steps
 
 
-def reference_quantile(m, alpha):
-    qs = [c.quantile(alpha) for w, c in zip(m.weights, m.components) if w > 0]
+def reference_bracket(m, level):
+    """The bracket that ``quantile`` solves in."""
+    qs = [c.quantile(level) for w, c in zip(m.weights, m.components) if w > 0]
     lo = min(qs)
-    lo -= max(1e-9, 1e-12 * abs(lo))
-    return scalar_bisect(m, alpha, False, lo, max(qs))
+    return lo - max(1e-9, 1e-12 * abs(lo)), max(qs)
 
 
-def reference_upper_quantile(m, c):
-    qs = [d.upper_quantile(c) for w, d in zip(m.weights, m.components) if w > 0]
-    lo, hi = min(qs), max(qs)
-    lo -= max(1e-9, 1e-12 * abs(lo))
-    hi += max(1e-9, 1e-12 * abs(hi))
-    return scalar_bisect(m, c, True, lo, hi)
-
-
-def reference_bracket(m, level, strict):
-    """The bracket that ``quantile`` (or ``upper_quantile`` when strict) solves in."""
-    parts = [c for w, c in zip(m.weights, m.components) if w > 0]
-    qs = [c.upper_quantile(level) if strict else c.quantile(level) for c in parts]
-    lo, hi = min(qs), max(qs)
-    lo -= max(1e-9, 1e-12 * abs(lo))
-    if strict:
-        hi += max(1e-9, 1e-12 * abs(hi))
-    return lo, hi
+def reference_quantile(m, alpha):
+    return scalar_bisect(m, alpha, *reference_bracket(m, alpha))
 
 
 def random_component(r, kinds):
@@ -934,7 +919,7 @@ def test_mixture_of_large_empirical_components_holds_memory_linear_in_the_knots(
                          ids=["gaussian", "mixed"])
 def test_block_bisection_is_bit_identical_to_scalar_bisection(kinds):
     # each mixture on its own: a one-row stack for the quantile, and a
-    # one-row solve for the upper quantile
+    # one-row solve of the same level for the upper quantile
     r = rng(63)
     for _ in range(100):
         m = random_mixture(r, kinds)
@@ -945,7 +930,7 @@ def test_block_bisection_is_bit_identical_to_scalar_bisection(kinds):
             got = m.quantile(level)
             assert type(got) is float
             assert got == reference_quantile(m, level)
-            assert m.upper_quantile(level) == reference_upper_quantile(m, level)
+            assert m.upper_quantile(level) == got
 
 
 def atoms_corpus(seed):
@@ -968,7 +953,7 @@ def test_lockstep_bisection_is_bit_identical_on_atoms_one_part_and_extreme_level
     for m, level in atoms_corpus(65):
         got = m.quantile(level)
         assert got == reference_quantile(m, level)
-        assert m.upper_quantile(level) == reference_upper_quantile(m, level)
+        assert m.upper_quantile(level) == got
         on_atom += float(m.cdf_left(got)) < level <= float(m.cdf(got))
     assert on_atom >= 10  # roots on jumps: 19 of the 290 quantiles
 
@@ -981,32 +966,29 @@ def step_cap_mixture():
 
 def test_bisection_that_reaches_the_step_cap_is_bit_identical():
     m = step_cap_mixture()
-    lo, hi = reference_bracket(m, 0.7, False)
-    assert scalar_bisect_steps(m, 0.7, False, lo, hi)[1] == 200
-    assert m.quantile(0.7) == reference_quantile(m, 0.7)
-    assert m.upper_quantile(0.7) == reference_upper_quantile(m, 0.7)
+    assert scalar_bisect_steps(m, 0.7, *reference_bracket(m, 0.7))[1] == 200
+    assert m.upper_quantile(0.7) == m.quantile(0.7) == reference_quantile(m, 0.7)
 
 
-@pytest.mark.parametrize("strict", [False, True], ids=["quantile", "upper-quantile"])
-def test_lockstep_bisection_of_nan_and_step_cap_brackets_is_scalar_bisection(strict):
+def test_lockstep_bisection_of_nan_and_step_cap_brackets_is_scalar_bisection():
     # brackets whose midpoint is NaN decide nothing and answer hi, as
     # bisection does, beside a bracket that closes in ~50 steps
     m = MixtureDistribution([Gaussian(0.0, 1.0), Gaussian(1.0, 1.0)], [0.5, 0.5])
     lo = np.array([math.nan, -math.inf, 0.0, -3.0])
     hi = np.array([1.0, math.inf, math.nan, 3.0])
     rows = MixtureDistribution._rows(m.components, np.stack([m.weights] * 4))
-    got = rows._bisect_rows(0.3, strict, lo, hi)
+    got = rows._bisect_rows(0.3, lo, hi)
     for g, a, b in zip(got.tolist(), lo.tolist(), hi.tolist()):
-        want = scalar_bisect(m, 0.3, strict, a, b)
+        want = scalar_bisect(m, 0.3, a, b)
         assert g == want or (math.isnan(g) and math.isnan(want))
     # the step-cap bracket alone, and beside itself
     cap = step_cap_mixture()
-    lo, hi = reference_bracket(cap, 0.7, strict)
-    want, steps = scalar_bisect_steps(cap, 0.7, strict, lo, hi)
-    assert steps == 200  # lo halves up to the atom at 0, or hi down to it when strict
+    lo, hi = reference_bracket(cap, 0.7)
+    want, steps = scalar_bisect_steps(cap, 0.7, lo, hi)
+    assert steps == 200  # lo halves up to the atom at 0
     for n in (1, 3):
         rows = MixtureDistribution._rows(cap.components, np.stack([cap.weights] * n))
-        got = rows._bisect_rows(0.7, strict, np.full(n, lo), np.full(n, hi))
+        got = rows._bisect_rows(0.7, np.full(n, lo), np.full(n, hi))
         assert got.tolist() == [want] * n
 
 
@@ -1057,11 +1039,9 @@ def test_stacked_quantiles_equal_plain_bisection(components, monkeypatch):
     assert few[-1]._stack[0].weights.shape == (1, k) and few[-2]._stack[1] == 6
     for level in (1e-12, 0.1, 0.25, *r.uniform(0.0, 1.0, size=3).tolist(), 1 - 1e-12):
         # every row of the lockstep, knot-table rows too, is plain bisection
-        # on its bracket, for both inverses
-        for strict in (True, False):
-            want = [scalar_bisect(m, level, strict, *reference_bracket(m, level, strict))
-                    for m in rows]
-            assert stack._solve(level, strict).tolist() == want
+        # on its bracket
+        want = [scalar_bisect(m, level, *reference_bracket(m, level)) for m in rows]
+        assert stack._solve(level).tolist() == want
         smooth = [m.has_smooth_part for m in rows]  # the others answer from their table
         got = [m.quantile(level) for m in rows]
         assert [g for g, s in zip(got, smooth) if s] == [w for w, s in zip(want, smooth) if s]
@@ -1078,8 +1058,7 @@ def test_lockstep_bisection_at_the_step_cap_and_with_one_row():
     MixtureDistribution.stack(rows)
     for m, single in zip(rows, mixtures(comps, raw)):
         assert m.quantile(0.7) == single.quantile(0.7) == reference_quantile(single, 0.7)
-    lo, hi = reference_bracket(rows[0], 0.7, False)
-    assert scalar_bisect_steps(rows[0], 0.7, False, lo, hi)[1] == 200
+    assert scalar_bisect_steps(rows[0], 0.7, *reference_bracket(rows[0], 0.7))[1] == 200
     # a lone mixture is a one-row stack, whether stacked or first solved alone
     lone, unstacked = mixtures(comps, raw[:2])
     MixtureDistribution.stack([lone])
@@ -1104,7 +1083,7 @@ def reweighted_stack(r, m):
     return ms
 
 
-def check_stacked_solve(monkeypatch, ms, level, strict):
+def check_stacked_solve(monkeypatch, ms, level):
     """The stack of ``ms`` solves ``level`` as each row's plain bisection, in
     as many CDF calls as its slowest row takes steps."""
     calls = [0]
@@ -1116,9 +1095,8 @@ def check_stacked_solve(monkeypatch, ms, level, strict):
 
     with monkeypatch.context() as patch:
         patch.setattr(MixtureDistribution, "cdf", counted_cdf)
-        got = ms[0]._stack[0]._solve(level, strict).tolist()
-    want = [scalar_bisect_steps(m, level, strict, *reference_bracket(m, level, strict))
-            for m in ms]
+        got = ms[0]._stack[0]._solve(level).tolist()
+    want = [scalar_bisect_steps(m, level, *reference_bracket(m, level)) for m in ms]
     assert got == [w for w, _ in want]
     assert calls[0] == max(steps for _, steps in want)
 
@@ -1127,7 +1105,7 @@ def check_stacked_solve(monkeypatch, ms, level, strict):
                          ids=["gaussian", "mixed"])
 def test_lockstep_takes_one_cdf_call_per_step_of_its_slowest_row(kinds, monkeypatch):
     # the first mixtures of the block-bisection corpus, each stacked beside
-    # a reweighting of its components, for both inverses
+    # a reweighting of its components
     r = rng(63)
     solved = 0
     while solved < 25:
@@ -1136,22 +1114,19 @@ def test_lockstep_takes_one_cdf_call_per_step_of_its_slowest_row(kinds, monkeypa
             continue
         ms = reweighted_stack(r, m)
         for level in r.uniform(0.0, 1.0, size=2).tolist():
-            for strict in (False, True):
-                check_stacked_solve(monkeypatch, ms, level, strict)
+            check_stacked_solve(monkeypatch, ms, level)
         solved += 1
 
 
 def test_stacked_rows_are_bit_identical_on_atoms_one_part_and_extreme_levels(monkeypatch):
     # the atoms corpus, each mixture stacked beside a reweighting of its
-    # components: the quantile and the upper quantile of every row
+    # components: the quantile of every row
     r = rng(66)
     stacks = {}
     for m, level in atoms_corpus(65):
         if id(m) not in stacks:
             stacks[id(m)] = reweighted_stack(r, m)
-        ms = stacks[id(m)]
-        for strict in (False, True):
-            check_stacked_solve(monkeypatch, ms, level, strict)
+        check_stacked_solve(monkeypatch, stacks[id(m)], level)
     assert len(stacks) >= 50
 
 
@@ -1181,9 +1156,9 @@ def lockstep_counter(monkeypatch):
         finally:
             depth[0] -= 1
 
-    def counted_solve(self, level, strict):
+    def counted_solve(self, level):
         rows.append(len(self.weights))
-        return solve(self, level, strict)
+        return solve(self, level)
 
     def counted_cdf(self, y):
         calls[0] += depth[0] > 0
@@ -1439,7 +1414,7 @@ def test_level_set_matches_the_per_kind_oracle():
 
 def test_upper_quantile_is_at_least_the_quantile_on_the_level_set_corpus():
     # every kind's closed-form inverses; a mixture with a Gaussian part
-    # bisects its float CDF, which is not monotone to the last ulp
+    # answers its quantile for both, as the solver corpora check
     cases = 0
     for d, levels in level_set_corpus():
         if isinstance(d, MixtureDistribution) and d.has_smooth_part:
@@ -1504,12 +1479,25 @@ def test_level_set_keeps_a_flat_stretch_that_rounding_moved_off_the_level():
 
 def test_level_set_with_a_smooth_part_is_at_most_one_point():
     # a Gaussian tail under a flat arm: F rises by less than its own ulp over
-    # more than 1e-12, so its two inverses part, yet F is strictly increasing
+    # more than 1e-12, yet F is strictly increasing, so its two inverses are one
     m = MixtureDistribution([Gaussian(0.0, 1.0), bad1_arm_wide()], [0.3, 0.7])
     alpha = float(m.cdf(4.5))
-    assert m.upper_quantile(alpha) - m.quantile(alpha) > 1e-12
+    assert m.upper_quantile(alpha) == m.quantile(alpha)
     q = m.quantile(alpha)
     assert m.level_set(alpha) == per_kind_level_set(m, alpha) == ("point", q, q)
+
+
+def test_smooth_mixture_upper_quantile_is_its_quantile_where_float_cdf_falls():
+    # the float CDF is not monotone to the last ulp: F at the quantile is
+    # exactly c, yet F two ulps below it is c + 2.8e-17, where a bisection
+    # on F > c stopped
+    w = [float.fromhex(h) for h in ("0x1.1e8c7eb6f2494p-1", "0x1.3fcabf33f3198p-3",
+                                    "0x1.2301a2f821e0cp-2")]
+    arms = [Gaussian(0.0, 1.0), Gaussian(0.1, 1.0), PointMass(0.5), bad1_arm_wide()]
+    m = MixtureDistribution(arms, [*w, 0.0])
+    c = 4 / 29
+    assert m.quantile(c) == -0.8469517668373229
+    assert m.upper_quantile(c) == m.quantile(c)
 
 
 def test_piecewise_validation():
