@@ -45,6 +45,10 @@ _GUIDE_BUCKETS = 256
 # to eight components, hold at most 2^16 floats
 _STACK_ROWS = 1 << 13
 
+# entries (rows x knots) per block of a knot-table stack's level tables: a
+# stack's rows over many knots are tabulated a block of knots at a time
+_TABLE_FLOATS = 1 << 16
+
 # a Gaussian's smooth probe points, in standard deviations from its mean
 _PROBE_STEPS = np.linspace(-8.0, 8.0, 33)
 
@@ -69,7 +73,7 @@ class RewardDistribution:
     CDF and left limit, one generalized inverse ``_inverse(c, strict)``,
     sampler and integrals; ``quantile``, ``upper_quantile``, ``level_set``
     and (unless a kind sums its own) ``upper_tail`` follow.  A mixture
-    answers both inverses itself, by its merged table or by bisection."""
+    answers both inverses itself, by level tables or by bisection."""
 
     #: True when the CDF has an absolutely continuous non-linear part (a
     #: Gaussian component), which makes F strictly increasing, so its two
@@ -375,25 +379,14 @@ class PiecewiseLinearCDF(RewardDistribution):
         return out if out.ndim else float(out)
 
     def _inverse(self, c, strict):
-        # the first knot whose value reaches c (exceeds it when strict); F
-        # rises to it along a segment where its left limit exceeds c, and a
-        # level equal to the segment's end value is met at the knot itself
-        k = int(np.searchsorted(self.fr, c, side="right" if strict else "left"))
-        if k >= len(self.ys):
-            return float(self.ys[-1])
-        if k > 0 and self.fl[k] > c:
-            f0, f1 = self.fr[k - 1], self.fl[k]
-            t = (c - f0) / (f1 - f0)
-            return float(self.ys[k - 1] + t * (self.ys[k] - self.ys[k - 1]))
-        return float(self.ys[k])
+        return _table_inverse(self.ys, self.fl, self.fr, c, strict)
 
     @functools.cached_property
     def _segment_table(self):
         """Per knot k, the segment from knot k-1 to k: start level, rise (1.0
         where it does not rise), start location, run, and end level (NaN at
         k = 0, which no level lies below).  Built on the first draw and
-        pickled with the arm; merged mixture tables never sample, so never
-        build it."""
+        pickled with the arm, so only tables that sample build it."""
         f0 = np.r_[0.0, self.fr[:-1]]
         rise = self.fl - f0
         rise[rise <= 0.0] = 1.0
@@ -406,7 +399,7 @@ class PiecewiseLinearCDF(RewardDistribution):
         slot b holds the count of ``fr`` below ``b / _GUIDE_BUCKETS`` (exact,
         as the bucket edges are dyadic), or -1 where the bucket holds an
         ``fr`` value.  Built on the first draw and pickled with the arm
-        (2 KB); merged mixture tables never sample, so never build it."""
+        (2 KB), so only tables that sample build it."""
         below = np.searchsorted(self.fr, np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS)
         guide = below[:-1].copy()
         guide[below[1:] > below[:-1]] = -1
@@ -530,6 +523,22 @@ class PiecewiseLinearCDF(RewardDistribution):
 
     def __repr__(self):
         return f"PiecewiseLinearCDF({len(self.ys)} knots on [{self.ys[0]}, {self.ys[-1]}])"
+
+
+def _table_inverse(ys, fl, fr, c, strict):
+    """``inf{y | F(y) >= c}``, or ``inf{y | F(y) > c}`` when strict, of the
+    knot table ``(ys, fl, fr)``: the first knot whose value reaches c
+    (exceeds it when strict); F rises to it along a segment where its left
+    limit exceeds c, and a level equal to the segment's end value is met at
+    the knot itself."""
+    k = int(np.searchsorted(fr, c, side="right" if strict else "left"))
+    if k >= len(ys):
+        return float(ys[-1])
+    if k > 0 and fl[k] > c:
+        f0, f1 = fr[k - 1], fl[k]
+        t = (c - f0) / (f1 - f0)
+        return float(ys[k - 1] + t * (ys[k] - ys[k - 1]))
+    return float(ys[k])
 
 
 # The closed-form kinds are knot tables on the piecewise kernel.  The two
@@ -691,20 +700,29 @@ class MixtureDistribution(RewardDistribution):
     over all ``components``, reads the parts.  The CDF takes each part's
     own ``cdf`` (or ``cdf_left``) and sums ``p_i F_i(y)`` in part order; a
     nested mixture is one such part.  A CDF call at ``n`` points holds a
-    few ``n``-float rows.  A mixture of knot tables also merges into one
-    ``PiecewiseLinearCDF`` over the union of the parts' knots, which answers
-    its quantiles and level sets; with a Gaussian part F rises strictly, and
-    bisection on the CDF solves its one inverse.  Moments and tail integrals
-    are the weighted sums of the parts' own exact values.
+    few ``n``-float rows.  Moments and tail integrals are the weighted sums
+    of the parts' own exact values.
 
     Many mixtures over the same components solve as rows of one weight
     matrix (``_rows``): the same CDF, each component's ``cdf`` taken once
     over the points of every row, with a weight per row (or per point).  A
     zero weight adds an exact +0.0 to a finite CDF value, so a row over all
     components is its mixture's parts, bit for bit.  The mixtures that
-    ``stack`` joins solve a level together, every row in lockstep
-    (``_bisect_rows``), the first time one of them needs it; a mixture that
-    no stack joined is stacked alone, a stack of one row.
+    ``stack`` joins solve a level together, the first time one of them
+    needs it; a mixture that no stack joined is stacked alone, a stack of
+    one row.  A stack solves a level by sets of rows that answer it alike
+    (``_row_sets``), each set for all its rows at once (``_inverses``).  A
+    row with a Gaussian part has a strictly increasing F, and its one
+    inverse is bisected, every such row in lockstep (``_bisect_rows``).
+    Every other row is a knot table: the union of its parts' knots, with
+    the left limit and value ``sum_i p_i F_i`` at each, read by the knot
+    table's rule (``_table_inverse``).  Rows with the same parts share
+    their knots, so each such set is tabulated at once (``_knot_tables``),
+    a block of knots at a time, with no ``PiecewiseLinearCDF`` per
+    mixture.  A level only one mixture asks for (``upper_quantile``) is a
+    one-row question, and a lone knot-table part, of weight exactly 1,
+    answers with its own table.  A stack also takes each component's
+    moments once for all its rows (``_weighted``).
     """
 
     def __init__(self, components, weights):
@@ -725,21 +743,27 @@ class MixtureDistribution(RewardDistribution):
         self._parts = [(p, c) for p, c in zip(w, self.components) if p > 0]
         self.has_smooth_part = any(c.has_smooth_part for _, c in self._parts)
         self.has_sloped_part = any(c.has_sloped_part for _, c in self._parts)
-        self._merged = None
+        part = self._parts[0][1]
+        # a lone knot-table part, of weight exactly 1, is its own table
+        self._own = part if len(self._parts) == 1 and isinstance(part, PiecewiseLinearCDF) else None
         self._stack = None  # (rows, r) once ``stack`` joins it: row r solves its quantiles
+        self._alone = None  # its own one-row stack, for the levels it alone asks
 
     @classmethod
     def _rows(cls, components, weights):
         """Mixtures over ``components`` as one: ``weights[..., i]`` weighs
         component i, already normalised, and broadcasts against the points,
         so row r of ``cdf(y)`` is row r's CDF at ``y[r]``; a component that
-        no row weighs is left out.  It answers the CDF and ``_solve`` only."""
+        no row weighs is left out.  It answers the CDF and the solvers only."""
         rows = cls.__new__(cls)
         rows.components = tuple(components)
         rows.weights = weights
         rows._parts = [(weights[..., i], c) for i, c in enumerate(rows.components)
                        if weights[..., i].any()]
         rows._solved = {}  # level -> each row's quantile
+        rows._sets = None  # each row's (set, index in it), on the first level solved
+        rows._tables = None  # a set of knot-table rows: its ``_knot_tables``
+        rows._moments = {}  # (method, *args) -> each weighed component's value
         return rows
 
     @classmethod
@@ -770,19 +794,6 @@ class MixtureDistribution(RewardDistribution):
         for w, row in rows:
             out += w * row
         return out if out.ndim else float(out)
-
-    def _merged_piecewise(self):
-        """The mixture as one knot table, or None with a smooth part.  A
-        lone knot-table part, of weight exactly 1, is its own table."""
-        if self._merged is None and not self.has_smooth_part:
-            part = self._parts[0][1]
-            if len(self._parts) == 1 and isinstance(part, PiecewiseLinearCDF):
-                self._merged = part
-            else:
-                knots = self.breakpoints()
-                fl = self._evaluate(knots, True)
-                self._merged = PiecewiseLinearCDF(knots, fl, self._evaluate(knots, False))
-        return self._merged
 
     def cdf(self, y):
         return self._evaluate(y, False)
@@ -829,29 +840,78 @@ class MixtureDistribution(RewardDistribution):
         hi = np.where(held, qs, -np.inf).max(axis=1)
         return self._bisect_rows(level, lo, hi)
 
+    def _row_sets(self):
+        """Each row's set and its index there: the sets of rows that answer
+        a level alike, each a stack of its own that solves a level for its
+        rows alone.  The rows with a smooth part form one set, bisected in
+        lockstep; the others form a set per set of positive-weight parts,
+        since a row's knots are its own parts' knots."""
+        held = self.weights > 0
+        smooth = held[:, [c.has_smooth_part for c in self.components]].any(axis=1)
+        group = np.zeros(len(held), dtype=np.intp)
+        if not smooth.all():
+            keys = np.column_stack([smooth, held | smooth[:, None]])
+            group = np.unique(keys, axis=0, return_inverse=True)[1]
+        if not group.any():  # one set: the stack itself
+            return [(self, r) for r in range(len(held))]
+        sets = [None] * len(held)
+        for g in range(group.max() + 1):
+            rows = np.flatnonzero(group == g)
+            part = self._rows(self.components, self.weights[rows])
+            for i, r in enumerate(rows.tolist()):
+                sets[r] = (part, i)
+        return sets
+
+    def _inverses(self, c, strict):
+        """Each row's ``inf{y | F(y) >= c}``, or ``inf{y | F(y) > c}`` when
+        strict, on a stack whose rows all have a smooth part, or all the
+        same parts.  With a smooth part F rises strictly, so both are one,
+        bisected in lockstep (c in (0, 1)).  Otherwise the rows' knot
+        tables answer (c in [0, 1)), kept for every level while they fit in
+        one block, else rebuilt a block of knots at a time at each level."""
+        if any(p.has_smooth_part for _, p in self._parts):
+            return self._solve(c)
+        if self._tables is None:
+            held = self.weights[0] > 0
+            parts = [p for p, h in zip(self.components, held) if h]
+            knots = np.unique(np.concatenate([p.breakpoints() for p in parts]))
+            self._tables = functools.partial(_knot_tables, parts, self.weights[:, held], knots)
+            if len(self.weights) * len(knots) <= _TABLE_FLOATS:
+                self._tables = list(self._tables())
+        tables = self._tables if isinstance(self._tables, list) else self._tables()
+        return _knot_table_inverse(tables, len(self.weights), c, strict)
+
     def _quantile(self, alpha):
-        merged = self._merged_piecewise()
-        if merged is not None:
-            return merged._quantile(alpha)
+        if self._own is not None:
+            return self._own._quantile(alpha)
         if self._stack is None:
             self.stack([self])
         rows, r = self._stack
+        if rows._sets is None:
+            rows._sets = rows._row_sets()
+        rows, r = rows._sets[r]
         if alpha not in rows._solved:
-            rows._solved[alpha] = rows._solve(alpha).tolist()
+            rows._solved[alpha] = rows._inverses(alpha, False).tolist()
         return rows._solved[alpha][r]
 
     def upper_quantile(self, c):
-        merged = self._merged_piecewise()
-        if merged is not None:
-            return merged.upper_quantile(c)
+        if self._own is not None:
+            return self._own.upper_quantile(c)
         if c >= 1.0:
             return math.inf
-        if c <= 0.0:  # a Gaussian part puts mass below every y
-            return -math.inf
-        # a Gaussian part makes F strictly increasing, so both inverses are
-        # one; a level of this mixture's own (Bad2 asks each mixture its own
-        # flat edge), so a one-row solve
-        return float(self._rows(self.components, self.weights[None])._solve(c)[0])
+        if c < 0.0 or (c == 0.0 and self.has_smooth_part):
+            return -math.inf  # a Gaussian part puts mass below every y
+        # a level of this mixture's own (Bad2 asks each mixture its own flat
+        # edge), so one row's question: its stack's only row, or its row
+        # alone, whose table then answers its next own level too
+        if self._stack is None:
+            self.stack([self])
+        rows = self._stack[0]
+        if len(rows.weights) > 1:
+            if self._alone is None:
+                self._alone = self._rows(self.components, self.weights[None])
+            rows = self._alone
+        return float(rows._inverses(c, True)[0])
 
     def _sample(self, rng, n):
         idx = rng.choice(len(self.components), size=n, p=self.weights)
@@ -863,29 +923,43 @@ class MixtureDistribution(RewardDistribution):
                 out[sel] = c.sample(rng, cnt)
         return out
 
-    def _weighted(self, fn):
-        return float(sum(w * fn(c) for w, c in self._parts))
+    def _weighted(self, name, *args):
+        """``sum_i p_i m_i`` over the parts, in part order, of each part's own
+        ``m_i = name(*args)``.  A stacked mixture's stack takes each weighed
+        component's value once for all its rows; a mixture that no stack
+        joined (a pair before its check stacks it) is not stacked for it."""
+        if self._stack is None:
+            return float(sum(w * getattr(c, name)(*args) for w, c in self._parts))
+        rows = self._stack[0]
+        key = (name, *args)
+        if key not in rows._moments:
+            weighed = rows.weights.any(axis=0)
+            rows._moments[key] = [getattr(c, name)(*args) if h else None
+                                  for c, h in zip(rows.components, weighed)]
+        values = rows._moments[key]
+        return float(sum(w * m for w, m in zip(self.weights, values) if w > 0))
 
     def mean(self):
-        return self._weighted(lambda c: c.mean())
+        return self._weighted("mean")
 
     def second_moment(self):
-        return self._weighted(lambda c: c.second_moment())
+        return self._weighted("second_moment")
 
     def below_target_semivariance(self, r):
-        return self._weighted(lambda c: c.below_target_semivariance(r))
+        return self._weighted("below_target_semivariance", r)
 
     def exp_moment(self, theta):
-        return self._weighted(lambda c: c.exp_moment(theta))
+        return self._weighted("exp_moment", theta)
 
     def lower_tail(self):
-        return self._weighted(lambda c: c.lower_tail())
+        return self._weighted("lower_tail")
 
     def upper_tail(self):
-        return self._weighted(lambda c: c.upper_tail())
+        return self._weighted("upper_tail")
 
     def cdf_integral_below(self, v):
-        return self._weighted(lambda c: c.cdf_integral_below(v))
+        # v is each row's own quantile, so a stack has nothing to share
+        return float(sum(w * c.cdf_integral_below(v) for w, c in self._parts))
 
     def breakpoints(self):
         return np.unique(np.concatenate([c.breakpoints() for _, c in self._parts]))
@@ -900,6 +974,65 @@ class MixtureDistribution(RewardDistribution):
     def __repr__(self):
         w = ", ".join(f"{x:.4g}" for x in self.weights)
         return f"MixtureDistribution(weights=[{w}])"
+
+
+def _knot_tables(parts, weights, knots):
+    """The knot table of each row of ``weights`` over the knot-table
+    ``parts``, ``knots`` the union of theirs, in blocks ``(y, fl, fr)`` of
+    ``_TABLE_FLOATS // len(weights)`` knots (one at least) a block.
+
+    A row's table has the left limit ``fl`` and the value ``fr`` of ``sum_i
+    w_i F_i`` at each knot ``y``, summed in part order as
+    ``MixtureDistribution.cdf`` sums and clamped as ``PiecewiseLinearCDF``
+    clamps, so each row is its mixture's own table, bit for bit.  Each
+    part's ``cdf`` and ``cdf_left`` is taken once per block for all rows.
+    A block after the first is led by the knot before it, where the
+    segment into its first knot starts."""
+    step = max(1, _TABLE_FLOATS // len(weights))
+    for s in range(0, len(knots), step):
+        y = knots[max(s - 1, 0) : s + step]
+        w = weights[:, :1]
+        fl, fr = w * parts[0].cdf_left(y), w * parts[0].cdf(y)
+        for i in range(1, len(parts)):
+            w = weights[:, i : i + 1]
+            fl += w * parts[i].cdf_left(y)
+            fr += w * parts[i].cdf(y)
+        for f in (fl, fr):
+            np.minimum(np.maximum(f, 0.0, out=f), 1.0, out=f)
+        if s == 0:
+            fl[:, 0] = 0.0
+        if s + step >= len(knots):
+            fr[:, -1] = 1.0
+        yield y, fl, fr
+
+
+def _knot_table_inverse(blocks, n, c, strict):
+    """``_table_inverse`` of each of the ``n`` rows of the ``_knot_tables``
+    blocks, for c in [0, 1): the first knot whose value reaches c (exceeds
+    it when strict), which the last knot's value 1 does.  A row's values
+    rise along it, so that knot is the count of those below c (at or below
+    when strict), and a row still open at a block is below c at its
+    leading knot.  The blocks after the one where the last row closes are
+    never built.  One row's whole table is read as a knot table reads its
+    own."""
+    if n == 1 and isinstance(blocks, list):
+        ((y, fl, fr),) = blocks
+        return np.array([_table_inverse(y, fl[0], fr[0], c, strict)])
+    out = np.empty(n)
+    open_ = np.ones(n, dtype=bool)
+    for y, fl, fr in blocks:
+        k = np.count_nonzero(fr <= c if strict else fr < c, axis=1)
+        r = np.flatnonzero(open_ & (k < len(y)))
+        k = k[r]
+        f0, f1 = fr[r, k - 1], fl[r, k]
+        # F rises into the knot where f1 > c, from f0 < f1; elsewhere the
+        # knot answers (at the first knot f1 = 0), and the rise is not used
+        t = (c - f0) / np.where(f1 > c, f1 - f0, 1.0)
+        out[r] = np.where(f1 > c, y[k - 1] + t * (y[k] - y[k - 1]), y[k])
+        open_[r] = False
+        if not open_.any():
+            break
+    return out
 
 
 def proxy_distribution(arms, pull_counts, horizon: int) -> MixtureDistribution:

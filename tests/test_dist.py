@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -25,12 +26,13 @@ from riskbandits.dist import (
 from riskbandits import dist
 from riskbandits.checks import condition_c5
 from riskbandits.config import parse_config
+from riskbandits.criteria import Bad1Criterion, simplex_lattice
 from riskbandits.errors import DomainError
 from riskbandits.oracle import simplex_grid_argmax
-from riskbandits.policy import UcbPolicy
+from riskbandits.policy import Bad1OraclePolicy, UcbPolicy
 from riskbandits.sim import geometric_checkpoints, run_episode
 
-from conftest import bad1_arm_wide, bad2_arm_step, distribution_catalog, rng
+from conftest import bad1_arm_wide, bad2_arm_steep, bad2_arm_step, distribution_catalog, rng
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -907,12 +909,12 @@ def test_mixture_of_large_empirical_components_holds_memory_linear_in_the_knots(
         m.cdf(0.0)
         cdf_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        m.quantile(0.1)  # merges the components into one knot table
+        m.quantile(0.1)  # tabulates the components over their union knots
         merge_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert cdf_peak < 0.05 * knot_bytes  # measured 0.004
-    assert merge_peak < 20 * knot_bytes  # measured 14; the component loop took 18
+    assert merge_peak < 20 * knot_bytes  # the merged table took 14; the component loop 18
 
 
 @pytest.mark.parametrize("kinds", [["gaussian"], ["gaussian", "table", "empirical"]],
@@ -924,7 +926,7 @@ def test_block_bisection_is_bit_identical_to_scalar_bisection(kinds):
     for _ in range(100):
         m = random_mixture(r, kinds)
         if not m.has_smooth_part:
-            continue  # no Gaussian component: the merged table answers
+            continue  # no Gaussian component: the level tables answer
         for level in r.uniform(0.0, 1.0, size=4):
             level = float(level)
             got = m.quantile(level)
@@ -943,7 +945,7 @@ def atoms_corpus(seed):
         else:
             m = random_mixture(r, ["gaussian", "point"] if i % 3 == 1 else ["gaussian"])
         if not m.has_smooth_part:
-            continue  # the merged knot table answers
+            continue  # the level tables answer
         for level in (1e-12, 1 - 1e-12, *r.uniform(0.0, 1.0, size=3).tolist()):
             yield m, level
 
@@ -1214,19 +1216,39 @@ def test_mixture_upper_quantile_at_and_beyond_the_unit_levels(parts, at_zero):
     assert m.upper_quantile(1.5) == math.inf
 
 
+# ---------------------------------------------------------------------------
+# Knot-table mixtures: a stack's level tables against one merged table each
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def merged_table(m):
+    """A knot-table mixture as one ``PiecewiseLinearCDF`` over its parts'
+    knots, with its own CDF's left limits and values there: one table per
+    mixture, the bit-identity oracle of a stack's level tables.  None with
+    a Gaussian part."""
+    if m.has_smooth_part:
+        return None
+    knots = m.breakpoints()
+    return PiecewiseLinearCDF(knots, m.cdf_left(knots), m.cdf(knots))
+
+
 def test_knot_table_mixture_merges_as_the_component_loop():
-    # quantiles and level sets of a knot-table mixture come from one table
-    # over the knots of its positive-weight components, with the component
-    # sums as its values
+    # the oracle is one table over the knots of the positive-weight
+    # components, with the component sums as its values; each mixture's
+    # inverses, one stacked alone, are that table's
     r = rng(64)
     for _ in range(100):
         m = random_mixture(r, MIXTURE_KINDS["piecewise"])
         parts = [c for w, c in zip(m.weights, m.components) if w > 0]
         ys = np.unique(np.concatenate([c.breakpoints() for c in parts]))
         want = PiecewiseLinearCDF(ys, loop_mixture_cdf(m, ys, left=True), loop_mixture_cdf(m, ys))
-        got = m._merged_piecewise()
+        got = merged_table(m)
         for attr in ("ys", "fl", "fr", "_interp_fs"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        for c in (1e-13, *r.uniform(0.0, 1.0, size=4).tolist(), 1 - 1e-12):
+            assert m.quantile(c) == want.quantile(c)
+            assert m.upper_quantile(c) == want.upper_quantile(c)
 
 
 _ONE_PART_TABLES = {
@@ -1253,17 +1275,209 @@ def test_one_part_knot_table_mixture_is_its_own_merged_table(name):
         MixtureDistribution([part], [1.0]),
         MixtureDistribution([Gaussian(0, 1), part, PointMass(9.0)], [0.0, 1.0, 0.0]),
     ):
-        knots = m.breakpoints()
-        rebuilt = PiecewiseLinearCDF(knots, m._evaluate(knots, True), m._evaluate(knots, False))
-        got = m._merged_piecewise()
-        assert got is part
+        rebuilt = merged_table(m)
+        assert m._own is part
         for attr in ("ys", "fl", "fr", "_interp_ys", "_interp_fs"):
-            assert getattr(got, attr).tobytes() == getattr(rebuilt, attr).tobytes(), attr
+            assert getattr(part, attr).tobytes() == getattr(rebuilt, attr).tobytes(), attr
         for c in levels:
             assert m.upper_quantile(c) == rebuilt.upper_quantile(c)
             if 0.0 < c < 1.0:
                 assert m.quantile(c) == rebuilt.quantile(c)
                 assert m.level_set(c) == rebuilt.level_set(c)
+
+
+# two tables that once broke the inverses: a quantile at a segment's end
+# level that rounded past its knot, and a rise of 1e-5 over a run of 1000
+EDGE_TABLES = [
+    PiecewiseLinearCDF([-20.0, -7.7, -6.7], [0, 0.3, 1], [0, 0.6, 1]),
+    PiecewiseLinearCDF.from_pairs([(0, 0), (1, 0.5), (1001, 0.50001), (1002, 1)]),
+]
+
+
+def sparse_rows(r, components, n):
+    """n mixtures of ``components``, about 40 % of their weights zero."""
+    k = len(components)
+    w = r.dirichlet(np.ones(k), size=n) * (r.random((n, k)) >= 0.4)
+    w[~w.any(axis=1), 0] = 1.0
+    return mixtures(components, w / w.sum(axis=1, keepdims=True))
+
+
+def knot_table_stacks():
+    """Stacks of knot-table mixtures: the Bad1 simplex lattice at spacing
+    1/90, with its two one-part vertices; the Bad1 oracle's checkpoint
+    proxies at T = 1e4; random mixtures of five tables, the Bad1 and
+    var-flat arms among them; random mixtures with the edge tables as
+    parts.  The random stacks' rows differ in their positive parts."""
+    bad1 = [bad1_arm_wide(), PointMass(5.0)]
+    oracle = run_episode(bad1, Bad1OraclePolicy(), Bad1Criterion(), 10_000, seed=424242)
+    r = rng(29)
+    five = [*bad1, Uniform(-1.0, 2.0), TwoPoint(0.3, -1.0, 3.0), _ONE_PART_TABLES["var-flat-rate"]]
+    stacks = {
+        "bad1-lattice": [MixtureDistribution(bad1, p) for p in simplex_lattice(2, 90)],
+        "bad1-proxies": [proxy_distribution(bad1, n, t) for n, t in
+                         zip(oracle.tau, oracle.checkpoints)],
+        "five-tables": sparse_rows(r, five, 300),
+        "edge-tables": sparse_rows(r, [*EDGE_TABLES, *bad1, Uniform(-8.0, 1002.0)], 200),
+    }
+    for ms in stacks.values():
+        MixtureDistribution.stack(ms)
+    levels = (0.0, 1e-13, 0.1, 0.3, 0.5, 0.9, 1 - 1e-12, *r.uniform(0.0, 1.0, size=9).tolist())
+    return stacks, levels
+
+
+def table_inverse(parts, weights, c, strict):
+    """The inverses of the rows of ``weights`` over ``parts``, as one set."""
+    knots = np.unique(np.concatenate([p.breakpoints() for p in parts]))
+    return dist._knot_table_inverse(dist._knot_tables(parts, weights, knots), len(weights), c,
+                                    strict).tolist()
+
+
+def test_stacked_level_tables_are_each_mixtures_merged_table(monkeypatch):
+    stacks, levels = knot_table_stacks()
+    assert len(stacks["bad1-lattice"]) == 91
+    assert [m._own is not None for m in stacks["bad1-lattice"]].count(True) == 2
+    for name, ms in stacks.items():
+        tables = [merged_table(m) for m in ms]
+        for m in ms:
+            m.quantile(0.5)
+        rows = ms[0]._stack[0]
+        # the rows of each set of positive parts, tabulated at once: as the
+        # stack's set, and in blocks of one knot or three
+        sets = {}
+        for i, m in enumerate(ms):
+            sets.setdefault(tuple(m.weights > 0), []).append(i)
+        assert len({id(part) for part, _ in rows._sets}) == len(sets)
+        for c in levels:
+            for strict in (False, True):
+                want = [t._inverse(c, strict) for t in tables]
+                for held, idx in sets.items():
+                    part = rows._sets[idx[0]][0]
+                    assert [rows._sets[i] for i in idx] == [(part, j) for j in range(len(idx))]
+                    got = part._inverses(c, strict).tolist()
+                    assert got == [want[i] for i in idx], (name, c, strict)
+                    parts = [p for p, h in zip(rows.components, held) if h]
+                    w = rows.weights[np.ix_(idx, held)]
+                    for block in (1, 3 * len(idx)):
+                        with monkeypatch.context() as patch:
+                            patch.setattr(dist, "_TABLE_FLOATS", block)
+                            got = table_inverse(parts, w, c, strict)
+                        assert got == [want[i] for i in idx], (name, c, strict, block)
+            if c > 0.0:
+                assert [m.quantile(c) for m in ms] == [t.quantile(c) for t in tables], (name, c)
+            assert [m.upper_quantile(c) for m in ms] == [t.upper_quantile(c) for t in tables]
+
+
+def test_union_knots_over_a_stack_change_its_inverses():
+    # one table over every component's knots splits the segments of rows
+    # that lack some parts, and moves their interpolated inverses: the
+    # corpus above fails if rows are not tabulated by their own parts
+    stacks, levels = knot_table_stacks()
+    for name in ("five-tables", "edge-tables"):
+        ms = stacks[name]
+        rows = ms[0]._stack[0]
+        assert len({tuple(m.weights > 0) for m in ms}) > 10
+        moved = 0
+        for c in levels:
+            for strict in (False, True):
+                union = table_inverse(list(rows.components), rows.weights, c, strict)
+                moved += union != [merged_table(m)._inverse(c, strict) for m in ms]
+        assert moved > 0, name
+
+
+def test_knot_table_sweep_builds_no_table_per_mixture(monkeypatch):
+    # the Bad1 simplex sweep, at two lattice sizes: no PiecewiseLinearCDF is
+    # built for a lattice point (a table per mixture would build one for
+    # every point but the two vertices)
+    arms = [bad1_arm_wide(), PointMass(5.0)]
+    built = [0]
+    init = PiecewiseLinearCDF.__init__
+
+    def counted_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(PiecewiseLinearCDF, "__init__", counted_init)
+    counts = []
+    for spacing in (1 / 90, 1 / 30):
+        built[0] = 0
+        assert simplex_grid_argmax(Bad1Criterion(), arms, spacing)[1] < 50.0
+        counts.append(built[0])
+    assert counts == [0, 0]
+
+
+def test_upper_quantile_of_a_stacked_mixture_solves_its_own_row(monkeypatch):
+    # Bad2's flat edge asks each mixture its own level: one row's table, and
+    # no level of the stack solved
+    arms = [bad2_arm_steep(), bad2_arm_step()]
+    ms = [MixtureDistribution(arms, p) for p in simplex_lattice(2, 2000)]
+    MixtureDistribution.stack(ms)
+    sizes = []
+    knot_tables = dist._knot_tables
+
+    def counted(parts, weights, knots):
+        sizes.append(len(weights))
+        return knot_tables(parts, weights, knots)
+
+    monkeypatch.setattr(dist, "_knot_tables", counted)
+    m = ms[700]
+    c = float(m.cdf(5.0))
+    assert m.upper_quantile(c) == merged_table(m).upper_quantile(c)
+    assert sizes == [1]
+    assert ms[0]._stack[0]._solved == {}
+
+
+def test_knot_table_stack_holds_its_knots_and_one_block_of_tables():
+    # ten 1e5-sample components in a two-row stack: 1e6 union knots, whose
+    # tables the rows would hold whole at 32 MB; a block holds
+    # _TABLE_FLOATS entries a row
+    r = rng(67)
+    comps = [EmpiricalDistribution(r.normal(size=100_000)) for _ in range(10)]
+    ms = mixtures(comps, [np.full(10, 0.1), r.dirichlet(np.ones(10))])
+    MixtureDistribution.stack(ms)
+    block_bytes = 8 * dist._TABLE_FLOATS
+    tracemalloc.start()
+    try:
+        ms[0].breakpoints()  # the union knots, built and dropped
+        knots_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        got = ms[0].quantile(1 - 1e-12)  # every block of knots
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == max(c.samples[-1] for c in comps)  # F jumps by 1e-6 at each sample
+    assert peak < knots_peak + 6 * block_bytes  # measured: no more than the knots' build
+
+
+def test_stack_takes_each_components_moment_once(monkeypatch):
+    # every row's moment is the parts' weighted sum in part order, as each
+    # mixture summed alone, from one call per weighed component
+    r = rng(94)
+    comps = [Gaussian(0.5, 1.0), Uniform(-1.0, 2.0), TwoPoint(0.3, -1.0, 3.0),
+             EmpiricalDistribution(r.normal(size=50)), PointMass(9.0)]
+    raw = weight_rows(r, 4, 40)
+    ms = mixtures(comps, np.column_stack([raw, np.zeros(40)]))
+    calls = []
+    methods = [("mean", ()), ("second_moment", ()), ("lower_tail", ()), ("upper_tail", ()),
+               ("below_target_semivariance", (0.3,)), ("exp_moment", (0.7,))]
+    want = [[float(sum(w * getattr(c, name)(*args) for w, c in zip(m.weights, comps) if w > 0))
+             for name, args in methods] for m in ms]
+    depth = [0]
+    for cls in (dist.RewardDistribution, Gaussian, PiecewiseLinearCDF, EmpiricalDistribution):
+        for name, _ in methods:
+            if name in vars(cls):
+                def counted(self, *args, _f=vars(cls)[name], _name=name):
+                    if not depth[0]:  # the upper tail of a table asks its mean
+                        calls.append((id(self), _name, args))
+                    depth[0] += 1
+                    try:
+                        return _f(self, *args)
+                    finally:
+                        depth[0] -= 1
+                monkeypatch.setattr(cls, name, counted)
+    MixtureDistribution.stack(ms)
+    got = [[getattr(m, name)(*args) for name, args in methods] for m in ms]
+    assert got == want
+    assert sorted(calls) == sorted({(id(c), n, a) for c in comps[:4] for n, a in methods})
 
 
 # ---------------------------------------------------------------------------
@@ -1325,7 +1539,7 @@ def per_kind_level_set(d, alpha):
         cum = np.cumsum(counts) / d.t
         return knot_table_level_set(PiecewiseLinearCDF(vals, np.r_[0.0, cum[:-1]], cum), alpha)
     if isinstance(d, MixtureDistribution):
-        merged = d._merged_piecewise()
+        merged = merged_table(d)
         if merged is not None:
             return knot_table_level_set(merged, alpha)
         # a Gaussian part makes the mixture CDF strictly increasing
@@ -1342,7 +1556,7 @@ def knot_levels(d):
     k/t for an empirical CDF of t samples."""
     tables = [d]
     if isinstance(d, MixtureDistribution):
-        tables = [d._merged_piecewise(), *(c for _, c in d._parts)]
+        tables = [merged_table(d), *(c for _, c in d._parts)]
     levels = set()
     for t in tables:
         if isinstance(t, PiecewiseLinearCDF):
