@@ -87,19 +87,48 @@ def _grid_sweep(cfg: ExperimentConfig):
     return simplex_grid_argmax(cfg.criterion, cfg.arms, cfg.grid_resolution)
 
 
+def _policy_records(cfg: ExperimentConfig) -> list:
+    """``(label, policy)`` of the policies, then of a reference record."""
+    return [*cfg.policies, *([cfg.reference] if isinstance(cfg.reference, tuple) else [])]
+
+
+def _ucb_learners(cfg: ExperimentConfig):
+    """The criterion's certificate (with its override) and the ``(label,
+    policy)`` of each distinct UCB learner, in record order: the policies,
+    then the reference.  A label an earlier learner holds gets
+    ``#<position>``.  The learner a bare ``{kind: ucb}`` record builds (that
+    certificate at the top-level ``ucb_alpha``) is labelled None; it stands
+    alone when no record is a UCB policy."""
+    cert = cfg.criterion.stability_certificate(cfg.arms, **cfg.certificate_overrides)
+    default = None if cert is None else UcbPolicy(cert, cfg.ucb_alpha)
+    learners = {}  # policy -> label
+    for i, (label, policy) in enumerate(_policy_records(cfg)):
+        if isinstance(policy, UcbPolicy) and policy not in learners:
+            if policy == default:
+                label = None
+            elif label in learners.values():
+                label = f"{label}#{i + 1}"
+            learners[policy] = label
+    if not learners and default is not None:
+        learners[default] = None
+    return cert, [(label, policy) for policy, label in learners.items()]
+
+
 def cmd_oracle(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     crit, arms = cfg.criterion, cfg.arms
-    cert = crit.stability_certificate(arms, **cfg.certificate_overrides)
+    cert, learners = _ucb_learners(cfg)
     best, best_value, gaps = best_single_arm(crit, arms)
     sweep = _grid_sweep(cfg)
-    # pull bounds and the stationary-gap constant need a certificate
-    lipschitz = None
-    pull_bounds = regret_bounds = {}
-    if cert is not None:
-        lipschitz = lipschitz_constant(cert, arms, crit.functionals)
-        if all(g > 0 for i, g in enumerate(gaps) if i != best):
-            pull_bounds = expected_pull_bound(crit, arms, cert, cfg.ucb_alpha, cfg.horizons)
-            regret_bounds = proxy_regret_bound(crit, arms, lipschitz, pull_bounds)
+    lipschitz = None if cert is None else lipschitz_constant(cert, arms, crit.functionals)
+    # each learner's L, pull and proxy-regret bounds rest on its own
+    # certificate and alpha; they need strictly suboptimal arms
+    bounds = []  # (label, L, pull bounds, regret bounds)
+    if all(g > 0 for i, g in enumerate(gaps) if i != best):
+        for label, policy in learners:
+            own = policy.certificate
+            l_own = lipschitz if own == cert else lipschitz_constant(own, arms, crit.functionals)
+            pulls = expected_pull_bound(crit, arms, own, policy.ucb_alpha, cfg.horizons)
+            bounds.append((label, l_own, pulls, proxy_regret_bound(crit, arms, l_own, pulls)))
     print(f"criterion: {_criterion_label(cfg)}")
     print(f"best arm: arm{best + 1}  value {best_value:.12g}")
     for i, gap in enumerate(gaps):
@@ -109,12 +138,14 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir: Path | None) -> int:
         print(f"simplex sweep argmax: p=({p})  value {sweep[1]:.12g}")
     if lipschitz is not None:
         print(f"stationary-gap constant L: {lipschitz:.6g}")
-    for horizon, bounds in pull_bounds.items():
-        parts = [
-            f"arm{i + 1}<={u:.6g}" for i, u in enumerate(bounds) if u is not None
-        ]
-        print(f"T={horizon}: expected pulls {'; '.join(parts)}; "
-              f"proxy-regret bound {regret_bounds[horizon]:.6g}")
+    for label, l_own, pull_bounds, regret_bounds in bounds:
+        tag = "" if label is None else f" [{label}]"
+        if label is not None:
+            print(f"stationary-gap constant L{tag}: {l_own:.6g}")
+        for horizon, pulls in pull_bounds.items():
+            parts = [f"arm{i + 1}<={u:.6g}" for i, u in enumerate(pulls) if u is not None]
+            print(f"T={horizon}{tag}: expected pulls {'; '.join(parts)}; "
+                  f"proxy-regret bound {regret_bounds[horizon]:.6g}")
     if out_dir is not None:
         rows = [("best-arm", best + 1, "", repr(best_value))]
         rows += [("gap", i + 1, "", repr(gap)) for i, gap in enumerate(gaps)]
@@ -123,10 +154,14 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir: Path | None) -> int:
             rows.append((f"simplex-argmax[{p}]", "", "", repr(sweep[1])))
         if lipschitz is not None:
             rows.append(("lipschitz", "", "", repr(lipschitz)))
-        for horizon, bounds in pull_bounds.items():
-            pulls = [(i + 1, u) for i, u in enumerate(bounds) if u is not None]
-            rows += [("pull-bound", arm, horizon, repr(u)) for arm, u in pulls]
-            rows.append(("proxy-regret-bound", "", horizon, repr(regret_bounds[horizon])))
+        for label, l_own, pull_bounds, regret_bounds in bounds:
+            tag = "" if label is None else f"[{label.replace(',', '|')}]"
+            if label is not None:
+                rows.append((f"lipschitz{tag}", "", "", repr(l_own)))
+            for horizon, pulls in pull_bounds.items():
+                rows += [(f"pull-bound{tag}", i + 1, horizon, repr(u))
+                         for i, u in enumerate(pulls) if u is not None]
+                rows.append((f"proxy-regret-bound{tag}", "", horizon, repr(regret_bounds[horizon])))
         path = out_dir / "oracle.csv"
         write_csv(path, _base_meta(cfg), ("record", "arm", "horizon", "value"), rows)
         print(f"wrote {path}")
@@ -242,8 +277,7 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path | None) -> int:
         radii = cfg.criterion.stability_certificate(cfg.arms, **cfg.certificate_overrides)
         if radii is not None:
             named[f"modulus-override[{tag}]"] = radii
-    records = [*cfg.policies, *([cfg.reference] if isinstance(cfg.reference, tuple) else [])]
-    for i, (label, policy) in enumerate(records):
+    for i, (label, policy) in enumerate(_policy_records(cfg)):
         if isinstance(policy, UcbPolicy) and policy.certificate not in named.values():
             name = f"modulus-ucb[{label}]"
             named[f"modulus-ucb[{label}#{i + 1}]" if name in named else name] = policy.certificate

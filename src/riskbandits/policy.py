@@ -8,14 +8,17 @@ play, the Bad2 schedule) ignore rewards, so ``pull_counts`` hands over the
 pull counts at every checkpoint in one call.  Closed-loop policies (optimism,
 the Bad1 schedule) return ``None`` there; their ``start`` produces a
 per-episode session, which is the episode's whole state: a
-:class:`PolicyState` (pull counts and step) whose ``update`` hands each
-reward to the session exactly once, and whose ``select`` picks the next arm
-from past observations only, so replaying a recorded trajectory reproduces
-every decision.
+:class:`PolicyState` (pull counts and step) whose ``select`` picks the next
+arm from past observations only, so replaying a recorded trajectory
+reproduces every decision, and whose ``play`` pulls that arm in a run: the
+first pull through ``update``, which hands each reward to the session
+exactly once, then more pulls of the same arm for as long as the session's
+own rule would select it again.  A run is the steps ``select`` would have
+taken, with the same decisions and the same bits.
 
 The optimism session folds each reward into the pulled arm's criterion
-accumulator and re-scores that arm at the next ``select``; the Bad1 session
-counts low rewards.  No session keeps the rewards themselves.
+accumulator and re-scores that arm; the Bad1 session counts low rewards.
+No session keeps the rewards themselves.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ class PolicyState:
 
     ``update`` counts one pull and passes its reward to ``_observe``, the
     hook where a closed-loop session folds it into its own summary.
+    ``play`` is a run of pulls of one arm; its default is one ``update``.
     Single-owner mutable within one episode; episodes never share state.
     """
 
@@ -96,6 +100,17 @@ class PolicyState:
     def _observe(self, arm: int, reward: float) -> None:
         """Take one reward of ``arm``; the bare record keeps nothing."""
 
+    def play(self, arm: int, rewards: np.ndarray, n: int, stop: int) -> int:
+        """Pull ``arm``, which ``select`` just chose, and return the pulls made.
+
+        The i-th pull takes ``rewards[n + i]``.  A run makes at least one
+        pull, and more only while ``select`` would choose ``arm`` again; it
+        never passes step ``stop`` or the end of ``rewards``, and it reads
+        no reward past its own pulls.  The default makes one pull.
+        """
+        self.update(arm, rewards.item(n))
+        return 1
+
 
 class Policy:
     """Immutable policy configuration: open-loop policies override
@@ -106,13 +121,29 @@ class Policy:
         return None
 
     def start(self, k: int, criterion: RiskCriterion) -> PolicyState:
-        """Per-episode session whose ``select()`` picks the next arm."""
+        """Per-episode session whose ``select()`` picks the next arm and
+        whose ``play`` pulls it."""
         raise NotImplementedError
 
 
 class _UcbSession(PolicyState):
     """Optimism session: one criterion accumulator per arm, fed each reward
-    on ``update`` and re-scored at the next ``select``."""
+    as it is pulled and re-scored before the next decision.
+
+    A run of the leader ends at a window of ``t // 32`` steps (capped at the
+    stop and at the end of the drawn rewards), and earlier at the first step
+    whose index the leader does not hold strictly above the challenger
+    bound: the largest index any other arm reaches at the window's last
+    step.  The bound is exact.  An unpulled arm's index cannot fall from
+    one step to the next: ``ucb_alpha * log(t + 1)`` rises between integer
+    steps by far more than its rounding error, and ``x / n / a``, the pow,
+    the max and the sum with the arm's fixed value are monotone in floats.
+    So an index strictly above the bound is strictly above every other
+    index at every step of the window, and ``select`` would take the
+    leader there whatever the tie rule.  Any other case, ties included,
+    ends the run and leaves the decision to ``select``.  The leader's own
+    index is taken with ``select``'s float operations.
+    """
 
     def __init__(self, k, criterion, certificate, ucb_alpha):
         super().__init__(k)
@@ -120,7 +151,7 @@ class _UcbSession(PolicyState):
         self.ucb_alpha = ucb_alpha
         self._summaries = [criterion.accumulator() for _ in range(k)]
         self._values = [0.0] * k
-        self._stale = []  # arms updated since their last score
+        self._stale = []  # arms pulled since their last score
         # phi_inv's constants: the radius at n pulls is 2b max(z^(1/2), z^(q/2))
         # with z = ucb_alpha log(t + 1) / n / a, the same floats phi_inv gives
         self._radius = (certificate.a, 2.0 * certificate.b, certificate.q / 2.0)
@@ -129,30 +160,73 @@ class _UcbSession(PolicyState):
         self._summaries[arm].push(reward)
         self._stale.append(arm)
 
-    def select(self) -> int:
-        values = self._values
+    def _rescore(self):
+        """Score every arm pulled since its last score."""
         for i in self._stale:
             try:
-                values[i] = self.criterion.evaluate(self._summaries[i])
+                self._values[i] = self.criterion.evaluate(self._summaries[i])
             except Exception as exc:
                 add_context(exc, f"criterion failed on arm {i}")
                 raise
         self._stale.clear()
+
+    def _index(self, arm, x):
+        """Arm's optimism index at ``x = ucb_alpha * log(t + 1)``."""
+        a, two_b, half_q = self._radius
+        z = x / self.pull_counts[arm] / a
+        root, power = z**0.5, z**half_q
+        return self._values[arm] + two_b * (power if power > root else root)
+
+    def select(self) -> int:
+        self._rescore()
         t = self.t
         if t < self.k:
             return t  # one initialization pull per arm
-        a, two_b, half_q = self._radius
         x = self.ucb_alpha * math.log(t + 1)
         best_arm = 0
         best_index = -math.inf
-        for i, n in enumerate(self.pull_counts):
-            z = x / n / a
-            root, power = z**0.5, z**half_q
-            index = values[i] + two_b * (power if power > root else root)
+        for i in range(self.k):
+            index = self._index(i, x)
             if index > best_index:
                 best_index = index
                 best_arm = i
         return best_arm
+
+    def play(self, arm, rewards, n, stop):
+        self.update(arm, rewards.item(n))
+        t = self.t
+        end = min(stop, t + t // 32, t + len(rewards) - n - 1)  # decisions at steps < end
+        if t < self.k or end <= t:
+            return 1
+        self._rescore()
+        x = self.ucb_alpha * math.log(end)
+        bound = max((self._index(j, x) for j in range(self.k) if j != arm), default=-math.inf)
+        # the leader's index, inline: the same floats as _index
+        a, two_b, half_q = self._radius
+        alpha, evaluate = self.ucb_alpha, self.criterion.evaluate
+        summary, m, value = self._summaries[arm], self.pull_counts[arm], self._values[arm]
+        pulls = 1
+        while True:
+            z = alpha * math.log(t + 1) / m / a
+            root, power = z**0.5, z**half_q
+            if not value + two_b * (power if power > root else root) > bound:
+                self._values[arm] = value
+                break
+            summary.push(rewards.item(n + pulls))
+            pulls += 1
+            m += 1
+            t += 1
+            if t == end:
+                self._stale.append(arm)
+                break
+            try:
+                value = evaluate(summary)
+            except Exception as exc:
+                add_context(exc, f"criterion failed on arm {arm}")
+                raise
+        self.pull_counts[arm] = m
+        self.t = t
+        return pulls
 
 
 @dataclass(frozen=True)
@@ -221,6 +295,22 @@ class _Bad1OracleSession(PolicyState):
         t_now = self.t + 1
         worst_case = (self.low_count + 1) / t_now
         return 1 if worst_case >= self.LEVEL else 0
+
+    def play(self, arm, rewards, n, stop):
+        """Pull ``arm`` while ``select``'s test, recomputed each step, picks it."""
+        self.update(arm, rewards.item(n))
+        t, low = self.t, self.low_count
+        end = min(stop, t + len(rewards) - n - 1)
+        safe = arm == 1
+        pulls = 1
+        while t < end and ((low + 1) / (t + 1) >= self.LEVEL) == safe:
+            if rewards.item(n + pulls) <= self.THRESHOLD:
+                low += 1
+            pulls += 1
+            t += 1
+        self.pull_counts[arm] += pulls - 1
+        self.t, self.low_count = t, low
+        return pulls
 
 
 @dataclass(frozen=True)

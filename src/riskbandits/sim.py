@@ -2,10 +2,11 @@
 
 Open-loop policies hand over the pull counts at every checkpoint
 (``Policy.pull_counts``) and each arm then draws its rewards in one call;
-closed-loop policies play their ``start`` session step by step, handing it
-each reward once.  The session holds the episode's pull counts; the runner
-holds the rewards.  One evaluator scores each checkpoint from the pull
-counts and the arm rewards.
+closed-loop policies play their ``start`` session in runs: the session
+selects an arm, then pulls it for as long as its own rule would select it
+again, reading each reward once.  The session holds the episode's pull
+counts; the runner holds the rewards.  One evaluator scores each
+checkpoint from the pull counts and the arm rewards.
 
 All randomness descends from one base seed: episode ``rep`` of an
 experiment derives stream ``j`` from
@@ -150,24 +151,27 @@ def run_episode(
 def _play_closed_loop(arms, policy, criterion, checkpoints, arm_rngs):
     """Pull counts at the checkpoints and each arm's rewards in draw order.
 
-    Each arm's rewards come from doubling blocks of its own stream, the same
-    values one scalar draw per pull would give; unpulled draws go unseen.
+    Each decision of ``select`` starts a run of ``play`` that stops at the
+    next checkpoint and at the end of the arm's drawn rewards.  Each arm's
+    rewards come from doubling blocks of its own stream, the same values
+    one scalar draw per pull would give; unpulled draws go unseen.
     """
     k = len(arms)
     session = policy.start(k, criterion)
     tau = np.zeros((len(checkpoints), k), dtype=np.int64)
     draws = [np.empty(0) for _ in range(k)]
     counts = session.pull_counts
-    select, update = session.select, session.update
+    select, play = session.select, session.play
+    t = 0
     for idx, c in enumerate(checkpoints):
-        for _ in range(session.t, c):  # each update is one step
+        while t < c:
             arm = select()
             n = counts[arm]
             d = draws[arm]
             if n == len(d):
                 block = arms[arm].sample(arm_rngs[arm], max(n, 64))
                 d = draws[arm] = np.concatenate([d, block])
-            update(arm, d.item(n))
+            t += play(arm, d, n, c)
         tau[idx] = counts
     return tau, draws
 

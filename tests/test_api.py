@@ -18,10 +18,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import riskbandits
-from riskbandits import dist, policy
+from riskbandits import dist, policy, sim
 from riskbandits.criteria import MeanCriterion, StabilityCertificate
 from riskbandits.dist import MixtureDistribution
 
@@ -102,8 +103,9 @@ def test_mixture_solver_asks_one_question():
 
 
 def test_closed_loop_tracer_boundaries_stay_defined():
-    # the tracer counts pulls at policy.PolicyState.update and decisions at
-    # policy.<session>.select, under their own names in vars() of the class
+    # the tracer counts decisions at policy.<session>.select and the first
+    # pull of each run at policy.PolicyState.update, under their own names in
+    # vars() of the class
     assert callable(vars(policy.PolicyState).get("update"))
     sessions = [
         policy.UcbPolicy(StabilityCertificate(1.0, 1.0, 2.0)).start(2, MeanCriterion()),
@@ -114,6 +116,36 @@ def test_closed_loop_tracer_boundaries_stay_defined():
         assert isinstance(session, policy.PolicyState)
         assert callable(vars(cls).get("select")), cls.__name__
         assert "update" not in vars(cls), cls.__name__
+    # the runner plays each decision as one run: a session's first pull still
+    # goes through update, and only the two sessions replace the one-pull run
+    assert callable(vars(policy.PolicyState).get("play"))
+    states = [c for c in vars(policy).values()
+              if inspect.isclass(c) and issubclass(c, policy.PolicyState)]
+    assert [c.__name__ for c in states if "play" in vars(c)] == [
+        "PolicyState", "_UcbSession", "_Bad1OracleSession",
+    ]
+
+
+class _RoundRobin(policy.PolicyState):
+    """A session that defines only ``select``."""
+
+    def select(self):
+        return self.t % self.k
+
+
+class _RoundRobinPolicy(policy.Policy):
+    def start(self, k, criterion):
+        return _RoundRobin(k)
+
+
+def test_a_session_with_only_select_plays_one_pull_per_decision():
+    arms = [dist.Gaussian(0.0, 1.0), dist.PointMass(2.0), dist.Uniform(0.0, 1.0)]
+    episode = sim.run_episode(arms, _RoundRobinPolicy(), MeanCriterion(), 100, [3, 50, 100])
+    assert episode.tau.tolist() == [[1, 1, 1], [17, 17, 16], [34, 33, 33]]
+    # the pooled sample is the first pulls of each arm's own stream
+    _, streams = sim._episode_streams(0, 0, 3)
+    pool = np.concatenate([a.sample(r, n) for a, r, n in zip(arms, streams, [34, 33, 33])])
+    assert episode.pooled_values[-1] == MeanCriterion().evaluate(dist.EmpiricalDistribution(pool))
 
 
 def test_cli_import_loads_no_scipy_optimize():

@@ -10,6 +10,7 @@ from riskbandits.config import _file_stem, load_config, parse_config, parse_dist
 from riskbandits.criteria import CVaRCriterion, StabilityCertificate
 from riskbandits.dist import Gaussian
 from riskbandits.errors import ConfigError
+from riskbandits.oracle import expected_pull_bound, lipschitz_constant, proxy_regret_bound
 from riskbandits.policy import Bad1OraclePolicy, SimplePolicy, UcbPolicy
 from riskbandits.sim import read_report_csv
 
@@ -244,6 +245,52 @@ def test_oracle_takes_each_norm_distance_once(monkeypatch, capsys):
     assert main(["oracle", "--config", str(CONFIG_DIR / "cvar_gaussians.yaml")]) == 0
     assert capsys.readouterr().out.count("expected pulls") == 2
     assert len(calls) <= 5
+
+
+def _close_cvar_doc(policies):
+    return {
+        **_base_doc(),
+        "arms": [{"kind": "gaussian", "mean": 0.0, "stddev": 1.0},
+                 {"kind": "gaussian", "mean": -0.75, "stddev": 1.0}],
+        "policies": policies,
+        "horizons": [1000],
+    }
+
+
+def test_oracle_bounds_a_ucb_record_at_its_own_alpha_and_certificate(tmp_path, capsys):
+    own = {"kind": "ucb", "alpha": 6.0, "a": 2.0, "b": 0.45, "q": 2.0}
+    cfg = parse_config(_close_cvar_doc([own]))
+    cert = StabilityCertificate(2.0, 0.45, 2.0)
+    pulls = expected_pull_bound(cfg.criterion, cfg.arms, cert, 6.0, [1000])
+    lipschitz = lipschitz_constant(cert, cfg.arms, cfg.criterion.functionals)
+    regret = proxy_regret_bound(cfg.criterion, cfg.arms, lipschitz, pulls)[1000]
+    path = _write(tmp_path, _close_cvar_doc([own]))
+    assert main(["oracle", "--config", path, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    # the criterion's default certificate gave arm2<=7.32156e+07 here
+    assert f"T=1000 [ucb]: expected pulls arm2<={pulls[1000][1]:.6g}; " \
+        f"proxy-regret bound {regret:.6g}" in out
+    assert pulls[1000][1] == pytest.approx(122.366, abs=1e-3)
+    assert not any(line.startswith("T=1000:") for line in out)
+    rows = (tmp_path / "oracle.csv").read_text().splitlines()
+    assert f"pull-bound[ucb],2,1000,{pulls[1000][1]!r}" in rows
+    assert f"proxy-regret-bound[ucb],,1000,{regret!r}" in rows
+    assert f"lipschitz[ucb],,,{lipschitz!r}" in rows
+
+
+def test_oracle_prints_each_distinct_ucb_learner_once(tmp_path, capsys):
+    own = {"kind": "ucb", "alpha": 6.0, "a": 2.0, "b": 0.45, "q": 2.0}
+    doc = _close_cvar_doc([{"kind": "ucb"}, {**own, "label": "six"}, {**own, "label": "same"}])
+    doc["criterion"]["certificate"] = {"a": 2.0, "b": 0.45, "q": 2.0}
+    doc["reference"] = {**own, "alpha": 4.0, "label": "six"}
+    assert main(["oracle", "--config", _write(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out
+    # the bare record is the criterion's learner and keeps the unlabelled
+    # lines; equal records share one learner; a taken label gets #position
+    assert [line.split(":")[0] for line in out.splitlines() if "expected pulls" in line] == [
+        "T=1000", "T=1000 [six]", "T=1000 [six#4]",
+    ]
+    assert out.count("stationary-gap constant L") == 3
 
 
 def test_policy_labels_round_trip():

@@ -21,17 +21,26 @@ from riskbandits.criteria import (
     _neumaier_add,
     _RunningSums,
 )
-from riskbandits.dist import EmpiricalDistribution, Gaussian, PointMass, TwoPoint, _quantile_rank
+from riskbandits.dist import (
+    EmpiricalDistribution,
+    Gaussian,
+    PointMass,
+    RewardDistribution,
+    TwoPoint,
+    _quantile_rank,
+)
 from riskbandits.errors import CriterionDomainError, DomainError, add_context
 from riskbandits.policy import (
     Bad1OraclePolicy,
     Bad2OraclePolicy,
+    Policy,
     PolicyState,
     SimplePolicy,
     UcbPolicy,
     phi,
     phi_inv,
 )
+from riskbandits.sim import geometric_checkpoints, run_episode, run_replications
 
 from conftest import RefusingCriterion, rng
 
@@ -365,7 +374,6 @@ def test_bad1_oracle_low_count_matches_count_le_every_step():
 
 
 def test_bad1_oracle_keeps_low_mass_under_level():
-    from riskbandits.sim import run_episode
     from conftest import bad1_arm_wide
 
     arms = [bad1_arm_wide(), PointMass(5.0)]
@@ -505,6 +513,7 @@ class _OracleUcbSession(PolicyState):
         self._summaries = [_oracle_accumulator(criterion) for _ in range(k)]
         self._values = [0.0] * k
         self._stale = []
+        self.ties = 0  # decisions where two arms share the largest index
 
     def _observe(self, arm, reward):
         self._summaries[arm].push(reward)
@@ -518,27 +527,82 @@ class _OracleUcbSession(PolicyState):
             return self.t
         cert, alpha = self.certificate, self.ucb_alpha
         log_t = math.log(self.t + 1)
+        index = [
+            self._values[i] + phi_inv(cert, alpha * log_t / n)
+            for i, n in enumerate(self.pull_counts)
+        ]
+        self.ties += index.count(max(index)) > 1
         best_arm = 0
         best_index = -math.inf
-        for i, n in enumerate(self.pull_counts):
-            index = self._values[i] + phi_inv(cert, alpha * log_t / n)
-            if index > best_index:
-                best_index = index
+        for i, value in enumerate(index):
+            if value > best_index:
+                best_index = value
                 best_arm = i
         return best_arm
 
 
-def _play_against_oracle(ucb, crit, streams, steps):
-    """Play the session and the oracle on the same rewards; both must pick
-    the same arm and hold the same arm scores, to the bit, at every step."""
+class _OracleBad1Session(PolicyState):
+    """The Bad1 schedule as first written: one ``select`` per step."""
+
+    def __init__(self):
+        super().__init__(2)
+        self.low_count = 0
+
+    def _observe(self, arm, reward):
+        self.low_count += reward <= 1.0
+
+    def select(self):
+        if self.t == 0:
+            return 1
+        return 1 if (self.low_count + 1) / (self.t + 1) >= 0.1 else 0
+
+
+def _same_state(session, oracle):
+    """Pull counts, and the arm scores or the low count, to the bit."""
+    assert session.t == oracle.t and session.pull_counts == oracle.pull_counts
+    if isinstance(oracle, _OracleUcbSession):
+        assert np.array(session._values).tobytes() == np.array(oracle._values).tobytes()
+    else:
+        assert session.low_count == oracle.low_count
+
+
+def _play_against_oracle(session, oracle, streams, checkpoints):
+    """Play ``session`` in runs as the episode runner does, cut at each
+    checkpoint and at the end of each arm's doubling blocks (64, 128, 256,
+    ... rewards), and step ``oracle`` once per pull on the same rewards.
+    Both must pick the same arm at every step and hold the same state at
+    every ``select``.  Returns how often a run was cut (by the checkpoint,
+    by the block end) where the oracle then took the same arm again."""
+    drawn = [0] * len(streams)
+    cuts = [0, 0]
+    for c in checkpoints:
+        while session.t < c:
+            arm = session.select()
+            assert oracle.select() == arm
+            _same_state(session, oracle)
+            n = session.pull_counts[arm]
+            if n == drawn[arm]:
+                drawn[arm] += max(n, 64)
+            pulls = session.play(arm, streams[arm][:drawn[arm]], n, c)
+            assert pulls >= 1 and session.t <= c and n + pulls <= drawn[arm]
+            for i in range(pulls):
+                if i:
+                    assert oracle.select() == arm
+                oracle.update(arm, float(streams[arm][n + i]))
+            assert session.pull_counts == oracle.pull_counts
+            if session.t < checkpoints[-1] and oracle.select() == arm:
+                cuts[0] += session.t == c
+                cuts[1] += n + pulls == drawn[arm]
+    assert session.select() == oracle.select()
+    _same_state(session, oracle)
+    return cuts
+
+
+def _ucb_against_oracle(ucb, crit, streams, horizon):
     session = ucb.start(len(streams), crit)
     oracle = _OracleUcbSession(len(streams), crit, ucb.certificate, ucb.ucb_alpha)
-    for _ in range(steps):
-        arm = session.select()
-        assert oracle.select() == arm
-        assert np.array(session._values).tobytes() == np.array(oracle._values).tobytes()
-        _feed([(arm, float(streams[arm][session.pull_counts[arm]]))], session, oracle)
-    return session
+    cuts = _play_against_oracle(session, oracle, streams, geometric_checkpoints(3, horizon))
+    return session, oracle, cuts
 
 
 @pytest.mark.parametrize("arms", list(_SESSION_ARMS))
@@ -548,7 +612,7 @@ def test_ucb_session_is_bit_identical_to_the_step_oracle(crit, arms):
     ucb = UcbPolicy(StabilityCertificate(0.77, 0.6, 2.0), 3.0)
     for seed in range(20):
         streams = [d.sample(rng(1000 * seed + i), 120) for i, d in enumerate(arm_set)]
-        _play_against_oracle(ucb, crit, streams, 120)
+        _ucb_against_oracle(ucb, crit, streams, 120)
 
 
 def test_ucb_session_is_bit_identical_to_the_step_oracle_on_a_long_cvar_episode():
@@ -556,5 +620,125 @@ def test_ucb_session_is_bit_identical_to_the_step_oracle_on_a_long_cvar_episode(
     arm_set = [Gaussian(0.0, 1.0), Gaussian(-0.75, 1.0), Gaussian(-1.5, 1.0)]
     ucb = UcbPolicy(StabilityCertificate(2.0, 0.45, 2.0), 3.0)
     streams = [d.sample(rng(31 + i), 10_000) for i, d in enumerate(arm_set)]
-    session = _play_against_oracle(ucb, CVaRCriterion(0.1), streams, 10_000)
+    session, _, cuts = _ucb_against_oracle(ucb, CVaRCriterion(0.1), streams, 10_000)
     assert min(session.pull_counts) < 1000 < max(session.pull_counts)
+    # runs were cut by checkpoints and by block ends where the leader held
+    assert min(cuts) > 0, cuts
+
+
+@pytest.mark.parametrize("crit", [CVaRCriterion(0.1), VaRCriterion(0.2), MeanVarianceCriterion(0.2)],
+                         ids=lambda c: c.tag)
+def test_ucb_runs_hand_exact_index_ties_to_select(crit):
+    # equal arms on equal streams: whenever two arms hold the same pull
+    # count they hold the same score, so their indices tie to the bit
+    stream = Gaussian(0.0, 1.0).sample(rng(5), 3000)
+    ucb = UcbPolicy(StabilityCertificate(2.0, 0.45, 2.0), 3.0)
+    _, oracle, _ = _ucb_against_oracle(ucb, crit, [stream] * 3, 3000)
+    assert oracle.ties > 0
+
+
+def test_bad1_runs_are_bit_identical_to_the_step_oracle():
+    from conftest import bad1_arm_wide
+
+    arms = [bad1_arm_wide(), PointMass(5.0)]
+    for seed in range(20):
+        streams = [d.sample(rng(40 + 7 * seed + i), 3000) for i, d in enumerate(arms)]
+        session = Bad1OraclePolicy().start(2, None)
+        cuts = _play_against_oracle(
+            session, _OracleBad1Session(), streams, geometric_checkpoints(2, 3000)
+        )
+        assert session.pull_counts[0] > 2000
+    assert min(cuts) > 0, cuts
+
+
+def test_default_play_is_one_update():
+    session = PolicyState(2)
+    assert session.play(1, np.array([3.0, 4.0]), 1, 10) == 1
+    assert session.t == 1 and session.pull_counts == [0, 1]
+
+
+class _FailsAfter(CVaRCriterion):
+    """CVaR that fails once an accumulator holds ``limit`` rewards."""
+
+    def __init__(self, alpha, limit, error):
+        super().__init__(alpha)
+        self.limit, self.error = limit, error
+
+    def evaluate(self, f):
+        if not isinstance(f, EmpiricalDistribution) and f.t >= self.limit:
+            raise self.error("bug in the criterion")
+        return super().evaluate(f)
+
+
+@pytest.mark.parametrize("error", [TypeError, CriterionDomainError])
+def test_a_failure_inside_a_run_keeps_its_context(error):
+    arms = [Gaussian(0.0, 1.0), Gaussian(-0.75, 1.0), Gaussian(-1.5, 1.0)]
+    ucb = UcbPolicy(StabilityCertificate(2.0, 0.45, 2.0), 3.0)
+    with pytest.raises(error, match=r"replication 0: criterion failed on arm 0: bug") as info:
+        run_replications(arms, ucb, _FailsAfter(0.1, 500, error), 2000, 2, seed=3)
+    # raised by the run's own scoring, not by a select: a bug or a domain
+    # error while playing propagates and never becomes a flagged checkpoint
+    frames = [entry.name for entry in info.traceback]
+    assert "play" in frames and "select" not in frames
+
+
+class _StepwisePolicy(Policy):
+    """Plays a step-oracle session, which defines only ``select``, through
+    the default one-pull ``play``."""
+
+    def __init__(self, session):
+        self.session = session
+
+    def start(self, k, criterion):
+        return self.session(k, criterion)
+
+
+_CERT = StabilityCertificate(2.0, 0.45, 2.0)
+_GAUSSIANS = [Gaussian(0.0, 1.0), Gaussian(-0.75, 1.0), Gaussian(-1.5, 1.0)]
+
+
+def _closed_loop_cases():
+    from conftest import bad1_arm_wide
+
+    bad1 = _StepwisePolicy(lambda k, crit: _OracleBad1Session())
+    yield "bad1", [bad1_arm_wide(), PointMass(5.0)], Bad1OraclePolicy(), bad1, Bad1Criterion()
+    for crit in (CVaRCriterion(0.1), MeanVarianceCriterion(0.2)):
+        steps = _StepwisePolicy(lambda k, c: _OracleUcbSession(k, c, _CERT, 3.0))
+        yield f"ucb-{crit.tag}", _GAUSSIANS, UcbPolicy(_CERT, 3.0), steps, crit
+
+
+_CLOSED_LOOP = {case[0]: case[1:] for case in _closed_loop_cases()}
+
+
+def _same_episode(a, b):
+    for name in ("tau", "pooled_values", "proxy_values", "flagged"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+@pytest.mark.parametrize("case", list(_CLOSED_LOOP))
+def test_closed_loop_episodes_are_the_step_oracles_episodes(case):
+    arms, policy, stepwise, crit = _CLOSED_LOOP[case]
+    for seed, checkpoints in ((5, None), (6, [3, 100, 101, 1000, 4000])):
+        episode = run_episode(arms, policy, crit, 4000, checkpoints, seed=seed)
+        _same_episode(episode, run_episode(arms, stepwise, crit, 4000, checkpoints, seed=seed))
+
+
+@pytest.mark.parametrize("case", list(_CLOSED_LOOP))
+def test_a_run_reads_no_reward_past_its_pulls(monkeypatch, case):
+    # the same episode with every draw past each arm's final pull count
+    # replaced by NaN: a run that read one would score or count it
+    arms, policy, _, crit = _CLOSED_LOOP[case]
+    episode = run_episode(arms, policy, crit, 4000, seed=11)
+    pulled = {id(arm): int(n) for arm, n in zip(arms, episode.tau[-1])}
+    drawn = dict.fromkeys(pulled, 0)
+    sample = RewardDistribution.sample
+
+    def nan_past_the_pulls(self, rng, n):
+        out = sample(self, rng, n)
+        out[max(0, pulled[id(self)] - drawn[id(self)]):] = np.nan
+        drawn[id(self)] += n
+        return out
+
+    monkeypatch.setattr(RewardDistribution, "sample", nan_past_the_pulls)
+    _same_episode(episode, run_episode(arms, policy, crit, 4000, seed=11))
+    assert sum(drawn.values()) > sum(pulled.values())
