@@ -131,37 +131,34 @@ def cmd_oracle(cfg: ExperimentConfig, out_dir: Path | None) -> int:
             bounds.append((label, l_own, pulls, proxy_regret_bound(crit, arms, l_own, pulls)))
     print(f"criterion: {_criterion_label(cfg)}")
     print(f"best arm: arm{best + 1}  value {best_value:.12g}")
+    rows = [("best-arm", best + 1, "", repr(best_value))]
     for i, gap in enumerate(gaps):
         print(f"  arm{i + 1} gap {gap:.12g}")
+        rows.append(("gap", i + 1, "", repr(gap)))
     if sweep is not None:
         p = ",".join(f"{w:g}" for w in sweep[0])
         print(f"simplex sweep argmax: p=({p})  value {sweep[1]:.12g}")
+        rows.append((f"simplex-argmax[{p.replace(',', '|')}]", "", "", repr(sweep[1])))
     if lipschitz is not None:
         print(f"stationary-gap constant L: {lipschitz:.6g}")
+        rows.append(("lipschitz", "", "", repr(lipschitz)))
     for label, l_own, pull_bounds, regret_bounds in bounds:
         tag = "" if label is None else f" [{label}]"
+        row_tag = tag[1:].replace(",", "|")
         if label is not None:
             print(f"stationary-gap constant L{tag}: {l_own:.6g}")
+            rows.append((f"lipschitz{row_tag}", "", "", repr(l_own)))
         for horizon, pulls in pull_bounds.items():
-            parts = [f"arm{i + 1}<={u:.6g}" for i, u in enumerate(pulls) if u is not None]
+            parts = []
+            for i, u in enumerate(pulls):
+                if u is not None:
+                    # a bound at or above T says nothing about T pulls
+                    parts.append(f"arm{i + 1}<={u:.6g}" + (" (vacuous)" if u >= horizon else ""))
+                    rows.append((f"pull-bound{row_tag}", i + 1, horizon, repr(u)))
             print(f"T={horizon}{tag}: expected pulls {'; '.join(parts)}; "
                   f"proxy-regret bound {regret_bounds[horizon]:.6g}")
+            rows.append((f"proxy-regret-bound{row_tag}", "", horizon, repr(regret_bounds[horizon])))
     if out_dir is not None:
-        rows = [("best-arm", best + 1, "", repr(best_value))]
-        rows += [("gap", i + 1, "", repr(gap)) for i, gap in enumerate(gaps)]
-        if sweep is not None:
-            p = "|".join(f"{w:g}" for w in sweep[0])
-            rows.append((f"simplex-argmax[{p}]", "", "", repr(sweep[1])))
-        if lipschitz is not None:
-            rows.append(("lipschitz", "", "", repr(lipschitz)))
-        for label, l_own, pull_bounds, regret_bounds in bounds:
-            tag = "" if label is None else f"[{label.replace(',', '|')}]"
-            if label is not None:
-                rows.append((f"lipschitz{tag}", "", "", repr(l_own)))
-            for horizon, pulls in pull_bounds.items():
-                rows += [(f"pull-bound{tag}", i + 1, horizon, repr(u))
-                         for i, u in enumerate(pulls) if u is not None]
-                rows.append((f"proxy-regret-bound{tag}", "", horizon, repr(regret_bounds[horizon])))
         path = out_dir / "oracle.csv"
         write_csv(path, _base_meta(cfg), ("record", "arm", "horizon", "value"), rows)
         print(f"wrote {path}")

@@ -126,8 +126,12 @@ def _build_policy(spec, name: str, arms, criterion, overrides: dict, ucb_alpha: 
     if not isinstance(kind, str) or kind not in _POLICY_KEYS:
         raise ConfigError(f"unknown policy kind {kind!r}")
     _reject_extra(f"{kind} {name}", set(spec) - _POLICY_KEYS[kind] - {"kind", "label"})
-    if not isinstance(spec.get("label", ""), str):
-        raise ConfigError(f"{name} label must be a string, got {spec['label']!r}")
+    label = spec.get("label", "")
+    if not isinstance(label, str):
+        raise ConfigError(f"{name} label must be a string, got {label!r}")
+    if "".join(label.splitlines()) != label:
+        # a label names CSV files, rows and report lines, one line each
+        raise ConfigError(f"{name} label must not break a line, got {label!r}")
     if kind == "simple" and "p" not in spec:
         raise ConfigError(f"simple {name} is missing required key 'p'")
     if "alpha" in spec:

@@ -151,10 +151,10 @@ def run_episode(
 def _play_closed_loop(arms, policy, criterion, checkpoints, arm_rngs):
     """Pull counts at the checkpoints and each arm's rewards in draw order.
 
-    Each decision of ``select`` starts a run of ``play`` that stops at the
-    next checkpoint and at the end of the arm's drawn rewards.  Each arm's
-    rewards come from doubling blocks of its own stream, the same values
-    one scalar draw per pull would give; unpulled draws go unseen.
+    Each decision of ``select`` starts a run of ``play`` on the arm's next
+    rewards up to the next checkpoint and the end of its drawn block.  Each
+    arm's rewards come from doubling blocks of its own stream, the same
+    values one scalar draw per pull would give; unpulled draws go unseen.
     """
     k = len(arms)
     session = policy.start(k, criterion)
@@ -171,7 +171,7 @@ def _play_closed_loop(arms, policy, criterion, checkpoints, arm_rngs):
             if n == len(d):
                 block = arms[arm].sample(arm_rngs[arm], max(n, 64))
                 d = draws[arm] = np.concatenate([d, block])
-            t += play(arm, d, n, c)
+            t += play(arm, d[n : n + c - t])
         tau[idx] = counts
     return tau, draws
 

@@ -124,6 +124,15 @@ def test_closed_loop_tracer_boundaries_stay_defined():
     assert [c.__name__ for c in states if "play" in vars(c)] == [
         "PolicyState", "_UcbSession", "_Bad1OracleSession",
     ]
+    # a run gets exactly the rewards it may read; the session finds no read
+    # offset and no checkpoint in the call
+    for c in states:
+        if "play" in vars(c):
+            assert list(inspect.signature(vars(c)["play"]).parameters) == [
+                "self", "arm", "rewards",
+            ], c.__name__
+    # the UCB radius is phi_inv's alone, with no constants of its own
+    assert not hasattr(sessions[0], "_radius")
 
 
 class _RoundRobin(policy.PolicyState):

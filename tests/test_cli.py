@@ -293,12 +293,33 @@ def test_oracle_prints_each_distinct_ucb_learner_once(tmp_path, capsys):
     assert out.count("stationary-gap constant L") == 3
 
 
+def test_oracle_marks_a_pull_bound_at_or_above_its_horizon_vacuous(tmp_path, capsys):
+    doc = yaml.safe_load((CONFIG_DIR / "cvar_gaussians.yaml").read_text(encoding="utf-8"))
+    del doc["criterion"]["certificate"]
+    doc["horizons"] = [1000]
+    assert main(["oracle", "--config", _write(tmp_path, doc), "--out", str(tmp_path)]) == 0
+    # the criterion's own certificate bounds arm2 by far more than T pulls
+    assert "T=1000: expected pulls arm2<=1.67433e+08 (vacuous); " in capsys.readouterr().out
+    assert "vacuous" not in (tmp_path / "oracle.csv").read_text()
+    doc = yaml.safe_load((CONFIG_DIR / "cvar_gaussians.yaml").read_text(encoding="utf-8"))
+    doc["policies"] = [{"kind": "ucb", "alpha": 6.0, "a": 1.0, "label": "wide"}]
+    doc["horizons"] = [100, 1000]
+    assert main(["oracle", "--config", _write(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out
+    # one bound of a line can be vacuous and the next not, and at a longer
+    # horizon the same arm's bound falls below T
+    assert "T=100 [wide]: expected pulls arm2<=162.155 (vacuous); arm3<=42.7887; " in out
+    assert "T=1000 [wide]: expected pulls arm2<=241.732; arm3<=62.683; " in out
+
+
 def test_policy_labels_round_trip():
     doc = _base_doc()
     doc["policies"] = [{"kind": "simple", "p": [1.0, 0.0], "label": "always-first"}]
     cfg = parse_config(doc)
     labels = [label for label, _ in cfg.policies]
     assert labels == ["always-first"]
+    doc["policies"][0]["label"] = ""
+    assert parse_config(doc).policies[0][0] == ""
     doc["reference"] = {"kind": "bad1-oracle", "label": "oracle-schedule"}
     cfg = parse_config(doc)
     label, reference = cfg.reference
@@ -324,6 +345,33 @@ def test_simulate_roundtrip_metadata(tmp_path):
     assert meta["replications"] == "4"
     assert all(r.reps == 4 for r in rows)
     assert {r.estimator for r in rows} == {"performance", "horizon-gap"}
+
+
+def test_simulate_writes_under_the_output_key_unless_out_is_given(tmp_path, capsys):
+    doc = _base_doc()
+    doc.update(policies=[{"kind": "simple", "p": [1.0, 0.0]}], horizons=[64], replications=2)
+    doc["output"] = str(tmp_path / "configured")
+    path = _write(tmp_path, doc)
+    assert main(["simulate", "--config", path]) == 0
+    assert [p.name for p in (tmp_path / "configured").iterdir()] == ["simulate_simple[1,0]_T64.csv"]
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "flag")]) == 0
+    assert [p.name for p in (tmp_path / "flag").iterdir()] == ["simulate_simple[1,0]_T64.csv"]
+    assert len(list((tmp_path / "configured").iterdir())) == 1
+    capsys.readouterr()
+    doc["output"] = 5
+    assert main(["simulate", "--config", _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == "error: output must be a directory path, got 5\n"
+
+
+@pytest.mark.parametrize("key", ["policies", "reference"])
+def test_a_label_that_breaks_a_line_exits_1(tmp_path, capsys, key):
+    # a label names simulate's CSV files, oracle.csv rows and check lines;
+    # a line break in it corrupts each of them
+    name = "policy" if key == "policies" else "reference"
+    for brk in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        spec = {"kind": "simple", "p": [0.5, 0.5], "label": f"half{brk}half"}
+        err = _error_of(tmp_path, capsys, "simulate", {key: [spec] if key == "policies" else spec})
+        assert f"error: {name} label must not break a line, got {spec['label']!r}" in err
 
 
 @pytest.mark.parametrize(

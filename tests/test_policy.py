@@ -583,7 +583,7 @@ def _play_against_oracle(session, oracle, streams, checkpoints):
             n = session.pull_counts[arm]
             if n == drawn[arm]:
                 drawn[arm] += max(n, 64)
-            pulls = session.play(arm, streams[arm][:drawn[arm]], n, c)
+            pulls = session.play(arm, streams[arm][n : min(drawn[arm], n + c - session.t)])
             assert pulls >= 1 and session.t <= c and n + pulls <= drawn[arm]
             for i in range(pulls):
                 if i:
@@ -653,7 +653,7 @@ def test_bad1_runs_are_bit_identical_to_the_step_oracle():
 
 def test_default_play_is_one_update():
     session = PolicyState(2)
-    assert session.play(1, np.array([3.0, 4.0]), 1, 10) == 1
+    assert session.play(1, np.array([3.0, 4.0])) == 1
     assert session.t == 1 and session.pull_counts == [0, 1]
 
 
