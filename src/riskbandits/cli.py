@@ -87,22 +87,19 @@ def _grid_sweep(cfg: ExperimentConfig):
     return simplex_grid_argmax(cfg.criterion, cfg.arms, cfg.grid_resolution)
 
 
-def _policy_records(cfg: ExperimentConfig) -> list:
-    """``(label, policy)`` of the policies, then of a reference record."""
-    return [*cfg.policies, *([cfg.reference] if isinstance(cfg.reference, tuple) else [])]
-
-
 def _ucb_learners(cfg: ExperimentConfig):
     """The criterion's certificate (with its override) and the ``(label,
     policy)`` of each distinct UCB learner, in record order: the policies,
     then the reference.  A label an earlier learner holds gets
     ``#<position>``.  The learner a bare ``{kind: ucb}`` record builds (that
     certificate at the top-level ``ucb_alpha``) is labelled None; it stands
-    alone when no record is a UCB policy."""
+    alone when no record is a UCB policy.  ``oracle`` bounds each learner,
+    and ``check`` names each other certificate by its first learner."""
     cert = cfg.criterion.stability_certificate(cfg.arms, **cfg.certificate_overrides)
     default = None if cert is None else UcbPolicy(cert, cfg.ucb_alpha)
+    records = [*cfg.policies, *([cfg.reference] if isinstance(cfg.reference, tuple) else [])]
     learners = {}  # policy -> label
-    for i, (label, policy) in enumerate(_policy_records(cfg)):
+    for i, (label, policy) in enumerate(records):
         if isinstance(policy, UcbPolicy) and policy not in learners:
             if policy == default:
                 label = None
@@ -265,19 +262,17 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     results.append(checklib.convexity_check(cfg.criterion, cfg.arms, pairs, seed))
     # one modulus pass scores every certificate a command builds on, a line
     # each: the criterion's own, the config's override (which the UCB radii
-    # and the pull bounds use) and each UCB record's own radii
+    # and the pull bounds use) and each other UCB learner's radii, under the
+    # label ``oracle`` gives its first learner
     tag = cfg.criterion.tag
-    cert = cfg.criterion.stability_certificate(cfg.arms)
-    named = {} if cert is None else {f"modulus[{tag}]": cert}
-    radii = cert
-    if cfg.certificate_overrides:
-        radii = cfg.criterion.stability_certificate(cfg.arms, **cfg.certificate_overrides)
-        if radii is not None:
-            named[f"modulus-override[{tag}]"] = radii
-    for i, (label, policy) in enumerate(_policy_records(cfg)):
-        if isinstance(policy, UcbPolicy) and policy.certificate not in named.values():
-            name = f"modulus-ucb[{label}]"
-            named[f"modulus-ucb[{label}#{i + 1}]" if name in named else name] = policy.certificate
+    radii, learners = _ucb_learners(cfg)
+    own = cfg.criterion.stability_certificate(cfg.arms) if cfg.certificate_overrides else radii
+    named = {} if own is None else {f"modulus[{tag}]": own}
+    if cfg.certificate_overrides and radii is not None:
+        named[f"modulus-override[{tag}]"] = radii
+    for label, policy in learners:
+        if policy.certificate not in named.values():
+            named[f"modulus-ucb[{label}]"] = policy.certificate
     if named:
         results += checklib.modulus_check(cfg.criterion, cfg.arms, named, pairs, seed)
     if radii is not None:

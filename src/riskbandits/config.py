@@ -1,12 +1,13 @@
 """Experiment configuration: a versioned YAML file with tagged records.
 
-Validation is strict: unknown keys are rejected at every level so stale or
-misspelled fields never silently change an archived experiment.
+Validation is strict: unknown and repeated keys are rejected at every level
+so stale or misspelled fields never silently change an archived experiment.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -132,6 +133,8 @@ def _build_policy(spec, name: str, arms, criterion, overrides: dict, ucb_alpha: 
     if "".join(label.splitlines()) != label:
         # a label names CSV files, rows and report lines, one line each
         raise ConfigError(f"{name} label must not break a line, got {label!r}")
+    if "\0" in label:  # which no file name holds
+        raise ConfigError(f"{name} label must not hold a NUL character, got {label!r}")
     if kind == "simple" and "p" not in spec:
         raise ConfigError(f"simple {name} is missing required key 'p'")
     if "alpha" in spec:
@@ -323,7 +326,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if grid_resolution is not None and not (0 < _number(grid_resolution, "grid_resolution") <= 1):
         raise ConfigError(f"grid_resolution must lie in (0, 1], got {grid_resolution!r}")
     output = raw.get("output")
-    if output is not None and not isinstance(output, str):
+    if output is not None and (not isinstance(output, str) or "\0" in output):
         raise ConfigError(f"output must be a directory path, got {output!r}")
     replications = _number(raw.get("replications", 100), "replications", integer=True)
     if replications < 1:
@@ -372,11 +375,35 @@ def parse_config(raw: dict) -> ExperimentConfig:
     )
 
 
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's parser where built, with the safe constructor and resolver;
+    a key that a mapping repeats is refused (``_mapping``)."""
+
+
+def _mapping(loader, node):
+    """A mapping, refused if it repeats a key.  Checked before merge keys are
+    flattened, so a key may override a ``<<`` entry."""
+    seen = set()
+    for key_node, _ in node.value:
+        if key_node.tag == "tag:yaml.org,2002:merge":
+            continue
+        key = loader.construct_object(key_node)
+        if not isinstance(key, Hashable):
+            continue  # which the mapping's construction refuses
+        if key in seen:
+            at = key_node.start_mark
+            raise ConfigError(f"repeated key {key!r} on line {at.line + 1} of {at.name}")
+        seen.add(key)
+    yield from loader.construct_yaml_map(node)
+
+
+_Loader.add_constructor("tag:yaml.org,2002:map", _mapping)
+
+
 def load_config(path) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
         try:
-            # libyaml's parser where built: the same safe constructor and resolver
-            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+            raw = yaml.load(fh, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"could not parse {path}: {exc}") from exc
     return parse_config(raw)

@@ -707,11 +707,11 @@ class MixtureDistribution(RewardDistribution):
     matrix (``_rows``): the same CDF, each component's ``cdf`` taken once
     over the points of every row, with a weight per row (or per point).  A
     zero weight adds an exact +0.0 to a finite CDF value, so a row over all
-    components is its mixture's parts, bit for bit.  The mixtures that
-    ``stack`` joins solve a level together, the first time one of them
-    needs it; a mixture that no stack joined is stacked alone, a stack of
-    one row.  A stack solves a level by sets of rows that answer it alike
-    (``_row_sets``), each set for all its rows at once (``_inverses``).  A
+    components is its mixture's parts, bit for bit.  Each mixture solves
+    from its own one-row stack (``_alone``) until ``stack`` joins it to
+    others; the joined mixtures solve a level together, the first time one
+    of them needs it.  A stack solves a level by sets of rows that answer
+    it alike (``_sets``), each set for all its rows at once (``_inverses``).  A
     row with a Gaussian part has a strictly increasing F, and its one
     inverse is bisected, every such row in lockstep (``_bisect_rows``).
     Every other row is a knot table: the union of its parts' knots, with
@@ -746,8 +746,14 @@ class MixtureDistribution(RewardDistribution):
         part = self._parts[0][1]
         # a lone knot-table part, of weight exactly 1, is its own table
         self._own = part if len(self._parts) == 1 and isinstance(part, PiecewiseLinearCDF) else None
-        self._stack = None  # (rows, r) once ``stack`` joins it: row r solves its quantiles
-        self._alone = None  # its own one-row stack, for the levels it alone asks
+
+    @functools.cached_property
+    def _alone(self):  # its own one-row stack, for the levels it alone asks too
+        return self._rows(self.components, self.weights[None])
+
+    @functools.cached_property
+    def _stack(self):  # (rows, r): row r solves its quantiles; ``stack`` sets it
+        return self._alone, 0
 
     @classmethod
     def _rows(cls, components, weights):
@@ -761,8 +767,6 @@ class MixtureDistribution(RewardDistribution):
         rows._parts = [(weights[..., i], c) for i, c in enumerate(rows.components)
                        if weights[..., i].any()]
         rows._solved = {}  # level -> each row's quantile
-        rows._sets = None  # each row's (set, index in it), on the first level solved
-        rows._tables = None  # a set of knot-table rows: its ``_knot_tables``
         rows._moments = {}  # (method, *args) -> each weighed component's value
         return rows
 
@@ -840,7 +844,8 @@ class MixtureDistribution(RewardDistribution):
         hi = np.where(held, qs, -np.inf).max(axis=1)
         return self._bisect_rows(level, lo, hi)
 
-    def _row_sets(self):
+    @functools.cached_property
+    def _sets(self):
         """Each row's set and its index there: the sets of rows that answer
         a level alike, each a stack of its own that solves a level for its
         rows alone.  The rows with a smooth part form one set, bisected in
@@ -871,24 +876,21 @@ class MixtureDistribution(RewardDistribution):
         one block, else rebuilt a block of knots at a time at each level."""
         if any(p.has_smooth_part for _, p in self._parts):
             return self._solve(c)
-        if self._tables is None:
-            held = self.weights[0] > 0
-            parts = [p for p, h in zip(self.components, held) if h]
-            knots = np.unique(np.concatenate([p.breakpoints() for p in parts]))
-            self._tables = functools.partial(_knot_tables, parts, self.weights[:, held], knots)
-            if len(self.weights) * len(knots) <= _TABLE_FLOATS:
-                self._tables = list(self._tables())
         tables = self._tables if isinstance(self._tables, list) else self._tables()
         return _knot_table_inverse(tables, len(self.weights), c, strict)
+
+    @functools.cached_property
+    def _tables(self):  # the blocks while they fit in one, else their builder
+        held = self.weights[0] > 0
+        parts = [p for p, h in zip(self.components, held) if h]
+        knots = np.unique(np.concatenate([p.breakpoints() for p in parts]))
+        tables = functools.partial(_knot_tables, parts, self.weights[:, held], knots)
+        return list(tables()) if len(self.weights) * len(knots) <= _TABLE_FLOATS else tables
 
     def _quantile(self, alpha):
         if self._own is not None:
             return self._own._quantile(alpha)
-        if self._stack is None:
-            self.stack([self])
         rows, r = self._stack
-        if rows._sets is None:
-            rows._sets = rows._row_sets()
         rows, r = rows._sets[r]
         if alpha not in rows._solved:
             rows._solved[alpha] = rows._inverses(alpha, False).tolist()
@@ -902,16 +904,9 @@ class MixtureDistribution(RewardDistribution):
         if c < 0.0 or (c == 0.0 and self.has_smooth_part):
             return -math.inf  # a Gaussian part puts mass below every y
         # a level of this mixture's own (Bad2 asks each mixture its own flat
-        # edge), so one row's question: its stack's only row, or its row
-        # alone, whose table then answers its next own level too
-        if self._stack is None:
-            self.stack([self])
-        rows = self._stack[0]
-        if len(rows.weights) > 1:
-            if self._alone is None:
-                self._alone = self._rows(self.components, self.weights[None])
-            rows = self._alone
-        return float(rows._inverses(c, True)[0])
+        # edge), so one row's question: its row alone, whose table then
+        # answers its next own level too
+        return float(self._alone._inverses(c, True)[0])
 
     def _sample(self, rng, n):
         idx = rng.choice(len(self.components), size=n, p=self.weights)
@@ -925,11 +920,8 @@ class MixtureDistribution(RewardDistribution):
 
     def _weighted(self, name, *args):
         """``sum_i p_i m_i`` over the parts, in part order, of each part's own
-        ``m_i = name(*args)``.  A stacked mixture's stack takes each weighed
-        component's value once for all its rows; a mixture that no stack
-        joined (a pair before its check stacks it) is not stacked for it."""
-        if self._stack is None:
-            return float(sum(w * getattr(c, name)(*args) for w, c in self._parts))
+        ``m_i = name(*args)``: its stack takes each weighed component's value
+        once for all its rows."""
         rows = self._stack[0]
         key = (name, *args)
         if key not in rows._moments:
@@ -972,6 +964,9 @@ class MixtureDistribution(RewardDistribution):
         return (min(b[0] for b in bounds), max(b[1] for b in bounds))
 
     def __repr__(self):
+        if self.weights.ndim > 1:  # a stack
+            rows, k = len(self.weights), len(self.components)
+            return f"MixtureDistribution(rows={rows}, components={k})"
         w = ", ".join(f"{x:.4g}" for x in self.weights)
         return f"MixtureDistribution(weights=[{w}])"
 

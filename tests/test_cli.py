@@ -194,6 +194,40 @@ def test_malformed_yaml_exits_1_naming_the_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: could not parse {path}:")
 
 
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+@pytest.mark.parametrize(
+    "text,expect",
+    [
+        pytest.param(
+            "arms:\n  - {kind: gaussian, mean: 0.0, stddev: 1.0, mean: 5.0}\nhorizons: [20]\n",
+            "repeated key 'mean' on line 6", id="arm-key",
+        ),
+        pytest.param(
+            "arms: [{kind: gaussian, mean: 0.0, stddev: 1.0}]\nhorizons: [20]\nhorizons: [40]\n",
+            "repeated key 'horizons' on line 7", id="top-level-key",
+        ),
+    ],
+)
+def test_a_repeated_key_exits_1_naming_it_and_its_line(tmp_path, capsys, command, text, expect):
+    # the later value would silently replace the earlier one
+    path = tmp_path / "cfg.yaml"
+    head = "version: 1\nseed: 3\ncriterion: {kind: mean}\npolicies: [{kind: simple, p: [1.0]}]\n"
+    path.write_text(head + text)
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {expect} of {path}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_a_key_may_override_a_merged_one(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(
+        "version: 1\nseed: 3\ncriterion: {kind: mean}\narms:\n"
+        "  - &arm {kind: gaussian, mean: 0.0, stddev: 1.0}\n  - {<<: *arm, mean: 2.0}\n"
+    )
+    assert main(["eval", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["  arm1  0", "  arm2  2"]
+
+
 def test_oracle_command(tmp_path, capsys):
     doc = _base_doc()
     doc["grid_resolution"] = 0.25
@@ -372,6 +406,36 @@ def test_a_label_that_breaks_a_line_exits_1(tmp_path, capsys, key):
         spec = {"kind": "simple", "p": [0.5, 0.5], "label": f"half{brk}half"}
         err = _error_of(tmp_path, capsys, "simulate", {key: [spec] if key == "policies" else spec})
         assert f"error: {name} label must not break a line, got {spec['label']!r}" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+@pytest.mark.parametrize(
+    "patch,expect",
+    [
+        pytest.param(
+            {"policies": [{"kind": "simple", "p": [0.5, 0.5], "label": "a\0b"}]},
+            "policy label must not hold a NUL character, got 'a\\x00b'", id="policy-label",
+        ),
+        pytest.param(
+            {"reference": {"kind": "simple", "p": [0.5, 0.5], "label": "a\0b"}},
+            "reference label must not hold a NUL character, got 'a\\x00b'", id="reference-label",
+        ),
+        pytest.param(
+            {"output": "o\0ut"}, "output must be a directory path, got 'o\\x00ut'", id="output",
+        ),
+    ],
+)
+def test_a_nul_in_a_label_or_the_output_exits_1(
+    tmp_path, capsys, monkeypatch, command, patch, expect
+):
+    # no file name holds a NUL: simulate played every replication and then
+    # failed to write its CSV, and each command failed to make the output
+    monkeypatch.chdir(tmp_path)  # the default output, had the config let it through
+    doc = _base_doc()
+    doc.update(policies=[{"kind": "simple", "p": [1.0, 0.0]}], horizons=[64], replications=2)
+    doc.update(patch)
+    assert main([command, "--config", _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == f"error: {expect}\n"
 
 
 @pytest.mark.parametrize(
@@ -702,6 +766,71 @@ def test_check_scores_each_distinct_ucb_certificate_on_a_line_of_its_own(tmp_pat
     assert own.line() == lines[1].replace("modulus-ucb[ucb]", "modulus[cvar]")
     rows = (tmp_path / "check.csv").read_text(encoding="utf-8").splitlines()
     assert sum(r.startswith("modulus-ucb[ucb],0,") for r in rows) == 1
+
+
+def test_check_names_a_certificate_as_oracle_names_its_learner(tmp_path, capsys):
+    # the first "wide,one" holds the override, so the reference's own radii
+    # are the first certificate under that label; oracle names the reference
+    # learner "wide,one#4", and its check line takes that name
+    doc = _close_cvar_doc([
+        {"kind": "ucb", "label": "wide,one", "alpha": 6.0, "a": 2.0, "b": 0.45, "q": 2.0},
+        {"kind": "ucb", "label": "x", "a": 1.0},
+        {"kind": "ucb"},
+    ])
+    doc["arms"].append({"kind": "gaussian", "mean": -0.5, "stddev": 1.0})
+    doc["criterion"]["certificate"] = {"a": 2, "b": 0.45, "q": 2}
+    doc["reference"] = {"kind": "ucb", "label": "wide,one", "a": 1.5, "b": 0.45, "q": 2.0}
+    doc["check"] = {"pairs": 20, "dkw_reps": 200}
+    path = _write(tmp_path, doc)
+    assert main(["oracle", "--config", path]) == 0
+    out = capsys.readouterr().out
+    assert "stationary-gap constant L [wide,one]" in out
+    assert "stationary-gap constant L [wide,one#4]" in out
+    main(["check", "--config", path])
+    names = [ln.split(":")[0].split("] ", 1)[1] for ln in capsys.readouterr().out.splitlines()
+             if "modulus" in ln]
+    assert names == [
+        "modulus[cvar]", "modulus-override[cvar]", "modulus-ucb[x]", "modulus-ucb[wide,one#4]",
+    ]
+
+
+def _check_lines(tmp_path, capsys, doc, *flags):
+    main(["check", "--config", _write(tmp_path, doc), *flags])
+    return [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[")]
+
+
+def _one_gaussian_cvar_doc(check):
+    return {
+        "version": 1,
+        "seed": 7,
+        "arms": [{"kind": "gaussian", "mean": 0.0, "stddev": 1.0}],
+        "criterion": {"kind": "cvar", "alpha": 0.1},
+        "check": {"pairs": 20, "dkw_reps": 200, **check},
+    }
+
+
+def test_check_seed_option_seeds_the_check_as_the_seed_flag_does(tmp_path, capsys):
+    configured = _check_lines(tmp_path, capsys, _one_gaussian_cvar_doc({"seed": 3}))
+    flagged = _check_lines(tmp_path, capsys, _one_gaussian_cvar_doc({}), "--seed", "3")
+    unseeded = _check_lines(tmp_path, capsys, _one_gaussian_cvar_doc({}))
+    assert configured == flagged != unseeded
+
+
+def test_check_growth_constants_and_grid_step_reach_c4(tmp_path, capsys, monkeypatch):
+    given = {"b_alpha": 12.0, "m_alpha": 0.05}
+    lines = _check_lines(tmp_path, capsys, _one_gaussian_cvar_doc(given))
+    (c4,) = [ln for ln in lines if ln.startswith(("[PASS] C4:", "[FAIL] C4:"))]
+    assert c4.split(": ", 1)[1].startswith("b_alpha=12, m_alpha=0.05; ")
+    steps = []
+    growth = checks.check_growth_condition_c4
+
+    def recorded(f, alpha, b_alpha, m_alpha, grid_step):
+        steps.append(grid_step)
+        return growth(f, alpha, b_alpha, m_alpha, grid_step)
+
+    monkeypatch.setattr(checks, "check_growth_condition_c4", recorded)
+    _check_lines(tmp_path, capsys, _one_gaussian_cvar_doc({**given, "grid_step": 0.01}))
+    assert steps and set(steps) == {0.01}
 
 
 def test_check_command_fails_on_flat_level_set(tmp_path, capsys):

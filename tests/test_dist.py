@@ -1065,11 +1065,22 @@ def test_lockstep_bisection_at_the_step_cap_and_with_one_row():
     lone, unstacked = mixtures(comps, raw[:2])
     MixtureDistribution.stack([lone])
     assert lone._stack[1] == 0 and lone._stack[0].weights.shape == (1, 2)
-    assert unstacked._stack is None
+    assert "_stack" not in vars(unstacked)  # built on its first solve
     assert unstacked.quantile(0.7) == rows[1].quantile(0.7)
-    assert unstacked._stack[1] == 0 and unstacked._stack[0].weights.shape == (1, 2)
+    assert unstacked._stack == (unstacked._alone, 0) and unstacked._alone.weights.shape == (1, 2)
     with pytest.raises(DomainError):
         MixtureDistribution.stack([rows[0], MixtureDistribution([Gaussian(0, 1)], [1.0])])
+
+
+def test_repr_of_a_mixture_and_of_a_stack():
+    # a stack's weights are rows: its repr counts them and the components,
+    # where a mixture's lists its weights
+    ms = mixtures([Gaussian(0.0, 1.0), PointMass(1.0), Uniform(0.0, 2.0)],
+                  [[0.3, 0.7, 0.0], [0.5, 0.25, 0.25]])
+    MixtureDistribution.stack(ms)
+    assert repr(ms[0]) == "MixtureDistribution(weights=[0.3, 0.7, 0])"
+    assert repr(ms[0]._stack[0]) == "MixtureDistribution(rows=2, components=3)"
+    assert repr(ms[1]._alone) == "MixtureDistribution(rows=1, components=3)"
 
 
 def reweighted_stack(r, m):
