@@ -14,11 +14,17 @@ processes.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+# np.unique reads numpy.ma, and np.random is numpy.random: both load with the
+# package, so no command imports a module for the first time
+import numpy.ma
+import numpy.random
 
 from .errors import DomainError
 
@@ -54,6 +60,22 @@ _PROBE_STEPS = np.linspace(-8.0, 8.0, 33)
 
 # Density of the standard normal at 0 and friends.
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+# scipy.special (ndtr, ndtri) is about half of the package's cold import, and
+# only Gaussian arms call it, so it is bound lazily, after the importlib
+# "Implementing lazy imports" recipe: a config without a Gaussian arm never
+# loads it.  Reading any attribute loads it; a module already imported is
+# reused as it is.  The first read is made under a lock: before Python 3.12,
+# a thread that reads a lazy module while another loads it finds it half
+# loaded.
+_special_lock = threading.Lock()
+_special = sys.modules.get("scipy.special")
+if _special is None:
+    _spec = importlib.util.find_spec("scipy.special")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    _special = sys.modules["scipy.special"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(_special)
 
 
 def _norm_pdf(z):
@@ -235,19 +257,27 @@ class Gaussian(RewardDistribution):
             )
         if self.stddev <= 0:
             raise DomainError(f"stddev must be positive, got {self.stddev}")
+        # the first Gaussian loads scipy.special: with the config, not in a
+        # command; every Gaussian, unpickled ones too, passes through here
+        with _special_lock:
+            _special.ndtr
+
+    def __reduce__(self):
+        # unpickling constructs, so __post_init__ loads scipy.special
+        return Gaussian, (self.mean_value, self.stddev)
 
     def cdf(self, y):
         # standardised in place: one temporary the size of y
         z = np.asarray(y, dtype=float) - self.mean_value
         z /= self.stddev
-        return ndtr(z, out=z) if z.ndim else ndtr(z)
+        return _special.ndtr(z, out=z) if z.ndim else _special.ndtr(z)
 
     def cdf_left(self, y):
         return self.cdf(y)
 
     def _inverse(self, c, strict):
         # F is strictly increasing, so both inverses are one; ndtri(0) is -inf
-        return self.mean_value + self.stddev * float(ndtri(c))
+        return self.mean_value + self.stddev * float(_special.ndtri(c))
 
     def _sample(self, rng, n):
         return rng.normal(self.mean_value, self.stddev, size=n)
@@ -261,7 +291,7 @@ class Gaussian(RewardDistribution):
     def below_target_semivariance(self, r):
         beta = (r - self.mean_value) / self.stddev
         phi = float(_norm_pdf(beta))
-        Phi = float(ndtr(beta))
+        Phi = float(_special.ndtr(beta))
         s = self.stddev
         return s * s * (Phi - beta * phi) + 2 * s * (r - self.mean_value) * phi + (
             r - self.mean_value
@@ -273,14 +303,14 @@ class Gaussian(RewardDistribution):
     def _partial_mean(self, c):
         # int_{-inf}^c x dF
         beta = (c - self.mean_value) / self.stddev
-        return self.mean_value * float(ndtr(beta)) - self.stddev * float(_norm_pdf(beta))
+        return self.mean_value * float(_special.ndtr(beta)) - self.stddev * float(_norm_pdf(beta))
 
     def lower_tail(self):
         return self._partial_mean(0.0)
 
     def cdf_integral_below(self, v):
         beta = (v - self.mean_value) / self.stddev
-        return self.stddev * (beta * float(ndtr(beta)) + float(_norm_pdf(beta)))
+        return self.stddev * (beta * float(_special.ndtr(beta)) + float(_norm_pdf(beta)))
 
     def breakpoints(self):
         return np.array([])

@@ -157,18 +157,22 @@ def test_a_session_with_only_select_plays_one_pull_per_decision():
     assert episode.pooled_values[-1] == MeanCriterion().evaluate(dist.EmpiricalDistribution(pool))
 
 
-def test_cli_import_loads_no_scipy_optimize():
-    # cold start: the CLI needs scipy.special only, not the solver stack
-    src = Path(__file__).resolve().parents[1] / "src"
+def test_cli_import_loads_no_scipy_optimize(tmp_path):
+    # cold start: the CLI needs scipy.special only, not the solver stack,
+    # neither on import nor in the command that reaches the most code
+    root = Path(__file__).resolve().parents[1]
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import riskbandits.cli; "
-        "print(*sorted(m for m in sys.modules "
+        "riskbandits.cli.main(['check', '--config', sys.argv[2], '--out', sys.argv[3]]); "
+        "print('loaded:', *sorted(m for m in sys.modules "
         "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'linalg'], ['scipy', 'sparse'])))"
     )
+    config = root / "configs" / "cvar_gaussians.yaml"
     out = subprocess.run(
-        [sys.executable, "-c", probe, str(src)], capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe, str(root / "src"), str(config), str(tmp_path)],
+        capture_output=True, text=True, check=True,
     )
-    assert out.stdout.split() == []
+    assert out.stdout.splitlines()[-1].split() == ["loaded:"]
 
 
 def test_no_import_inside_a_function():
